@@ -1,4 +1,4 @@
-"""The repo-specific rule set (RL001–RL006).
+"""The repo-specific rule set (RL001–RL006, RL015).
 
 Each rule encodes an invariant this codebase has bled for (or
 structurally depends on).  The catalog with examples and suppression
@@ -16,6 +16,8 @@ RL005     in classes owning a ``_lock``, shared attributes are mutated
           annotation
 RL006     no bare ``len(...)`` divisors in aggregation code — bind the
           denominator to a named variable
+RL015     every literal ``Tensor._make(..., "op")`` names an op with a
+          declared cost signature
 ========  ===========================================================
 """
 
@@ -33,6 +35,7 @@ from repro.analysis.lint import (
     Violation,
     register_rule,
 )
+from repro.autograd import signatures as sig
 
 
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
@@ -328,6 +331,43 @@ class AutogradOpCoverage(Rule):
         return names
 
 
+@register_rule
+class CostModelDivergence(Rule):
+    """RL015: every literal ``Tensor._make`` op has a cost signature."""
+
+    id = "RL015"
+    name = "cost-model-divergence"
+    rationale = (
+        "The runtime CostCollector raises KeyError on an op with no "
+        "declared signature in repro.autograd.signatures, but only on a "
+        "path a profiled run executes; a raw Tensor._make(..., \"op\") "
+        "literal outside the table is caught here even in code no trace "
+        "reaches."
+    )
+
+    def visit(self, ctx: FileContext) -> Iterable[Violation]:
+        for node in ast.walk(ctx.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_make"
+                and len(node.args) >= 4
+            ):
+                continue
+            op_arg = node.args[3]
+            if not (isinstance(op_arg, ast.Constant) and isinstance(op_arg.value, str)):
+                continue
+            op = op_arg.value
+            if op and not sig.has_signature(op):
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"Tensor._make op {op!r} has no declared cost signature; "
+                    "declare it in repro.autograd.signatures so the cost "
+                    "model can price it",
+                )
+
+
 _GUARDED_BY_RE = re.compile(r"#\s*guarded-by\(([^)]*)\)")
 
 
@@ -527,4 +567,3 @@ class BareLenDivisor(Rule):
 # rule modules loads them all.
 from repro.analysis import rules_dataflow  # noqa: E402, F401
 from repro.analysis import rules_concurrency  # noqa: E402, F401
-from repro.analysis import rules_tensor  # noqa: E402, F401

@@ -13,9 +13,9 @@ import numpy as np
 from repro.autograd.tensor import Tensor, as_tensor, _unbroadcast
 from repro.autograd import signatures as _signatures
 
-# Shape/dtype/cost contracts for the ops this module constructs live in
+# Cost signatures for the ops this module constructs live in
 # repro.autograd.signatures; fail at import if one is missing (RL015
-# guards the static side of the same table).
+# checks the literal op names of Tensor._make calls elsewhere).
 _signatures.expect(
     "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
     "clip", "abs", "maximum",

@@ -1,30 +1,25 @@
-"""Per-op shape/dtype/cost signatures — one table, two consumers.
+"""Per-op cost signatures — one table of closed-form FLOP/byte formulas.
 
-Every autograd op name is declared here exactly once, with
+Every autograd op name is declared here exactly once, with its **cost
+kind** (which closed-form FLOP/byte formula applies).  Its readers are
 
-* its **cost kind** (which closed-form FLOP/byte formula applies),
-* whether it is **differentiable** (participates in the backward pass),
-* a one-line shape contract (documentation; the machine-checkable shape
-  rules live in the static interpreter, keyed by the same names).
+* :mod:`repro.obs.cost` — the runtime cost model.  Its collector calls
+  :func:`forward_flops` / :func:`backward_flops` / :func:`forward_bytes`
+  / :func:`backward_bytes` with real ndarrays, and :func:`lookup` raises
+  ``KeyError`` on an op nobody declared, so a profiled run cannot drop
+  an op from the accounting.
+* lint rule RL015, which checks that every literal
+  ``Tensor._make(..., "op")`` names a declared op — also in code no
+  profiled run reaches.
+* the trace-check test (``tests/analysis/test_shapes.py``), which runs
+  every model once under the collector and compares its per-layer
+  ``matmul`` / ``spmm`` counts with :func:`matmul_flops` /
+  :func:`spmm_flops` at the graph's dimensions.
 
-The two consumers are
-
-* :mod:`repro.obs.cost` — the *runtime* cost model.  Its collector
-  calls :func:`forward_flops` / :func:`backward_flops` /
-  :func:`forward_bytes` / :func:`backward_bytes` with real ndarrays.
-* :mod:`repro.analysis.shapes` — the *static* verifier.  The abstract
-  interpreter calls the same four functions with symbolic-shaped
-  operand views, so the static cost expressions are term-for-term
-  identical to the measured ones by construction (RL015 guards the
-  table's completeness; the cost-oracle test asserts exact numeric
-  equality against ``CostCollector`` measurements).
-
-The formulas are pure arithmetic over an operand protocol — ``.shape``,
-``.size``, ``.nbytes`` — satisfied by ``numpy.ndarray`` and by the
-interpreter's abstract arrays alike, so this module never imports
-numpy.  Each ``ops_*`` module closes the loop at import time with
-:func:`expect`, which fails fast if an op it constructs was never
-declared (or was declared under a different kind).
+The formulas are pure arithmetic over ``.shape`` / ``.size`` /
+``.nbytes``, so this module never imports numpy.  Each ``ops_*`` module
+closes the loop at import time with :func:`expect`, which fails fast if
+an op it constructs was never declared.
 """
 
 from __future__ import annotations
@@ -66,8 +61,6 @@ class OpSignature:
 
     name: str
     kind: str
-    differentiable: bool
-    shape: str  # human-readable shape contract
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -77,11 +70,11 @@ class OpSignature:
 SIGNATURES: Dict[str, OpSignature] = {}
 
 
-def declare(name: str, kind: str, shape: str, differentiable: bool = True) -> OpSignature:
+def declare(name: str, kind: str) -> OpSignature:
     """Register one op signature (import-time, idempotent re-declaration is an error)."""
     if name in SIGNATURES:
         raise ValueError(f"op {name!r} declared twice")
-    sig = OpSignature(name=name, kind=kind, differentiable=differentiable, shape=shape)
+    sig = OpSignature(name=name, kind=kind)
     SIGNATURES[name] = sig
     return sig
 
@@ -95,7 +88,12 @@ def canonical_op(op: str) -> str:
 
 def lookup(op: str) -> OpSignature:
     """Signature for a runtime op name; raises ``KeyError`` when undeclared."""
-    return SIGNATURES[canonical_op(op)]
+    try:
+        return SIGNATURES[canonical_op(op)]
+    except KeyError:
+        raise KeyError(
+            f"op {op!r} has no cost signature; declare it in repro.autograd.signatures"
+        ) from None
 
 
 def has_signature(op: str) -> bool:
@@ -116,49 +114,49 @@ def expect(*names: str) -> None:
 # the table — grouped to mirror the ops_* modules
 # ----------------------------------------------------------------------
 # ops_basic
-declare("add", "elementwise", "broadcast(a, b)")
-declare("sub", "elementwise", "broadcast(a, b)")
-declare("mul", "elementwise", "broadcast(a, b)")
-declare("div", "elementwise", "broadcast(a, b)")
-declare("neg", "zero", "a")
-declare("pow", "elementwise", "a")  # runtime names are pow{exponent}
-declare("exp", "elementwise", "a")
-declare("log", "elementwise", "a")
-declare("sqrt", "elementwise", "a")
-declare("clip", "elementwise", "a")
-declare("abs", "elementwise", "a")
-declare("maximum", "elementwise", "broadcast(a, b)")
+declare("add", "elementwise")
+declare("sub", "elementwise")
+declare("mul", "elementwise")
+declare("div", "elementwise")
+declare("neg", "zero")
+declare("pow", "elementwise")  # runtime names are pow{exponent}
+declare("exp", "elementwise")
+declare("log", "elementwise")
+declare("sqrt", "elementwise")
+declare("clip", "elementwise")
+declare("abs", "elementwise")
+declare("maximum", "elementwise")
 
 # ops_matmul
-declare("matmul", "matmul", "(m, k) @ (k, n) -> (m, n)")
-declare("spmm", "spmm", "(r, c)[nnz] @ (c, d) -> (r, d)")
-declare("transpose", "zero", "(m, n) -> (n, m)")
+declare("matmul", "matmul")
+declare("spmm", "spmm")
+declare("transpose", "zero")
 
 # ops_nn
-declare("relu", "elementwise", "a")
-declare("leaky_relu", "elementwise", "a")
-declare("sigmoid", "elementwise", "a")
-declare("tanh", "elementwise", "a")
-declare("softmax", "softmax", "a")
-declare("log_softmax", "softmax", "a")
-declare("dropout", "zero", "a")
+declare("relu", "elementwise")
+declare("leaky_relu", "elementwise")
+declare("sigmoid", "elementwise")
+declare("tanh", "elementwise")
+declare("softmax", "softmax")
+declare("log_softmax", "softmax")
+declare("dropout", "zero")
 
 # ops_reduce
-declare("sum", "reduce", "reduce(a, axis, keepdims)")
-declare("mean", "reduce", "reduce(a, axis, keepdims)")
-declare("max", "reduce", "reduce(a, axis, keepdims)")
-declare("l2_norm", "elementwise", "a -> scalar")  # one-FLOP accounting unit
+declare("sum", "reduce")
+declare("mean", "reduce")
+declare("max", "reduce")
+declare("l2_norm", "elementwise")  # one-FLOP accounting unit
 
 # ops_shape
-declare("reshape", "zero", "a -> shape (size preserved)")
-declare("getitem", "zero", "a[idx] -> (len(idx),) + a.shape[1:]")
-declare("scatter_add", "elementwise", "(rows,) + src.shape[1:]")
-declare("concat", "zero", "concat along axis")
-declare("stack", "zero", "new leading axis")
+declare("reshape", "zero")
+declare("getitem", "zero")
+declare("scatter_add", "elementwise")
+declare("concat", "zero")
+declare("stack", "zero")
 
 
 # ----------------------------------------------------------------------
-# cost formulas — shared verbatim by runtime collector and static oracle
+# cost formulas — evaluated by the runtime collector on real ndarrays
 # ----------------------------------------------------------------------
 def matmul_flops(m, k, n):
     """FLOPs of one ``(m, k) @ (k, n)`` dense product: ``2·m·k·n``."""

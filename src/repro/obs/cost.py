@@ -11,10 +11,10 @@ hand-computed values and a profiled run on machine A is comparable to
 one on machine B.
 
 Cost formulas (``d``-column dense operands, ``nnz``-entry sparse) are
-declared once per op in :mod:`repro.autograd.signatures` — shared with
-the static verifier in :mod:`repro.analysis.shapes`, which re-derives
-them symbolically and cross-checks the evaluation (RL015, and the
-cost-oracle test in ``tests/analysis/test_shapes.py``):
+declared once per op in :mod:`repro.autograd.signatures`; an op with no
+declaration raises ``KeyError`` at its first recording, and the
+trace-check test (``tests/analysis/test_shapes.py``) compares the
+collected per-layer counts with the formulas on every model:
 
 =================  ==========================  ===========================
 op                 forward FLOPs               backward FLOPs (per parent

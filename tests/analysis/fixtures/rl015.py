@@ -1,17 +1,7 @@
-"""RL015 fixture: ops the cost oracle cannot price."""
+"""RL015 fixture: raw Tensor._make ops the cost model cannot price."""
 import numpy as np
 
-from repro import nn
-from repro.autograd import Tensor, mystery_op  # signature never declared
-
-
-class Unpriced(nn.Module):
-    def __init__(self, in_features, num_classes, rng):
-        super().__init__()
-        self.lin = nn.Linear(in_features, num_classes, rng=rng)
-
-    def forward(self, x):
-        return mystery_op(self.lin(x))  # VIOLATION RL015
+from repro.autograd import Tensor
 
 
 def mint_raw_node(a):

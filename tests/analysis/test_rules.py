@@ -35,9 +35,7 @@ CASES = [
     ("RL010", FIXTURES / "federated" / "rl010.py", [16], 1),
     ("RL011", FIXTURES / "rl011.py", [8, 10, 12], 1),
     ("RL012", FIXTURES / "federated" / "rl012.py", [19], 1),
-    ("RL013", FIXTURES / "rl013.py", [14], 1),
-    ("RL014", FIXTURES / "rl014.py", [14, 26], 1),
-    ("RL015", FIXTURES / "rl015.py", [14, 24], 1),
+    ("RL015", FIXTURES / "rl015.py", [14], 1),
 ]
 
 

@@ -1,27 +1,32 @@
-"""Tensor-IR verifier tests.
+"""Concrete trace check of the model zoo.
 
-Three layers of evidence that the static interpreter is faithful:
+Every model runs one real forward and backward pass on two tiny DC-SBM
+graphs of different size, on every available kernel backend, inside
 
-* Dim algebra unit tests (the symbolic substrate).
-* Shape parity: every registered model spec, interpreted on concrete
-  dims, derives exactly the output shapes a *real* forward produces on a
-  tiny DC-SBM graph — on every available kernel backend.
-* Cost-oracle equality: an instrumented two-client smoke run's
-  CostCollector counters equal the symbolic predictions key-for-key
-  (op, dir, phase, client, layer, backend) and value-for-value.
+* ``SanitizerSession()`` — dtype drift, non-finite values and in-place
+  mutation of a captured input raise, and
+* ``cost.collecting(...)`` — an op with no declared signature in
+  ``repro.autograd.signatures`` raises ``KeyError``.
+
+The checks: output shapes match the model table, every op is priced,
+and for ``gcn`` / ``orthogcn`` / ``gat`` the collector's per-layer
+``matmul`` / ``spmm`` FLOPs equal ``matmul_flops`` / ``spmm_flops`` at
+each graph's dimensions.
 """
 
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.analysis import costs, shapes
-from repro.analysis.shapes import Dim, as_dim, dim_eq, dim_le, dim_lt
+from repro.analysis.sanitize import SanitizerSession
 from repro.autograd import Tensor
 from repro.autograd.backends import use_backend
+from repro.autograd.signatures import matmul_flops, spmm_flops
 from repro.graphs.data import Graph
 from repro.graphs.sbm import dc_sbm
+from repro.nn.module import Module
 from repro.obs import cost
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -42,236 +47,208 @@ BACKENDS = [
     ),
 ]
 
-
 # ----------------------------------------------------------------------
-# Dim algebra
+# the model table
 # ----------------------------------------------------------------------
-class TestDimAlgebra:
-    def test_arithmetic_and_simplification(self):
-        n = Dim.sym("n")
-        assert (n + n) == 2 * n
-        assert (n + 2) * (n + 2) == n * n + 4 * n + 4
-        assert (3 * n - n) == 2 * n
-        assert (n - n) == Dim.const(0)
+#: name -> (class, __init__ kwargs, forward inputs, output shapes).  A
+#: string in the kwargs or shapes is a dimension of the graph (see
+#: ``GRAPHS``); every class also gets a seeded ``rng``.
+_GRAPH_MODEL = {"in_features": "d_in", "num_classes": "c", "hidden": "d_hidden"}
+SPECS = {
+    "mlp": ("repro.gnn.models.MLP", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "gcn": ("repro.gnn.models.GCN", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "sgc": ("repro.gnn.models.SGC", {"in_features": "d_in", "num_classes": "c", "k": 2},
+            "graph", [("n", "c")]),
+    "sage": ("repro.gnn.models.SAGE", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "appnp": ("repro.gnn.models.APPNP", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "gat": ("repro.gnn.models.GAT", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "orthogcn": ("repro.gnn.models.OrthoGCN", _GRAPH_MODEL, "graph", [("n", "c")]),
+    "linear": ("repro.nn.linear.Linear", {"in_features": "d_in", "out_features": "c"},
+               "x", [("n", "c")]),
+    "gcnconv": ("repro.gnn.gcn_conv.GCNConv",
+                {"in_features": "d_in", "out_features": "d_hidden"},
+                "sparse_x", [("n", "d_hidden")]),
+    # Same class with in/out swapped: the two graphs then take opposite
+    # transform-order branches from the "gcnconv" entry.
+    "gcnconv_expand": ("repro.gnn.gcn_conv.GCNConv",
+                       {"in_features": "d_hidden", "out_features": "d_in"},
+                       "sparse_h", [("n", "d_in")]),
+    "orthoconv": ("repro.gnn.ortho.OrthoConv", {"features": "d_hidden"},
+                  "sparse_h", [("n", "d_hidden")]),
+    "sageconv": ("repro.gnn.sage_conv.SAGEConv",
+                 {"in_features": "d_in", "out_features": "d_hidden"},
+                 "mean_x", [("n", "d_hidden")]),
+    "gatconv": ("repro.gnn.gat_conv.GATConv",
+                {"in_features": "d_in", "out_features": "d_hidden"},
+                "edges_x", [("n", "d_hidden")]),
+    "neighgen": ("repro.baselines.fedsage.NeighGen",
+                 {"in_features": "d_in", "hidden": "d_hidden"},
+                 "mean_x", [("n", 1), ("n", "d_in")]),
+    "typedgcn": ("repro.baselines.fedlit._TypedGCN",
+                 {"in_features": "d_in", "num_classes": "c", "hidden": "d_hidden", "k": 2},
+                 "slist_x", [("n", "c")]),
+}
 
-    def test_evaluate(self):
-        n, d = Dim.sym("n"), Dim.sym("d_in")
-        expr = 2 * n * d + n + 4
-        assert expr.evaluate({"n": 16, "d_in": 12}) == 2 * 16 * 12 + 16 + 4
+#: Forward inputs per table entry, from the graph and a hidden-width
+#: activation ``h``.
+INPUTS = {
+    "graph": lambda g, h: (g,),
+    "x": lambda g, h: (Tensor(g.x),),
+    "sparse_x": lambda g, h: (g.s_op, Tensor(g.x)),
+    "sparse_h": lambda g, h: (g.s_op, h),
+    "mean_x": lambda g, h: (g.mean_op, Tensor(g.x)),
+    "edges_x": lambda g, h: (g.edge_index, Tensor(g.x)),
+    "slist_x": lambda g, h: ([g.s_norm, g.s_norm], Tensor(g.x)),
+}
 
-    def test_const_round_trip(self):
-        assert int(Dim.const(3)) == 3
-        assert as_dim(7).evaluate({}) == 7
-        with pytest.raises(TypeError):
-            int(Dim.sym("n"))
-
-    def test_tri_state_comparisons(self):
-        n, d = Dim.sym("n"), Dim.sym("d_in")
-        assert dim_le(n, n + 1) is True
-        assert dim_lt(n + 1, n) is False
-        assert dim_eq(2 * n, n + n) is True
-        assert dim_eq(n, d) is None  # genuinely undecidable symbolically
-        assert dim_le(Dim.const(1), n) is True  # symbols are >= 1
-
-    def test_repr_is_sorted_and_stable(self):
-        n, d = Dim.sym("n"), Dim.sym("d_in")
-        assert repr(2 * n * d + 4) == "2*d_in*n + 4"
-
-
-# ----------------------------------------------------------------------
-# shape parity against real forwards
-# ----------------------------------------------------------------------
-#: Concrete stand-ins for every symbol the specs use (kept small so the
-#: real forwards are cheap; distinct values so transposed dims cannot
-#: alias).
-CONCRETE = {"n": 16, "d_in": 12, "d_hidden": 8, "d_out": 6, "c": 2}
+#: Two graphs that differ in every dimension.  ``d_hidden`` lies between
+#: the two ``d_in`` values, so GCNConv(d_in -> d_hidden) transforms first
+#: on the first graph and propagates first on the second.
+GRAPHS = [
+    {"blocks": [8, 8], "d_in": 12, "d_hidden": 8, "seed": 7},
+    {"blocks": [8, 8, 8], "d_in": 6, "d_hidden": 10, "seed": 8},
+]
 
 
 @pytest.fixture(scope="module")
-def tiny_graph():
-    rng = np.random.default_rng(7)
-    adj, y = dc_sbm(np.array([8, 8]), 0.6, 0.15, rng)
-    x = rng.standard_normal((CONCRETE["n"], CONCRETE["d_in"]))
-    return Graph(x=x, adj=adj, y=y, num_classes=CONCRETE["c"])
-
-
-def graph_bindings(g: Graph) -> dict:
-    return {
-        "n": g.num_nodes,
-        "d_in": g.num_features,
-        "d_hidden": CONCRETE["d_hidden"],
-        "d_out": CONCRETE["d_out"],
-        "c": g.num_classes,
-        "nnz": int(g.s_op.nnz),
-        "nnz_mean": int(g.mean_op.nnz),
-        "nnz_adj": int(g.adj.nnz),
-        "edges": int(g.edge_index[0].shape[0]),
-    }
-
-
-def _resolve_class(qualname: str):
-    module, _, name = qualname.rpartition(".")
-    return getattr(importlib.import_module(module), name)
-
-
-def real_model(spec: shapes.ModelSpec, bindings: dict):
-    cls = _resolve_class(spec.qualname)
-    kwargs = {}
-    for key, value in spec.init:
-        if value == "rng":
-            kwargs[key] = np.random.default_rng(1)
-        elif isinstance(value, str) and value.startswith("sym:"):
-            kwargs[key] = bindings[value[4:]]
-        else:
-            kwargs[key] = value
-    return cls(**kwargs)
-
-
-def real_forward_args(builder: str, g: Graph, bindings: dict):
-    rng = np.random.default_rng(2)
-    x = Tensor(g.x)
-    h = Tensor(rng.standard_normal((bindings["n"], bindings["d_hidden"])))
-    if builder == "graph":
-        return (g,)
-    if builder == "x":
-        return (x,)
-    if builder == "sparse_x":
-        return (g.s_op, x)
-    if builder == "sparse_h":
-        return (g.s_op, h)
-    if builder == "mean_x":
-        return (g.mean_op, x)
-    if builder == "edges_x":
-        return (g.edge_index, x)
-    if builder == "slist_x":
-        return ([g.s_norm, g.s_norm], x)
-    raise AssertionError(f"unknown builder {builder!r}")
-
-
-def _flatten_real(value):
-    if isinstance(value, Tensor):
-        return [value]
-    if isinstance(value, (tuple, list)):
-        out = []
-        for v in value:
-            out.extend(_flatten_real(v))
-        return out
-    return []
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(shapes.SPECS), ids=sorted(shapes.SPECS))
-def test_derived_shapes_match_real_forward(name, backend, tiny_graph):
-    spec = shapes.SPECS[name]
-    bindings = graph_bindings(tiny_graph)
-
-    report = shapes.interpret_spec(
-        spec,
-        dims={k: Dim.const(v) for k, v in bindings.items()},
-        backend=backend,
-        backward=False,
-    )
-    assert report.error is None, report.error
-    assert report.unknown_ops == []
-    derived = [
-        tuple(as_dim(d).evaluate({}) for d in shape) for shape in report.outputs
-    ]
-
-    model = real_model(spec, bindings)
-    args = real_forward_args(spec.builder, tiny_graph, bindings)
-    with use_backend(backend):
-        out = model(*args)
-    real = [t.shape for t in _flatten_real(out)]
-
-    assert derived == real
-
-
-@pytest.mark.parametrize("name", sorted(shapes.SPECS), ids=sorted(shapes.SPECS))
-def test_symbolic_interpretation_is_closed(name):
-    """Fully symbolic runs: no shape error, no unknown-op escapes, and a
-    non-empty cost table for every model in the registry."""
-    report = shapes.interpret_spec(name)
-    assert report.error is None, report.error
-    assert report.unknown_ops == []
-    assert report.outputs
-    assert report.records
-
-
-# ----------------------------------------------------------------------
-# cost oracle vs instrumented run
-# ----------------------------------------------------------------------
-def client_graphs():
-    """Two differently-sized client subgraphs (distinct dims per client)."""
+def graphs():
     out = []
-    for cid, sizes in enumerate(([6, 6], [8, 8])):
-        rng = np.random.default_rng(10 + cid)
-        adj, y = dc_sbm(np.array(sizes), 0.7, 0.2, rng)
-        n = int(sum(sizes))
-        x = rng.standard_normal((n, CONCRETE["d_in"]))
-        out.append(Graph(x=x, adj=adj, y=y, num_classes=CONCRETE["c"]))
+    for spec in GRAPHS:
+        rng = np.random.default_rng(spec["seed"])
+        adj, y = dc_sbm(np.array(spec["blocks"]), 0.6, 0.15, rng)
+        n = int(sum(spec["blocks"]))
+        g = Graph(
+            x=rng.standard_normal((n, spec["d_in"])),
+            adj=adj,
+            y=y,
+            num_classes=len(spec["blocks"]),
+        )
+        dims = {
+            "n": n,
+            "d_in": spec["d_in"],
+            "d_hidden": spec["d_hidden"],
+            "c": g.num_classes,
+            "nnz": int(g.s_op.nnz),
+        }
+        out.append((g, dims))
     return out
 
 
-@pytest.mark.parametrize("name", ["gcn", "orthogcn", "gat"])
-def test_cost_oracle_equals_instrumented_run(name):
-    graphs = client_graphs()
+def build(name, g, dims):
+    """The model of table entry ``name`` and its forward inputs on ``g``."""
+    qualname, init, inputs, _ = SPECS[name]
+    module, _, cls = qualname.rpartition(".")
+    kwargs = {k: dims[v] if isinstance(v, str) else v for k, v in init.items()}
+    model = getattr(importlib.import_module(module), cls)(
+        rng=np.random.default_rng(1), **kwargs
+    )
+    h = Tensor(np.random.default_rng(2).standard_normal((dims["n"], dims["d_hidden"])))
+    return model, INPUTS[inputs](g, h)
+
+
+def trace(model, args, backend="numpy"):
+    """One sanitized, cost-collected forward + backward; (outputs, registry)."""
     registry = MetricsRegistry()
-    tracer = Tracer()
-    with cost.collecting(registry, tracer):
-        for cid, g in enumerate(graphs):
-            model = real_model(shapes.SPECS[name], graph_bindings(g))
-            with tracer.span("round", phase="local_train", client=str(cid)):
-                out = model(g)
-                out.backward(np.ones_like(out.data))
-
-    predicted = {}
-    for cid, g in enumerate(graphs):
-        bindings = graph_bindings(g)
-        report = shapes.interpret_spec(
-            name, backward=True, decide_bindings=bindings
-        )
-        assert report.error is None, report.error
-        predicted.update(
-            costs.evaluate_aggregate(
-                costs.aggregate(report.records, phase="local_train", client=str(cid)),
-                bindings,
-            )
-        )
-
-    measured = costs.measured_cost_table(registry)
-    assert costs.compare(predicted, measured) == []
-    # The equality is per-(op, layer) key, not just in aggregate.
-    assert any(key[4] not in ("-",) for key in measured)
-    assert any(key[1] == "bwd" for key in measured)
+    with SanitizerSession(), cost.collecting(registry, Tracer()), use_backend(backend):
+        out = model(*args)
+        outputs = out if isinstance(out, tuple) else (out,)
+        for t in outputs:
+            t.backward(np.ones_like(t.data))
+    return outputs, registry
 
 
-def test_compare_reports_divergence():
-    key = ("matmul", "fwd", "-", "-", "L", "-")
-    assert costs.compare({key: (10, 80)}, {key: (12, 80)})
-    assert costs.compare({key: (10, 80)}, {}) != []
-    assert costs.compare({key: (0, 0)}, {}) == []  # all-zero rows forgiven
+def measured_flops(registry):
+    """The collector's matmul/spmm FLOPs keyed by (op, dir, layer)."""
+    table = Counter()
+    for ev in registry.events():
+        tags = ev["tags"]
+        if ev["name"] == "cost.flops" and tags["op"] in ("matmul", "spmm"):
+            table[tags["op"], tags["dir"], tags["layer"]] += ev["value"]
+    return table
 
 
 # ----------------------------------------------------------------------
-# CLI
+# shapes, sanitizers, pricing
 # ----------------------------------------------------------------------
-class TestShapesCLI:
-    def test_clean_model_exits_zero(self, capsys):
-        assert shapes.main(["orthogcn"]) == 0
-        out = capsys.readouterr().out
-        assert "OrthoGCN" in out
-        assert "TOTAL" in out
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(SPECS), ids=sorted(SPECS))
+def test_derived_shapes_match_real_forward(name, backend, graphs):
+    """The table's output shapes, evaluated at each graph's dims, equal
+    the real forward's; the sanitized backward runs and every op is priced."""
+    for g, dims in graphs:
+        model, args = build(name, g, dims)
+        outputs, registry = trace(model, args, backend)
+        expected = [tuple(dims.get(d, d) for d in shape) for shape in SPECS[name][3]]
+        assert [t.shape for t in outputs] == expected
+        recorded = {ev["tags"]["dir"] for ev in registry.events() if ev["name"] == "cost.flops"}
+        assert recorded == {"fwd", "bwd"}
 
-    def test_concrete_dims(self, capsys):
-        assert shapes.main(["gcn", "--dims", "n=16,d_in=12,c=2"]) == 0
-        capsys.readouterr()
 
-    def test_list_models(self, capsys):
-        assert shapes.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for name in shapes.SPECS:
-            assert name in out
+class _Unpriced(Module):
+    """A layer minting an op that has no declared cost signature."""
 
-    def test_unknown_model_is_usage_error(self, capsys):
-        assert shapes.main(["definitely-not-a-model"]) == 2
-        capsys.readouterr()
+    def forward(self, x):
+        # repro-lint: disable=RL015
+        return Tensor._make(np.tanh(x.data), (x,), lambda grad: None, "mystery_tanh")
+
+
+def test_undeclared_op_fails_the_trace():
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    with pytest.raises(KeyError, match="declare it in repro.autograd.signatures"):
+        trace(_Unpriced(), (x,))
+
+
+# ----------------------------------------------------------------------
+# cost oracle: collector counts == signature formulas
+# ----------------------------------------------------------------------
+def expected_flops(name, dims):
+    """matmul/spmm FLOPs the signatures predict, keyed by (op, dir, layer).
+
+    Backward ops run outside any ``Module.__call__`` scope, so they land
+    on layer ``-``.  Raw features never require grad.
+    """
+    n, nnz = dims["n"], dims["nnz"]
+    f, h, c = dims["d_in"], dims["d_hidden"], dims["c"]
+    table = Counter()
+
+    def dense(layer, d_in, d_out, input_grad):
+        mm = matmul_flops(n, d_in, d_out)
+        table["matmul", "fwd", layer] += mm
+        table["matmul", "bwd", "-"] += mm * (2 if input_grad else 1)
+
+    def gcn_conv(layer, d_in, d_out, input_grad):
+        dense(layer, d_in, d_out, input_grad)
+        # GCNConv transforms first unless that widens the propagated
+        # operand; spmm then runs on the narrower side.
+        transform_first = d_out <= d_in
+        width = d_out if transform_first else d_in
+        table["spmm", "fwd", layer] += spmm_flops(nnz, width)
+        if transform_first or input_grad:
+            table["spmm", "bwd", "-"] += spmm_flops(nnz, width)
+
+    if name == "gcn":
+        gcn_conv("conv1", f, h, input_grad=False)
+        gcn_conv("conv2", h, c, input_grad=True)
+    elif name == "orthogcn":
+        gcn_conv("conv_in", f, h, input_grad=False)
+        dense("ortho0", h, h, input_grad=True)  # OrthoConv: S̃ (Z W̃)
+        table["spmm", "fwd", "ortho0"] += spmm_flops(nnz, h)
+        table["spmm", "bwd", "-"] += spmm_flops(nnz, h)
+        gcn_conv("conv_out", h, c, input_grad=True)
+    elif name == "gat":
+        dense("conv1", f, h, input_grad=False)
+        dense("conv2", h, c, input_grad=True)
+    return table
+
+
+@pytest.mark.parametrize("name", ["gcn", "orthogcn", "gat"])
+def test_cost_oracle_equals_instrumented_run(name, graphs):
+    tables = []
+    for g, dims in graphs:
+        _, registry = trace(*build(name, g, dims))
+        measured = measured_flops(registry)
+        assert measured == expected_flops(name, dims)
+        tables.append(measured)
+    # Every dimension differs between the graphs, so a constant table
+    # cannot pass both.
+    assert tables[0] != tables[1]

@@ -154,6 +154,15 @@ class TestElementwiseAndShape:
         assert bytes_of(registry, op="transpose", dir="fwd", **UNATTRIBUTED) > 0
 
 
+class TestUnpricedOp:
+    def test_undeclared_op_raises_naming_the_fix(self, collected):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        message = r"'mystery_tanh'.*declare it in repro\.autograd\.signatures"
+        with pytest.raises(KeyError, match=message):
+            # repro-lint: disable=RL015
+            Tensor._make(np.tanh(a.data), (a,), lambda g: None, "mystery_tanh")
+
+
 class TestAttribution:
     def test_phase_and_client_from_active_span(self, collected):
         registry, tracer, _ = collected
