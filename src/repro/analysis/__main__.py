@@ -14,6 +14,9 @@ from typing import Optional, Sequence
 from repro.analysis.lint import RULE_REGISTRY, Linter, all_rule_ids
 from repro.analysis.reporters import RENDERERS
 
+#: The whole-program rules ``--no-dataflow`` skips.
+DATAFLOW_RULE_IDS = frozenset({"RL007", "RL010"})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-dataflow",
         action="store_true",
-        help="skip the interprocedural rules (RL007-RL012: dataflow and "
-        "concurrency); used to lint trees (tests/, benchmarks/) where "
+        help="skip the interprocedural rules (RL007 privacy taint, RL010 "
+        "happens-before); used to lint trees (tests/, benchmarks/) where "
         "whole-program taint/thread analysis does not apply",
     )
     parser.add_argument(
@@ -133,8 +136,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.no_dataflow:
         import repro.analysis.rules  # noqa: F401  (registers the rule set)
 
-        dataflow_ids = {"RL007", "RL008", "RL009", "RL010", "RL011", "RL012"}
-        rules = [r for r in (rules or all_rule_ids()) if r not in dataflow_ids]
+        rules = [r for r in (rules or all_rule_ids()) if r not in DATAFLOW_RULE_IDS]
+        if not rules:
+            print(
+                "error: --no-dataflow leaves no rule to run (every requested "
+                f"rule is one of {', '.join(sorted(DATAFLOW_RULE_IDS))})",
+                file=sys.stderr,
+            )
+            return 2
 
     try:
         linter = Linter(rules=rules, root=Path(args.root) if args.root else None)

@@ -1,27 +1,15 @@
-"""Static happens-before model powering the concurrency rules RL010–RL012.
+"""Static happens-before model powering concurrency rule RL010.
 
 PR 8 made the runtime genuinely concurrent: executor worker threads run
 client tasks while the engine thread owns the event heap, and the async
-engine's aggregation consumes reports in heap-pop order.  The analyses
-here give the linter a thread-aware view of that code, built on the same
-:class:`~repro.analysis.dataflow.ProjectIndex` the dataflow rules share:
-
-* :class:`HappensBeforeAnalysis` (rule RL010) — classifies every
-  function by the thread context(s) it can run in and every ``self.*``
-  field access by the locks held around it, then reports fields written
-  on executor threads and read (or written) on the engine thread with no
-  common lock and no ``# guarded-by(...)`` declaration.
-* :class:`ClockMonotonicityAnalysis` (rule RL011) — virtual time is
-  monotone (``VirtualClock.advance_to`` enforces it at runtime); the
-  static version flags arithmetic that could move a :class:`Clock`
-  reading *backwards* before it reaches a clock-advancing call or an
-  event-heap key.
-* :class:`ScheduleTaintAnalysis` (rule RL012) — values accumulated in
-  heap-pop order are schedule-tainted; they must pass through an
-  order-insensitive reducer (``sorted(...)``, or weighting produced by
-  ``staleness_weights``) before reaching an aggregation sink
-  (``fedavg``/``*aggregate*``), otherwise float non-associativity makes
-  the aggregate depend on the arrival schedule.
+engine's aggregation consumes reports in heap-pop order.
+:class:`HappensBeforeAnalysis` gives the linter a thread-aware view of
+that code, built on the same
+:class:`~repro.analysis.dataflow.ProjectIndex` the dataflow rules share.
+It classifies every function by the thread context(s) it can run in and
+every ``self.*`` field access by the locks held around it, then reports
+fields written on executor threads and read (or written) on the engine
+thread with no common lock and no ``# guarded-by(...)`` declaration.
 
 The thread model (what "executor thread" means statically)
 ----------------------------------------------------------
@@ -51,16 +39,13 @@ ordered with the tasks they launched.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import (
-    _GUARDED_BY_RE,
-    FunctionInfo,
-    LockOrderAnalysis,
-    ProjectIndex,
-    _dotted,
-)
+from repro.analysis.dataflow import FunctionInfo, ProjectIndex, _dotted
+
+_GUARDED_BY_RE = re.compile(r"#\s*guarded-by\(([^)]*)\)")
 
 #: Methods that hand a callable to another thread (receiver-checked).
 _SPAWN_METHODS = {"submit", "map", "map_surviving"}
@@ -77,23 +62,43 @@ _MUTATOR_METHODS = {
 _MONITOR_METHODS = {"on_event", "on_round_end"}
 
 __all__ = [
-    "ClockFinding",
-    "ClockMonotonicityAnalysis",
     "FieldAccess",
     "HappensBeforeAnalysis",
     "RaceFinding",
-    "ScheduleFinding",
-    "ScheduleTaintAnalysis",
+    "is_lock_chain",
+    "lock_id",
 ]
 
 
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
+def is_lock_chain(chain: Optional[Tuple[str, ...]]) -> bool:
+    """Whether a dotted ``with`` target names a lock (``self._lock`` …)."""
+    return chain is not None and "lock" in chain[-1].lower()
+
+
+def lock_id(index: ProjectIndex, chain: Tuple[str, ...], func: FunctionInfo) -> str:
+    """Project-wide identity of the lock ``chain`` names inside ``func``.
+
+    ``self.<attr>`` resolves to the enclosing class, other receivers to
+    their resolved class when the index knows it, and anything else to
+    the module-qualified dotted name.
+    """
+    if chain[0] == "self" and func.cls is not None:
+        return f"{func.cls.qualname}.{'.'.join(chain[1:])}"
+    if len(chain) >= 2:
+        local_types = index.local_class_types(func)
+        classes = index.receiver_classes(chain[:-1], func, local_types)
+        if classes:
+            return f"{classes[0].qualname}.{chain[-1]}"
+    return f"{func.module}.{'.'.join(chain)}"
+
+
 def _guard_tokens(func: FunctionInfo, line: int) -> Optional[FrozenSet[str]]:
     """Tokens of a ``# guarded-by(...)`` annotation covering ``line``.
 
-    Same placement convention as RL005/RL009: on the access line itself
+    Same placement convention as RL005: on the access line itself
     or on a comment-only line directly above.  Returns ``None`` when the
     line carries no annotation (an empty annotation still returns a
     non-None frozenset — the author declared *a* discipline).
@@ -146,7 +151,6 @@ class HappensBeforeAnalysis:
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
-        self._locks = LockOrderAnalysis(index)  # reused for lock identity
         #: qualname → context states it runs in: "shared" and/or "owned".
         self.worker_context: Dict[str, Set[str]] = {}
         #: qualname of every worker *root* (closures handed to a spawn API).
@@ -319,9 +323,7 @@ class HappensBeforeAnalysis:
         analysis = self
 
         def lock_ids(with_items: List[Tuple[str, ...]]) -> FrozenSet[str]:
-            return frozenset(
-                analysis._locks.lock_id(c, func) for c in with_items
-            )
+            return frozenset(lock_id(analysis.index, c, func) for c in with_items)
 
         def record(chain: Tuple[str, ...], node: ast.AST, write: bool,
                    held: List[Tuple[str, ...]]) -> None:
@@ -349,7 +351,7 @@ class HappensBeforeAnalysis:
                 acquired: List[Tuple[str, ...]] = []
                 for item in node.items:
                     c = _dotted(item.context_expr)
-                    if LockOrderAnalysis.is_lock_chain(c):
+                    if is_lock_chain(c):
                         acquired.append(c)
                 inner = held + acquired
                 for item in node.items:
@@ -455,361 +457,3 @@ class HappensBeforeAnalysis:
             if pair is not None:
                 findings.append(RaceFinding(cls, attr, pair[0], pair[1]))
         return findings
-
-
-# ----------------------------------------------------------------------
-# RL011: clock monotonicity
-# ----------------------------------------------------------------------
-_ADVANCE_METHODS = {"advance_to", "advance", "sleep"}
-
-
-@dataclass(frozen=True)
-class ClockFinding:
-    path: str
-    line: int
-    message: str
-
-
-class ClockMonotonicityAnalysis:
-    """Flag arithmetic that can move a clock reading backwards.
-
-    A *clock reading* is the result of a ``*.now()`` call (directly or
-    through a local binding).  Differences of readings are fine as
-    durations; what is forbidden is feeding ``reading - x`` (or
-    ``-reading``) into a clock-advancing call (``advance_to`` /
-    ``advance`` / ``sleep`` on a clock-named receiver) or into the
-    timestamp key pushed onto an event heap — both would let simulated
-    time run backwards, which ``VirtualClock`` only catches at runtime
-    on the schedule that actually executes it.
-    """
-
-    def __init__(self, index: ProjectIndex) -> None:
-        self.index = index
-
-    def run(self) -> List[ClockFinding]:
-        findings: List[ClockFinding] = []
-        for qual in sorted(self.index.functions):
-            findings.extend(self._check(self.index.functions[qual]))
-        return findings
-
-    @staticmethod
-    def _is_now_call(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        chain = _dotted(node.func)
-        return chain is not None and chain[-1] == "now"
-
-    def _readings(self, func: FunctionInfo) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(func.node):
-            if isinstance(node, ast.Assign) and self._is_now_call(node.value):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        names.add(tgt.id)
-        return names
-
-    def _backwards(self, expr: ast.AST, readings: Set[str]) -> Optional[ast.AST]:
-        """First sub-expression subtracting from/negating a clock reading."""
-
-        def is_reading(node: ast.AST) -> bool:
-            if isinstance(node, ast.Name) and node.id in readings:
-                return True
-            return self._is_now_call(node)
-
-        for node in ast.walk(expr):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
-                if is_reading(node.left) or is_reading(node.right):
-                    return node
-            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-                if is_reading(node.operand):
-                    return node
-        return None
-
-    def _check(self, func: FunctionInfo) -> List[ClockFinding]:
-        readings = self._readings(func)
-        out: List[ClockFinding] = []
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _dotted(node.func)
-            if chain is None:
-                continue
-            if chain[-1] in _ADVANCE_METHODS and len(chain) >= 2:
-                receiver = chain[-2].lower()
-                if "clock" not in receiver:
-                    continue
-                for arg in node.args:
-                    bad = self._backwards(arg, readings)
-                    if bad is not None:
-                        out.append(
-                            ClockFinding(
-                                func.ctx.display,
-                                node.lineno,
-                                f"`{chain[-1]}` argument subtracts from a "
-                                "clock reading — virtual time must be "
-                                "monotone (compute forward offsets as "
-                                "`now() + delay`)",
-                            )
-                        )
-                        break
-            elif chain[-1] == "heappush" and len(node.args) >= 2:
-                key = node.args[1]
-                if isinstance(key, ast.Tuple) and key.elts:
-                    key = key.elts[0]
-                if self._backwards(key, readings) is not None:
-                    out.append(
-                        ClockFinding(
-                            func.ctx.display,
-                            node.lineno,
-                            "event-heap timestamp key subtracts from a clock "
-                            "reading — pops must be non-decreasing in "
-                            "virtual time",
-                        )
-                    )
-        return out
-
-
-# ----------------------------------------------------------------------
-# RL012: schedule-dependent aggregation
-# ----------------------------------------------------------------------
-#: Hard sinks are the float reductions themselves; soft sinks are
-#: aggregation wrappers by name — skipped when the callee resolves
-#: in-index, because taint propagates into its body and its *internal*
-#: sinks decide (a wrapper that launders via ``sorted`` passes; one that
-#: forwards pop order to ``fedavg`` is caught inside).
-_HARD_SINKS = {"fedavg"}
-_SINK_HINTS = ("fedavg", "aggregate")
-_WEIGHT_CLEANSERS = {"staleness_weights"}
-
-
-@dataclass(frozen=True)
-class ScheduleFinding:
-    path: str
-    line: int
-    sink: str
-    source: str  # human-readable provenance
-
-
-class ScheduleTaintAnalysis:
-    """Taint from heap-pop accumulation order to aggregation inputs.
-
-    Sources: values popped from an event heap (``heapq.heappop``) and
-    lists accumulated inside a loop that pops — their *order* is the
-    arrival schedule.  The taint follows assignments, returns (one
-    interprocedural hop per fixpoint round), call arguments, ``self.*``
-    stores, and comprehensions.  ``sorted(...)`` launders it (a
-    canonical order is schedule-independent), as does weighting drawn
-    from :func:`~repro.federated.async_engine.staleness_weights`.
-    Sinks are aggregation calls (``fedavg`` / ``*aggregate*``): handing
-    them a pop-ordered sequence makes the float reduction depend on the
-    schedule.
-    """
-
-    def __init__(self, index: ProjectIndex) -> None:
-        self.index = index
-        #: function qualname → its return value is pop-ordered
-        self.tainted_returns: Set[str] = set()
-        #: (class qualname, attr) → stored pop-ordered
-        self.tainted_attrs: Set[Tuple[str, str]] = set()
-        #: function qualname → parameter names receiving tainted args
-        self.tainted_params: Dict[str, Set[str]] = {}
-        #: functions invoked from inside a pop loop: their appends
-        #: accumulate in pop order even without a syntactic heappop
-        self.pop_context_funcs: Set[str] = set()
-
-    def run(self) -> List[ScheduleFinding]:
-        findings: Dict[Tuple[str, int, str], ScheduleFinding] = {}
-        for _ in range(4):  # small fixpoint: taint crosses ≤ a few hops
-            before = (
-                len(self.tainted_returns),
-                len(self.tainted_attrs),
-                sum(len(v) for v in self.tainted_params.values()),
-            )
-            for qual in sorted(self.index.functions):
-                func = self.index.functions[qual]
-                for f in self._analyze(func):
-                    findings[(f.path, f.line, f.sink)] = f
-            after = (
-                len(self.tainted_returns),
-                len(self.tainted_attrs),
-                sum(len(v) for v in self.tainted_params.values()),
-            )
-            if after == before:
-                break
-        return sorted(findings.values(), key=lambda f: (f.path, f.line))
-
-    # -- per-function walk ---------------------------------------------
-    def _analyze(self, func: FunctionInfo) -> List[ScheduleFinding]:
-        tainted: Dict[str, str] = {}  # local name → provenance
-        for p in self.tainted_params.get(func.qualname, ()):
-            tainted[p] = f"parameter `{p}` (pop-ordered at call site)"
-        out: List[ScheduleFinding] = []
-        local_types = self.index.local_class_types(func)
-
-        def provenance(node: ast.AST) -> Optional[str]:
-            """Why ``node`` is pop-ordered, or None if it isn't."""
-            if isinstance(node, ast.Name):
-                return tainted.get(node.id)
-            if isinstance(node, ast.Call):
-                chain = _dotted(node.func)
-                if chain is None:
-                    return None
-                if chain[-1] == "sorted":
-                    return None  # canonical order: laundered
-                if chain[-1] == "heappop":
-                    return "heapq.heappop result"
-                if chain[-1] in _WEIGHT_CLEANSERS:
-                    return None
-                callees, _ = self.index.callees(node, func, local_types)
-                for callee in callees:
-                    if callee.qualname in self.tainted_returns:
-                        return f"return of `{callee.name}` (pop-ordered)"
-                return None
-            if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-                for gen in node.generators:
-                    p = provenance(gen.iter)
-                    if p is not None:
-                        return f"comprehension over {p}"
-                return None
-            if isinstance(node, ast.Attribute):
-                chain = _dotted(node)
-                if chain and chain[0] == "self" and len(chain) >= 2:
-                    if func.cls is not None and (
-                        (func.cls.qualname, chain[1]) in self.tainted_attrs
-                    ):
-                        return f"`self.{chain[1]}` (stored pop-ordered)"
-                return None
-            if isinstance(node, (ast.Tuple, ast.List)):
-                for elt in node.elts:
-                    p = provenance(elt)
-                    if p is not None:
-                        return p
-            if isinstance(node, ast.Starred):
-                return provenance(node.value)
-            return None
-
-        in_pop_loop: List[bool] = [func.qualname in self.pop_context_funcs]
-
-        def walk(node: ast.AST) -> None:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not func.node:
-                    return
-            if isinstance(node, (ast.While, ast.For)):
-                # A loop is pop-ordered if it pops a heap itself or
-                # calls something whose return is pop-ordered (the
-                # engine's `_next_report` indirection).
-                pops = any(
-                    isinstance(n, ast.Call)
-                    and (
-                        ((c := _dotted(n.func)) is not None and c[-1] == "heappop")
-                        or provenance(n) is not None
-                    )
-                    for n in ast.walk(node)
-                )
-                if isinstance(node, ast.For):
-                    p = provenance(node.iter)
-                    if p is not None and isinstance(node.target, ast.Name):
-                        tainted[node.target.id] = f"iteration over {p}"
-                in_pop_loop.append(in_pop_loop[-1] or pops)
-                for child in ast.iter_child_nodes(node):
-                    walk(child)
-                in_pop_loop.pop()
-                return
-            if isinstance(node, ast.Assign):
-                p = provenance(node.value)
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        if p is not None:
-                            tainted[tgt.id] = p
-                        else:
-                            tainted.pop(tgt.id, None)
-                    elif isinstance(tgt, (ast.Tuple, ast.List)):
-                        # `_, _, report = heappop(...)`: every unpacked
-                        # name inherits the pop provenance.
-                        for elt in tgt.elts:
-                            if isinstance(elt, ast.Name):
-                                if p is not None:
-                                    tainted[elt.id] = p
-                                else:
-                                    tainted.pop(elt.id, None)
-                    else:
-                        chain = _dotted(tgt)
-                        if (
-                            p is not None
-                            and chain
-                            and chain[0] == "self"
-                            and func.cls is not None
-                        ):
-                            self.tainted_attrs.add((func.cls.qualname, chain[1]))
-                walk(node.value)
-                return
-            if isinstance(node, ast.Call):
-                chain = _dotted(node.func)
-                # pop-loop accumulation: xs.append(...) inside the loop
-                # makes xs pop-ordered regardless of what is appended.
-                if (
-                    chain is not None
-                    and len(chain) >= 2
-                    and chain[-1] == "append"
-                    and (
-                        in_pop_loop[-1]
-                        or (node.args and provenance(node.args[0]) is not None)
-                    )
-                ):
-                    if chain[0] == "self" and func.cls is not None and len(chain) == 3:
-                        self.tainted_attrs.add((func.cls.qualname, chain[1]))
-                    elif len(chain) == 2:
-                        tainted[chain[0]] = "accumulated in heap-pop order"
-                callees: List[FunctionInfo] = []
-                if chain is not None and chain[-1] != "sorted":
-                    callees, _ = self.index.callees(node, func, local_types)
-                self._check_sink(node, chain, provenance, func, out, bool(callees))
-                # propagate taint into callee parameters; callees invoked
-                # from a pop loop accumulate in pop order themselves
-                if callees:
-                    if in_pop_loop[-1]:
-                        for callee in callees:
-                            self.pop_context_funcs.add(callee.qualname)
-                    for callee in callees:
-                        params = callee.params
-                        offset = 1 if callee.cls is not None and params[:1] == ["self"] else 0
-                        for i, arg in enumerate(node.args):
-                            if provenance(arg) is not None and i + offset < len(params):
-                                self.tainted_params.setdefault(
-                                    callee.qualname, set()
-                                ).add(params[i + offset])
-                for child in ast.iter_child_nodes(node):
-                    walk(child)
-                return
-            if isinstance(node, ast.Return) and node.value is not None:
-                if provenance(node.value) is not None:
-                    self.tainted_returns.add(func.qualname)
-                walk(node.value)
-                return
-            for child in ast.iter_child_nodes(node):
-                walk(child)
-
-        for stmt in func.node.body:
-            walk(stmt)
-        return out
-
-    def _check_sink(self, call, chain, provenance, func, out, resolved) -> None:
-        if chain is None:
-            return
-        name = chain[-1].lower()
-        if not any(h in name for h in _SINK_HINTS):
-            return
-        if resolved and chain[-1] not in _HARD_SINKS:
-            return  # wrapper: its body is analyzed with the taint inside
-        for arg in call.args:
-            p = provenance(arg)
-            if p is not None:
-                out.append(
-                    ScheduleFinding(
-                        path=func.ctx.display,
-                        line=call.lineno,
-                        sink=chain[-1],
-                        source=p,
-                    )
-                )
-                return

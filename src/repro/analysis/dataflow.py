@@ -1,42 +1,27 @@
 """Interprocedural dataflow foundation for the project linter.
 
-Three analyses share one project index (modules, classes, functions,
-imports, a resolved call graph with virtual dispatch over ``self.*``
-attributes) built from already-parsed :class:`~repro.analysis.lint.FileContext`
-objects — like the rest of the linter this module is pure stdlib and
-never imports the code under analysis.
+One project index (modules, classes, functions, imports, a resolved
+call graph with virtual dispatch over ``self.*`` attributes) built from
+already-parsed :class:`~repro.analysis.lint.FileContext` objects — like
+the rest of the linter this module is pure stdlib and never imports the
+code under analysis.  The index is shared by RL007's taint pass below
+and by RL010's happens-before pass in :mod:`repro.analysis.concurrency`.
 
-* :class:`TaintAnalysis` — forward taint propagation with configurable
-  sources / sanitizers / sinks and per-function summaries (which
-  parameters flow to the return value, which parameters reach a sink),
-  iterated to a fixpoint so taint crosses function and class-attribute
-  boundaries.  Powers RL007 (privacy escape): raw party tensors
-  (``graph.x`` / ``.y`` / ``.edge_index`` / ``.adj``, whole ``graph``
-  handles) must pass a statistic constructor (``mean`` / ``sum`` /
-  ``state_dict`` / the moment helpers) before reaching a
-  ``Communicator`` uplink (``send_to_server`` / ``gather`` /
-  ``allgather``).  Legitimate aggregate uploads carry a per-call
-  ``# privacy-ok(<reason>)`` annotation.
+:class:`TaintAnalysis` — forward taint propagation with configurable
+sources / sanitizers / sinks and per-function summaries (which
+parameters flow to the return value, which parameters reach a sink),
+iterated to a fixpoint so taint crosses function and class-attribute
+boundaries.  Powers RL007 (privacy escape): raw party tensors
+(``graph.x`` / ``.y`` / ``.edge_index`` / ``.adj``, whole ``graph``
+handles) must pass a statistic constructor (``mean`` / ``sum`` /
+``state_dict`` / the moment helpers) before reaching a ``Communicator``
+uplink (``send_to_server`` / ``gather`` / ``allgather``).  Legitimate
+aggregate uploads carry a per-call ``# privacy-ok(<reason>)``
+annotation.
 
-* :class:`ProtocolAnalysis` — Algorithm 1's round encoded as a phase
-  DFA (:data:`PROTOCOL_PHASES`); every kind-tagged Communicator call in
-  a function becomes an event, control flow is summarized as a set of
-  (first-event, last-event) spans per function, and composition across
-  statements / branches / loops / calls checks that adjacent events
-  only ever move the phase forward within a round.  Powers RL008; the
-  runtime :class:`~repro.analysis.sanitize.ProtocolMonitor` enforces the
-  same table (imported from here) on live traffic.
-
-* :class:`LockOrderAnalysis` — the static lock-acquisition graph:
-  nesting ``with <lock>`` blocks (directly, through calls, or via
-  statements annotated ``# guarded-by(<lock>)`` — RL005's annotation
-  doubles as a held-lock fact here) adds ordering edges; a cycle is a
-  potential deadlock.  Powers RL009.
-
-Every analysis is sound-ish rather than complete: unresolvable calls
-propagate taint conservatively but emit no protocol events, and
-untagged (``kind="other"``) transfers are protocol wildcards — the
-rules aim for zero false positives on idiomatic project code.
+The analysis is sound-ish rather than complete: unresolvable calls
+propagate taint conservatively, and the rule aims for zero false
+positives on idiomatic project code.
 """
 
 from __future__ import annotations
@@ -45,54 +30,11 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import FileContext
 
-# ----------------------------------------------------------------------
-# Algorithm 1 phase table (shared with the runtime ProtocolMonitor)
-# ----------------------------------------------------------------------
-#: (direction, kind) → phase index within one communication round.
-PROTOCOL_PHASES: Dict[Tuple[str, str], int] = {
-    ("down", "weights"): 0,  # broadcast global model
-    ("up", "means"): 1,  # clients upload layer means
-    ("down", "means"): 2,  # server returns global means
-    ("up", "moments"): 3,  # clients upload central moments
-    ("down", "moments"): 4,  # server returns global moments
-    ("up", "weights"): 5,  # clients upload trained weights
-}
-
-PHASE_NAMES: Dict[int, str] = {
-    0: "broadcast weights",
-    1: "upload means",
-    2: "download global means",
-    3: "upload moments",
-    4: "download global moments",
-    5: "upload weights",
-}
-
-#: Pseudo-phase of ``end_round``: a round boundary may follow any phase
-#: and resets the DFA (anything may follow it).
-ROUND_BOUNDARY = -1
-
-
-def transition_allowed(prev: int, nxt: int) -> bool:
-    """Within a round the phase only moves forward, and an
-    ``end_round`` boundary is a wildcard in both directions.
-
-    The weight broadcast (phase 0) delimits rounds — it is the last
-    event of round *r* and the first of round *r+1* — so entering
-    phase 0 is legal after any phase (e.g. after phase 4 when fault
-    quarantine leaves no survivors to upload weights).  Every backward
-    jump to a non-zero phase (moments before means, a second means
-    upload after the moment exchange, ...) is a violation."""
-    if prev == ROUND_BOUNDARY or nxt == ROUND_BOUNDARY:
-        return True
-    return nxt >= prev or nxt == 0
-
-
 _PRIVACY_OK_RE = re.compile(r"#\s*privacy-ok\(([^)]*)\)")
-_GUARDED_BY_RE = re.compile(r"#\s*guarded-by\(([^)]*)\)")
 
 
 def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
@@ -1085,489 +1027,7 @@ class _TaintWalker:
                         self.param_sinks.setdefault(caller_pidx, []).append(new)
 
 
-# ----------------------------------------------------------------------
-# protocol-conformance analysis (RL008)
-# ----------------------------------------------------------------------
-_EVENT_METHODS: Dict[str, Tuple[str, int]] = {
-    # method → (direction, position of the `kind` argument in a bound call)
-    "broadcast": ("down", 1),
-    "send_to_client": ("down", 2),
-    "send_to_server": ("up", 2),
-    "gather": ("up", 1),
-    "allgather": ("up", 1),
-}
-
-_KIND_CONSTANTS = {
-    "KIND_WEIGHTS": "weights",
-    "KIND_MEANS": "means",
-    "KIND_MOMENTS": "moments",
-    "KIND_OTHER": "other",
-}
-
-
-@dataclass(frozen=True)
-class ProtoSpan:
-    """(first phase, last phase) of one control-flow path's events."""
-
-    first: int
-    last: int
-    first_site: Tuple[str, int]
-    last_site: Tuple[str, int]
-
-
-@dataclass(frozen=True)
-class ProtoFrag:
-    spans: FrozenSet[ProtoSpan]
-    may_skip: bool  # a path through this fragment with no events exists
-
-
-EMPTY_FRAG = ProtoFrag(frozenset(), True)
-_MAX_SPANS = 12
-
-
-@dataclass(frozen=True)
-class ProtocolFinding:
-    path: str
-    line: int
-    prev_phase: int
-    next_phase: int
-    prev_site: Tuple[str, int]
-
-
-class ProtocolAnalysis:
-    """Statically checks Algorithm 1's phase order along all code paths."""
-
-    def __init__(self, index: ProjectIndex, report_for: Callable[[FunctionInfo], bool]) -> None:
-        self.index = index
-        self.report_for = report_for
-        self._summaries: Dict[str, ProtoFrag] = {}
-        self._in_progress: Set[str] = set()
-        self.findings: List[ProtocolFinding] = []
-        self._reported: Set[Tuple] = set()
-
-    def run(self) -> List[ProtocolFinding]:
-        for qual in sorted(self.index.functions):
-            self.summary(self.index.functions[qual])
-        return sorted(
-            self.findings, key=lambda f: (f.path, f.line, f.prev_phase, f.next_phase)
-        )
-
-    # -- fragment algebra ----------------------------------------------
-    def _compose(
-        self, a: ProtoFrag, b: ProtoFrag, report: bool
-    ) -> ProtoFrag:
-        spans: Dict[Tuple[int, int], ProtoSpan] = {}
-
-        def add(s: ProtoSpan) -> None:
-            spans.setdefault((s.first, s.last), s)
-
-        if b.may_skip:
-            for s in a.spans:
-                add(s)
-        if a.may_skip:
-            for s in b.spans:
-                add(s)
-        for sa in a.spans:
-            for sb in b.spans:
-                if report and not transition_allowed(sa.last, sb.first):
-                    self._report(sa, sb)
-                add(ProtoSpan(sa.first, sb.last, sa.first_site, sb.last_site))
-        kept = frozenset(sorted(spans.values(), key=lambda s: (s.first, s.last))[:_MAX_SPANS])
-        return ProtoFrag(kept, a.may_skip and b.may_skip)
-
-    @staticmethod
-    def _union(a: ProtoFrag, b: ProtoFrag) -> ProtoFrag:
-        spans: Dict[Tuple[int, int], ProtoSpan] = {}
-        for s in (*a.spans, *b.spans):
-            spans.setdefault((s.first, s.last), s)
-        kept = frozenset(sorted(spans.values(), key=lambda s: (s.first, s.last))[:_MAX_SPANS])
-        return ProtoFrag(kept, a.may_skip or b.may_skip)
-
-    def _report(self, sa: ProtoSpan, sb: ProtoSpan) -> None:
-        key = (sb.first_site, sa.last, sb.first)
-        if key in self._reported:
-            return
-        self._reported.add(key)
-        self.findings.append(
-            ProtocolFinding(
-                path=sb.first_site[0],
-                line=sb.first_site[1],
-                prev_phase=sa.last,
-                next_phase=sb.first,
-                prev_site=sa.last_site,
-            )
-        )
-
-    # -- per-function summaries ----------------------------------------
-    def summary(self, func: FunctionInfo) -> ProtoFrag:
-        if func.qualname in self._summaries:
-            return self._summaries[func.qualname]
-        if func.qualname in self._in_progress:
-            return EMPTY_FRAG  # recursion: assume no events on the back edge
-        self._in_progress.add(func.qualname)
-        walker = _ProtoWalker(self, func)
-        frag = walker.block(func.node.body)
-        self._in_progress.discard(func.qualname)
-        self._summaries[func.qualname] = frag
-        return frag
-
-
-class _ProtoWalker:
-    def __init__(self, analysis: ProtocolAnalysis, func: FunctionInfo) -> None:
-        self.a = analysis
-        self.func = func
-        self.report = analysis.report_for(func)
-        self.local_types = analysis.index.local_class_types(func)
-
-    def compose(self, a: ProtoFrag, b: ProtoFrag) -> ProtoFrag:
-        return self.a._compose(a, b, self.report)
-
-    def block(self, stmts: Sequence[ast.stmt]) -> ProtoFrag:
-        frag = EMPTY_FRAG
-        for stmt in stmts:
-            frag = self.compose(frag, self.stmt(stmt))
-        return frag
-
-    def stmt(self, stmt: ast.stmt) -> ProtoFrag:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return EMPTY_FRAG
-        if isinstance(stmt, ast.If):
-            head = self.expr(stmt.test)
-            body = self.block(stmt.body)
-            orelse = self.block(stmt.orelse)
-            return self.compose(head, ProtocolAnalysis._union(body, orelse))
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            head = self.expr(stmt.iter)
-            body = self.block(stmt.body)
-            # the loop back edge: last event of one iteration precedes the
-            # first event of the next.
-            looped = self.compose(body, body)
-            loop_frag = ProtoFrag(
-                frozenset(list(ProtocolAnalysis._union(body, looped).spans)[:_MAX_SPANS]),
-                True,
-            )
-            return self.compose(self.compose(head, loop_frag), self.block(stmt.orelse))
-        if isinstance(stmt, ast.While):
-            head = self.expr(stmt.test)
-            body = self.block(stmt.body)
-            looped = self.compose(body, body)
-            loop_frag = ProtoFrag(
-                frozenset(list(ProtocolAnalysis._union(body, looped).spans)[:_MAX_SPANS]),
-                True,
-            )
-            return self.compose(self.compose(head, loop_frag), self.block(stmt.orelse))
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            frag = EMPTY_FRAG
-            for item in stmt.items:
-                frag = self.compose(frag, self.expr(item.context_expr))
-            return self.compose(frag, self.block(stmt.body))
-        if isinstance(stmt, ast.Try):
-            frag = self.block(stmt.body)
-            for handler in stmt.handlers:
-                frag = self.compose(frag, self.block(handler.body))
-            frag = self.compose(frag, self.block(stmt.orelse))
-            return self.compose(frag, self.block(stmt.finalbody))
-        # flat statement: compose call events in source order.
-        frag = EMPTY_FRAG
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                frag = self.compose(frag, self.expr(child))
-        return frag
-
-    def expr(self, node: ast.AST) -> ProtoFrag:
-        if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
-            return EMPTY_FRAG
-        frag = EMPTY_FRAG
-        for child in ast.iter_child_nodes(node):
-            frag = self.compose(frag, self.expr(child))
-        if isinstance(node, ast.Call):
-            frag = self.compose(frag, self.call_frag(node))
-        return frag
-
-    def call_frag(self, call: ast.Call) -> ProtoFrag:
-        events = self._comm_events(call)
-        if events is not None:
-            frag = EMPTY_FRAG
-            for phase in events:
-                site = (self.func.ctx.display, call.lineno)
-                frag = self.compose(
-                    frag, ProtoFrag(frozenset({ProtoSpan(phase, phase, site, site)}), False)
-                )
-            return frag
-        callees, _ = self.a.index.callees(call, self.func, self.local_types)
-        if not callees:
-            return EMPTY_FRAG
-        frag: Optional[ProtoFrag] = None
-        for callee in callees:
-            s = self.a.summary(callee)
-            frag = s if frag is None else ProtocolAnalysis._union(frag, s)
-        return frag if frag is not None else EMPTY_FRAG
-
-    def _comm_events(self, call: ast.Call) -> Optional[List[int]]:
-        """Phase list for a Communicator call, ``None`` if not one.
-
-        ``[]`` means "a comm call, but untagged/unknown kind" — a
-        wildcard that neither advances nor constrains the DFA.
-        """
-        chain = _dotted(call.func) if isinstance(call.func, ast.Attribute) else None
-        if chain is None:
-            return None
-        method = chain[-1]
-        if _is_comm_family(self.func.cls):
-            return None  # transport internals are not protocol steps
-        if method == "end_round":
-            if _receiver_is_comm(chain, self.func, self.local_types, self.a.index):
-                return [ROUND_BOUNDARY]
-            return None
-        if method not in _EVENT_METHODS:
-            return None
-        if not _receiver_is_comm(chain, self.func, self.local_types, self.a.index):
-            return None
-        direction, kind_pos = _EVENT_METHODS[method]
-        kind = self._resolve_kind(call, kind_pos)
-        if kind is None:
-            return []  # dynamic kind: wildcard
-        phase = PROTOCOL_PHASES.get((direction, kind))
-        if phase is None:
-            return []  # "other" (or custom) kinds are unconstrained
-        if method == "allgather":
-            down = PROTOCOL_PHASES.get(("down", kind))
-            return [phase] + ([down] if down is not None else [])
-        return [phase]
-
-    def _resolve_kind(self, call: ast.Call, kind_pos: int) -> Optional[str]:
-        expr: Optional[ast.AST] = None
-        for k in call.keywords:
-            if k.arg == "kind":
-                expr = k.value
-        if expr is None and len(call.args) > kind_pos:
-            expr = call.args[kind_pos]
-        if expr is None:
-            return "other"  # the Communicator default
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        chain = _dotted(expr)
-        if chain is not None and chain[-1] in _KIND_CONSTANTS:
-            return _KIND_CONSTANTS[chain[-1]]
-        return None
-
-
-# ----------------------------------------------------------------------
-# lock-order analysis (RL009)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LockSite:
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class LockOrderFinding:
-    cycle: Tuple[str, ...]  # lock ids, cycle order
-    sites: Tuple[Tuple[str, str, LockSite], ...]  # (from, to, site) per edge
-
-    @property
-    def path(self) -> str:
-        return self.sites[0][2].path
-
-    @property
-    def line(self) -> int:
-        return self.sites[0][2].line
-
-
-class LockOrderAnalysis:
-    """Builds the static lock-acquisition graph and reports cycles."""
-
-    def __init__(self, index: ProjectIndex) -> None:
-        self.index = index
-        #: (holder lock id, acquired lock id) → first acquisition site.
-        self.edges: Dict[Tuple[str, str], LockSite] = {}
-        self._acquires: Dict[str, List[Tuple[str, LockSite]]] = {}
-        self._in_progress: Set[str] = set()
-
-    # -- lock identity -------------------------------------------------
-    def lock_id(self, chain: Tuple[str, ...], func: FunctionInfo) -> str:
-        if chain[0] == "self" and func.cls is not None:
-            return f"{func.cls.qualname}.{'.'.join(chain[1:])}"
-        local_types = self.index.local_class_types(func)
-        if len(chain) >= 2:
-            classes = self.index.receiver_classes(chain[:-1], func, local_types)
-            if classes:
-                return f"{classes[0].qualname}.{chain[-1]}"
-        return f"{func.module}.{'.'.join(chain)}"
-
-    @staticmethod
-    def is_lock_chain(chain: Optional[Tuple[str, ...]]) -> bool:
-        return chain is not None and "lock" in chain[-1].lower()
-
-    def _guard_annotation(self, func: FunctionInfo, line: int) -> Optional[str]:
-        """Lock id named by a ``# guarded-by(<lock>, …)`` annotation."""
-        for candidate in (line, line - 1):
-            text = func.ctx.line_text(candidate)
-            if candidate == line - 1 and not text.lstrip().startswith("#"):
-                continue
-            m = _GUARDED_BY_RE.search(text)
-            if not m:
-                continue
-            first = m.group(1).split(",")[0].strip()
-            if "lock" not in first.lower():
-                continue
-            parts = tuple(first.split("."))
-            if all(re.fullmatch(r"[A-Za-z_]\w*", p) for p in parts):
-                return self.lock_id(parts, func)
-        return None
-
-    # -- graph construction --------------------------------------------
-    def run(self) -> List[LockOrderFinding]:
-        for qual in sorted(self.index.functions):
-            self.transitive_acquires(self.index.functions[qual])
-        for qual in sorted(self.index.functions):
-            self._walk(self.index.functions[qual])
-        return self._find_cycles()
-
-    def transitive_acquires(self, func: FunctionInfo) -> List[Tuple[str, LockSite]]:
-        """Locks ``func`` may acquire, directly or through callees."""
-        if func.qualname in self._acquires:
-            return self._acquires[func.qualname]
-        if func.qualname in self._in_progress:
-            return []
-        self._in_progress.add(func.qualname)
-        out: List[Tuple[str, LockSite]] = []
-        seen: Set[str] = set()
-        local_types = self.index.local_class_types(func)
-        for node in ast.walk(func.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    chain = _dotted(item.context_expr)
-                    if self.is_lock_chain(chain):
-                        lid = self.lock_id(chain, func)
-                        if lid not in seen:
-                            seen.add(lid)
-                            out.append(
-                                (lid, LockSite(func.ctx.display, item.context_expr.lineno))
-                            )
-            elif isinstance(node, ast.Call):
-                for callee in self.index.callees(node, func, local_types)[0]:
-                    for lid, _site in self.transitive_acquires(callee):
-                        if lid not in seen:
-                            seen.add(lid)
-                            out.append((lid, LockSite(func.ctx.display, node.lineno)))
-        self._in_progress.discard(func.qualname)
-        self._acquires[func.qualname] = out
-        return out
-
-    def _walk(self, func: FunctionInfo) -> None:
-        local_types = self.index.local_class_types(func)
-
-        def visit(stmts: Sequence[ast.stmt], held: List[str]) -> None:
-            for stmt in stmts:
-                guard = self._guard_annotation(func, stmt.lineno)
-                stmt_held = held + [guard] if guard is not None and guard not in held else held
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    inner = list(stmt_held)
-                    for item in stmt.items:
-                        chain = _dotted(item.context_expr)
-                        if self.is_lock_chain(chain):
-                            lid = self.lock_id(chain, func)
-                            site = LockSite(func.ctx.display, item.context_expr.lineno)
-                            for h in inner:
-                                if h != lid:
-                                    self.edges.setdefault((h, lid), site)
-                            inner.append(lid)
-                        else:
-                            self._calls_under(item.context_expr, stmt_held, func, local_types)
-                    visit(stmt.body, inner)
-                    continue
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.expr):
-                        self._calls_under(child, stmt_held, func, local_types)
-                for attr in ("body", "orelse", "finalbody"):
-                    sub = getattr(stmt, attr, None)
-                    if sub and isinstance(sub[0], ast.stmt):
-                        visit(sub, stmt_held)
-                for handler in getattr(stmt, "handlers", []):
-                    visit(handler.body, stmt_held)
-
-        visit(func.node.body, [])
-
-    def _calls_under(
-        self,
-        expr: ast.AST,
-        held: List[str],
-        func: FunctionInfo,
-        local_types: Dict[str, Set[str]],
-    ) -> None:
-        if not held:
-            return
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            for callee in self.index.callees(node, func, local_types)[0]:
-                for lid, _site in self.transitive_acquires(callee):
-                    site = LockSite(func.ctx.display, node.lineno)
-                    for h in held:
-                        if h != lid:
-                            self.edges.setdefault((h, lid), site)
-
-    # -- cycle detection ------------------------------------------------
-    def _find_cycles(self) -> List[LockOrderFinding]:
-        adj: Dict[str, List[str]] = {}
-        for (a, b) in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, [])
-        index_of: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-
-        def strongconnect(v: str) -> None:
-            index_of[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in adj.get(v, ()):
-                if w not in index_of:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on_stack:
-                    low[v] = min(low[v], index_of[w])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-
-        for v in sorted(adj):
-            if v not in index_of:
-                strongconnect(v)
-
-        findings = []
-        for comp in sccs:
-            members = sorted(comp)
-            if len(members) == 1 and (members[0], members[0]) not in self.edges:
-                continue
-            edge_sites = tuple(
-                (a, b, self.edges[(a, b)])
-                for (a, b) in sorted(self.edges)
-                if a in comp and b in comp
-            )
-            if not edge_sites:
-                continue
-            findings.append(LockOrderFinding(cycle=tuple(members), sites=edge_sites))
-        return sorted(findings, key=lambda f: f.cycle)
-
-
 __all__ = [
-    "PROTOCOL_PHASES",
-    "PHASE_NAMES",
-    "ROUND_BOUNDARY",
-    "transition_allowed",
     "module_name_for",
     "ProjectIndex",
     "FunctionInfo",
@@ -1577,8 +1037,4 @@ __all__ = [
     "TaintConfig",
     "TaintAnalysis",
     "TaintFinding",
-    "ProtocolAnalysis",
-    "ProtocolFinding",
-    "LockOrderAnalysis",
-    "LockOrderFinding",
 ]

@@ -207,7 +207,8 @@ class Linter:
     Parameters
     ----------
     rules:
-        Rule ids to run (default: every registered rule).
+        Rule ids to run (``None``: every registered rule; an empty
+        sequence runs none).
     root:
         Project root for cross-file rules (RL004 resolves
         ``tests/autograd`` against it).  Defaults to the current
@@ -221,7 +222,7 @@ class Linter:
     ) -> None:
         import repro.analysis.rules  # noqa: F401  (registers the rule set)
 
-        ids = list(rules) if rules else all_rule_ids()
+        ids = all_rule_ids() if rules is None else list(rules)
         unknown = [r for r in ids if r not in RULE_REGISTRY]
         if unknown:
             raise KeyError(f"unknown rule id(s) {unknown}; known: {all_rule_ids()}")

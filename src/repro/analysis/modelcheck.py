@@ -9,7 +9,8 @@ interleaving, and asserts three properties on every explored schedule:
   model, every client state, and the training history are
   bitwise-identical to the uncontrolled baseline run (compared by
   blake2b digest plus :meth:`TrainingHistory.metrics_equal` at
-  ``tol=0.0``).  This is the dynamic counterpart of lint rule RL012:
+  ``tol=0.0``).  This is the project's check that aggregation is
+  order-insensitive:
   :func:`~repro.federated.async_engine.fold_arrivals` sorts arrivals by
   client id, so no permutation of pops may change a bit.
 * **Checkpoint/resume equivalence** — for the first ``--resume-checks``
@@ -51,10 +52,9 @@ checker prints (a divergence report, a bench line) replays exactly with
 ``(cid, round, seq, time)`` for diffing two runs.
 
 ``--inject-race`` swaps the order-insensitive fold for a running-mean
-left-fold in pop order — the bug RL012 exists to keep out.  The checker
-must then *fail* with a replayable schedule id; the test suite pins
-that, closing the loop between the static rules and the dynamic
-checker.
+left-fold in pop order — the schedule-dependent aggregation this
+checker exists to keep out.  The checker must then *fail* with a
+replayable schedule id; the test suite and CI pin that known positive.
 """
 
 from __future__ import annotations
@@ -251,9 +251,8 @@ def _racy_aggregate(self, arrivals):
     Float addition is not associative, so this makes the global model a
     function of the arrival schedule — exactly what
     :func:`~repro.federated.async_engine.fold_arrivals`'s cid-sort
-    prevents and what rule RL012 flags statically.  Kept here (never on
-    any production path) so the checker's divergence detection has a
-    known-positive to catch.
+    prevents.  Kept here (never on any production path) so the
+    checker's divergence detection has a known-positive to catch.
     """
     if not arrivals:
         return None

@@ -562,7 +562,7 @@ class BareLenDivisor(Rule):
                 )
 
 
-# The interprocedural rules (RL007-RL009, RL010-RL012) live in their own
+# The interprocedural rules (RL007, RL010) live in their own
 # modules but register through the same registry; importing any of the
 # rule modules loads them all.
 from repro.analysis import rules_dataflow  # noqa: E402, F401

@@ -1,15 +1,16 @@
-"""Concurrency rules RL010–RL012, built on :mod:`repro.analysis.concurrency`.
+"""Concurrency rule RL010, built on :mod:`repro.analysis.concurrency`.
 
-Like RL007–RL009 these are whole-project rules (thread roots and their
-reachable callees cross files), so they run in :meth:`Rule.finish` over
+Like RL007 this is a whole-project rule (thread roots and their
+reachable callees cross files), so it runs in :meth:`Rule.finish` over
 the shared :class:`~repro.analysis.dataflow.ProjectIndex` — the same
 one-index-per-run cache as :mod:`repro.analysis.rules_dataflow`.
 
 Reporting scope: RL010 fires only under ``federated/`` (that is where
 the executor/engine thread split lives — the analysis itself spans the
-whole tree so roots and callees resolve), RL012 uses the aggregation
-scope shared with RL007/RL008, and RL011 reports everywhere (any file
-may touch a clock).
+whole tree so roots and callees resolve).  Clock monotonicity is held
+at runtime by ``VirtualClock.advance_to``, and order-insensitive
+aggregation by the model checker (:mod:`repro.analysis.modelcheck`)
+and the ``fold_arrivals`` permutation property.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.concurrency import (
-    ClockMonotonicityAnalysis,
-    HappensBeforeAnalysis,
-    ScheduleTaintAnalysis,
-)
+from repro.analysis.concurrency import HappensBeforeAnalysis
 from repro.analysis.lint import ProjectContext, Rule, Violation, register_rule
-from repro.analysis.rules_dataflow import _in_scope, _index_for
+from repro.analysis.rules_dataflow import _index_for
 
 
 def _in_federated(display: str) -> bool:
@@ -61,51 +58,4 @@ class UnsynchronizedSharedField(Rule):
                 f"`{f.main.func}`) with no common lock; hold one lock on "
                 "both sides or declare the discipline with "
                 "`# guarded-by(<lock or barrier>)`",
-            )
-
-
-@register_rule
-class ClockMonotonicity(Rule):
-    id = "RL011"
-    name = "clock-monotonicity"
-    rationale = (
-        "Virtual time only moves forward: `VirtualClock.advance_to` "
-        "raises on regression, but only on the schedule that actually "
-        "runs. Statically, no arithmetic may move a `Clock` reading "
-        "backwards on its way into an advancing call or an event-heap "
-        "timestamp key — deadlines are `now() + delay`, never "
-        "`deadline - now()` fed back into the clock."
-    )
-
-    def finish(self, project: ProjectContext) -> Iterable[Violation]:
-        analysis = ClockMonotonicityAnalysis(_index_for(project))
-        for f in analysis.run():
-            yield self.violation(f.path, f.line, f.message)
-
-
-@register_rule
-class ScheduleDependentAggregation(Rule):
-    id = "RL012"
-    name = "order-insensitive-aggregation"
-    rationale = (
-        "Reports leave the event heap in arrival order, which the "
-        "schedule controls; float reduction is not associative, so "
-        "aggregating a pop-ordered sequence makes the global model "
-        "schedule-dependent. Aggregation inputs must pass through an "
-        "order-insensitive reducer first — a canonical `sorted(...)` or "
-        "`staleness_weights` weighting — as `fold_arrivals` does."
-    )
-
-    def finish(self, project: ProjectContext) -> Iterable[Violation]:
-        analysis = ScheduleTaintAnalysis(_index_for(project))
-        for f in analysis.run():
-            if not _in_scope(f.path):
-                continue
-            yield self.violation(
-                f.path,
-                f.line,
-                f"aggregation sink `{f.sink}` consumes a pop-ordered "
-                f"input ({f.source}); impose a canonical order "
-                "(`sorted(...)`) or order-insensitive weighting "
-                "(`staleness_weights`) before reducing",
             )

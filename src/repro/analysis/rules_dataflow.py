@@ -1,34 +1,29 @@
-"""Interprocedural rules RL007–RL009, built on :mod:`repro.analysis.dataflow`.
+"""Interprocedural rule RL007, built on :mod:`repro.analysis.dataflow`.
 
-These rules need the whole project parsed (taint crosses files: the
-sources live in ``graphs/`` and ``gnn/`` forwards, the sinks in
-``federated/``), so all three do their work in :meth:`Rule.finish` over
-the shared :class:`~repro.analysis.dataflow.ProjectIndex` — one index is
-built per run and reused by whichever of the three rules are enabled.
+The privacy-escape rule needs the whole project parsed (taint crosses
+files: the sources live in ``graphs/`` and ``gnn/`` forwards, the sinks
+in ``federated/``), so it does its work in :meth:`Rule.finish` over the
+shared :class:`~repro.analysis.dataflow.ProjectIndex` — one index is
+built per run and reused by RL007 and RL010
+(:mod:`repro.analysis.rules_concurrency`).
 
 Reporting scope mirrors RL006: findings are only *emitted* for files
 under the aggregation/communication directories (``federated/``,
-``core/``, ``baselines/``, ``extensions/``) for RL007/RL008 — analysis
-still spans every file so taint and call chains resolve — while RL009
-(deadlocks) reports everywhere.
+``core/``, ``baselines/``, ``extensions/``) — analysis still spans every
+file so taint and call chains resolve.  Algorithm 1's phase order is
+checked at runtime by :class:`~repro.analysis.sanitize.ProtocolMonitor`
+and lock order by :class:`~repro.analysis.sanitize.LockOrderRecorder`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
-from repro.analysis.dataflow import (
-    LockOrderAnalysis,
-    PHASE_NAMES,
-    ProjectIndex,
-    ProtocolAnalysis,
-    TaintAnalysis,
-    TaintFinding,
-)
+from repro.analysis.dataflow import ProjectIndex, TaintAnalysis
 from repro.analysis.lint import ProjectContext, Rule, Violation, register_rule
 
-#: Where RL007/RL008 findings are reported (same scope as RL006).
+#: Where RL007 findings are reported (same scope as RL006).
 SCOPE_DIRS = {"federated", "core", "baselines", "extensions"}
 
 
@@ -43,7 +38,7 @@ _INDEX_CACHE: List[object] = []
 
 
 def _index_for(project: ProjectContext) -> ProjectIndex:
-    """One ProjectIndex per linter run, shared by RL007/RL008/RL009."""
+    """One ProjectIndex per linter run, shared by RL007 and RL010."""
     if _INDEX_CACHE and _INDEX_CACHE[0] is project:
         return _INDEX_CACHE[1]  # type: ignore[return-value]
     index = ProjectIndex(list(project.files.values()))
@@ -74,60 +69,4 @@ class PrivacyEscape(Rule):
                 f"raw party data reaches uplink `{f.sink}` without a "
                 f"sanitizer: {f.render_trace()} "
                 "(aggregate uploads declare `# privacy-ok(<reason>)`)",
-            )
-
-
-@register_rule
-class ProtocolConformance(Rule):
-    id = "RL008"
-    name = "algorithm1-phase-order"
-    rationale = (
-        "Algorithm 1's round is a fixed sequence — broadcast weights, "
-        "upload means, download global means, upload moments, download "
-        "global moments, upload weights — and the moment math is only "
-        "exact in that order (round-2 moments are taken about the "
-        "round-1 global means). Kind-tagged Communicator calls must "
-        "advance the phase monotonically within a round."
-    )
-
-    def finish(self, project: ProjectContext) -> Iterable[Violation]:
-        analysis = ProtocolAnalysis(
-            _index_for(project), report_for=lambda fn: _in_scope(fn.ctx.display)
-        )
-        order = " -> ".join(PHASE_NAMES[i] for i in range(6))
-        for f in analysis.run():
-            prev_path, prev_line = f.prev_site
-            yield self.violation(
-                f.path,
-                f.line,
-                f"protocol-order violation: `{PHASE_NAMES[f.next_phase]}` "
-                f"cannot follow `{PHASE_NAMES[f.prev_phase]}` "
-                f"(at {prev_path}:{prev_line}) within a round; "
-                f"Algorithm 1 order is {order}",
-            )
-
-
-@register_rule
-class LockOrderCycles(Rule):
-    id = "RL009"
-    name = "no-lock-order-cycles"
-    rationale = (
-        "Nested `with <lock>` blocks (directly, through calls, or via "
-        "`# guarded-by(<lock>)` annotated statements) define a "
-        "lock-acquisition order; a cycle in that graph is a potential "
-        "deadlock between executor worker threads and the coordinator."
-    )
-
-    def finish(self, project: ProjectContext) -> Iterable[Violation]:
-        analysis = LockOrderAnalysis(_index_for(project))
-        for f in analysis.run():
-            cycle = " -> ".join((*f.cycle, f.cycle[0]))
-            edges = "; ".join(
-                f"{a} held while acquiring {b} at {site.path}:{site.line}"
-                for a, b, site in f.sites
-            )
-            yield self.violation(
-                f.path,
-                f.line,
-                f"lock-order cycle {cycle} ({edges})",
             )

@@ -23,19 +23,17 @@ any mutation performed while the owning ``_lock`` is *not* held by the
 current thread raises :class:`LockViolationError`.  Only armed when the
 trainer actually runs multi-threaded (``num_workers > 1``).  The probed
 :class:`OwnedLock`\\ s additionally report every acquisition to a
-:class:`LockOrderRecorder` — the runtime counterpart of rule RL009 —
-which raises :class:`LockOrderError` the moment two locks are taken in
-opposite orders on different code paths, before the schedules that
-actually deadlock can occur.
+:class:`LockOrderRecorder`, which raises :class:`LockOrderError` the
+moment two locks are taken in opposite orders on different code paths,
+before the schedules that actually deadlock can occur.
 
-**Protocol monitor** (:class:`ProtocolMonitor`).  The runtime
-counterpart of rules RL007/RL008, attached to the Communicator's
-``_monitor`` hook whenever ``--sanitize`` is on (serial runs included).
-It imports the *same* phase table the static checker uses
-(:data:`repro.analysis.dataflow.PROTOCOL_PHASES`), so the two can never
-disagree about Algorithm 1's round order; kind-tagged transfers must
-advance the phase monotonically within a round
-(:class:`ProtocolViolationError` otherwise), and every uplink payload is
+**Protocol monitor** (:class:`ProtocolMonitor`).  Attached to the
+Communicator's ``_monitor`` hook whenever ``--sanitize`` is on (serial
+runs included), it is the one checker of Algorithm 1's round order:
+kind-tagged transfers must advance the phase of :data:`PROTOCOL_PHASES`
+monotonically within a round (:class:`ProtocolViolationError`
+otherwise).  It is also the runtime half of the privacy rule RL007:
+every uplink payload is
 checked against the registered private party tensors with
 ``np.may_share_memory`` (:class:`PrivacyEscapeError` on aliasing) —
 only statistics may cross the channel, never raw rows (§4.4).
@@ -59,12 +57,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 import numpy as np
 
-from repro.analysis.dataflow import (
-    PHASE_NAMES,
-    PROTOCOL_PHASES,
-    ROUND_BOUNDARY,
-    transition_allowed,
-)
 from repro.autograd.tensor import (
     _DEFAULT_DTYPE,
     Tensor,
@@ -187,8 +179,47 @@ class AutogradSanitizer:
 
 
 # ----------------------------------------------------------------------
-# protocol monitor (runtime RL007/RL008)
+# protocol monitor: Algorithm 1 phase order and the RL007 privacy tripwire
 # ----------------------------------------------------------------------
+#: (direction, kind) → phase index within one communication round.
+PROTOCOL_PHASES: Dict[Tuple[str, str], int] = {
+    ("down", "weights"): 0,  # broadcast global model
+    ("up", "means"): 1,  # clients upload layer means
+    ("down", "means"): 2,  # server returns global means
+    ("up", "moments"): 3,  # clients upload central moments
+    ("down", "moments"): 4,  # server returns global moments
+    ("up", "weights"): 5,  # clients upload trained weights
+}
+
+PHASE_NAMES: Dict[int, str] = {
+    0: "broadcast weights",
+    1: "upload means",
+    2: "download global means",
+    3: "upload moments",
+    4: "download global moments",
+    5: "upload weights",
+}
+
+#: Pseudo-phase of ``end_round``: a round boundary may follow any phase
+#: and resets the DFA (anything may follow it).
+ROUND_BOUNDARY = -1
+
+
+def transition_allowed(prev: int, nxt: int) -> bool:
+    """Within a round the phase only moves forward, and an
+    ``end_round`` boundary is a wildcard in both directions.
+
+    The weight broadcast (phase 0) delimits rounds — it is the last
+    event of round *r* and the first of round *r+1* — so entering
+    phase 0 is legal after any phase (e.g. after phase 4 when fault
+    quarantine leaves no survivors to upload weights).  Every backward
+    jump to a non-zero phase (moments before means, a second means
+    upload after the moment exchange, ...) is a violation."""
+    if prev == ROUND_BOUNDARY or nxt == ROUND_BOUNDARY:
+        return True
+    return nxt >= prev or nxt == 0
+
+
 def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
     """Every ndarray inside a (possibly nested) payload structure."""
     if isinstance(payload, np.ndarray):
@@ -210,12 +241,9 @@ class ProtocolMonitor:
     a violation aborts the transfer with the counters untouched) and
     :meth:`on_round_end` at round boundaries.
 
-    Phase legality is decided by the same
-    :data:`~repro.analysis.dataflow.PROTOCOL_PHASES` table and
-    :func:`~repro.analysis.dataflow.transition_allowed` predicate the
-    static RL008 rule uses, so the static and runtime checkers cannot
-    drift apart.  Untagged (``other``-kind) traffic carries no phase and
-    is only privacy-checked.
+    Phase legality is decided by the :data:`PROTOCOL_PHASES` table and
+    the :func:`transition_allowed` predicate.  Untagged (``other``-kind)
+    traffic carries no phase and is only privacy-checked.
 
     The monitor is read-only — it inspects payload *identity* (buffer
     overlap via ``np.may_share_memory``), never values, and touches no
@@ -336,7 +364,7 @@ class ProtocolMonitor:
 # concurrency probe
 # ----------------------------------------------------------------------
 class LockOrderRecorder:
-    """Runtime lock-order tracking — the dynamic counterpart of RL009.
+    """Runtime lock-order tracking: the project's deadlock-order check.
 
     Each thread keeps a stack of the (probed) locks it currently holds;
     acquiring ``b`` while holding ``a`` records the order edge ``a → b``
@@ -671,6 +699,10 @@ class SanitizerSession:
 
 
 __all__ = [
+    "PROTOCOL_PHASES",
+    "PHASE_NAMES",
+    "ROUND_BOUNDARY",
+    "transition_allowed",
     "SanitizerError",
     "InplaceMutationError",
     "NonFiniteValueError",

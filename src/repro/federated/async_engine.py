@@ -235,10 +235,10 @@ def fold_arrivals(
     function of the arrival *set* — the first thing it does is sort by
     client id, so any permutation of ``arrivals`` (network reordering,
     heap-pop order, executor interleaving) produces a bitwise-identical
-    result.  That invariant is what lint rule RL012 demands of every
-    aggregation path, what the hypothesis property in
-    ``tests/federated/test_staleness.py`` pins, and what the model
-    checker re-verifies dynamically over explored schedules.
+    result.  That invariant is what the hypothesis property in
+    ``tests/federated/test_staleness.py`` pins and what the model
+    checker (``python -m repro.analysis.modelcheck``) re-verifies over
+    explored schedules.
 
     NaN payloads are quarantined (their ``n_i`` leaves the denominator),
     updates staler than ``max_staleness`` are discarded, and when every
@@ -565,7 +565,7 @@ class AsyncRoundEngine:
         out-of-order choice models network reordering, so the clock
         advances to ``max(report.time, now)``: a message can arrive late,
         never before it was sent.  Virtual time stays monotone either
-        way (rule RL011's runtime counterpart).
+        way (``VirtualClock.advance_to`` raises on any regression).
         """
         ctrl = self.clock.controller
         if ctrl is None:

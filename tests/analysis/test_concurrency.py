@@ -1,21 +1,16 @@
-"""Unit tests for the static happens-before model behind RL010–RL012.
+"""Unit tests for the static happens-before model behind RL010.
 
 Fixture-level behavior (pinned lines, suppressions, CLI) lives in
-``test_rules.py``; this module pins the analysis semantics those
-fixtures rest on: thread-root discovery, the three-state ownership
-model, lock/guard classification, the join edge, clock-reading
-arithmetic, and schedule-taint laundering.
+``test_rules.py``; this module pins the analysis semantics that fixture
+rests on: thread-root discovery, the three-state ownership model,
+lock/guard classification, and the join edge.
 """
 
 import ast
 from pathlib import Path
 
 from repro.analysis import Linter
-from repro.analysis.concurrency import (
-    ClockMonotonicityAnalysis,
-    HappensBeforeAnalysis,
-    ScheduleTaintAnalysis,
-)
+from repro.analysis.concurrency import HappensBeforeAnalysis
 from repro.analysis.dataflow import ProjectIndex
 from repro.analysis.lint import FileContext
 
@@ -30,14 +25,6 @@ def index_of(**modules: str) -> ProjectIndex:
 
 def _rl010(src: str):
     return Linter(rules=["RL010"]).lint_source(src, path="federated/mod.py")
-
-
-def _rl011(src: str):
-    return Linter(rules=["RL011"]).lint_source(src, path="federated/mod.py")
-
-
-def _rl012(src: str):
-    return Linter(rules=["RL012"]).lint_source(src, path="federated/mod.py")
 
 
 ENGINE = """
@@ -229,189 +216,6 @@ class TestRacePairing:
     def test_real_tree_has_no_races(self):
         root = Path(__file__).resolve().parents[2]
         report = Linter(rules=["RL010"], root=root).lint_paths([str(root / "src")])
-        assert report.ok, [v.message for v in report.violations]
-
-
-class TestClockMonotonicity:
-    def test_forward_offset_clean(self):
-        src = (
-            "def f(clock, delay):\n"
-            "    start = clock.now()\n"
-            "    clock.advance_to(start + delay)\n"
-        )
-        assert _rl011(src).ok
-
-    def test_duration_between_readings_clean(self):
-        # t1 - t0 is a duration; it never reaches an advancing call.
-        src = (
-            "def f(clock):\n"
-            "    t0 = clock.now()\n"
-            "    t1 = clock.now()\n"
-            "    return t1 - t0\n"
-        )
-        assert _rl011(src).ok
-
-    def test_subtracted_reading_into_advance_fires(self):
-        src = (
-            "def f(clock, delay):\n"
-            "    start = clock.now()\n"
-            "    clock.advance_to(start - delay)\n"
-        )
-        assert [v.line for v in _rl011(src).violations] == [3]
-
-    def test_direct_now_call_subtraction_fires(self):
-        src = "def f(clock):\n    clock.sleep(-clock.now())\n"
-        assert not _rl011(src).ok
-
-    def test_non_clock_receiver_ignored(self):
-        src = (
-            "def f(budget, clock):\n"
-            "    start = clock.now()\n"
-            "    budget.advance_to(start - 1.0)\n"
-        )
-        assert _rl011(src).ok
-
-    def test_heappush_key_checked_through_tuple(self):
-        src = (
-            "import heapq\n"
-            "def f(heap, clock):\n"
-            "    start = clock.now()\n"
-            "    heapq.heappush(heap, (start - 1.0, 0))\n"
-        )
-        assert not _rl011(src).ok
-
-    def test_heappush_payload_subtraction_is_fine(self):
-        # Only the timestamp key (first tuple element) is constrained.
-        src = (
-            "import heapq\n"
-            "def f(heap, clock):\n"
-            "    start = clock.now()\n"
-            "    heapq.heappush(heap, (start + 1.0, start - 0.5))\n"
-        )
-        assert _rl011(src).ok
-
-    def test_analysis_runs_clean_on_real_tree(self):
-        root = Path(__file__).resolve().parents[2]
-        report = Linter(rules=["RL011"], root=root).lint_paths([str(root / "src")])
-        assert report.ok, [v.message for v in report.violations]
-
-
-SCHED_PRELUDE = (
-    "import heapq\n"
-    "def fedavg(states, weights=None):\n"
-    "    return states[0]\n"
-)
-
-
-class TestScheduleTaint:
-    def test_heappop_accumulation_reaches_sink(self):
-        src = SCHED_PRELUDE + (
-            "def agg(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return fedavg(out)\n"
-        )
-        report = _rl012(src)
-        assert len(report.violations) == 1
-        assert "pop-ordered" in report.violations[0].message
-
-    def test_sorted_launders(self):
-        src = SCHED_PRELUDE + (
-            "def agg(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return fedavg(sorted(out))\n"
-        )
-        assert _rl012(src).ok
-
-    def test_staleness_weights_cleanser(self):
-        src = SCHED_PRELUDE + (
-            "def staleness_weights(counts, stale, decay):\n"
-            "    return counts\n"
-            "def agg(heap, states):\n"
-            "    stale = []\n"
-            "    while heap:\n"
-            "        stale.append(heapq.heappop(heap))\n"
-            "    lam = staleness_weights([1.0], stale, 0.5)\n"
-            "    return fedavg(states, lam)\n"
-        )
-        assert _rl012(src).ok
-
-    def test_taint_crosses_return_hop(self):
-        src = SCHED_PRELUDE + (
-            "def drain(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return out\n"
-            "def agg(heap):\n"
-            "    return fedavg(drain(heap))\n"
-        )
-        assert not _rl012(src).ok
-
-    def test_tuple_unpack_carries_pop_taint(self):
-        src = SCHED_PRELUDE + (
-            "def agg(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        _, _, report = heapq.heappop(heap)\n"
-            "        out.append(report)\n"
-            "    return fedavg(out)\n"
-        )
-        assert not _rl012(src).ok
-
-    def test_self_attr_store_carries_taint(self):
-        src = SCHED_PRELUDE + (
-            "class Engine:\n"
-            "    def drain(self, heap):\n"
-            "        self.arrivals = [heapq.heappop(heap)]\n"
-            "    def agg(self):\n"
-            "        return fedavg(self.arrivals)\n"
-        )
-        assert not _rl012(src).ok
-
-    def test_resolved_wrapper_that_launders_internally_passes(self):
-        # `aggregate`-named wrapper whose body sorts: the soft sink is
-        # skipped because the callee resolves and is analyzed inside.
-        src = SCHED_PRELUDE + (
-            "def my_aggregate(arrivals):\n"
-            "    return fedavg(sorted(arrivals))\n"
-            "def run(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return my_aggregate(out)\n"
-        )
-        assert _rl012(src).ok
-
-    def test_resolved_wrapper_that_forwards_is_caught_inside(self):
-        src = SCHED_PRELUDE + (
-            "def my_aggregate(arrivals):\n"
-            "    return fedavg(arrivals)\n"
-            "def run(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return my_aggregate(out)\n"
-        )
-        report = _rl012(src)
-        assert [v.line for v in report.violations] == [5]  # inside the wrapper
-
-    def test_out_of_scope_path_not_reported(self):
-        src = SCHED_PRELUDE + (
-            "def agg(heap):\n"
-            "    out = []\n"
-            "    while heap:\n"
-            "        out.append(heapq.heappop(heap))\n"
-            "    return fedavg(out)\n"
-        )
-        assert Linter(rules=["RL012"]).lint_source(src, path="gnn/agg.py").ok
-
-    def test_fixpoint_converges_on_real_tree(self):
-        root = Path(__file__).resolve().parents[2]
-        report = Linter(rules=["RL012"], root=root).lint_paths([str(root / "src")])
         assert report.ok, [v.message for v in report.violations]
 
 

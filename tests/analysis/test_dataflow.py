@@ -2,45 +2,15 @@
 
 The rule-level behavior (fixture projects, pinned lines, suppressions)
 lives in ``test_rules.py``; this module pins the engine semantics the
-rules rest on: the Algorithm-1 phase lattice, and how taint moves
-through sanitizers, containers, subscripts, and instance attributes.
+rule rests on: how taint moves through sanitizers, containers,
+subscripts, and instance attributes.
 """
 
-import pytest
-
 from repro.analysis import Linter
-from repro.analysis.dataflow import (
-    PHASE_NAMES,
-    PROTOCOL_PHASES,
-    ROUND_BOUNDARY,
-    transition_allowed,
-)
 
 
 def _rl007(src: str, path: str = "federated/mod.py"):
     return Linter(rules=["RL007"]).lint_source(src, path=path)
-
-
-class TestPhaseTable:
-    def test_six_phases_named(self):
-        assert sorted(PROTOCOL_PHASES.values()) == list(range(6))
-        assert set(PHASE_NAMES) >= set(range(6))
-
-    def test_forward_transitions_allowed(self):
-        for p in range(6):
-            for q in range(p, 6):
-                assert transition_allowed(p, q)
-
-    def test_backward_transitions_rejected_except_broadcast(self):
-        for p in range(1, 6):
-            for q in range(1, p):
-                assert not transition_allowed(p, q)
-            assert transition_allowed(p, 0)  # round delimiter
-
-    def test_round_boundary_is_wildcard(self):
-        for p in range(6):
-            assert transition_allowed(p, ROUND_BOUNDARY)
-            assert transition_allowed(ROUND_BOUNDARY, p)
 
 
 class TestTaintSemantics:

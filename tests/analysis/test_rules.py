@@ -30,11 +30,7 @@ CASES = [
     ("RL003", FIXTURES / "rl003.py", [7, 11], 1),
     ("RL005", FIXTURES / "rl005.py", [12, 15], 1),
     ("RL006", FIXTURES / "federated" / "rl006.py", [5], 1),
-    ("RL008", FIXTURES / "core" / "rl008.py", [20], 1),
-    ("RL009", FIXTURES / "rl009.py", [17], 1),
     ("RL010", FIXTURES / "federated" / "rl010.py", [16], 1),
-    ("RL011", FIXTURES / "rl011.py", [8, 10, 12], 1),
-    ("RL012", FIXTURES / "federated" / "rl012.py", [19], 1),
     ("RL015", FIXTURES / "rl015.py", [14], 1),
 ]
 
@@ -229,75 +225,6 @@ class TestRL007:
         linter = Linter(rules=["RL007"])
         assert linter.lint_source(src, path="gnn/leak.py").ok
         assert not linter.lint_source(src, path="federated/leak.py").ok
-
-
-class TestRL008:
-    def test_statistic_kinds_required_for_phases(self):
-        # Untagged traffic carries no phase: no ordering constraints.
-        src = (
-            "def f(comm, a, b):\n"
-            "    comm.gather(a)\n"
-            "    comm.gather(b)\n"
-        )
-        assert Linter(rules=["RL008"]).lint_source(src, path="core/x.py").ok
-
-    def test_weight_broadcast_legal_after_any_phase(self):
-        # Phase 0 delimits rounds (it may follow a survivor-less round).
-        src = (
-            "def f(comm, m, state):\n"
-            "    comm.gather(m, kind='moments')\n"
-            "    comm.broadcast(state, kind='weights')\n"
-        )
-        assert Linter(rules=["RL008"]).lint_source(src, path="core/x.py").ok
-
-    def test_end_round_resets_the_phase(self):
-        src = (
-            "def f(comm, m, w):\n"
-            "    comm.gather(m, kind='moments')\n"
-            "    comm.end_round()\n"
-            "    comm.gather(w, kind='means')\n"
-        )
-        assert Linter(rules=["RL008"]).lint_source(src, path="core/x.py").ok
-
-
-class TestRL009:
-    def test_consistent_nesting_clean(self):
-        src = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self.alock = threading.Lock()\n"
-            "        self.block = threading.Lock()\n"
-            "    def f(self):\n"
-            "        with self.alock:\n"
-            "            with self.block:\n"
-            "                pass\n"
-            "    def g(self):\n"
-            "        with self.alock:\n"
-            "            with self.block:\n"
-            "                pass\n"
-        )
-        assert Linter(rules=["RL009"]).lint_source(src).ok
-
-    def test_cycle_through_callee_detected(self):
-        src = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self.alock = threading.Lock()\n"
-            "        self.block = threading.Lock()\n"
-            "    def helper(self):\n"
-            "        with self.block:\n"
-            "            pass\n"
-            "    def f(self):\n"
-            "        with self.alock:\n"
-            "            self.helper()\n"
-            "    def g(self):\n"
-            "        with self.block:\n"
-            "            with self.alock:\n"
-            "                pass\n"
-        )
-        assert not Linter(rules=["RL009"]).lint_source(src).ok
 
 
 def test_shipped_tree_is_clean():

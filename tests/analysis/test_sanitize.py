@@ -20,9 +20,13 @@ from repro.analysis.sanitize import (
     LockViolationError,
     NonFiniteValueError,
     OwnedLock,
+    PHASE_NAMES,
+    PROTOCOL_PHASES,
+    ROUND_BOUNDARY,
     SanitizerSession,
     install_comm_probe,
     install_registry_probe,
+    transition_allowed,
 )
 from repro.autograd import Tensor, get_tensor_sanitizer
 from repro.core import FedOMDConfig, FedOMDTrainer
@@ -264,8 +268,30 @@ class TestTrainerIntegration:
 
 
 # ----------------------------------------------------------------------
-# protocol monitor (runtime RL007/RL008)
+# protocol monitor: Algorithm 1 phase order and the RL007 privacy tripwire
 # ----------------------------------------------------------------------
+class TestPhaseTable:
+    def test_six_phases_named(self):
+        assert sorted(PROTOCOL_PHASES.values()) == list(range(6))
+        assert set(PHASE_NAMES) >= set(range(6))
+
+    def test_forward_transitions_allowed(self):
+        for p in range(6):
+            for q in range(p, 6):
+                assert transition_allowed(p, q)
+
+    def test_backward_transitions_rejected_except_broadcast(self):
+        for p in range(1, 6):
+            for q in range(1, p):
+                assert not transition_allowed(p, q)
+            assert transition_allowed(p, 0)  # round delimiter
+
+    def test_round_boundary_is_wildcard(self):
+        for p in range(6):
+            assert transition_allowed(p, ROUND_BOUNDARY)
+            assert transition_allowed(ROUND_BOUNDARY, p)
+
+
 class TestProtocolMonitor:
     def _monitor(self):
         from repro.analysis.sanitize import ProtocolMonitor
@@ -365,8 +391,32 @@ class TestRuntimePrivacyEscape:
         assert len(history) == 1
 
 
+class TestSecureExchangeSanitized:
+    def test_secure_moment_exchange_passes_the_monitor(self):
+        # The masked-statistics path of extensions/secure_agg.py sends its
+        # own kind-tagged means/moments traffic; a sanitized run through it
+        # must keep Algorithm 1's order and upload no raw party buffer.
+        from repro.extensions import SecureMomentExchange
+
+        cfg = FedOMDConfig(max_rounds=2, patience=50, hidden=16, sanitize=True)
+        trainer = FedOMDTrainer(small_parts(), cfg, seed=0)
+        trainer.exchange = SecureMomentExchange(trainer.comm, orders=cfg.orders)
+        monitor = trainer.comm._monitor
+        seen = []
+        on_event = monitor.on_event
+
+        def spy(direction, kind, payload, client=None):
+            seen.append((direction, kind))
+            on_event(direction, kind, payload, client)
+
+        monitor.on_event = spy
+        history = trainer.run()
+        assert len(history) == 2
+        assert {("up", "means"), ("up", "moments")} <= set(seen)
+
+
 # ----------------------------------------------------------------------
-# lock-order recorder (runtime RL009)
+# lock-order recorder
 # ----------------------------------------------------------------------
 class TestLockOrderRecorder:
     def _pair(self):
@@ -426,3 +476,31 @@ class TestLockOrderRecorder:
         s.attach_communicator(comm)
         assert comm._monitor is s.protocol
         assert comm._lock._recorder is s.lock_order
+
+
+class TestParallelChaosLockOrder:
+    def test_sanitized_parallel_chaos_smoke_completes(self, tmp_path, monkeypatch):
+        # The lock probes and the recorder arm only with num_workers > 1;
+        # the CI fault mix drives drops, stragglers, corruption and crashes
+        # through them on two executor threads.
+        from repro.analysis.sanitize import LockOrderRecorder
+        from repro.experiments import chaos
+
+        acquired = []
+        original = LockOrderRecorder.acquired
+
+        def spy(self, name):
+            acquired.append(name)
+            original(self, name)
+
+        monkeypatch.setattr(LockOrderRecorder, "acquired", spy)
+        result = chaos.run(
+            mode="smoke",
+            out_dir=str(tmp_path),
+            faults="drop=0.2,straggler=0.3:delay=0.01,corrupt=0.3,crash=0.2",
+            engine="barrier",
+            sanitize=True,
+            num_workers=2,
+        )
+        assert int(result.meta["rounds"]) >= 1
+        assert "Communicator._lock" in acquired

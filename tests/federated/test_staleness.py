@@ -242,7 +242,7 @@ def arrival_sets(draw, max_staleness=0):
 
 
 class TestFoldArrivalsPermutationInvariance:
-    """RL012's dynamic contract: the fold is a pure function of the *set*.
+    """Order-insensitive aggregation: the fold is a pure function of the *set*.
 
     The model checker re-verifies this end-to-end over explored
     schedules; these properties pin the reduction itself, bitwise.
