@@ -92,9 +92,9 @@ def neg(a) -> Tensor:
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant exponent.
 
-    Integer exponents ≥ 2 are what the central-moment computation uses
-    (Eq. 11's ``(Z - E(Z))^j``); arbitrary float exponents are supported
-    for completeness but require positive inputs for a valid derivative.
+    A general op; arbitrary float exponents require positive inputs for
+    a valid derivative.  (Central moments do not use it: they come from
+    the fused ``repro.core.moments.central_moments``.)
     """
     a = as_tensor(a)
     exponent = float(exponent)

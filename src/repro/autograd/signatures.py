@@ -50,9 +50,17 @@ EXPLICIT_OPS = frozenset({"spmm"})
 #: ``elementwise`` ``out.size``            ``Σ p.size``
 #: ``reduce``      ``Σ p.size``            ``Σ p.size``
 #: ``softmax``     ``4·out.size``          ``3·out.size`` per grad parent
+#: ``moments``     ``2·K·p.size``          ``2·K·p.size`` per grad parent
 #: ``zero``        ``0``                   ``0``
 #: ==============  ======================  ============================
-KINDS = ("matmul", "spmm", "elementwise", "reduce", "softmax", "zero")
+#:
+#: ``moments`` is the fused central-moment op (``K = out.shape[0]``
+#: orders over an ``(n, d)`` parent): forward is one product and one
+#: node reduction per order, backward one multiply and one add per
+#: order.  It is exact for contiguous orders starting at 2 (the paper's
+#: 2..5); other order sets build the ``max(orders)`` power ladder and
+#: the formula is an accounting approximation for them.
+KINDS = ("matmul", "spmm", "elementwise", "reduce", "softmax", "moments", "zero")
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,9 @@ declare("scatter_add", "elementwise")
 declare("concat", "zero")
 declare("stack", "zero")
 
+# repro.core.moments
+declare("central_moments", "moments")
+
 
 # ----------------------------------------------------------------------
 # cost formulas — evaluated by the runtime collector on real ndarrays
@@ -173,12 +184,20 @@ def spmm_bytes(nnz, dense_bytes, out_bytes):
     return SPARSE_ENTRY_BYTES * nnz + dense_bytes + out_bytes
 
 
+def moments_flops(num_orders, size):
+    """FLOPs of the fused central moments, either direction: ``2·K·n·d``."""
+    return 2 * num_orders * size
+
+
 def forward_flops(op: str, out, parents: Sequence):
     """Forward FLOPs of one generic (non-``spmm``) op from operand shapes."""
     kind = lookup(op).kind
     if kind == "matmul":
         a, b = parents
         return matmul_flops(a.shape[0], a.shape[1], b.shape[1])
+    if kind == "moments":
+        (c,) = parents
+        return moments_flops(out.shape[0], c.size)
     if kind == "zero":
         return 0
     if kind == "reduce":
@@ -202,6 +221,11 @@ def backward_flops(op: str, out, parents: Sequence, grad_parents: Sequence):
         return 0
     if kind == "softmax":
         return 3 * out.size * len(grad_parents)
+    if kind == "moments":
+        total = 0
+        for p in grad_parents:
+            total = total + moments_flops(out.shape[0], p.size)
+        return total
     # Reductions broadcast the gradient back over the input; elementwise
     # ops do one multiply per input element.  Both are p.size per parent.
     total = 0
@@ -241,6 +265,7 @@ __all__ = [
     "matmul_flops",
     "spmm_flops",
     "spmm_bytes",
+    "moments_flops",
     "forward_flops",
     "backward_flops",
     "forward_bytes",

@@ -17,6 +17,7 @@ Four pieces, mirroring §4:
 from repro.core.moments import (
     layer_means,
     layer_means_np,
+    central_moments,
     central_moments_np,
     moments_tensor,
     empirical_activation_range,
@@ -28,6 +29,7 @@ from repro.core.fedomd import FedOMDTrainer, FedOMDConfig
 __all__ = [
     "layer_means",
     "layer_means_np",
+    "central_moments",
     "central_moments_np",
     "moments_tensor",
     "empirical_activation_range",

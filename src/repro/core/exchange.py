@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.moments import central_moments_np
 from repro.federated.comm import Communicator, KIND_MEANS, KIND_MOMENTS
 from repro.federated.server import weighted_mean_statistics
 from repro.obs import get_tracer
@@ -151,11 +152,10 @@ class MomentExchange:
                 g_means = means_per_client[i]
                 layer_moms = []
                 for l, z in enumerate(hidden):
-                    centered = np.asarray(z, dtype=np.float64) - g_means[l]
                     layer_moms.append(
                         [
-                            self._perturb_statistic((centered**j).mean(axis=0), float(n_i))
-                            for j in self.orders
+                            self._perturb_statistic(moment, float(n_i))
+                            for moment in central_moments_np(z, g_means[l], self.orders)
                         ]
                     )
                 received2.append(
@@ -189,6 +189,9 @@ def pooled_central_moments(
 
     What a privacy-free oracle would compute by concatenating all
     parties' activations; the exchange must reproduce this exactly.
+    It stays on ``np.power`` on purpose: it is the independent reference
+    for the fused kernel behind :func:`central_moments_np`, so it must
+    not share the code it checks.
     """
     num_layers = len(client_hidden[0])
     means, moments = [], []

@@ -20,6 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.exchange import GlobalMoments, MomentExchange
+from repro.core.moments import central_moments_np
 from repro.federated.comm import Communicator, KIND_MEANS, KIND_MOMENTS
 
 
@@ -115,9 +116,8 @@ class SecureMomentExchange(MomentExchange):
             payload = []
             idx = 0
             for l, z in enumerate(hidden):
-                centered = np.asarray(z, dtype=np.float64) - g_means[l]
-                for j in self.orders:
-                    weighted = float(n_i) * (centered**j).mean(axis=0)
+                for moment in central_moments_np(z, g_means[l], self.orders):
+                    weighted = float(n_i) * moment
                     payload.append(weighted + masks2[i][idx])
                     idx += 1
             received2.append(

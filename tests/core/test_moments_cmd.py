@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.autograd import Tensor, gradcheck
 from repro.core.cmd import cmd_distance, cmd_distance_arrays, layerwise_cmd
 from repro.core.moments import (
+    central_moments,
     central_moments_np,
     empirical_activation_range,
     layer_means,
@@ -256,6 +257,132 @@ class TestMomentProperties:
         scaled = central_moments_np(c * z, c * z.mean(axis=0), [2, 3, 4, 5])
         for j, a, b in zip([2, 3, 4, 5], base, scaled):
             np.testing.assert_allclose(b, c**j * a, rtol=1e-7, atol=1e-9)
+
+
+def power_reference(z, mean, orders):
+    """Independent ``np.power`` moments and the scale their error is judged by.
+
+    A moment is a sum, so a fused result can only be expected to agree
+    with the reference relative to ``mean |c|^j`` — the size of the
+    summands — not to the (possibly cancelled) odd moment itself.
+    """
+    c = np.asarray(z, dtype=np.float64) - mean
+    want = [np.power(c, float(j)).mean(axis=0) for j in orders]
+    scale = [np.power(np.abs(c), float(j)).mean(axis=0) for j in orders]
+    return want, scale
+
+
+def assert_matches_power(z, mean, orders, got, rtol=1e-14):
+    want, scale = power_reference(z, mean, orders)
+    assert len(got) == len(want)
+    for j, g, w, s in zip(orders, got, want, scale):
+        err = np.abs(g - w)
+        assert (err <= rtol * s).all(), f"order {j}: error {err.max():.3g} vs scale {s.max():.3g}"
+
+
+order_subsets = st.lists(
+    st.integers(min_value=1, max_value=6), min_size=1, max_size=6, unique=True
+).map(sorted)
+
+
+@st.composite
+def party_blocks(draw, elements=finite_floats):
+    n = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=8))
+    return draw(hnp.arrays(np.float64, (n, d), elements=elements))
+
+
+class TestFusedCentralMoments:
+    """The fused kernel against an ``np.power`` reference, and its backward."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(party_blocks(), order_subsets)
+    def test_numpy_form_matches_power(self, z, orders):
+        mean = z.mean(axis=0)
+        assert_matches_power(z, mean, orders, central_moments_np(z, mean, orders))
+
+    @settings(max_examples=100, deadline=None)
+    @given(party_blocks(), order_subsets)
+    def test_tensor_form_matches_numpy_form(self, z, orders):
+        mean = z.mean(axis=0)
+        out = central_moments(Tensor(z - mean), orders)
+        assert out.shape == (len(orders), z.shape[1])
+        np.testing.assert_array_equal(out.data, np.stack(central_moments_np(z, mean, orders)))
+
+    @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (2, 5), (1, 3)])
+    def test_gradcheck(self, orders):
+        z = Tensor(RNG.standard_normal((7, 3)), requires_grad=True)
+        weights = RNG.standard_normal((len(orders), 3))
+
+        def f(t):
+            return (central_moments(t - t.mean(axis=0), orders) * weights).sum()
+
+        assert gradcheck(f, [z])
+
+    def test_one_node_party_is_exactly_zero_with_finite_gradient(self):
+        z = Tensor(RNG.standard_normal((1, 4)), requires_grad=True)
+        rows = moments_tensor(z, z.mean(axis=0), (2, 3, 4, 5))
+        for row in rows:
+            np.testing.assert_array_equal(row.data, 0.0)
+        total = rows[0].sum()
+        for row in rows[1:]:
+            total = total + row.sum()
+        total.backward()
+        assert np.isfinite(z.grad).all()
+        for m in central_moments_np(z.data, z.data.mean(axis=0), (2, 3, 4, 5)):
+            np.testing.assert_array_equal(m, 0.0)
+
+    def test_empty_orders(self):
+        z = RNG.standard_normal((5, 3))
+        assert central_moments_np(z, z.mean(axis=0), ()) == []
+        t = Tensor(z, requires_grad=True)
+        assert central_moments(t, ()).shape == (0, 3)
+        assert moments_tensor(t, t.mean(axis=0), ()) == []
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            central_moments(Tensor(np.zeros(3)), (2,))
+        with pytest.raises(ValueError):
+            central_moments(Tensor(np.zeros((3, 2))), (0, 2))
+
+
+def heavy_tailed(seed, family, n, d, magnitude):
+    """Lognormal or Student-t (df=2) activations scaled to ``max |z| = magnitude``."""
+    rng = np.random.default_rng(seed)
+    if family == "lognormal":
+        z = rng.lognormal(mean=0.0, sigma=2.0, size=(n, d))
+    else:
+        z = rng.standard_t(df=2, size=(n, d))
+    return z * (magnitude / np.max(np.abs(z)))
+
+
+class TestHeavyTailedNumerics:
+    """CMD stays finite on heavy-tailed activations up to magnitude 1e3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(["lognormal", "student_t"]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=1.0, max_value=1e3),
+    )
+    def test_cmd_and_gradient_finite(self, seed, family, n, d, magnitude):
+        z = heavy_tailed(seed, family, n, d, magnitude)
+        orders = (2, 3, 4, 5)
+        mean = z.mean(axis=0)
+        assert_matches_power(z, mean, orders, central_moments_np(z, mean, orders))
+
+        # Targets from a second draw of the same family; range from both.
+        other = heavy_tailed(seed + 1, family, n, d, magnitude)
+        target_mean = other.mean(axis=0)
+        targets = central_moments_np(other, target_mean, orders)
+        a, b = empirical_activation_range([z, other])
+        t = Tensor(z, requires_grad=True)
+        dist = cmd_distance(t, target_mean, targets, a=a, b=b, orders=orders)
+        assert np.isfinite(dist.item())
+        dist.backward()
+        assert np.isfinite(t.grad).all()
 
 
 class TestLayerwiseCMD:

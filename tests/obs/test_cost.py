@@ -9,7 +9,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autograd import matmul, spmm
+from repro.autograd.signatures import moments_flops
 from repro.autograd.tensor import Tensor
+from repro.core.moments import central_moments
 from repro.graphs.csr import CSRMatrix
 from repro.obs.cost import (
     CostCollector,
@@ -53,6 +55,10 @@ class TestFormulas:
 
     def test_spmm_flops(self):
         assert spmm_flops(10, 4) == 80
+
+    def test_moments_flops(self):
+        # 4 orders over a (5, 3) block: 2·4·15 in either direction.
+        assert moments_flops(4, 15) == 120
 
     def test_spmm_bytes(self):
         # 12 bytes per stored entry + dense + output footprints.
@@ -152,6 +158,23 @@ class TestElementwiseAndShape:
         assert flops_of(registry, op="transpose", dir="bwd", **UNATTRIBUTED) == 0
         # bytes still move even at zero FLOPs.
         assert bytes_of(registry, op="transpose", dir="fwd", **UNATTRIBUTED) > 0
+
+
+class TestCentralMoments:
+    @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (2, 5)])
+    def test_forward_and_backward_match_signature(self, collected, orders):
+        registry, _, _ = collected
+        n, d = 5, 3
+        c = Tensor(np.linspace(-1.0, 1.0, n * d).reshape(n, d), requires_grad=True)
+        out = central_moments(c, orders)
+        out.backward(np.ones(out.shape))
+        want = moments_flops(len(orders), n * d)
+        assert flops_of(registry, op="central_moments", dir="fwd", **UNATTRIBUTED) == want
+        assert flops_of(registry, op="central_moments", dir="bwd", **UNATTRIBUTED) == want
+        # fwd bytes: the (n, d) parent read + the (K, d) moments written.
+        assert bytes_of(registry, op="central_moments", dir="fwd", **UNATTRIBUTED) == (
+            8 * (n * d + len(orders) * d)
+        )
 
 
 class TestUnpricedOp:
