@@ -180,9 +180,9 @@ class WallClockInHotPath(Rule):
     rationale = (
         "time.time()/datetime.now() are non-monotonic (NTP steps, DST) and "
         "differ across machines, so timings built on them are neither "
-        "reproducible nor safe to diff; hot paths must use the monotonic "
-        "span/Timer infrastructure (repro.obs, utils.profiling) built on "
-        "perf_counter.  experiments/ drivers are exempt."
+        "reproducible nor safe to diff; hot paths must use spans "
+        "(repro.obs) or a time.perf_counter() difference, both monotonic.  "
+        "experiments/ drivers are exempt."
     )
 
     WALL_CHAINS = {
@@ -221,8 +221,8 @@ class WallClockInHotPath(Rule):
                     ctx,
                     node,
                     f"wall-clock read `{'.'.join(chain)}(...)` in a hot path — "
-                    "use spans (repro.obs) or utils.profiling.Timer "
-                    "(perf_counter-based) instead",
+                    "use spans (repro.obs) or a time.perf_counter() "
+                    "difference instead",
                 )
 
 
@@ -379,7 +379,7 @@ class LockGuardedMutation(Rule):
     name = "lock-guarded-mutation"
     rationale = (
         "Classes that own a `_lock` (Communicator, MetricsRegistry, Tracer, "
-        "Timer, ...) are mutated from executor worker threads; a mutation "
+        "...) are mutated from executor worker threads; a mutation "
         "outside `with self._lock` is a data race that corrupts counters "
         "silently.  Mutations that are safe by construction carry a "
         "`# guarded-by(<reason>)` annotation instead."

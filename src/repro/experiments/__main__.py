@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.experiments.registry import REGISTRY, get_experiment
 from repro.experiments.runner import default_out_dir
-from repro.utils.profiling import Timer
 
 
 def _run_experiments(names, mode: str, out_dir: str, extra=None) -> None:
-    timer = Timer()
     for name in names:
         fn = get_experiment(name)
-        with timer(name):
-            result = fn(mode=mode, out_dir=out_dir, **(extra or {}))
+        t0 = time.perf_counter()
+        result = fn(mode=mode, out_dir=out_dir, **(extra or {}))
+        run_s = time.perf_counter() - t0
         print(result.render())
-        print(f"[{name}] done in {timer.total(name):.1f}s → {out_dir}/{name}.csv\n")
+        print(f"[{name}] done in {run_s:.1f}s → {out_dir}/{name}.csv\n")
 
 
 def main(argv=None) -> int:

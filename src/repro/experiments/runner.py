@@ -8,6 +8,7 @@ averages cells over seeds (the paper averages 5 repetitions).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -18,7 +19,6 @@ from repro.core import FedOMDConfig, FedOMDTrainer
 from repro.federated import TrainerConfig
 from repro.graphs import load_dataset, louvain_partition
 from repro.reporting import ascii_table, write_csv
-from repro.utils.profiling import Timer
 
 MODEL_NAMES = [
     "fedmlp",
@@ -123,23 +123,22 @@ def run_cell(
     """
     seeds = list(seeds if seeds is not None else range(params.seeds))
     accs = []
-    timer = Timer()
-    with timer("cell"):
-        for seed in seeds:
-            key = (dataset, seed, num_parties, resolution, params.scale)
-            if partition_cache is not None and key in partition_cache:
-                parts = partition_cache[key]
-            else:
-                g = load_dataset(dataset, seed=seed, scale=params.scale)
-                parts = louvain_partition(
-                    g, num_parties, np.random.default_rng(seed), resolution=resolution
-                ).parts
-                if partition_cache is not None:
-                    partition_cache[key] = parts
-            trainer = make_trainer(model, parts, params, seed, fedomd_overrides)
-            hist = trainer.run()
-            accs.append(hist.final_test_accuracy())
-    return float(np.mean(accs)), float(np.std(accs)), timer.total("cell")
+    t0 = time.perf_counter()
+    for seed in seeds:
+        key = (dataset, seed, num_parties, resolution, params.scale)
+        if partition_cache is not None and key in partition_cache:
+            parts = partition_cache[key]
+        else:
+            g = load_dataset(dataset, seed=seed, scale=params.scale)
+            parts = louvain_partition(
+                g, num_parties, np.random.default_rng(seed), resolution=resolution
+            ).parts
+            if partition_cache is not None:
+                partition_cache[key] = parts
+        trainer = make_trainer(model, parts, params, seed, fedomd_overrides)
+        hist = trainer.run()
+        accs.append(hist.final_test_accuracy())
+    return float(np.mean(accs)), float(np.std(accs)), time.perf_counter() - t0
 
 
 def default_out_dir(mode: str) -> str:

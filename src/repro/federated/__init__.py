@@ -15,12 +15,13 @@ Key pieces:
   ``TrainerConfig.num_workers`` turns it on.
 * :func:`fedavg` — weighted parameter averaging (Eq. 2's minimizer).
 * :class:`Client` — owns a party subgraph, a local model and optimizer.
-* :class:`FederatedTrainer` — the synchronous round loop with
-  communication interval, patience-based early stopping, and per-round
-  history (Figure 5's data source).
-* :class:`AsyncRoundEngine` — the event-driven alternative
-  (``TrainerConfig.engine="async"``): quorum aggregation with
-  staleness-weighted FedAvg on a seeded :class:`VirtualClock`.
+* :class:`FederatedTrainer` — the one round loop, for both engines,
+  with communication interval, patience-based early stopping, and
+  per-round history (Figure 5's data source).
+* :class:`AsyncRoundEngine` — the event queue behind
+  ``TrainerConfig.engine="async"``: it supplies the trainer's loop with
+  quorum training and staleness-weighted FedAvg on a seeded
+  :class:`VirtualClock`.
 """
 
 from repro.federated.async_engine import (

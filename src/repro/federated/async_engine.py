@@ -35,13 +35,16 @@ into later rounds.  :class:`AsyncRoundEngine` is that server:
   lost; a client that reports after the server has moved on pulls the
   current global model before it can be dispatched again.
 
-The engine is selected with ``TrainerConfig.engine = "async"`` and
-drives the same trainer hooks (``begin_round`` / ``local_loss`` /
-``after_local_training``), the same communicator, history, telemetry
-and checkpoint machinery as the barrier loop.  It requires the default
-FedAvg aggregation: algorithms that override ``aggregate`` (FedProx's
-server step, LocGCN's no-op) have barrier-only semantics and are
-rejected at construction rather than silently misaggregated.
+The engine is selected with ``TrainerConfig.engine = "async"``.  It
+has no round loop of its own: ``FederatedTrainer._run_rounds`` runs
+every round for both engines — hooks, spans, evaluation, history, early
+stopping, checkpoints — and calls the engine for three steps: masking
+in-flight clients out of the sampled participants, the local phase
+(dispatch and wait for quorum) and the server phase (fold the arrivals,
+push the model).  It requires the default FedAvg aggregation:
+algorithms that override ``aggregate`` (FedProx's server step, LocGCN's
+no-op) have barrier-only semantics and are rejected at construction
+rather than silently misaggregated.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ import numpy as np
 from repro.federated.clock import VirtualClock
 from repro.federated.comm import KIND_WEIGHTS
 from repro.federated.faults import CRASH, STRAGGLER, ClientDropped, payload_is_finite
-from repro.federated.history import RoundRecord
 from repro.federated.server import StateDict, fedavg
 from repro.obs import get_registry, get_tracer
 
@@ -276,14 +278,17 @@ def fold_arrivals(
 
 
 class AsyncRoundEngine:
-    """Quorum-aggregating event loop replacing ``_run_rounds``.
+    """The quorum-aggregating event queue behind ``engine="async"``.
 
     Owns the event heap, the in-flight set, the global model version
-    counter and (for proximal correction) the current global state; the
-    trainer owns everything else — clients, communicator, history,
-    early stopping, checkpoints.  :meth:`state_dict` /
-    :meth:`load_state_dict` round-trip the engine through the trainer
-    checkpoint so a resumed run replays the arrival schedule bitwise.
+    counter and (for proximal correction) the current global state.  The
+    trainer's round loop owns everything else — clients, communicator,
+    history, early stopping, checkpoints — and calls the engine for three
+    steps: :meth:`mask_in_flight` after participant sampling,
+    :meth:`train` for the local phase and :meth:`aggregate` for the
+    server phase.  :meth:`state_dict` / :meth:`load_state_dict`
+    round-trip the engine through the trainer checkpoint so a resumed
+    run replays the arrival schedule bitwise.
     """
 
     def __init__(self, trainer) -> None:
@@ -309,11 +314,13 @@ class AsyncRoundEngine:
             trainer.seed, cfg.latency_base, cfg.latency_jitter
         )
         self.version = 0
-        self.global_state: Optional[StateDict] = None
+        # Post-broadcast consensus state W₀ (every client holds it).
+        self.global_state: Optional[StateDict] = trainer.clients[0].get_state()
         self._seq = 0
         self._heap: List[Tuple[float, int, PendingReport]] = []
         self._in_flight: Dict[int, PendingReport] = {}
         self._round_losses: List[Tuple[int, List[float]]] = []
+        self._arrivals: List[_ClientUpdate] = []
 
     # ------------------------------------------------------------------
     # checkpoint plumbing
@@ -368,136 +375,52 @@ class AsyncRoundEngine:
         self.global_state = global_state
 
     # ------------------------------------------------------------------
-    # the loop
+    # the engine's steps of the trainer's round loop
     # ------------------------------------------------------------------
-    def run(self, verbose: bool = False) -> None:
-        """Drive rounds ``trainer._start_round .. max_rounds``.
+    def mask_in_flight(self) -> None:
+        """Drop clients still computing from the sampled participants.
 
-        Mirrors ``FederatedTrainer._run_rounds`` exactly on the
-        evaluation / early-stopping / checkpoint side so the two engines
-        produce comparable (and, at full quorum, identical) histories.
+        Runs right after the trainer's sampler draw (an identical stream
+        to the barrier engine's): a busy client cannot start a second
+        computation.  When nobody is in flight the trainer's participant
+        state is byte-identical to the barrier engine's.
         """
         trainer = self.trainer
-        cfg = trainer.config
-        if self.version == 0 and self.global_state is None:
-            # Post-broadcast consensus state W₀ (every client holds it).
-            self.global_state = trainer.clients[0].get_state()
-        ctrl = self.clock.controller
-        for round_idx in range(trainer._start_round, cfg.max_rounds):
-            if ctrl is not None:
-                ctrl.on_yield("async.round", round=round_idx, engine=self)
-            stop = self._run_round(round_idx, verbose)
-            trainer._maybe_checkpoint(round_idx)
-            if ctrl is not None:
-                # Checkpoint boundary: the heap, version and clock are
-                # exactly what state_dict() serializes — the checker
-                # snapshots here to assert resume equivalence.
-                ctrl.on_yield("async.checkpoint", round=round_idx, engine=self)
-            if stop:
-                return
+        idle = [c.cid for c in trainer.participating_clients() if c.cid not in self._in_flight]
+        trainer._participants = None if len(idle) == len(trainer.clients) else idle
 
-    def _run_round(self, round_idx: int, verbose: bool) -> bool:
-        trainer = self.trainer
-        cfg = trainer.config
-        tracer = get_tracer()
-        reg = get_registry()
+    def train(self, round_idx: int) -> List[float]:
+        """Dispatch the round's clients and pop reports until quorum.
+
+        Returns the losses of the reports that arrived this round, in
+        client-id order; the arrivals wait for :meth:`aggregate`.
+        """
         self._round_losses = []
-        with tracer.span("round", round=round_idx, engine="async") as sp_round:
-            round_t0 = self.clock.now()
-            with tracer.span(
-                "exchange", round=round_idx, phase="exchange"
-            ) as sp_exchange:
-                self._select_participants()
-                if trainer.injector is not None:
-                    trainer.injector.begin_round(round_idx, len(trainer.clients))
-                trainer.begin_round(round_idx)
+        dispatched = self._dispatch(round_idx)
+        needed = quorum_target(len(dispatched), self.trainer.config.quorum)
+        self._arrivals = self._await_quorum(round_idx, needed)
+        return [
+            loss
+            for _, client_losses in sorted(self._round_losses)
+            for loss in client_losses
+        ]
 
-            with tracer.span("train", round=round_idx, phase="train") as sp_train:
-                dispatched = self._dispatch(round_idx)
-                needed = quorum_target(len(dispatched), cfg.quorum)
-                arrivals = self._await_quorum(round_idx, needed)
-                trainer.after_local_training(round_idx)
-            virtual_train = self.clock.now() - round_t0
-
-            with tracer.span("aggregate", round=round_idx, phase="aggregate") as sp_agg:
-                new_global = self._aggregate(arrivals)
-                if new_global is not None:
-                    self.global_state = new_global
-                    self.version += 1
-                    self._push_model(new_global)
-                trainer.comm.end_round()
-
-            if reg.enabled:
-                elapsed = self.clock.elapsed
-                if elapsed > 0:
-                    reg.gauge("async.rounds_per_vs").set((round_idx + 1) / elapsed)
-
-            if round_idx % cfg.eval_every == 0:
-                with tracer.span("eval", round=round_idx, phase="eval") as sp_eval:
-                    val_acc = trainer.evaluate("val")
-                    test_acc = trainer.evaluate("test")
-                losses = [
-                    loss
-                    for _, client_losses in sorted(self._round_losses)
-                    for loss in client_losses
-                ]
-                finite = [l for l in losses if np.isfinite(l)]
-                trainer.history.append(
-                    RoundRecord(
-                        round=round_idx,
-                        train_loss=float(np.mean(finite)) if finite else float("nan"),
-                        val_acc=val_acc,
-                        test_acc=test_acc,
-                        uplink_bytes=trainer.comm.stats.uplink_bytes,
-                        downlink_bytes=trainer.comm.stats.downlink_bytes,
-                        # Round duration in *virtual* seconds — what the
-                        # simulated deployment would observe (digest-exempt,
-                        # like every timing field).  Phase timings stay real
-                        # span durations for profiler attribution.
-                        wall_time=self.clock.now() - round_t0,
-                        exchange_time=sp_exchange.duration,
-                        train_time=virtual_train,
-                        agg_time=sp_agg.duration,
-                        eval_time=sp_eval.duration,
-                    )
-                )
-                if verbose:
-                    print(
-                        f"[{trainer.name}] round {round_idx:4d} "
-                        f"loss {trainer.history.records[-1].train_loss:.4f} "
-                        f"val {val_acc:.4f} test {test_acc:.4f}"
-                    )
-                if val_acc > trainer._best_val:
-                    trainer._best_val = val_acc
-                    trainer._best_states = [c.get_state() for c in trainer.clients]
-                    trainer._rounds_since_best = 0
-                else:
-                    trainer._rounds_since_best += cfg.eval_every
-                if trainer._rounds_since_best >= cfg.patience:
-                    return True
-        return False
+    def aggregate(self, round_idx: int) -> None:
+        """Fold this round's arrivals and push the new model to idle clients."""
+        new_global = self._aggregate(self._arrivals)
+        if new_global is not None:
+            self.global_state = new_global
+            self.version += 1
+            self.trainer._distribute(new_global, busy=self._in_flight)
+        reg = get_registry()
+        if reg.enabled:
+            elapsed = self.clock.elapsed
+            if elapsed > 0:
+                reg.gauge("async.rounds_per_vs").set((round_idx + 1) / elapsed)
 
     # ------------------------------------------------------------------
-    # round phases
+    # event queue
     # ------------------------------------------------------------------
-    def _select_participants(self) -> None:
-        """Sample participants, then drop clients still computing.
-
-        The sampler RNG draw happens unconditionally (identical stream to
-        the barrier engine); in-flight clients are then masked out — a
-        busy client cannot start a second computation.  When nobody is in
-        flight the trainer's participant state is byte-identical to the
-        barrier engine's.
-        """
-        trainer = self.trainer
-        trainer._sample_participants()
-        sampled = trainer.participating_clients()
-        idle = [c for c in sampled if c.cid not in self._in_flight]
-        if len(idle) == len(trainer.clients):
-            trainer._participants = None
-        else:
-            trainer._participants = sorted(c.cid for c in idle)
-
     def _dispatch(self, round_idx: int) -> List[object]:
         """Schedule one :class:`PendingReport` per active idle client."""
         trainer = self.trainer
@@ -583,7 +506,6 @@ class AsyncRoundEngine:
     def _complete(self, report: PendingReport) -> Optional[_ClientUpdate]:
         """Run the popped client's local epochs and take its upload."""
         trainer = self.trainer
-        cfg = trainer.config
         injector = trainer.injector
         client = trainer.clients[report.cid]
         tracer = get_tracer()
@@ -593,10 +515,7 @@ class AsyncRoundEngine:
             round=report.round,
             phase="train",
         ):
-            losses = [
-                client.train_step(trainer.local_loss, nan_guard=cfg.nan_guard)
-                for _ in range(cfg.local_epochs)
-            ]
+            losses = trainer._local_epochs(client)
         update: Optional[_ClientUpdate] = None
         if report.crash:
             # Work happened (state and RNG advanced) but the report is
@@ -664,24 +583,3 @@ class AsyncRoundEngine:
                 if stale > 0:
                     reg.counter("async.late_updates").inc()
         return result.new_global
-
-    def _push_model(self, new_global: StateDict) -> None:
-        """Distribute the new global model to every idle client.
-
-        With nobody in flight this is the barrier engine's broadcast
-        (same collective, same metered bytes); otherwise the in-flight
-        clients are skipped — they pull the model when they report.
-        """
-        trainer = self.trainer
-        if not self._in_flight:
-            delivered = trainer.comm.broadcast(new_global, kind=KIND_WEIGHTS)
-            for client, state in zip(trainer.clients, delivered):
-                client.set_state(state)
-            return
-        for client in trainer.clients:
-            if client.cid in self._in_flight:
-                continue
-            state = trainer.comm.send_to_client(
-                client.cid, new_global, kind=KIND_WEIGHTS
-            )
-            client.set_state(state)

@@ -1,4 +1,4 @@
-"""The synchronous federated training loop.
+"""The federated round loop, shared by both round engines.
 
 :class:`FederatedTrainer` implements the three-phase protocol of §3
 (Figure 2): distribute global model → local training → aggregate.
@@ -16,7 +16,10 @@ The loop runs ``max_rounds`` communication rounds with
 ``local_epochs`` optimizer steps per client per round (the paper's
 communication interval of 1 means one local epoch per round), evaluates
 the weighted cross-party accuracy every round, and early-stops on
-validation accuracy with the paper's patience of 200.
+validation accuracy with the paper's patience of 200.  With
+``engine="async"`` the same loop runs and the
+:class:`~repro.federated.async_engine.AsyncRoundEngine` supplies its
+train and aggregate steps.
 """
 
 from __future__ import annotations
@@ -99,12 +102,12 @@ class TrainerConfig:
     # corrupted state.
     sanitize: bool = False
     # ---- round engine (see repro.federated.async_engine) -----------------
-    # "barrier": the synchronous loop below — every round waits for all
-    # its participants.  "async": the event-driven engine on a seeded
-    # virtual clock — the server aggregates once `quorum` of the round's
-    # dispatched clients have reported; late reports fold into later
-    # rounds staleness-weighted.  At quorum=1.0 with no churn the async
-    # engine reproduces the barrier trajectory bitwise.
+    # "barrier": every round waits for all its participants.  "async":
+    # the event-driven engine on a seeded virtual clock — the server
+    # aggregates once `quorum` of the round's dispatched clients have
+    # reported; late reports fold into later rounds staleness-weighted.
+    # At quorum=1.0 with no churn the async engine reproduces the
+    # barrier trajectory bitwise.
     engine: str = "barrier"
     # Fraction of dispatched clients whose uploads a round waits for.
     quorum: float = 1.0
@@ -125,6 +128,8 @@ class TrainerConfig:
             raise ValueError("max_rounds and local_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if not 0.0 < self.participation_rate <= 1.0:
             raise ValueError("participation_rate must be in (0, 1]")
         if self.num_workers < 0:
@@ -238,8 +243,9 @@ class FederatedTrainer:
                     ]
                 )
         self._sync_initial_state()
-        # Built after clients exist (the engine snapshots W₀ lazily) and
-        # before any resume(), which restores the engine's event queue.
+        # Built after the W₀ broadcast (the engine snapshots W₀ as its
+        # global model) and before any resume(), which restores the
+        # engine's event queue.
         if self.config.engine == "async":
             from repro.federated.async_engine import AsyncRoundEngine
 
@@ -339,9 +345,25 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     def _sync_initial_state(self) -> None:
         """Phase 1: broadcast W₀ so every party starts identically."""
-        w0 = self.clients[0].get_state()
-        for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
-            client.set_state(state)
+        self._distribute(self.clients[0].get_state())
+
+    def _distribute(self, state: Dict[str, np.ndarray], busy=()) -> None:
+        """Send a global model to every client not in ``busy`` and install it.
+
+        With nobody busy this is one metered broadcast collective;
+        otherwise each idle client gets its own send, and the busy ones
+        (async reports still in flight) pull the model when they report.
+        """
+        if not busy:
+            delivered = self.comm.broadcast(state, kind=KIND_WEIGHTS)
+            for client, received in zip(self.clients, delivered):
+                client.set_state(received)
+            return
+        for client in self.clients:
+            if client.cid not in busy:
+                client.set_state(
+                    self.comm.send_to_client(client.cid, state, kind=KIND_WEIGHTS)
+                )
 
     def evaluate(self, split: str = "test") -> float:
         """Node-weighted average accuracy across parties."""
@@ -357,6 +379,14 @@ class FederatedTrainer:
             return float("nan")
         return float(np.average(accs, weights=counts))
 
+    def _local_epochs(self, client: Client) -> List[float]:
+        """One client's local epochs this round; its losses in step order."""
+        cfg = self.config
+        return [
+            client.train_step(self.local_loss, nan_guard=cfg.nan_guard)
+            for _ in range(cfg.local_epochs)
+        ]
+
     def _train_participants(self) -> List[float]:
         """Local epochs for every participant; losses in client order.
 
@@ -365,18 +395,10 @@ class FederatedTrainer:
         serial loop's, so results are bitwise reproducible regardless of
         how clients interleave across workers.
         """
-        cfg = self.config
-
-        def local_epochs(client: Client) -> List[float]:
-            return [
-                client.train_step(self.local_loss, nan_guard=cfg.nan_guard)
-                for _ in range(cfg.local_epochs)
-            ]
-
         clients = self.active_clients()
         if self.fault_executor is not None:
             survivors = self.fault_executor.map_surviving(
-                local_epochs,
+                self._local_epochs,
                 clients,
                 span="client.local_train",
                 attrs=lambda c: {"client": c.cid},
@@ -384,7 +406,7 @@ class FederatedTrainer:
             per_client = [losses for _, losses in survivors]
         else:
             per_client = self.executor.map(
-                local_epochs,
+                self._local_epochs,
                 clients,
                 span="client.local_train",
                 attrs=lambda c: {"client": c.cid},
@@ -421,18 +443,13 @@ class FederatedTrainer:
 
     def run(self, verbose: bool = False) -> TrainingHistory:
         """Train until ``max_rounds`` or patience exhaustion; return history."""
-        cfg = self.config
-
         if self.sanitizer is not None:
             self.sanitizer.install()
             # The live registry may have been swapped in (TelemetrySession)
             # after construction; probe whatever is current.
             self.sanitizer.attach_registry(get_registry())
         try:
-            if self.async_engine is not None:
-                self.async_engine.run(verbose)
-            else:
-                self._run_rounds(cfg, verbose)
+            self._run_rounds(verbose)
         finally:
             if self.sanitizer is not None:
                 self.sanitizer.uninstall()
@@ -446,31 +463,60 @@ class FederatedTrainer:
         self.executor.shutdown()
         return self.history
 
-    def _run_rounds(self, cfg: TrainerConfig, verbose: bool) -> None:
-        # Phase timings come from spans: the tracer is the null tracer by
-        # default, whose spans still carry perf_counter timestamps, so the
-        # RoundRecord fields are byte-for-byte the same measurement the old
-        # ad-hoc perf_counter blocks took — telemetry on merely *records*
-        # the same spans to the trace.
+    def _run_rounds(self, verbose: bool) -> None:
+        """Rounds ``_start_round .. max_rounds`` of Algorithm 1, either engine.
+
+        The async engine supplies three steps: it masks clients still in
+        flight out of the sampled participants, its ``train`` dispatches
+        reports and waits for quorum, and its ``aggregate`` folds the
+        arrivals and pushes the model.  Everything else — spans, hooks,
+        evaluation, the history record, early stopping, checkpoints — is
+        this loop's.
+
+        ``wall_time`` and ``train_time`` are read on ``self.clock``: real
+        seconds on a :class:`SystemClock`, simulated seconds on a
+        :class:`VirtualClock` (digest-exempt, like every timing field).
+        The other phase times are span durations, so profiler
+        attribution stays in real seconds.
+        """
+        cfg = self.config
+        engine = self.async_engine
+        clock = self.clock
+        # Schedule-controller yield points (only the model checker
+        # attaches a controller).
+        ctrl = getattr(clock, "controller", None)
         tracer = get_tracer()
+        round_attrs = {"engine": "async"} if engine is not None else {}
         for round_idx in range(self._start_round, cfg.max_rounds):
-            with tracer.span("round", round=round_idx) as sp_round:
+            if ctrl is not None:
+                ctrl.on_yield("async.round", round=round_idx, engine=engine)
+            stop = False
+            with tracer.span("round", round=round_idx, **round_attrs):
+                round_t0 = clock.now()
                 with tracer.span("exchange", round=round_idx, phase="exchange") as sp_exchange:
                     self._sample_participants()
+                    if engine is not None:
+                        engine.mask_in_flight()
                     if self.injector is not None:
                         self.injector.begin_round(round_idx, len(self.clients))
                     self.begin_round(round_idx)
 
-                with tracer.span("train", round=round_idx, phase="train") as sp_train:
-                    losses = self._train_participants()
+                with tracer.span("train", round=round_idx, phase="train"):
+                    train_t0 = clock.now()
+                    if engine is not None:
+                        losses = engine.train(round_idx)
+                    else:
+                        losses = self._train_participants()
                     self.after_local_training(round_idx)
+                    train_time = clock.now() - train_t0
 
                 with tracer.span("aggregate", round=round_idx, phase="aggregate") as sp_agg:
-                    global_state = self.aggregate()
-                    if global_state is not None:
-                        broadcast = self.comm.broadcast(global_state, kind=KIND_WEIGHTS)
-                        for client, state in zip(self.clients, broadcast):
-                            client.set_state(state)
+                    if engine is not None:
+                        engine.aggregate(round_idx)
+                    else:
+                        global_state = self.aggregate()
+                        if global_state is not None:
+                            self._distribute(global_state)
                     self.comm.end_round()
 
                 if round_idx % cfg.eval_every == 0:
@@ -486,9 +532,9 @@ class FederatedTrainer:
                             test_acc=test_acc,
                             uplink_bytes=self.comm.stats.uplink_bytes,
                             downlink_bytes=self.comm.stats.downlink_bytes,
-                            wall_time=sp_eval.t_end - sp_round.t_start,
+                            wall_time=clock.now() - round_t0,
                             exchange_time=sp_exchange.duration,
-                            train_time=sp_train.duration,
+                            train_time=train_time,
                             agg_time=sp_agg.duration,
                             eval_time=sp_eval.duration,
                         )
@@ -505,10 +551,16 @@ class FederatedTrainer:
                         self._rounds_since_best = 0
                     else:
                         self._rounds_since_best += cfg.eval_every
-                    if self._rounds_since_best >= cfg.patience:
-                        self._maybe_checkpoint(round_idx)
-                        return
-                self._maybe_checkpoint(round_idx)
+                    stop = self._rounds_since_best >= cfg.patience
+            self._maybe_checkpoint(round_idx)
+            if ctrl is not None:
+                # Checkpoint boundary: for the async engine the heap,
+                # version and clock are exactly what its state_dict()
+                # serializes — the checker snapshots here to assert
+                # resume equivalence.
+                ctrl.on_yield("async.checkpoint", round=round_idx, engine=engine)
+            if stop:
+                return
 
     # ------------------------------------------------------------------
     def final_test_accuracy(self) -> float:

@@ -3,8 +3,8 @@
 Consumes the JSONL event stream of :mod:`repro.obs` (or a live
 :class:`~repro.obs.TelemetrySession`) and renders the run as text:
 
-* **phase summary** — a ``Timer``-style table (total / calls / mean /
-  p95 when available) over span names;
+* **phase summary** — a table (total / calls / mean / p95 when
+  available) over span names;
 * **round timeline** — sparkline of per-round wall time plus one line
   per phase, the Figure 6-style view of where rounds go;
 * **per-client heat table** — training time per client across rounds,
@@ -50,7 +50,7 @@ def metrics(events: Sequence[dict], name: Optional[str] = None) -> List[dict]:
 
 
 def phase_summary(events: Sequence[dict]) -> str:
-    """Per-span-name totals in the ``profile_sections`` table style."""
+    """Per-span-name totals: total, calls and mean seconds per name."""
     sps = spans(events)
     if not sps:
         return "phase summary: no span events"

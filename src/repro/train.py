@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from repro.experiments.runner import MODEL_NAMES, ModeParams, make_trainer
 from repro.graphs import DATASET_STATS, load_dataset, louvain_partition
 from repro.nn.serialize import save_checkpoint
 from repro.reporting import render_series
-from repro.utils.profiling import Timer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    timer = Timer()
-
     session = None
     if args.profile:
         from repro.obs import ProfileSession
@@ -93,7 +91,8 @@ def main(argv=None) -> int:
             args.telemetry, model=args.model, dataset=args.dataset, seed=args.seed
         )
 
-    with session if session is not None else contextlib.nullcontext(), timer("run"):
+    t0 = time.perf_counter()
+    with session if session is not None else contextlib.nullcontext():
         graph = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
         resolution = (
             args.resolution if args.resolution is not None else paper_resolution(args.dataset)
@@ -125,12 +124,13 @@ def main(argv=None) -> int:
             extra_config={"sanitize": True} if args.sanitize else None,
         )
         history = trainer.run(verbose=args.verbose)
+    run_s = time.perf_counter() - t0
 
     acc = history.final_test_accuracy()
     stats = trainer.comm.stats
     print(
         f"\n{args.model}: test accuracy {100 * acc:.2f}% "
-        f"({len(history)} rounds, {timer.total('run'):.0f}s)"
+        f"({len(history)} rounds, {run_s:.0f}s)"
     )
     print(
         f"traffic: {stats.uplink_bytes / 1e6:.1f} MB up, "
