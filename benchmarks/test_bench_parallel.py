@@ -24,16 +24,16 @@ import numpy as np
 import pytest
 
 from repro.core import FedOMDConfig, FedOMDTrainer
-from repro.experiments.configs import (
-    BENCH_PARALLEL_DATASET,
-    BENCH_PARALLEL_PARTIES,
-    BENCH_PARALLEL_ROUNDS,
-    BENCH_PARALLEL_SCALE,
-    BENCH_PARALLEL_WORKERS,
-)
 from repro.graphs import load_dataset, louvain_partition
-from repro.obs.bench import record as record_bench
 from repro.reporting import write_csv
+
+# The SBM quick config this bench times: enough parties that per-client
+# work dominates the round and the ClientExecutor speedup is measurable.
+BENCH_PARALLEL_DATASET = "cora"
+BENCH_PARALLEL_SCALE = 0.3
+BENCH_PARALLEL_PARTIES = 8
+BENCH_PARALLEL_WORKERS = 4
+BENCH_PARALLEL_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +88,6 @@ def test_bench_parallel_speedup(sbm_parts):
                 ]
             )
     rows.append(["speedup", "", f"{speedup:.4f}", "", "", "", ""])
-    record_bench(
-        "parallel",
-        {
-            "serial_s": round(t_serial, 6),
-            "parallel_s": round(t_parallel, 6),
-            "speedup": round(speedup, 4),
-        },
-        parties=len(sbm_parts),
-        workers=BENCH_PARALLEL_WORKERS,
-    )
     write_csv(
         os.path.join("results", "bench", "parallel_speedup.csv"),
         ["mode", "round", "wall_time", "exchange_time", "train_time", "agg_time", "eval_time"],

@@ -429,20 +429,6 @@ def check(
     }
 
 
-def _merge_bench(path: str, mode: str, metrics: dict) -> None:
-    """Per-mode merge, same convention as ``BENCH_async.json``."""
-    import json
-
-    existing: dict = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            existing = json.load(f)
-    existing[mode] = metrics
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(existing, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.modelcheck",
@@ -477,17 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         metavar="ID",
         help="re-run one schedule id, print its pop trace and digest",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["smoke", "full"],
-        default="smoke",
-        help="bench entry name for --bench-out",
-    )
-    parser.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        help="merge throughput metrics into this BENCH json (per --mode)",
     )
     return parser
 
@@ -527,23 +502,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{result['explore_s']:.2f}s "
         f"({result['per_schedule_s'] * 1e3:.1f} ms/schedule)"
     )
-
-    if args.bench_out:
-        from repro.obs.bench import record as bench_record
-
-        metrics = {
-            "schedules": result["explored"],
-            "per_schedule_s": result["per_schedule_s"],
-            "dpor_kept_ratio": result["dpor_kept_ratio"],
-        }
-        _merge_bench(args.bench_out, args.mode, metrics)
-        bench_record(
-            "modelcheck",
-            {args.mode: metrics},
-            clients=args.clients,
-            rounds=args.rounds,
-            seed=args.seed,
-        )
 
     failed = False
     for sid, digest in result["divergent"]:

@@ -32,16 +32,6 @@ FIG7_DATASETS = ["cora", "citeseer", "computer", "photo"]
 ALPHA_DEFAULT = 0.0005  # the paper's α
 BETA_DEFAULT = 0.01  # calibrated equivalent of the paper's β=10 (see fig6)
 
-# Parallel-execution bench (benchmarks/test_bench_parallel.py): the SBM
-# quick config it times — enough parties that per-client work dominates
-# the round and the ClientExecutor speedup is measurable.
-BENCH_PARALLEL_DATASET = "cora"
-BENCH_PARALLEL_SCALE = 0.3
-BENCH_PARALLEL_PARTIES = 8
-BENCH_PARALLEL_WORKERS = 4
-BENCH_PARALLEL_ROUNDS = 3
-
-
 # Chaos drill (experiments/chaos.py + tests/chaos/): the fault-injection
 # run. 5 parties so every fault kind has room to hit a different client;
 # default plan exercises all four kinds at rates low enough that a

@@ -16,10 +16,11 @@ fault plan and the same seeded latency model:
 
 Both runs advance a :class:`~repro.federated.clock.VirtualClock`, so
 round throughput (rounds per virtual second) is deterministic for a
-given seed — machine load cannot flake the ≥2× acceptance gate.  The
-speedup and both legs' telemetry land in ``BENCH_async.json``
-(per-mode keys, merged so smoke runs don't clobber the committed full
-run) and in the bench history via :func:`repro.obs.bench.record`.
+given seed — machine load cannot flake the ≥2× acceptance gate.
+:func:`measure` returns the speedup and both legs' telemetry;
+:func:`run` renders them as the experiment table, and
+``benchmarks/test_bench_async.py`` gates them against the committed
+``BENCH_async.json``.
 
 Clients train 2-layer GCNs on 16-node graphs: the point is scheduler
 and aggregation load — thousands of dispatches, arrivals, staleness
@@ -28,8 +29,6 @@ corrections — not GNN math.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List, Optional
 
@@ -50,9 +49,6 @@ from repro.experiments.runner import ExperimentResult
 from repro.federated import FaultPlan, FederatedTrainer, TrainerConfig
 from repro.graphs import Graph, class_conditional_features, dc_sbm, semi_supervised_split
 from repro.obs import TelemetrySession, get_registry
-from repro.obs.bench import record as bench_record
-
-BENCH_PATH = "BENCH_async.json"
 
 
 def make_parties(
@@ -110,28 +106,14 @@ def _run_leg(
     }
 
 
-def _merge_bench(path: str, mode: str, metrics: dict) -> None:
-    """Update ``path`` in place, keeping other modes' committed entries."""
-    existing: dict = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            existing = json.load(f)
-    existing[mode] = metrics
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(existing, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-@register("loadtest")
-def run(
-    mode: str = "quick",
-    out_dir: str = "results/quick",
+def measure(
+    mode: str,
     seed: int = 0,
     faults: Optional[str] = None,
     fault_seed: int = 0,
     clients: Optional[int] = None,
-    bench_path: str = BENCH_PATH,
-) -> ExperimentResult:
+) -> dict:
+    """Both legs on the same parties and fault plan, plus their speedup."""
     num_clients = clients if clients is not None else LOADTEST_CLIENTS[mode]
     rounds = LOADTEST_ROUNDS[mode]
     plan = FaultPlan.from_spec(faults or LOADTEST_FAULTS, seed=fault_seed)
@@ -151,7 +133,7 @@ def run(
         legs["async"]["throughput_rounds_per_vsec"]
         / legs["barrier"]["throughput_rounds_per_vsec"]
     )
-    metrics = {
+    return {
         "clients": num_clients,
         "rounds": rounds,
         "faults": plan.describe(),
@@ -159,21 +141,29 @@ def run(
         "async": legs["async"],
         "throughput_speedup": speedup,
     }
-    os.makedirs(out_dir, exist_ok=True)
-    _merge_bench(bench_path, mode, metrics)
-    bench_record("async", {mode: metrics}, mode=mode, clients=num_clients)
 
+
+@register("loadtest")
+def run(
+    mode: str = "quick",
+    out_dir: str = "results/quick",
+    seed: int = 0,
+    faults: Optional[str] = None,
+    fault_seed: int = 0,
+    clients: Optional[int] = None,
+) -> ExperimentResult:
+    metrics = measure(mode, seed, faults, fault_seed, clients)
     result = ExperimentResult(
         name="loadtest",
         headers=["leg", "quorum", "rounds/vsec", "late updates", "test acc"],
         meta={
-            "clients": str(num_clients),
-            "faults": plan.describe(),
-            "throughput_speedup": f"{speedup:.2f}x",
+            "clients": str(metrics["clients"]),
+            "faults": metrics["faults"],
+            "throughput_speedup": f"{metrics['throughput_speedup']:.2f}x",
         },
     )
     for leg_name in ("barrier", "async"):
-        leg = legs[leg_name]
+        leg = metrics[leg_name]
         result.add(
             leg_name,
             f"{leg['quorum']:.2f}",

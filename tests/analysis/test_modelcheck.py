@@ -6,7 +6,6 @@ the injected pop-order fold, checkpoint/resume legs, schedule replay,
 and one pinned interleaving as a seeded regression.
 """
 
-import json
 import math
 
 import pytest
@@ -113,21 +112,6 @@ class TestEquivalence:
         out = capsys.readouterr().out
         assert bad == 2
         assert "DIVERGENT" in out and "--replay" in out
-
-    def test_bench_out_merges_per_mode(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # bench registry side-files stay here
-        bench = tmp_path / "BENCH_modelcheck.json"
-        argv = ["--clients", "3", "--rounds", "1", "--max-schedules", "2",
-                "--resume-checks", "0", "--bench-out", str(bench)]
-        assert mc_main(argv + ["--mode", "smoke"]) == 0
-        assert mc_main(argv + ["--mode", "full"]) == 0
-        capsys.readouterr()
-        payload = json.loads(bench.read_text())
-        assert set(payload) == {"smoke", "full"}
-        for entry in payload.values():
-            assert entry["schedules"] == 2
-            assert entry["per_schedule_s"] > 0
-            assert 0 < entry["dpor_kept_ratio"] <= 1
 
 
 # The concrete interleaving pinned below was produced by
