@@ -12,6 +12,7 @@ from repro.autograd import Tensor, matmul, relu, spmm
 from repro.core.exchange import MomentExchange
 from repro.federated import Communicator
 from repro.gnn import OrthoGCN
+from repro.graphs.csr import CSRMatrix
 from repro.nn import Adam, cross_entropy
 
 RNG = np.random.default_rng(0)
@@ -19,7 +20,9 @@ RNG = np.random.default_rng(0)
 
 def test_bench_spmm_forward_backward(benchmark):
     """The GCN hot path: S̃ @ X with gradient."""
-    s = sp.random(2000, 2000, density=0.003, random_state=0, format="csr")
+    s = CSRMatrix.from_scipy(
+        sp.random(2000, 2000, density=0.003, random_state=0, format="csr")
+    )
     x_data = RNG.standard_normal((2000, 64))
 
     def step():

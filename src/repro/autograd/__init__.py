@@ -18,9 +18,10 @@ Design
   orthogonal networks, CMD losses and the federated baselines are
   implemented, each with gradients checked against finite differences in
   ``tests/autograd``.
-* Sparse matrices (``scipy.sparse``) appear only as *constants* (the
-  normalized adjacency); ``spmm`` differentiates through the dense
-  operand only, which is exactly what GCN training needs.
+* Sparse matrices (a :class:`~repro.graphs.csr.CSRMatrix`) appear only
+  as *constants* (the normalized adjacency); ``spmm`` differentiates
+  through the dense operand only, which is exactly what GCN training
+  needs.
 
 Performance notes (per the HPC guides): all ops are vectorized NumPy;
 gradients reuse buffers where safe; the backward pass allocates one
@@ -38,14 +39,13 @@ from repro.autograd.tensor import (
     ones,
     randn,
 )
-from repro.autograd import backends  # noqa: F401  (kernel dispatch layer)
 from repro.autograd import ops_basic  # noqa: F401  (registers methods)
 from repro.autograd import ops_matmul  # noqa: F401
 from repro.autograd import ops_reduce  # noqa: F401
 from repro.autograd import ops_nn  # noqa: F401
 from repro.autograd import ops_shape  # noqa: F401
 from repro.autograd.ops_basic import maximum
-from repro.autograd.ops_matmul import matmul, spmm, transpose
+from repro.autograd.ops_matmul import get_backend, matmul, spmm, transpose
 from repro.autograd.ops_nn import (
     relu,
     leaky_relu,
@@ -57,12 +57,6 @@ from repro.autograd.ops_nn import (
 )
 from repro.autograd.ops_reduce import sum as tsum, mean as tmean, frobenius_norm, l2_norm
 from repro.autograd.ops_shape import concat, stack, scatter_add
-from repro.autograd.backends import (
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.autograd.gradcheck import gradcheck
 
 __all__ = [
@@ -93,9 +87,6 @@ __all__ = [
     "concat",
     "stack",
     "scatter_add",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "gradcheck",
 ]

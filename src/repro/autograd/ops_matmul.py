@@ -5,18 +5,11 @@ adjacency is a fixed sparse matrix, so only the dense operand needs a
 gradient, and the VJP is a single transposed sparse product
 (``Sᵀ @ grad``) — O(nnz·d), never densified.
 
-Two sparse operand kinds are accepted:
-
-* :class:`~repro.graphs.csr.CSRMatrix` (the fused fast path) — the
-  container carries a pre-transposed reverse-CSR built once per graph,
-  and both products route through the pluggable kernel backend
-  (:mod:`repro.autograd.backends`).
-* raw ``scipy.sparse`` matrices (legacy/ad-hoc callers) — the reverse
-  CSR is built on first backward and cached *on the operand object*, so
-  repeated steps pay the O(nnz) transpose conversion exactly once.  (An
-  earlier version cached it in a per-call closure, which is no cache at
-  all: every forward built a fresh closure and every backward a fresh
-  transpose.)
+The sparse operand is always a :class:`~repro.graphs.csr.CSRMatrix`: the
+container carries a pre-transposed reverse-CSR built once per graph, and
+both products run scipy's compiled CSR kernel on its cached scipy view.
+A raw ``scipy.sparse`` matrix is rejected; wrap it once with
+``CSRMatrix.from_scipy``.
 
 Sparse operands are constants; mutating one after it has been used in
 ``spmm`` invalidates the cached reverse and is unsupported.
@@ -24,8 +17,9 @@ Sparse operands are constants; mutating one after it has been used in
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.autograd import signatures as _signatures
@@ -33,7 +27,13 @@ from repro.obs import cost as _cost
 
 _signatures.expect("matmul", "spmm", "transpose")
 
-_REV_ATTR = "_repro_rev_csr"
+#: The one sparse-product kernel: scipy's compiled CSR × dense product.
+_KERNEL = SimpleNamespace(name="numpy")
+
+
+def get_backend() -> SimpleNamespace:
+    """The sparse-product kernel; its ``name`` is always ``"numpy"``."""
+    return _KERNEL
 
 
 def matmul(a, b) -> Tensor:
@@ -56,45 +56,24 @@ def matmul(a, b) -> Tensor:
     return Tensor._make(out_data, (a, b), backward, "matmul")
 
 
-def _reverse_of(s: sp.spmatrix) -> sp.csr_matrix:
-    """``S.T`` in CSR, built once and cached on the operand object."""
-    rev = getattr(s, _REV_ATTR, None)
-    if rev is None:
-        from repro.autograd import backends
-
-        rev = s.T.tocsr()
-        backends.count_transpose_conversion()
-        try:
-            setattr(s, _REV_ATTR, rev)
-        except AttributeError:  # pragma: no cover - exotic sparse subclass
-            pass
-    return rev
-
-
 def spmm(s, x) -> Tensor:
     """Sparse-constant × dense product ``S @ X``.
 
-    ``S`` — a :class:`~repro.graphs.csr.CSRMatrix` or ``scipy.sparse``
-    matrix — is treated as a constant (the graph's normalized
-    adjacency); the gradient w.r.t. ``X`` is ``Sᵀ @ G`` through the
-    pre-transposed reverse-CSR, never a fresh conversion per step.
+    ``S`` — a :class:`~repro.graphs.csr.CSRMatrix` — is treated as a
+    constant (the graph's normalized adjacency); the gradient w.r.t.
+    ``X`` is ``Sᵀ @ G`` through the pre-transposed reverse-CSR, never a
+    fresh conversion per step.
 
     Operands are validated up front: a shape mismatch raises a clear
-    ``ValueError`` instead of dying inside scipy internals, and
-    non-float64 sparse values are rejected rather than silently
-    promoting/demoting the output dtype.
+    ``ValueError`` instead of dying inside scipy internals.  The
+    container itself refuses non-float64 values at construction, so the
+    output dtype is never silently promoted or demoted.
     """
     x = as_tensor(x)
-    fused = getattr(s, "is_kernel_operator", False)
-    if not fused and not sp.issparse(s):
+    if not _is_sparse_operand(s):
         raise TypeError(
-            "spmm first operand must be a scipy.sparse matrix or CSRMatrix, "
-            f"got {type(s).__name__}"
-        )
-    if s.dtype != np.float64:
-        raise ValueError(
-            f"spmm requires a float64 sparse operand, got dtype {s.dtype}; "
-            "cast S once where it is constructed"
+            "spmm first operand must be a CSRMatrix (wrap a scipy.sparse "
+            f"matrix once with CSRMatrix.from_scipy), got {type(s).__name__}"
         )
     if x.ndim != 2:
         raise ValueError(f"spmm dense operand must be 2-D, got shape {x.shape}")
@@ -105,40 +84,21 @@ def spmm(s, x) -> Tensor:
         )
 
     # spmm reports its own cost (EXPLICIT_OPS): the generic shape hook
-    # only sees the dense parent, not nnz or the kernel backend.
-    if fused:
-        out_data = s.matmul(x.data)
-        cc = _cost._collector
-        if cc is not None:
-            from repro.autograd import backends
+    # only sees the dense parent, not nnz.
+    out_data = s.matmul(x.data)
+    cc = _cost._collector
+    if cc is not None:
+        cc.spmm_op("fwd", s.nnz, x.data, out_data)
 
-            cc.spmm_op("fwd", s.nnz, x.data, out_data, backends.get_backend().name)
-
-        def backward(grad: np.ndarray) -> None:
-            if x.requires_grad:
-                # s.rev is the pre-transposed reverse-CSR, built at most
-                # once per container (eagerly for Graph-owned operators).
-                dx = s.rev.matmul(grad)
-                cc = _cost._collector
-                if cc is not None:
-                    from repro.autograd import backends
-
-                    cc.spmm_op("bwd", s.nnz, grad, dx, backends.get_backend().name)
-                x._accumulate(dx)
-
-    else:
-        out_data = s @ x.data
-        cc = _cost._collector
-        if cc is not None:
-            cc.spmm_op("fwd", s.nnz, x.data, out_data, "scipy")
-
-        def backward(grad: np.ndarray) -> None:
-            if x.requires_grad:
-                dx = _reverse_of(s) @ grad
-                cc = _cost._collector
-                if cc is not None:
-                    cc.spmm_op("bwd", s.nnz, grad, dx, "scipy")
-                x._accumulate(dx)
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            # s.rev is the pre-transposed reverse-CSR, built at most
+            # once per container (eagerly for Graph-owned operators).
+            dx = s.rev.matmul(grad)
+            cc = _cost._collector
+            if cc is not None:
+                cc.spmm_op("bwd", s.nnz, grad, dx)
+            x._accumulate(dx)
 
     return Tensor._make(out_data, (x,), backward, "spmm")
 
@@ -158,7 +118,8 @@ def transpose(a) -> Tensor:
 
 
 def _is_sparse_operand(other) -> bool:
-    return sp.issparse(other) or getattr(other, "is_kernel_operator", False)
+    # Structural check: autograd never imports repro.graphs.
+    return getattr(other, "is_kernel_operator", False)
 
 
 Tensor.__matmul__ = lambda self, other: matmul(self, other)

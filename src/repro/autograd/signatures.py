@@ -36,7 +36,7 @@ FLOAT_BYTES = 8
 SPARSE_ENTRY_BYTES = 12
 
 #: Ops that report their own cost at the op site (they need operand
-#: metadata — nnz, backend — the generic shape-based hook cannot see).
+#: metadata — nnz — the generic shape-based hook cannot see).
 EXPLICIT_OPS = frozenset({"spmm"})
 
 #: Cost kinds.  Forward/backward FLOPs per kind (``out`` the result,

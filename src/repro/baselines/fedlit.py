@@ -36,6 +36,7 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor, no_grad, relu
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
+from repro.graphs.csr import CSRMatrix
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import normalized_adjacency
 from repro.gnn import GCNConv
@@ -85,7 +86,7 @@ class _TypedGCN(Module):
             self.layer1.append(c1)
             self.layer2.append(c2)
 
-    def forward(self, s_list: List[sp.spmatrix], x: Tensor) -> Tensor:
+    def forward(self, s_list: List[CSRMatrix], x: Tensor) -> Tensor:
         h = None
         for s_t, conv in zip(s_list, self.layer1):
             out = conv(s_t, x)
@@ -116,7 +117,7 @@ class FedLITTrainer(FederatedTrainer):
         self.num_types = num_types
         self.recluster_every = recluster_every
         self._rng = np.random.default_rng(seed + 101)
-        self._typed_adjs: List[List[sp.spmatrix]] = []
+        self._typed_adjs: List[List[CSRMatrix]] = []
         self._centroids: List[np.ndarray] = []
         super().__init__(parts, config, seed=seed)
         # Initial clustering uses raw features as embeddings.
@@ -137,13 +138,13 @@ class FedLITTrainer(FederatedTrainer):
         emb = np.concatenate([(eu + ev) / 2.0, np.abs(eu - ev)], axis=1)
         return edges, emb
 
-    def _cluster_edges(self, graph: Graph, h: Optional[np.ndarray]) -> List[sp.spmatrix]:
+    def _cluster_edges(self, graph: Graph, h: Optional[np.ndarray]) -> List[CSRMatrix]:
         """Split the adjacency into per-type normalized adjacencies."""
         n = graph.num_nodes
         coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
         if coo.nnz == 0:
             # Degenerate party: every type gets the (empty) adjacency.
-            s = normalized_adjacency(graph.adj)
+            s = graph.s_op
             self._centroids.append(np.zeros((self.num_types, 2 * (h.shape[1] if h is not None else graph.num_features))))
             return [s] * self.num_types
         edges, emb = self._edge_embeddings(graph, h)
@@ -157,7 +158,7 @@ class FedLITTrainer(FederatedTrainer):
                 (np.ones(mask.sum()), (rows, cols)), shape=(n, n)
             )
             a = (a + a.T).tocsr()
-            adjs.append(normalized_adjacency(a))
+            adjs.append(CSRMatrix.from_scipy(normalized_adjacency(a)))
         return adjs
 
     def begin_round(self, round_idx: int) -> None:

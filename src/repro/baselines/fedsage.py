@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from repro.autograd import Tensor, no_grad, relu
 from repro.federated.server import fedavg
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
-from repro.graphs.csr import CSRMatrix, SparseOperand
+from repro.graphs.csr import CSRMatrix
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import row_normalized_adjacency
 from repro.nn import Adam, Linear, mse_loss
@@ -61,13 +61,13 @@ class NeighGen(Module):
         self.deg_head = Linear(hidden, 1, rng=rng)
         self.feat_head = Linear(hidden, in_features, rng=rng)
 
-    def encode(self, mean_adj: SparseOperand, x: Tensor) -> Tensor:
+    def encode(self, mean_adj: CSRMatrix, x: Tensor) -> Tensor:
         from repro.autograd import concat, spmm
 
         agg = spmm(mean_adj, x)
         return relu(self.enc(concat([x, agg], axis=1)))
 
-    def forward(self, mean_adj: SparseOperand, x: Tensor):
+    def forward(self, mean_adj: CSRMatrix, x: Tensor):
         h = self.encode(mean_adj, x)
         missing_deg = relu(self.deg_head(h))  # non-negative counts
         feats = self.feat_head(h)

@@ -9,7 +9,7 @@ import numpy as np
 from repro.autograd import Tensor, matmul, spmm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.csr import SparseOperand
+    from repro.graphs.csr import CSRMatrix
 from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
 
@@ -21,8 +21,7 @@ class GCNConv(Module):
     passed at call time so one layer instance can serve any subgraph —
     the federated clients all share the layer *shape* but own different
     propagation matrices.  Pass the graph's cached
-    :class:`~repro.graphs.csr.CSRMatrix` (``graph.s_op``) for the fused
-    kernel path; raw ``scipy.sparse`` matrices are also accepted.
+    :class:`~repro.graphs.csr.CSRMatrix` (``graph.s_op``).
 
     The multiply order ``S̃ (Z W)`` (transform then propagate) costs
     O(n·d_in·d_out + nnz·d_out); the other order would pay
@@ -47,7 +46,7 @@ class GCNConv(Module):
         self.weight = Parameter(init_mod.get(init)(in_features, out_features, gen))
         self.bias = Parameter(init_mod.zeros(out_features)) if bias else None
 
-    def forward(self, s_norm: "SparseOperand", z: Tensor) -> Tensor:
+    def forward(self, s_norm: "CSRMatrix", z: Tensor) -> Tensor:
         if self.out_features <= self.in_features:
             out = spmm(s_norm, matmul(z, self.weight))
         else:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.autograd import Tensor, matmul, spmm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.csr import SparseOperand
+    from repro.graphs.csr import CSRMatrix
 from repro.autograd.ops_reduce import frobenius_norm
 from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
@@ -94,7 +94,7 @@ class OrthoConv(Module):
         """W̃ = √d_h · W / ‖W‖_F (differentiable)."""
         return self.weight * (self._scale / frobenius_norm(self.weight))
 
-    def forward(self, s_norm: "SparseOperand", z: Tensor) -> Tensor:
+    def forward(self, s_norm: "CSRMatrix", z: Tensor) -> Tensor:
         return spmm(s_norm, matmul(z, self.normalized_weight()))
 
     def project_orthogonal(self, iterations: int = 8) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 from repro.autograd import Tensor, concat, matmul, spmm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.csr import SparseOperand
+    from repro.graphs.csr import CSRMatrix
 from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
 
@@ -18,8 +18,8 @@ class SAGEConv(Module):
     """GraphSAGE-mean: ``Z' = [Z ‖ mean_N(Z)] W + b``.
 
     ``mean_N`` is the row-normalized (A+I) product, supplied by the
-    caller as a constant sparse matrix (see
-    :func:`repro.graphs.laplacian.row_normalized_adjacency`).
+    caller as a constant :class:`~repro.graphs.csr.CSRMatrix` (the
+    graph's ``mean_op``).
     Self and neighbor representations are concatenated as in Hamilton
     et al. (2017), giving the layer twice the input width.
     """
@@ -40,7 +40,7 @@ class SAGEConv(Module):
         self.weight = Parameter(init_mod.xavier_uniform(2 * in_features, out_features, gen))
         self.bias = Parameter(init_mod.zeros(out_features)) if bias else None
 
-    def forward(self, mean_adj: "SparseOperand", z: Tensor) -> Tensor:
+    def forward(self, mean_adj: "CSRMatrix", z: Tensor) -> Tensor:
         agg = spmm(mean_adj, z)
         out = matmul(concat([z, agg], axis=1), self.weight)
         if self.bias is not None:

@@ -14,20 +14,58 @@ conversion and reinterpreted as the CSR of Sᵀ — bitwise identical to
 the ``S.T.tocsr()`` the old code computed per call, so swapping the
 substrate in cannot move the golden training digests.
 
-The actual sparse × dense products are dispatched through
-:mod:`repro.autograd.backends` (NumPy/scipy default, optional numba JIT
-behind ``REPRO_KERNEL_BACKEND``); :func:`repro.autograd.spmm` consumes
-the container as a fused autograd op.
+Both products run scipy's compiled CSR kernel on the container's cached
+scipy view; :func:`repro.autograd.spmm` consumes the container as a
+fused autograd op and accepts no other sparse operand.
+
+This module also owns the transpose-conversion counter: every reverse
+(Sᵀ) CSR materialization reports here, which is how the regression
+suite asserts the "build the transpose once per graph" contract instead
+of trusting a comment.
 """
 
 from __future__ import annotations
 
-from typing import Union
+import threading
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import backends
+from repro.obs.metrics import Counter, get_registry
+
+# The transpose-conversion meter is a real (always-on, lock-guarded)
+# metrics Counter rather than a bare int: when a telemetry session is
+# live the count also mirrors into its registry, so the JSONL trace
+# carries it alongside the csr-cache metrics.  Resets never touch the
+# monotonic instrument — they move the subtraction base.
+_transpose_conversions = Counter("kernel.transpose_conversions")
+_lock = threading.Lock()
+_reset_base = 0  # guarded-by(_lock)
+
+
+def _count_transpose_conversion() -> None:
+    """Record one materialized Sᵀ CSR."""
+    _transpose_conversions.inc()
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter("kernel.transpose_conversions").inc()
+
+
+def transpose_conversion_count() -> int:
+    """Reverse-CSR conversions built process-wide since the last reset."""
+    total = int(_transpose_conversions.value)
+    with _lock:
+        return total - _reset_base
+
+
+def reset_transpose_conversion_count() -> int:
+    """Rebase the conversion counter; returns the count since last reset."""
+    global _reset_base
+    total = int(_transpose_conversions.value)
+    with _lock:
+        prev = total - _reset_base
+        _reset_base = total
+    return prev
 
 
 class CSRMatrix:
@@ -106,7 +144,7 @@ class CSRMatrix:
         reverse's reverse is this container — round trips are free.
         """
         csc = self.to_scipy().tocsc()
-        backends.count_transpose_conversion()
+        _count_transpose_conversion()
         rev = CSRMatrix(csc.data, csc.indices, csc.indptr, (self.shape[1], self.shape[0]))
         rev._rev = self
         self._rev = rev
@@ -143,8 +181,8 @@ class CSRMatrix:
     # products
     # ------------------------------------------------------------------
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """Dense product ``S @ x`` through the active kernel backend."""
-        return backends.get_backend().spmm(self, x)
+        """Dense product ``S @ x`` (scipy's compiled CSR kernel)."""
+        return self.to_scipy() @ x
 
     def rev_matmul(self, grad: np.ndarray) -> np.ndarray:
         """``Sᵀ @ grad`` via the cached reverse-CSR (the backward product)."""
@@ -173,7 +211,3 @@ class CSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rev = "cached" if self._rev is not None else "unbuilt"
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, rev={rev})"
-
-
-#: What ``spmm`` and the conv layers accept as the propagation operator.
-SparseOperand = Union[sp.spmatrix, CSRMatrix]

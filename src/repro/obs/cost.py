@@ -37,9 +37,8 @@ per stored entry) in both directions.
 Attribution: each recorded cost lands in tag-keyed registry counters
 ``cost.flops`` / ``cost.bytes`` with the dimensions the profiler reports
 over — ``op``, ``dir`` (``fwd``/``bwd``), ``phase`` and ``client`` read
-from the active trace span, ``layer`` from the innermost
-:meth:`CostCollector.layer` scope (entered by ``nn.Module.__call__``),
-and ``backend`` (spmm only: the active kernel backend).
+from the active trace span, and ``layer`` from the innermost
+:meth:`CostCollector.layer` scope (entered by ``nn.Module.__call__``).
 
 The collector is ``None`` by default — the hot paths in
 :mod:`repro.autograd.tensor` and :mod:`repro.autograd.ops_matmul` pay a
@@ -111,17 +110,15 @@ class CostCollector:
         return phase, client
 
     # -- recording ---------------------------------------------------------
-    def _counters(self, op: str, direction: str, backend: str):
+    def _counters(self, op: str, direction: str):
         phase, client = self._span_tags()
-        key = (op, direction, phase, client, self._layer(), backend)
+        key = (op, direction, phase, client, self._layer())
         with self._lock:
             pair = self._cache.get(key)
             if pair is None:
                 tags = dict(
                     op=key[0], dir=key[1], phase=key[2], client=key[3], layer=key[4]
                 )
-                if backend != "-":
-                    tags["backend"] = backend
                 pair = (
                     self.registry.counter("cost.flops", **tags),
                     self.registry.counter("cost.bytes", **tags),
@@ -129,11 +126,9 @@ class CostCollector:
                 self._cache[key] = pair
         return pair
 
-    def record(
-        self, op: str, direction: str, flops: int, bytes_moved: int, backend: str = "-"
-    ) -> None:
+    def record(self, op: str, direction: str, flops: int, bytes_moved: int) -> None:
         """Accumulate one op's cost under the active attribution tags."""
-        flops_c, bytes_c = self._counters(op, direction, backend)
+        flops_c, bytes_c = self._counters(op, direction)
         flops_c.inc(int(flops))
         bytes_c.inc(int(bytes_moved))
 
@@ -159,14 +154,13 @@ class CostCollector:
         moved = _sig.backward_bytes(node.data, grad_datas)
         self.record(op, "bwd", flops, moved)
 
-    def spmm_op(self, direction: str, nnz: int, dense, out, backend: str) -> None:
+    def spmm_op(self, direction: str, nnz: int, dense, out) -> None:
         """Exact SpMM cost (called from the ``spmm`` op site, fwd and bwd)."""
         self.record(
             "spmm",
             direction,
             spmm_flops(int(nnz), int(dense.shape[1])),
             spmm_bytes(int(nnz), int(dense.nbytes), int(out.nbytes)),
-            backend=backend,
         )
 
 

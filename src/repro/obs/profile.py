@@ -172,7 +172,7 @@ class ProfileSession:
 
     Either path may be ``None`` to skip that output; :meth:`report`
     renders the run report (phase costs, arithmetic intensity, top
-    frames, backend attribution) from the captured events.
+    frames, memory high-water) from the captured events.
     """
 
     def __init__(

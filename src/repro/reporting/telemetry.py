@@ -233,33 +233,6 @@ def cost_summary(events: Sequence[dict]) -> str:
     )
 
 
-def backend_attribution(events: Sequence[dict]) -> str:
-    """SpMM FLOPs split by kernel backend and direction."""
-    evs = [e for e in metrics(events, "cost.flops") if e.get("tags", {}).get("backend")]
-    if not evs:
-        return ""
-    table: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    for e in evs:
-        tags = e["tags"]
-        table[str(tags["backend"])][str(tags.get("dir", "-"))] += e["value"]
-    rows = []
-    for backend in sorted(table):
-        t = table[backend]
-        rows.append(
-            [
-                backend,
-                f"{int(t.get('fwd', 0)):,}",
-                f"{int(t.get('bwd', 0)):,}",
-                f"{int(sum(t.values())):,}",
-            ]
-        )
-    return ascii_table(
-        ["backend", "fwd_flops", "bwd_flops", "total_flops"],
-        rows,
-        title="== spmm backend attribution ==",
-    )
-
-
 def memory_summary(events: Sequence[dict]) -> str:
     """Per-phase allocation high-water marks (``--profile`` with memory on)."""
     gauges = metrics(events, "profile.mem_peak_bytes")
@@ -306,7 +279,6 @@ def render_run_report(events: Sequence[dict]) -> str:
     ]
     for optional in (
         cost_summary(events),
-        backend_attribution(events),
         memory_summary(events),
         top_frames_section(events),
         queue_wait_summary(events),

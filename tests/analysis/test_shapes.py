@@ -1,7 +1,7 @@
 """Concrete trace check of the model zoo.
 
 Every model runs one real forward and backward pass on two tiny DC-SBM
-graphs of different size, on every available kernel backend, inside
+graphs of different size, inside
 
 * ``SanitizerSession()`` — dtype drift, non-finite values and in-place
   mutation of a captured input raise, and
@@ -22,7 +22,6 @@ import pytest
 
 from repro.analysis.sanitize import SanitizerSession
 from repro.autograd import Tensor
-from repro.autograd.backends import use_backend
 from repro.autograd.signatures import matmul_flops, spmm_flops
 from repro.graphs.data import Graph
 from repro.graphs.sbm import dc_sbm
@@ -31,21 +30,6 @@ from repro.obs import cost
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-
-def _have_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "numba", marks=pytest.mark.skipif(not _have_numba(), reason="numba not installed")
-    ),
-]
 
 # ----------------------------------------------------------------------
 # the model table
@@ -98,7 +82,7 @@ INPUTS = {
     "sparse_h": lambda g, h: (g.s_op, h),
     "mean_x": lambda g, h: (g.mean_op, Tensor(g.x)),
     "edges_x": lambda g, h: (g.edge_index, Tensor(g.x)),
-    "slist_x": lambda g, h: ([g.s_norm, g.s_norm], Tensor(g.x)),
+    "slist_x": lambda g, h: ([g.s_op, g.s_op], Tensor(g.x)),
 }
 
 #: Two graphs that differ in every dimension.  ``d_hidden`` lies between
@@ -146,10 +130,10 @@ def build(name, g, dims):
     return model, INPUTS[inputs](g, h)
 
 
-def trace(model, args, backend="numpy"):
+def trace(model, args):
     """One sanitized, cost-collected forward + backward; (outputs, registry)."""
     registry = MetricsRegistry()
-    with SanitizerSession(), cost.collecting(registry, Tracer()), use_backend(backend):
+    with SanitizerSession(), cost.collecting(registry, Tracer()):
         out = model(*args)
         outputs = out if isinstance(out, tuple) else (out,)
         for t in outputs:
@@ -170,14 +154,13 @@ def measured_flops(registry):
 # ----------------------------------------------------------------------
 # shapes, sanitizers, pricing
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SPECS), ids=sorted(SPECS))
-def test_derived_shapes_match_real_forward(name, backend, graphs):
+def test_derived_shapes_match_real_forward(name, graphs):
     """The table's output shapes, evaluated at each graph's dims, equal
     the real forward's; the sanitized backward runs and every op is priced."""
     for g, dims in graphs:
         model, args = build(name, g, dims)
-        outputs, registry = trace(model, args, backend)
+        outputs, registry = trace(model, args)
         expected = [tuple(dims.get(d, d) for d in shape) for shape in SPECS[name][3]]
         assert [t.shape for t in outputs] == expected
         recorded = {ev["tags"]["dir"] for ev in registry.events() if ev["name"] == "cost.flops"}

@@ -25,6 +25,7 @@ from repro.autograd.ops_basic import add, sub, mul, div, neg, power, exp, log, s
 from repro.autograd.ops_matmul import transpose
 from repro.autograd.ops_reduce import sum as tsum, mean as tmean, max as tmax
 from repro.autograd.ops_shape import reshape, getitem
+from repro.graphs.csr import CSRMatrix
 
 RNG = np.random.default_rng(42)
 
@@ -160,43 +161,40 @@ class TestMatmul:
         assert a.T.shape == (5, 3)
 
     def test_spmm_gradcheck(self):
-        s = sp.random(6, 6, density=0.4, random_state=7, format="csr")
+        s = CSRMatrix.from_scipy(sp.random(6, 6, density=0.4, random_state=7, format="csr"))
         x = rand_t(6, 3)
         assert gradcheck(lambda t: (spmm(s, t) ** 2).sum(), [x])
 
     def test_spmm_value_matches_dense(self):
         s = sp.random(5, 5, density=0.5, random_state=3, format="csr")
         x = rand_t(5, 4, requires_grad=False)
-        np.testing.assert_allclose(spmm(s, x).data, s.toarray() @ x.data)
+        out = spmm(CSRMatrix.from_scipy(s), x)
+        np.testing.assert_allclose(out.data, s.toarray() @ x.data)
 
     def test_spmm_rejects_dense_first_arg(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="CSRMatrix.from_scipy"):
             spmm(np.eye(3), rand_t(3, 2))
 
-    def test_sparse_rmatmul_dispatch(self):
-        s = sp.identity(4, format="csr")
-        x = rand_t(4, 2, requires_grad=False)
-        y = s @ x.data  # sanity: scipy result
-        np.testing.assert_allclose((s @ x.data), y)
+    def test_spmm_rejects_raw_scipy_operand(self):
+        with pytest.raises(TypeError, match="CSRMatrix.from_scipy"):
+            spmm(sp.identity(3, format="csr"), rand_t(3, 2))
 
     def test_spmm_shape_mismatch_is_clear(self):
-        s = sp.identity(3, format="csr")
+        s = CSRMatrix.from_scipy(sp.identity(3, format="csr"))
         with pytest.raises(ValueError, match="shape mismatch"):
             spmm(s, rand_t(4, 2))
 
     def test_spmm_rejects_non_2d_dense(self):
-        s = sp.identity(3, format="csr")
+        s = CSRMatrix.from_scipy(sp.identity(3, format="csr"))
         with pytest.raises(ValueError, match="2-D"):
             spmm(s, Tensor(np.ones(3), requires_grad=True))
 
     def test_spmm_rejects_non_float64_sparse(self):
         s = sp.identity(3, format="csr", dtype=np.float32)
         with pytest.raises(ValueError, match="float64"):
-            spmm(s, rand_t(3, 2))
+            spmm(CSRMatrix.from_scipy(s), rand_t(3, 2))
 
     def test_spmm_csr_container_gradcheck(self):
-        from repro.graphs.csr import CSRMatrix
-
         s = CSRMatrix.from_scipy(
             sp.random(6, 6, density=0.4, random_state=7, format="csr")
         )
@@ -204,23 +202,20 @@ class TestMatmul:
         assert gradcheck(lambda t: (spmm(s, t) ** 2).sum(), [x])
 
     def test_spmm_csr_container_matches_scipy_path_bitwise(self):
-        from repro.graphs.csr import CSRMatrix
-
         s_sp = sp.random(8, 8, density=0.3, random_state=5, format="csr")
         s = CSRMatrix.from_scipy(s_sp)
-        x1, x2 = rand_t(8, 4), rand_t(8, 4)
-        x2.data[...] = x1.data
+        x = rand_t(8, 4)
+        g = np.random.default_rng(9).standard_normal((8, 4))
 
-        out_sp = spmm(s_sp, x1)
-        out_csr = spmm(s, x2)
-        assert np.array_equal(out_sp.data, out_csr.data)
-        out_sp.sum().backward()
-        out_csr.sum().backward()
-        assert np.array_equal(x1.grad, x2.grad)
+        out = spmm(s, x)
+        out.backward(g)
+        # Bitwise against scipy's own products, close to the dense ones.
+        assert np.array_equal(out.data, s_sp @ x.data)
+        assert np.array_equal(x.grad, s_sp.T.tocsr() @ g)
+        np.testing.assert_allclose(out.data, s_sp.toarray() @ x.data)
+        np.testing.assert_allclose(x.grad, s_sp.T.toarray() @ g)
 
     def test_spmm_csr_container_rmatmul(self):
-        from repro.graphs.csr import CSRMatrix
-
         s = CSRMatrix.from_scipy(sp.identity(4, format="csr"))
         x = rand_t(4, 2, requires_grad=False)
         np.testing.assert_allclose((s @ x).data, x.data)

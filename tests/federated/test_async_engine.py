@@ -3,11 +3,10 @@
 The async engine's deterministic mode — every client reporting, quorum
 1.0 — is designed to take the *identical* float operations the barrier
 loop takes: same participant RNG draw, same client-id aggregation
-order, same ``fedavg`` call, same broadcast.  This suite pins that
-design bitwise, against the same ``GOLDEN_DIGEST`` the barrier engine
-is pinned to, and in every operational variant (serial, parallel
-executor, sanitizers armed, profiler on).  Any divergence between the
-engines from now on is a loud digest flip, not a silent drift.
+order, same ``fedavg`` call, same broadcast.  The FedOMD golden digest
+is pinned for both engines in every operational variant by the
+determinism matrix in ``test_golden_history.py``; this suite pins the
+plain FedAvg trainer's final weights and metered traffic bitwise.
 
 Construction-time validation rides along: the engine refuses wall
 clocks and trainers whose custom ``aggregate`` it cannot replay.
@@ -16,10 +15,8 @@ clocks and trainers whose custom ``aggregate`` it cannot replay.
 import numpy as np
 import pytest
 
-from repro.core import FedOMDConfig, FedOMDTrainer
 from repro.federated import FederatedTrainer, SystemClock, TrainerConfig, VirtualClock
 from repro.graphs import load_dataset, louvain_partition
-from tests.federated.test_golden_history import GOLDEN_DIGEST, digest
 
 
 @pytest.fixture(scope="module")
@@ -28,36 +25,7 @@ def parts():
     return louvain_partition(g, 3, np.random.default_rng(0)).parts
 
 
-def golden_async_history(parts, **overrides):
-    cfg = FedOMDConfig(
-        max_rounds=3, patience=50, hidden=16, engine="async", **overrides
-    )
-    return FedOMDTrainer(parts, cfg, seed=0).run()
-
-
 class TestGoldenEquivalence:
-    def test_async_full_quorum_matches_golden_digest(self, parts):
-        assert digest(golden_async_history(parts)) == GOLDEN_DIGEST
-
-    def test_async_parallel_matches_golden_digest(self, parts):
-        assert digest(golden_async_history(parts, num_workers=3)) == GOLDEN_DIGEST
-
-    def test_async_sanitized_matches_golden_digest(self, parts):
-        # --sanitize arms the per-client protocol lattice; it must
-        # observe without perturbing a single bit.
-        assert digest(golden_async_history(parts, sanitize=True)) == GOLDEN_DIGEST
-
-    def test_async_profiled_matches_golden_digest(self, parts, tmp_path):
-        from repro.obs import ProfileSession
-
-        session = ProfileSession(
-            jsonl_path=None, folded_path=str(tmp_path / "profile.folded")
-        )
-        with session:
-            hist = golden_async_history(parts)
-        assert digest(hist) == GOLDEN_DIGEST
-        assert (tmp_path / "profile.folded").exists()
-
     def test_base_trainer_histories_and_weights_identical(self, parts):
         # Beyond the metric digest: the final client weights themselves
         # must be equal to the bit, for the plain FedAvg trainer too.

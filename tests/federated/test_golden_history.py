@@ -12,12 +12,20 @@ Metrics are hashed *formatted to 10 significant digits*, not as raw
 bytes: real regressions move metrics by far more than 1e-10 relative,
 while the formatting absorbs sub-ulp differences between BLAS builds.
 
+The determinism matrix replays the same run across every operational
+axis that must not move a bit: engine (barrier, async at quorum 1.0) ×
+executor workers (1, 4) × instrumentation (plain, runtime sanitizers
+armed, inside a ``ProfileSession``).  Every cell must give the golden
+digest.
+
 If a change is *intended* to alter the trajectory (a new default, a
 fixed bug in the math), re-record GOLDEN_DIGEST by running the helper
 at the bottom of this file and explain the change in the commit.
 """
 
+import contextlib
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -28,10 +36,10 @@ from repro.graphs import load_dataset, louvain_partition
 GOLDEN_DIGEST = "27998bfd3a04088291d7b2ad8d421dddd3e29222ce11d519282218be2849a38b"
 
 
-def golden_history():
+def golden_history(**overrides):
     g = load_dataset("cora", seed=0, scale=0.12)
     parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
-    cfg = FedOMDConfig(max_rounds=3, patience=50, hidden=16)
+    cfg = FedOMDConfig(max_rounds=3, patience=50, hidden=16, **overrides)
     return FedOMDTrainer(parts, cfg, seed=0).run()
 
 
@@ -52,6 +60,27 @@ def test_golden_trajectory_unchanged():
 def test_golden_run_is_reproducible():
     # The digest is only meaningful if the run itself is deterministic.
     assert digest(golden_history()) == digest(golden_history())
+
+
+ENGINES = {"barrier": {}, "async": {"engine": "async", "quorum": 1.0}}
+MODES = ("plain", "sanitized", "profiled")
+
+
+@pytest.mark.parametrize(
+    "engine,num_workers,mode",
+    list(itertools.product(ENGINES, (1, 4), MODES)),
+    ids=lambda v: f"w{v}" if isinstance(v, int) else v,
+)
+def test_golden_digest_matrix(engine, num_workers, mode):
+    from repro.obs import ProfileSession
+
+    overrides = dict(ENGINES[engine], num_workers=num_workers)
+    if mode == "sanitized":
+        overrides["sanitize"] = True
+    session = ProfileSession() if mode == "profiled" else contextlib.nullcontext()
+    with session:
+        history = golden_history(**overrides)
+    assert digest(history) == GOLDEN_DIGEST
 
 
 if __name__ == "__main__":  # pragma: no cover — digest re-recording helper

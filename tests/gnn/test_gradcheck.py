@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from repro.autograd import Tensor, gradcheck
 from repro.gnn.gat_conv import GATConv
 from repro.gnn.ortho import OrthoConv
+from repro.graphs.csr import CSRMatrix
 from repro.nn import orthogonality_loss
 
 RNG = np.random.default_rng(42)
@@ -31,7 +32,7 @@ def small_graph(n=6):
 class TestOrthoConvGradcheck:
     def test_wrt_input(self):
         conv = OrthoConv(4, rng=np.random.default_rng(0))
-        s = small_graph()
+        s = CSRMatrix.from_scipy(small_graph())
         z = Tensor(RNG.standard_normal((6, 4)), requires_grad=True)
         assert gradcheck(lambda t: (conv.forward(s, t) ** 2).sum(), [z])
 
@@ -39,7 +40,7 @@ class TestOrthoConvGradcheck:
         # Gradients must flow through W̃ = √d·W/‖W‖_F (the quotient), not
         # just the matmul.
         conv = OrthoConv(4, rng=np.random.default_rng(0))
-        s = small_graph()
+        s = CSRMatrix.from_scipy(small_graph())
         z = Tensor(RNG.standard_normal((6, 4)))
         assert gradcheck(lambda w: (conv.forward(s, z) ** 2).sum(), [conv.weight])
 

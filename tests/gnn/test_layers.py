@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor, gradcheck
 from repro.gnn import GCNConv, OrthoConv, SAGEConv, newton_schulz_orthogonalize
+from repro.graphs.csr import CSRMatrix
 from repro.graphs.laplacian import normalized_adjacency, row_normalized_adjacency
 
 RNG = np.random.default_rng(11)
@@ -15,7 +16,7 @@ def ring_s_norm(n=8):
     import networkx as nx
 
     adj = sp.csr_matrix(nx.to_scipy_sparse_array(nx.cycle_graph(n), format="csr").astype(float))
-    return normalized_adjacency(adj), adj
+    return CSRMatrix.from_scipy(normalized_adjacency(adj)), adj
 
 
 class TestGCNConv:
@@ -147,7 +148,7 @@ class TestOrthoConv:
 
     def test_norm_preservation_when_orthogonal(self):
         # With orthogonal W̃ and no propagation (identity S), row norms hold.
-        s = sp.identity(6, format="csr")
+        s = CSRMatrix.from_scipy(sp.identity(6, format="csr"))
         layer = OrthoConv(4, init="orthogonal", rng=np.random.default_rng(4))
         x = RNG.standard_normal((6, 4))
         out = layer(s, Tensor(x)).data
@@ -170,7 +171,7 @@ class TestOrthoConv:
 class TestSAGEConv:
     def test_output_shape(self):
         _, adj = ring_s_norm(8)
-        m = row_normalized_adjacency(adj)
+        m = CSRMatrix.from_scipy(row_normalized_adjacency(adj))
         conv = SAGEConv(5, 3, rng=np.random.default_rng(0))
         out = conv(m, Tensor(RNG.standard_normal((8, 5))))
         assert out.shape == (8, 3)
@@ -181,7 +182,7 @@ class TestSAGEConv:
 
     def test_gradcheck(self):
         _, adj = ring_s_norm(6)
-        m = row_normalized_adjacency(adj)
+        m = CSRMatrix.from_scipy(row_normalized_adjacency(adj))
         conv = SAGEConv(3, 2, rng=np.random.default_rng(1))
         x = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
         assert gradcheck(lambda t: (conv(m, t) ** 2).sum(), [x])
@@ -189,7 +190,7 @@ class TestSAGEConv:
     def test_constant_features_fixed(self):
         # Constant features: self == neighbor mean, output constant rows.
         _, adj = ring_s_norm(6)
-        m = row_normalized_adjacency(adj)
+        m = CSRMatrix.from_scipy(row_normalized_adjacency(adj))
         conv = SAGEConv(2, 2, rng=np.random.default_rng(2))
         out = conv(m, Tensor(np.ones((6, 2)))).data
         np.testing.assert_allclose(out - out[0], np.zeros_like(out), atol=1e-12)

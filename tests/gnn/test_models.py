@@ -10,6 +10,7 @@ from repro.autograd import Tensor, no_grad, relu
 from repro.gnn import GCN, MLP, SAGE, SGC, OrthoGCN
 from repro.gnn.models import GAT
 from repro.graphs import load_dataset
+from repro.graphs.csr import CSRMatrix
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import row_normalized_adjacency
 from repro.nn import Adam, accuracy, cross_entropy
@@ -226,7 +227,7 @@ class TestOperatorCacheIdentity:
             star = _toy_graph(STAR_EDGES)
         with no_grad():
             got = model(star).data
-            m = row_normalized_adjacency(star.adj)
+            m = CSRMatrix.from_scipy(row_normalized_adjacency(star.adj))
             h = relu(model.conv1(m, Tensor(star.x)))
             want = model.conv2(m, h).data
         np.testing.assert_allclose(got, want)

@@ -5,8 +5,7 @@ The headline regression here is the spmm transpose-cache bug: the old
 variable was fresh on every forward call, so every training step paid a
 full O(nnz) sparse conversion per layer.  These tests pin the fixed
 contract — *exactly one* transpose conversion per graph operator across
-an entire multi-round training run, on both the fused container path and
-the legacy raw-scipy path.
+an entire multi-round training run.
 """
 
 import copy
@@ -15,12 +14,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.autograd import Tensor, spmm
-from repro.autograd.backends import (
+from repro.graphs import CSRMatrix, Graph
+from repro.graphs.csr import (
     reset_transpose_conversion_count,
     transpose_conversion_count,
 )
-from repro.graphs import CSRMatrix, Graph
 from repro.nn import Adam, cross_entropy
 
 
@@ -160,17 +158,6 @@ class TestTransposeCacheRegression:
         self._train("gcn", graph)
         self._train("sage", graph)
         assert transpose_conversion_count() == 2
-
-    def test_legacy_scipy_path_converts_once(self):
-        # Raw scipy operands (no CSRMatrix) cache the reverse on the
-        # operand object: many forward/backward rounds, one conversion.
-        s = _random_csr(seed=9)
-        reset_transpose_conversion_count()
-        for _ in range(7):
-            x = Tensor(np.random.default_rng(0).standard_normal((30, 3)), requires_grad=True)
-            (spmm(s, x) ** 2).sum().backward()
-            assert x.grad is not None
-        assert transpose_conversion_count() == 1
 
     def test_fresh_graphs_convert_independently(self):
         reset_transpose_conversion_count()

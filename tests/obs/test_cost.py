@@ -101,11 +101,11 @@ class TestSpmm:
         )
         return CSRMatrix.from_scipy(s)  # nnz = 5
 
-    def test_forward_exact_with_backend_tag(self, collected, operator):
+    def test_forward_exact(self, collected, operator):
         registry, _, _ = collected
         x = Tensor(np.ones((3, 4)), requires_grad=True)
         spmm(operator, x)
-        tags = dict(op="spmm", dir="fwd", backend="numpy", **UNATTRIBUTED)
+        tags = dict(op="spmm", dir="fwd", **UNATTRIBUTED)
         # 2·nnz·d = 2·5·4 = 40.
         assert flops_of(registry, **tags) == 40
         # 12·nnz + X (3·4·8) + out (3·4·8).
@@ -115,18 +115,8 @@ class TestSpmm:
         registry, _, _ = collected
         x = Tensor(np.ones((3, 4)), requires_grad=True)
         spmm(operator, x).backward(np.ones((3, 4)))
-        tags = dict(op="spmm", dir="bwd", backend="numpy", **UNATTRIBUTED)
+        tags = dict(op="spmm", dir="bwd", **UNATTRIBUTED)
         assert flops_of(registry, **tags) == 40
-
-    def test_scipy_legacy_path_tagged_scipy(self, collected):
-        registry, _, _ = collected
-        s = sp.csr_matrix(np.eye(3))
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        spmm(s, x).backward(np.ones((3, 2)))
-        fwd = dict(op="spmm", dir="fwd", backend="scipy", **UNATTRIBUTED)
-        bwd = dict(op="spmm", dir="bwd", backend="scipy", **UNATTRIBUTED)
-        assert flops_of(registry, **fwd) == 2 * 3 * 2
-        assert flops_of(registry, **bwd) == 2 * 3 * 2
 
     def test_not_double_counted_by_generic_hook(self, collected, operator):
         """spmm is EXPLICIT: the shape hook must not add a second record."""
@@ -134,10 +124,8 @@ class TestSpmm:
         x = Tensor(np.ones((3, 4)), requires_grad=True)
         spmm(operator, x)
         spmm_keys = [k for k in registry.names() if "op=spmm" in k]
-        # one flops + one bytes counter, single tag set (backend=numpy).
+        # one flops + one bytes counter, single tag set.
         assert len(spmm_keys) == 2
-        for key in spmm_keys:
-            assert "backend=numpy" in key
 
 
 class TestElementwiseAndShape:

@@ -230,7 +230,6 @@ class TestProfileSessionEndToEnd:
         ]
         phases = {e["tags"]["phase"] for e in flops}
         assert {"train", "eval", "exchange"} <= phases
-        assert any(e["tags"].get("backend") for e in flops), "spmm backend tag missing"
         assert any(e["tags"]["layer"] != "-" for e in flops), "layer scopes missing"
 
     def test_spmm_flops_match_formula(self, profiled, parts):
@@ -252,7 +251,6 @@ class TestProfileSessionEndToEnd:
         report = session.report()
         for needle in (
             "cost model (per phase)",
-            "spmm backend attribution",
             "memory high-water",
             "top",
             "flops/byte",
