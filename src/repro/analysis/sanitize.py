@@ -56,6 +56,7 @@ import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.autograd.tensor import (
     _DEFAULT_DTYPE,
@@ -220,10 +221,26 @@ def transition_allowed(prev: int, nxt: int) -> bool:
     return nxt >= prev or nxt == 0
 
 
+#: Buffer attributes of sparse containers (scipy formats, ``CSRMatrix``).
+_SPARSE_BUFFERS = ("data", "indices", "indptr", "row", "col")
+
+
 def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
-    """Every ndarray inside a (possibly nested) payload structure."""
+    """Every ndarray inside a (possibly nested) payload structure.
+
+    Sparse matrices count as their buffers: a ``scipy.sparse`` matrix
+    yields its ``data``/index arrays, and a ``CSRMatrix`` (recognised
+    structurally by ``is_kernel_operator``) also yields its cached
+    reverse, whose own reverse is the original container.
+    """
     if isinstance(payload, np.ndarray):
         yield payload
+    elif sp.issparse(payload) or getattr(payload, "is_kernel_operator", False):
+        for m in (payload, getattr(payload, "_rev", None)):
+            for attr in _SPARSE_BUFFERS:
+                buf = getattr(m, attr, None)
+                if isinstance(buf, np.ndarray):
+                    yield buf
     elif isinstance(payload, dict):
         for v in payload.values():
             yield from _iter_arrays(v)

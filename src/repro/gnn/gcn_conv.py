@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -23,10 +23,17 @@ class GCNConv(Module):
     propagation matrices.  Pass the graph's cached
     :class:`~repro.graphs.csr.CSRMatrix` (``graph.s_op``).
 
-    The multiply order ``S̃ (Z W)`` (transform then propagate) costs
-    O(n·d_in·d_out + nnz·d_out); the other order would pay
-    O(nnz·d_in + n·d_in·d_out) — cheaper only when d_out > d_in, so we
-    pick per-call based on the shapes.
+    The input ``z`` is one of two kinds:
+
+    * a dense :class:`~repro.autograd.Tensor` (hidden activations, or raw
+      features for the baselines).  The multiply order ``S̃ (Z W)``
+      (transform then propagate) costs O(n·d_in·d_out + nnz·d_out); the
+      other order would pay O(nnz·d_in + n·d_in·d_out) — cheaper only
+      when d_out > d_in, so we pick per-call based on the shapes.
+    * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x_op``,
+      the sparse bag-of-words features).  The layer computes
+      ``S̃ (Z W)`` with two sparse products, O(nnz_z·d_out + nnz·d_out),
+      and the weight gradient Zᵀ·G comes from the cached reverse CSR.
     """
 
     def __init__(
@@ -46,8 +53,10 @@ class GCNConv(Module):
         self.weight = Parameter(init_mod.get(init)(in_features, out_features, gen))
         self.bias = Parameter(init_mod.zeros(out_features)) if bias else None
 
-    def forward(self, s_norm: "CSRMatrix", z: Tensor) -> Tensor:
-        if self.out_features <= self.in_features:
+    def forward(self, s_norm: "CSRMatrix", z: Union[Tensor, "CSRMatrix"]) -> Tensor:
+        if getattr(z, "is_kernel_operator", False):
+            out = spmm(s_norm, spmm(z, self.weight))
+        elif self.out_features <= self.in_features:
             out = spmm(s_norm, matmul(z, self.weight))
         else:
             out = matmul(spmm(s_norm, z), self.weight)

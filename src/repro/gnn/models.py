@@ -11,9 +11,11 @@ Every model exposes two entry points:
 Models receive the :class:`~repro.graphs.data.Graph` (not raw tensors)
 so each can pick its propagation operator: GCN/Ortho use ``graph.s_op``
 (the cached fused-kernel CSR container of S̃), SAGE uses ``graph.mean_op``
-(the row-normalized mean aggregator).  The containers are built once per
-graph with a pre-transposed reverse-CSR, so propagation never pays a
-sparse conversion — forward or backward — after the first touch.
+(the row-normalized mean aggregator).  OrthoGCN's first layer also
+takes its features as ``graph.x_op``, the cached CSR of the sparse
+bag-of-words ``x``.  The containers are built once per graph with a
+pre-transposed reverse-CSR, so propagation never pays a sparse
+conversion — forward or backward — after the first touch.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ class OrthoGCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv_in(s, Tensor(graph.x)))
+        h = relu(self.conv_in(s, graph.x_op))
         hidden = [h]
         for layer in self.ortho_layers:
             h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)

@@ -385,6 +385,34 @@ class TestRuntimePrivacyEscape:
         with pytest.raises(PrivacyEscapeError, match="graph.x"):
             trainer.run()
 
+    @pytest.mark.parametrize("field", ["adj", "s_op", "x_op"])
+    def test_injected_sparse_upload_caught(self, field):
+        # Sparse containers reach the tripwire as their buffers: the raw
+        # adjacency and both cached CSR operators are private.
+        from repro.analysis.sanitize import PrivacyEscapeError
+
+        class LeakyTrainer(FedOMDTrainer):
+            def begin_round(self, round_idx):
+                c = self.clients[0]
+                self.comm.send_to_server(c.cid, getattr(c.graph, field), kind="means")
+                super().begin_round(round_idx)
+
+        cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
+        trainer = LeakyTrainer(small_parts(), cfg, seed=0)
+        with pytest.raises(PrivacyEscapeError, match=f"graph.{field}"):
+            trainer.run()
+
+    def test_reverse_operator_upload_caught(self):
+        # The cached reverse (Xᵀ) is its own buffer set; the walker finds
+        # the forward container through it.
+        from repro.analysis.sanitize import PrivacyEscapeError, ProtocolMonitor
+
+        g = small_parts()[0]
+        monitor = ProtocolMonitor()
+        monitor.register_private_array("graph.x_op", g.x_op.data)
+        with pytest.raises(PrivacyEscapeError, match="graph.x_op"):
+            monitor.on_event("up", "means", {"leak": g.x_op.rev})
+
     def test_statistics_only_run_stays_clean(self):
         cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
         history = FedOMDTrainer(small_parts(), cfg, seed=0).run()

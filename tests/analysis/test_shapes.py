@@ -113,6 +113,7 @@ def graphs():
             "d_hidden": spec["d_hidden"],
             "c": g.num_classes,
             "nnz": int(g.s_op.nnz),
+            "nnz_x": int(g.x_op.nnz),
         }
         out.append((g, dims))
     return out
@@ -190,7 +191,7 @@ def expected_flops(name, dims):
     Backward ops run outside any ``Module.__call__`` scope, so they land
     on layer ``-``.  Raw features never require grad.
     """
-    n, nnz = dims["n"], dims["nnz"]
+    n, nnz, nnz_x = dims["n"], dims["nnz"], dims["nnz_x"]
     f, h, c = dims["d_in"], dims["d_hidden"], dims["c"]
     table = Counter()
 
@@ -213,7 +214,10 @@ def expected_flops(name, dims):
         gcn_conv("conv1", f, h, input_grad=False)
         gcn_conv("conv2", h, c, input_grad=True)
     elif name == "orthogcn":
-        gcn_conv("conv_in", f, h, input_grad=False)
+        # conv_in takes the sparse features: S̃ (X W) as two spmm's, and
+        # the weight gradient Xᵀ·G is a third on X's reverse CSR.
+        table["spmm", "fwd", "conv_in"] += spmm_flops(nnz_x, h) + spmm_flops(nnz, h)
+        table["spmm", "bwd", "-"] += spmm_flops(nnz_x, h) + spmm_flops(nnz, h)
         dense("ortho0", h, h, input_grad=True)  # OrthoConv: S̃ (Z W̃)
         table["spmm", "fwd", "ortho0"] += spmm_flops(nnz, h)
         table["spmm", "bwd", "-"] += spmm_flops(nnz, h)

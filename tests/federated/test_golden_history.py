@@ -16,7 +16,9 @@ The determinism matrix replays the same run across every operational
 axis that must not move a bit: engine (barrier, async at quorum 1.0) ×
 executor workers (1, 4) × instrumentation (plain, runtime sanitizers
 armed, inside a ``ProfileSession``).  Every cell must give the golden
-digest.
+digest.  A subprocess leg adds the BLAS-thread axis: OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once at load time, so each thread count runs
+the golden history in a fresh interpreter.
 
 If a change is *intended* to alter the trajectory (a new default, a
 fixed bug in the math), re-record GOLDEN_DIGEST by running the helper
@@ -26,6 +28,10 @@ at the bottom of this file and explain the change in the commit.
 import contextlib
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +87,25 @@ def test_golden_digest_matrix(engine, num_workers, mode):
     with session:
         history = golden_history(**overrides)
     assert digest(history) == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_digest_across_blas_threads(threads):
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    code = (
+        "from tests.federated.test_golden_history import digest, golden_history\n"
+        "print(digest(golden_history()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == GOLDEN_DIGEST
 
 
 if __name__ == "__main__":  # pragma: no cover — digest re-recording helper

@@ -1,5 +1,7 @@
 """Tests for GCNConv, OrthoConv (incl. Newton–Schulz) and SAGEConv."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -61,6 +63,33 @@ class TestGCNConv:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             GCNConv(0, 2)
+
+    @pytest.mark.parametrize(
+        "empty,dims,bias",
+        list(product([False, True], [(6, 3), (3, 6)], [True, False])),
+    )
+    def test_sparse_input_matches_dense(self, empty, dims, bias):
+        # A CSRMatrix input takes the two-spmm path; output and parameter
+        # gradients must equal the dense-Tensor path on the same X.
+        d_in, d_out = dims
+        s, _ = ring_s_norm(8)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, d_in)) * (rng.random((8, d_in)) < 0.4)
+        if empty:
+            x[[1, 4], :] = 0.0
+            x[:, 0] = 0.0
+        grad = rng.standard_normal((8, d_out))
+        results = []
+        for z in (Tensor(x), CSRMatrix.from_scipy(sp.csr_matrix(x))):
+            conv = GCNConv(d_in, d_out, bias=bias, rng=np.random.default_rng(6))
+            out = conv(s, z)
+            out.backward(grad)
+            results.append((out.data, conv.weight.grad, conv.bias.grad if bias else None))
+        (dense_out, dense_dw, dense_db), (sparse_out, sparse_dw, sparse_db) = results
+        np.testing.assert_allclose(sparse_out, dense_out, rtol=1e-12)
+        np.testing.assert_allclose(sparse_dw, dense_dw, rtol=1e-12)
+        if bias:
+            np.testing.assert_allclose(sparse_db, dense_db, rtol=1e-12)
 
 
 class TestNewtonSchulz:

@@ -164,3 +164,22 @@ class TestTransposeCacheRegression:
         for seed in range(3):
             self._train("gcn", _small_graph(seed=seed), steps=2)
         assert transpose_conversion_count() == 3
+
+    def test_orthogcn_builds_both_reverses_once(self):
+        # OrthoGCN propagates through graph.s_op and projects graph.x_op:
+        # two reverse CSRs, both built on first access, none in backward.
+        from repro.gnn import OrthoGCN
+
+        graph = _small_graph(seed=3)
+        model = OrthoGCN(
+            graph.num_features, graph.num_classes, hidden=8, rng=np.random.default_rng(0)
+        )
+        opt = Adam(model.parameters(), lr=0.01)
+        reset_transpose_conversion_count()
+        for _ in range(6):
+            opt.zero_grad()
+            loss = cross_entropy(model(graph), graph.y, graph.train_mask)
+            assert transpose_conversion_count() == 2
+            loss.backward()
+            assert transpose_conversion_count() == 2
+            opt.step()
