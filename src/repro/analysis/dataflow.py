@@ -527,7 +527,7 @@ class TaintConfig:
         {
             "float", "int", "len", "bool", "str", "min", "max",
             "weighted_mean_statistics", "central_moments_np",
-            "empirical_activation_range", "accuracy", "payload_bytes",
+            "accuracy", "payload_bytes",
         }
     )
     #: uplink sink methods → payload argument position (bound call).

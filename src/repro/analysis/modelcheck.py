@@ -238,7 +238,6 @@ def _build_trainer(
         hidden=8,
         engine="async",
         quorum=1.0,  # full quorum: the bitwise-equivalence regime
-        sample_weighted=True,
         checkpoint_every=1 if ckpt_dir else 0,
         checkpoint_dir=ckpt_dir,
     )

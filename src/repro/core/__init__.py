@@ -20,7 +20,6 @@ from repro.core.moments import (
     central_moments,
     central_moments_np,
     moments_tensor,
-    empirical_activation_range,
 )
 from repro.core.cmd import cmd_distance, cmd_distance_arrays
 from repro.core.exchange import MomentExchange, GlobalMoments
@@ -32,7 +31,6 @@ __all__ = [
     "central_moments",
     "central_moments_np",
     "moments_tensor",
-    "empirical_activation_range",
     "cmd_distance",
     "cmd_distance_arrays",
     "MomentExchange",

@@ -85,13 +85,11 @@ class MomentExchange:
             moments of exactly that subset's activations).
         client_ids:
             Communicator ids of the participants (default ``0..m-1``,
-            i.e. full participation).  With client sampling
-            (``participation_rate < 1``) or fault injection, only
-            sampled *reachable* parties upload statistics and receive
-            the global summary — unsampled or failed parties move zero
-            bytes through the metered channel, and the weights ``n_i``
-            renormalize over the survivors (line 25 computed over
-            whoever actually reported).
+            i.e. full participation).  Under fault injection only the
+            *reachable* parties upload statistics and receive the global
+            summary — failed parties move zero bytes through the metered
+            channel, and the weights ``n_i`` renormalize over the
+            survivors (line 25 computed over whoever actually reported).
 
         Returns
         -------

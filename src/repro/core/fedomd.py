@@ -27,7 +27,6 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.core.cmd import layerwise_cmd
 from repro.core.exchange import GlobalMoments, MomentExchange
-from repro.core.moments import empirical_activation_range
 from repro.core.moments import central_moments_np
 from repro.federated.client import Client
 from repro.federated.comm import CommStats, KIND_MEANS, KIND_MOMENTS
@@ -37,6 +36,13 @@ from repro.graphs.data import Graph
 from repro.nn import orthogonality_loss
 from repro.nn.module import Module
 from repro.gnn import OrthoGCN
+
+# (a, b) of Eq. 11.  The CMD literature fixes (0, 1) for bounded
+# activations; with ReLU nets whose activations live well inside (0, 1),
+# an *empirical* range would turn 1/(b−a)^j into a huge amplifier and let
+# the order-5 term dominate the CE loss, so the fixed unit interval is
+# both the faithful and the stable choice.
+ACTIVATION_RANGE = (0.0, 1.0)
 
 
 @dataclass
@@ -61,13 +67,6 @@ class FedOMDConfig(TrainerConfig):
     use_ortho: bool = True
     use_cmd: bool = True
     hard_orthogonal: bool = False
-    # (a, b) of Eq. 11.  The CMD literature fixes (0, 1) for bounded
-    # activations; with ReLU nets whose activations live well inside
-    # (0, 1), an *empirical* range would turn 1/(b−a)^j into a huge
-    # amplifier and let the order-5 term dominate the CE loss, so the
-    # fixed unit interval is both the faithful and the stable choice.
-    # Set to None to use the empirical activation range instead.
-    activation_range: Optional[tuple] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -93,7 +92,6 @@ class FedOMDTrainer(FederatedTrainer):
         super().__init__(parts, self.omd_config, seed=seed, faults=faults)
         self.exchange = MomentExchange(self.comm, orders=self.omd_config.orders)
         self._global_moments: Optional[GlobalMoments] = None
-        self._range: tuple = self.omd_config.activation_range or (0.0, 1.0)
         self._last_exchange_traffic: Optional[CommStats] = None
         self._last_exchange_participants: int = len(self.clients)
         if self.sanitizer is not None:
@@ -121,11 +119,10 @@ class FedOMDTrainer(FederatedTrainer):
         """Run the 2-round moment exchange before local training.
 
         Only the round's *active participants* compute and upload
-        statistics: with client sampling, unsampled parties are offline,
-        and under fault injection, dropped clients are unreachable —
-        neither must be billed on the metered channel nor skew the "IID"
-        moments toward data that is not training this round (the
-        surviving ``n_i`` reweight among themselves in
+        statistics: under fault injection, dropped clients are
+        unreachable — they must neither be billed on the metered channel
+        nor skew the "IID" moments toward data that is not training this
+        round (the surviving ``n_i`` reweight among themselves in
         ``weighted_mean_statistics``).  When *no* client is reachable
         the exchange is skipped and clients train against the last
         round's global moments — the stale-but-available policy.
@@ -152,9 +149,6 @@ class FedOMDTrainer(FederatedTrainer):
             attrs=lambda c: {"client": c.cid},
         )
         counts = [c.num_nodes for c in participants]
-        if self.omd_config.activation_range is None:
-            flat = [z for hs in client_hidden for z in hs]
-            self._range = empirical_activation_range(flat)
         before = self.comm.snapshot()
         self._global_moments = self.exchange.run(
             client_hidden, counts, client_ids=[c.cid for c in participants]
@@ -173,7 +167,7 @@ class FedOMDTrainer(FederatedTrainer):
         if cfg.use_ortho and model.ortho_weights():
             loss = loss + orthogonality_loss(model.ortho_weights()) * cfg.alpha
         if cfg.use_cmd and self._global_moments is not None:
-            a, b = self._range
+            a, b = ACTIVATION_RANGE
             cmd = layerwise_cmd(
                 hidden,
                 self._global_moments.means,
@@ -200,7 +194,7 @@ class FedOMDTrainer(FederatedTrainer):
         if not reg.enabled:
             return
         cfg = self.omd_config
-        a, b = self._range
+        a, b = ACTIVATION_RANGE
         span = float(b - a)
         gm = self._global_moments
         for l, z in enumerate(hidden):
@@ -215,9 +209,8 @@ class FedOMDTrainer(FederatedTrainer):
     def after_local_training(self, round_idx: int) -> None:
         if self.omd_config.hard_orthogonal:
             # Only clients that actually trained this round; projecting
-            # an unsampled (offline) or failed party would mutate state
-            # the server never saw and de-sync it from its own last
-            # download.
+            # a dropped or failed party would mutate state the server
+            # never saw and de-sync it from its own last download.
             for c in self.active_clients():
                 c.model.project_orthogonal()  # type: ignore[attr-defined]
 
@@ -229,7 +222,7 @@ class FedOMDTrainer(FederatedTrainer):
         communication (§5.2, Table 3 discussion).  The headline number is
         *measured*: :meth:`begin_round` snapshots the metered
         :class:`CommStats` around the exchange, so the report is exactly
-        what the channel moved (and reflects partial participation).
+        what the channel moved (and reflects dropped clients).
         Before any exchange has run it falls back to the closed-form
         estimate; ``tests/core`` asserts formula == measured.
         """

@@ -150,17 +150,3 @@ def moments_tensor(z: Tensor, mean: Tensor, orders: Sequence[int]) -> List[Tenso
     moments = central_moments(z - mean, orders)
     return [moments[k] for k in range(moments.shape[0])]
 
-
-def empirical_activation_range(hidden: Sequence[np.ndarray]) -> tuple[float, float]:
-    """(a, b) bounds of the hidden activations across layers.
-
-    Eq. 11 normalizes each moment order by |b − a|^j; ReLU nets are not
-    intrinsically bounded, so the implementation (like the reference CMD
-    code for unbounded activations) uses the empirical range.  Returns
-    (0, 1) for degenerate all-equal inputs to avoid division by zero.
-    """
-    lo = min(float(np.min(z)) for z in hidden) if hidden else 0.0
-    hi = max(float(np.max(z)) for z in hidden) if hidden else 1.0
-    if hi - lo < 1e-12:
-        return lo, lo + 1.0
-    return lo, hi

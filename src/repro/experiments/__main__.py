@@ -65,7 +65,10 @@ def main(argv=None) -> int:
         help="fault plan, e.g. 'drop=0.2,straggler=0.1:delay=0.05,crash=0.1'",
     )
     chaos.add_argument(
-        "--fault-seed", type=int, default=0, help="seed of the fault plan RNG"
+        "--fault-seed",
+        type=int,
+        default=None,
+        help="seed of the fault plan RNG (default 0)",
     )
     chaos.add_argument(
         "--engine",
@@ -121,6 +124,7 @@ def main(argv=None) -> int:
 
     chaos_flags = {
         "--faults": args.faults,
+        "--fault-seed": args.fault_seed,
         "--resume": args.resume,
         "--checkpoint-dir": args.checkpoint_dir,
         "--engine": args.engine,
@@ -136,7 +140,7 @@ def main(argv=None) -> int:
             parser.error("--clients only applies to the 'loadtest' experiment")
         extra = dict(
             faults=args.faults,
-            fault_seed=args.fault_seed,
+            fault_seed=args.fault_seed or 0,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
@@ -156,7 +160,7 @@ def main(argv=None) -> int:
             parser.error(f"{', '.join(bad)} do not apply to the 'loadtest' experiment")
         extra = dict(
             faults=args.faults,
-            fault_seed=args.fault_seed,
+            fault_seed=args.fault_seed or 0,
             clients=args.clients,
         )
     else:

@@ -86,7 +86,6 @@ def _run_leg(
         hidden=LOADTEST_HIDDEN,
         engine="async",
         quorum=quorum,
-        sample_weighted=True,
     )
     trainer = FederatedTrainer(parts, cfg, seed=seed, faults=plan)
     t0 = time.perf_counter()

@@ -83,7 +83,7 @@ class SecureMomentExchange(MomentExchange):
 
         # ---- round 1: masked Σ nᵢ·meanᵢ per layer.  Masks are pairwise
         # over the round's *participants* — they cancel over any subset,
-        # so client sampling composes with secure aggregation.
+        # so dropped clients compose with secure aggregation.
         shapes = [(d,) for d in dims]
         masks = pairwise_masks(m, shapes, self.round_seed)
         received = []

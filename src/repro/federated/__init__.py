@@ -36,7 +36,6 @@ from repro.federated.clock import Clock, SystemClock, VirtualClock
 from repro.federated.comm import Communicator, CommStats, payload_bytes
 from repro.federated.executor import ClientExecutor, resolve_workers
 from repro.federated.faults import (
-    ClientCrashed,
     ClientDropped,
     ClientFaultError,
     FaultEvent,
@@ -74,7 +73,6 @@ __all__ = [
     "payload_bytes",
     "ClientExecutor",
     "resolve_workers",
-    "ClientCrashed",
     "ClientDropped",
     "ClientFaultError",
     "FaultEvent",

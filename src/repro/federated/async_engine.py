@@ -8,7 +8,8 @@ into later rounds.  :class:`AsyncRoundEngine` is that server:
 
 * **Event model.**  Dispatching a client schedules one
   :class:`PendingReport` on a min-heap keyed by *virtual* arrival time
-  (seeded :class:`ClientLatencyModel` latency plus any straggler delay
+  (seeded :class:`ClientLatencyModel` latency of
+  ``LATENCY_BASE·(1 + LATENCY_JITTER·U[0,1))`` plus any straggler delay
   from the fault plan).  The engine pops reports in timestamp order,
   advancing a :class:`~repro.federated.clock.VirtualClock` — never the
   wall clock, so arrival schedules (and therefore quorum decisions and
@@ -24,8 +25,10 @@ into later rounds.  :class:`AsyncRoundEngine` is that server:
 * **Staleness-weighted FedAvg.**  An update that is ``s`` model
   versions old is first pulled toward the current global model with a
   FedProx-flavored proximal step (:func:`proximal_correction`, strength
-  ``μ·s/(1+μ·s)``) and then weighted ``λ_i ∝ n_i · decay^s``
-  (:func:`staleness_weights`).  Both are exact no-ops at ``s = 0``: a
+  ``μ·s/(1+μ·s)`` with ``μ = PROX_MU``) and then weighted
+  ``λ_i ∝ n_i · decay^s`` with ``decay = STALENESS_DECAY``
+  (:func:`staleness_weights`); updates more than ``MAX_STALENESS``
+  versions old are discarded.  Both are exact no-ops at ``s = 0``: a
   full-quorum run takes the *identical* ``fedavg`` call the barrier
   trainer takes, which is what the golden-digest equivalence test pins
   bitwise.
@@ -39,7 +42,7 @@ The engine is selected with ``TrainerConfig.engine = "async"``.  It
 has no round loop of its own: ``FederatedTrainer._run_rounds`` runs
 every round for both engines — hooks, spans, evaluation, history, early
 stopping, checkpoints — and calls the engine for three steps: masking
-in-flight clients out of the sampled participants, the local phase
+in-flight clients out of the round's participants, the local phase
 (dispatch and wait for quorum) and the server phase (fold the arrivals,
 push the model).  It requires the default FedAvg aggregation:
 algorithms that override ``aggregate`` (FedProx's server step, LocGCN's
@@ -63,9 +66,20 @@ from repro.federated.server import StateDict, fedavg
 from repro.obs import get_registry, get_tracer
 
 #: SeedSequence domain tag keeping latency draws independent from every
-#: other consumer of the run seed (FaultPlan cells, the participation
-#: sampler, model init).
+#: other consumer of the run seed (FaultPlan cells, model init).
 _LATENCY_STREAM = 0x1A7E
+
+#: λ_i ∝ n_i · STALENESS_DECAY^s for an update s model versions old.
+STALENESS_DECAY = 0.5
+#: Updates older than this many versions are discarded outright.
+MAX_STALENESS = 8
+#: Strength of the proximal pull of stale updates toward the current
+#: global model, μ·s/(1+μ·s); exact no-op at s=0.
+PROX_MU = 0.1
+#: Simulated report latency in virtual seconds, drawn per (round,
+#: client) as LATENCY_BASE·(1 + LATENCY_JITTER·U[0,1)).
+LATENCY_BASE = 0.05
+LATENCY_JITTER = 0.5
 
 __all__ = [
     "AsyncRoundEngine",
@@ -128,7 +142,7 @@ def proximal_correction(
     if staleness < 0:
         raise ValueError("staleness must be non-negative")
     if mu < 0:
-        raise ValueError("prox_mu must be non-negative")
+        raise ValueError("proximal strength mu must be non-negative")
     if staleness == 0 or mu == 0.0:
         return state
     gamma = (mu * staleness) / (1.0 + mu * staleness)
@@ -228,7 +242,6 @@ def fold_arrivals(
     max_staleness: int,
     decay: float,
     mu: float,
-    sample_weighted: bool,
     quarantine_nonfinite: bool = True,
 ) -> FoldResult:
     """Order-insensitive staleness-weighted FedAvg over one round's arrivals.
@@ -264,14 +277,13 @@ def fold_arrivals(
         return FoldResult(None, tuple(quarantined), tuple(discarded), kept_meta)
     if all(stale == 0 for _, stale in kept):
         states = [u.state for u, _ in kept]
-        weights = [u.num_train for u, _ in kept] if sample_weighted else None
-        new_global = fedavg(states, weights)
+        new_global = fedavg(states, [u.num_train for u, _ in kept])
     else:
         states = [
             proximal_correction(u.state, global_state, stale, mu)
             for u, stale in kept
         ]
-        counts = [float(u.num_train) if sample_weighted else 1.0 for u, _ in kept]
+        counts = [float(u.num_train) for u, _ in kept]
         lam = staleness_weights(counts, [stale for _, stale in kept], decay)
         new_global = fedavg(states, lam.tolist())
     return FoldResult(new_global, tuple(quarantined), tuple(discarded), kept_meta)
@@ -284,7 +296,7 @@ class AsyncRoundEngine:
     counter and (for proximal correction) the current global state.  The
     trainer's round loop owns everything else — clients, communicator,
     history, early stopping, checkpoints — and calls the engine for three
-    steps: :meth:`mask_in_flight` after participant sampling,
+    steps: :meth:`mask_in_flight` at round start,
     :meth:`train` for the local phase and :meth:`aggregate` for the
     server phase.  :meth:`state_dict` / :meth:`load_state_dict`
     round-trip the engine through the trainer checkpoint so a resumed
@@ -310,9 +322,7 @@ class AsyncRoundEngine:
             )
         self.trainer = trainer
         self.clock: VirtualClock = trainer.clock
-        self.latency = ClientLatencyModel(
-            trainer.seed, cfg.latency_base, cfg.latency_jitter
-        )
+        self.latency = ClientLatencyModel(trainer.seed, LATENCY_BASE, LATENCY_JITTER)
         self.version = 0
         # Post-broadcast consensus state W₀ (every client holds it).
         self.global_state: Optional[StateDict] = trainer.clients[0].get_state()
@@ -378,15 +388,14 @@ class AsyncRoundEngine:
     # the engine's steps of the trainer's round loop
     # ------------------------------------------------------------------
     def mask_in_flight(self) -> None:
-        """Drop clients still computing from the sampled participants.
+        """Drop clients still computing from the round's participants.
 
-        Runs right after the trainer's sampler draw (an identical stream
-        to the barrier engine's): a busy client cannot start a second
-        computation.  When nobody is in flight the trainer's participant
-        state is byte-identical to the barrier engine's.
+        A busy client cannot start a second computation.  When nobody is
+        in flight the trainer's participant state is byte-identical to
+        the barrier engine's.
         """
         trainer = self.trainer
-        idle = [c.cid for c in trainer.participating_clients() if c.cid not in self._in_flight]
+        idle = [c.cid for c in trainer.clients if c.cid not in self._in_flight]
         trainer._participants = None if len(idle) == len(trainer.clients) else idle
 
     def train(self, round_idx: int) -> List[float]:
@@ -561,17 +570,15 @@ class AsyncRoundEngine:
         makes.
         """
         trainer = self.trainer
-        cfg = trainer.config
         reg = get_registry()
         result = fold_arrivals(
             arrivals,
             self.version,
             self.global_state,
-            max_staleness=cfg.max_staleness,
-            decay=cfg.staleness_decay,
-            mu=cfg.prox_mu,
-            sample_weighted=cfg.sample_weighted,
-            quarantine_nonfinite=cfg.quarantine_nonfinite,
+            max_staleness=MAX_STALENESS,
+            decay=STALENESS_DECAY,
+            mu=PROX_MU,
+            quarantine_nonfinite=trainer.config.quarantine_nonfinite,
         )
         for cid in result.quarantined:
             trainer._quarantine(trainer.clients[cid])

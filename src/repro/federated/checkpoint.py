@@ -9,9 +9,8 @@ than model weights:
 * every client's model ``state_dict`` **and** optimizer buffers (Adam's
   step count and moment estimates — without them the first resumed step
   would use cold bias-correction and diverge numerically);
-* every RNG that advances during training: the trainer's participation
-  sampler and each client model's dropout generator (``PCG64`` states
-  serialize as JSON-safe big-int dicts);
+* every RNG that advances during training: each client model's dropout
+  generator (``PCG64`` states serialize as JSON-safe big-int dicts);
 * the early-stopping state (best validation accuracy, rounds since
   best, and the best-model snapshot per client);
 * the metered :class:`~repro.federated.comm.CommStats` (history records
@@ -128,7 +127,6 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
             "has_best": best_states is not None,
             "opt": opt_meta,
             "model_rng": rng_states,
-            "round_rng": _rng_state(trainer._round_rng),
             "async": engine.state_dict() if engine is not None else None,
             "comm": {
                 "uplink_bytes": stats.uplink_bytes,
@@ -208,7 +206,6 @@ def load_trainer_checkpoint(trainer, path: str) -> int:
             trainer._best_states = None
         trainer._best_val = meta["best_val"]
         trainer._rounds_since_best = meta["rounds_since_best"]
-        _set_rng_state(trainer._round_rng, meta["round_rng"])
 
         comm = meta["comm"]
         trainer.comm.stats = CommStats(

@@ -1,7 +1,7 @@
 """Clock abstraction: real time for deployments, virtual time for tests.
 
 Everything in the federated runtime that *waits* — straggler sleeps,
-retry backoff, the async engine's event loop — goes through a
+client timeouts, the async engine's event loop — goes through a
 :class:`Clock` instead of the :mod:`time` module directly.  Two
 implementations:
 

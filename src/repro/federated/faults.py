@@ -14,14 +14,14 @@ The pieces:
   :class:`FaultSpec` rules (or the CLI string grammar of
   :meth:`FaultPlan.from_spec`).  Stateless and side-effect free.
 * :class:`FaultInjector` — per-round cache of the plan plus the
-  server-side resilience policy knobs (timeout, retries, backoff).
+  server-side resilience policy knobs (timeout, retries).
   Owns the fault/recovery telemetry (``faults.injected`` /
   ``faults.excluded`` / ``faults.recovered`` counters, ``fault.recovery``
   spans in :mod:`repro.obs`).
 * :class:`FaultingExecutor` — wraps a
   :class:`~repro.federated.executor.ClientExecutor`, injecting straggler
   delay and mid-round crash into client tasks and applying the
-  retry/backoff policy.  Failed clients are *excluded from the round*
+  retry policy.  Failed clients are *excluded from the round*
   instead of aborting the run.
 * :class:`FaultyCommunicator` — a :class:`~repro.federated.comm.Communicator`
   whose uplink injects client drop (the transfer never happens) and
@@ -90,11 +90,6 @@ class ClientFaultError(RuntimeError):
 class ClientDropped(ClientFaultError):
     def __init__(self, cid: int) -> None:
         super().__init__(cid, DROP, f"client {cid} is unreachable this round")
-
-
-class ClientCrashed(ClientFaultError):
-    def __init__(self, cid: int) -> None:
-        super().__init__(cid, CRASH, f"client {cid} crashed mid-round")
 
 
 @dataclass(frozen=True)
@@ -314,15 +309,12 @@ class ResiliencePolicy:
 
     client_timeout: Optional[float] = None
     client_retries: int = 0
-    retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
         if self.client_timeout is not None and self.client_timeout <= 0:
             raise ValueError("client_timeout must be positive (or None)")
         if self.client_retries < 0:
             raise ValueError("client_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
 
 class FaultInjector:
@@ -349,11 +341,11 @@ class FaultInjector:
     ) -> None:
         self.plan = plan
         self.policy = policy or ResiliencePolicy()
-        # Every injected wait (straggler delay, timeout, retry backoff)
-        # sleeps against this clock.  The default is real time — a
-        # straggler genuinely delays a barrier round — but tests (and the
-        # async engine, which turns delays into event timestamps) pass a
-        # VirtualClock so fault drills stop paying wall-clock.
+        # Every injected wait (straggler delay, timeout) sleeps against
+        # this clock.  The default is real time — a straggler genuinely
+        # delays a barrier round — but tests (and the async engine, which
+        # turns delays into event timestamps) pass a VirtualClock so fault
+        # drills stop paying wall-clock.
         self.clock: Clock = clock if clock is not None else SystemClock()
         self.round = -1
         self._events: Dict[int, FaultEvent] = {}
@@ -384,9 +376,6 @@ class FaultInjector:
 
     def is_failed(self, client_id: int) -> bool:
         return client_id in self._failed
-
-    def failed_clients(self) -> Dict[int, str]:
-        return dict(self._failed)
 
     def active(self, clients: Sequence[T]) -> List[T]:
         """Filter a client sequence down to this round's reachable ones."""
@@ -427,8 +416,8 @@ class FaultInjector:
             self.clock.sleep(ev.delay)
             return fn(client)
         # Deadline exceeded: the attempt is abandoned before any work is
-        # applied.  The delay is transient, so a retry (with backoff)
-        # succeeds; without retries the client is excluded this round.
+        # applied.  The delay is transient, so a retry succeeds; without
+        # retries the client is excluded this round.
         self.clock.sleep(timeout)
         if policy.client_retries < 1:
             self.mark_failed(client.cid, STRAGGLER)
@@ -437,7 +426,6 @@ class FaultInjector:
         with tracer.span(
             "fault.recovery", client=client.cid, round=ev.round, kind=STRAGGLER
         ):
-            self.clock.sleep(policy.retry_backoff)
             result = fn(client)
         reg = get_registry()
         if reg.enabled:

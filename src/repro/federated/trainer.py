@@ -9,14 +9,17 @@ Algorithm subclasses (FedOMD in :mod:`repro.core.fedomd`, baselines in
 * :meth:`local_loss` — the per-step objective (default: cross-entropy).
 * :meth:`begin_round` — pre-round communication (FedOMD's 2-round
   moment exchange, SCAFFOLD's control-variate download, …).
-* :meth:`aggregate` — server combination (default: sample-weighted
-  FedAvg; LocGCN returns ``None`` to skip aggregation entirely).
+* :meth:`aggregate` — server combination (default: FedAvg weighted by
+  each party's ``n_i``; LocGCN returns ``None`` to skip aggregation
+  entirely).
 
-The loop runs ``max_rounds`` communication rounds with
-``local_epochs`` optimizer steps per client per round (the paper's
-communication interval of 1 means one local epoch per round), evaluates
-the weighted cross-party accuracy every round, and early-stops on
-validation accuracy with the paper's patience of 200.  With
+The loop runs ``max_rounds`` communication rounds in which every party
+takes part (the paper's full participation), with ``local_epochs``
+optimizer steps per client per round (the paper's communication
+interval of 1 means one local epoch per round).  A local step whose
+loss goes non-finite is rolled back.  The loop evaluates the weighted
+cross-party accuracy every round and early-stops on validation accuracy
+with the paper's patience of 200.  With
 ``engine="async"`` the same loop runs and the
 :class:`~repro.federated.async_engine.AsyncRoundEngine` supplies its
 train and aggregate steps.
@@ -60,16 +63,6 @@ class TrainerConfig:
     lr: float = 0.02
     weight_decay: float = 1e-4
     hidden: int = 64
-    eval_every: int = 1
-    sample_weighted: bool = True  # λ_i ∝ n_i in FedAvg
-    # Fraction of clients sampled per round (1.0 = full participation,
-    # the paper's setting).  Lower values simulate stragglers/dropouts —
-    # unsampled clients neither train nor contribute to aggregation
-    # that round, the standard McMahan et al. client-sampling model.
-    participation_rate: float = 1.0
-    # Abort-and-skip guard: when a client's local loss goes non-finite
-    # (divergence), its step is rolled back instead of poisoning FedAvg.
-    nan_guard: bool = True
     # Worker threads for per-client work (local training, evaluation,
     # moment-exchange forwards).  1 = serial (default), 0 = one per CPU.
     # Parallel and serial runs produce identical training metrics; see
@@ -80,9 +73,8 @@ class TrainerConfig:
     # within it is retried (below) and then excluded from the round.
     # None = wait forever (stragglers slow the round but never fail).
     client_timeout: Optional[float] = None
-    # Retries (with exponential-free fixed backoff) after a timeout.
+    # Immediate retries after a timeout.
     client_retries: int = 0
-    retry_backoff: float = 0.0
     # Server-side quarantine: uploads containing NaN/inf are excluded
     # from FedAvg (and their n_i removed from the denominator) instead
     # of poisoning the global model.
@@ -110,34 +102,21 @@ class TrainerConfig:
     # barrier trajectory bitwise.
     engine: str = "barrier"
     # Fraction of dispatched clients whose uploads a round waits for.
+    # Staleness decay, proximal strength and report latency are
+    # constants of repro.federated.async_engine.
     quorum: float = 1.0
-    # λ_i ∝ n_i · staleness_decay^s for an update s model versions old.
-    staleness_decay: float = 0.5
-    # Updates older than this many versions are discarded outright.
-    max_staleness: int = 8
-    # FedProx-style proximal pull of stale updates toward the current
-    # global model, strength μ·s/(1+μ·s); exact no-op at s=0.
-    prox_mu: float = 0.1
-    # Simulated report latency (virtual seconds): duration drawn per
-    # (round, client) as base·(1 + jitter·U[0,1)) from a seeded stream.
-    latency_base: float = 0.05
-    latency_jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1 or self.local_epochs < 1:
             raise ValueError("max_rounds and local_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if not 0.0 < self.participation_rate <= 1.0:
-            raise ValueError("participation_rate must be in (0, 1]")
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0 (0 = auto)")
         if self.client_timeout is not None and self.client_timeout <= 0:
             raise ValueError("client_timeout must be positive (or None)")
-        if self.client_retries < 0 or self.retry_backoff < 0:
-            raise ValueError("client_retries and retry_backoff must be >= 0")
+        if self.client_retries < 0:
+            raise ValueError("client_retries must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 = off)")
         if self.checkpoint_every > 0 and not self.checkpoint_dir:
@@ -146,14 +125,6 @@ class TrainerConfig:
             raise ValueError(f"engine must be 'barrier' or 'async', got {self.engine!r}")
         if not 0.0 < self.quorum <= 1.0:
             raise ValueError("quorum must be in (0, 1]")
-        if not 0.0 < self.staleness_decay <= 1.0:
-            raise ValueError("staleness_decay must be in (0, 1]")
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be >= 0")
-        if self.latency_base < 0 or self.latency_jitter < 0:
-            raise ValueError("latency_base and latency_jitter must be >= 0")
 
 
 class FederatedTrainer:
@@ -187,7 +158,6 @@ class FederatedTrainer:
             policy = ResiliencePolicy(
                 client_timeout=self.config.client_timeout,
                 client_retries=self.config.client_retries,
-                retry_backoff=self.config.retry_backoff,
             )
             self.injector: Optional[FaultInjector] = FaultInjector(
                 faults, policy, clock=self.clock
@@ -215,7 +185,6 @@ class FederatedTrainer:
         else:
             self.sanitizer = None
         self.history = TrainingHistory()
-        self._round_rng = np.random.default_rng(seed + 99991)
         self._participants: Optional[List[int]] = None
         # Early-stopping state lives on the instance (not run() locals) so
         # checkpoint/resume can capture and replay it exactly.
@@ -270,13 +239,13 @@ class FederatedTrainer:
         """Pre-round communication hook (default: none)."""
 
     def participating_clients(self) -> List[Client]:
-        """Clients sampled for the current round (all, by default)."""
+        """This round's participants: every client, minus async in-flight ones."""
         if self._participants is None:
             return self.clients
         return [self.clients[i] for i in self._participants]
 
     def active_clients(self) -> List[Client]:
-        """This round's sampled clients minus any that have failed.
+        """This round's participants minus any that have failed.
 
         Without fault injection this is exactly
         :meth:`participating_clients`; under a fault plan, dropped /
@@ -288,15 +257,6 @@ class FederatedTrainer:
         if self.injector is None:
             return participants
         return self.injector.active(participants)
-
-    def _sample_participants(self) -> None:
-        rate = self.config.participation_rate
-        if rate >= 1.0:
-            self._participants = None
-            return
-        m = len(self.clients)
-        k = max(1, int(round(rate * m)))
-        self._participants = sorted(self._round_rng.choice(m, size=k, replace=False).tolist())
 
     def aggregate(self) -> Optional[Dict[str, np.ndarray]]:
         """Collect surviving clients' states, return the new global state.
@@ -324,10 +284,7 @@ class FederatedTrainer:
             kept.append(c)
         if not states:
             return None
-        weights = (
-            [max(c.num_train, 1) for c in kept] if self.config.sample_weighted else None
-        )
-        return fedavg(states, weights)
+        return fedavg(states, [max(c.num_train, 1) for c in kept])
 
     def _quarantine(self, client: Client) -> None:
         """Record a non-finite upload and exclude the client this round."""
@@ -381,10 +338,9 @@ class FederatedTrainer:
 
     def _local_epochs(self, client: Client) -> List[float]:
         """One client's local epochs this round; its losses in step order."""
-        cfg = self.config
         return [
-            client.train_step(self.local_loss, nan_guard=cfg.nan_guard)
-            for _ in range(cfg.local_epochs)
+            client.train_step(self.local_loss, nan_guard=True)
+            for _ in range(self.config.local_epochs)
         ]
 
     def _train_participants(self) -> List[float]:
@@ -467,7 +423,7 @@ class FederatedTrainer:
         """Rounds ``_start_round .. max_rounds`` of Algorithm 1, either engine.
 
         The async engine supplies three steps: it masks clients still in
-        flight out of the sampled participants, its ``train`` dispatches
+        flight out of the round's participants, its ``train`` dispatches
         reports and waits for quorum, and its ``aggregate`` folds the
         arrivals and pushes the model.  Everything else — spans, hooks,
         evaluation, the history record, early stopping, checkpoints — is
@@ -490,11 +446,9 @@ class FederatedTrainer:
         for round_idx in range(self._start_round, cfg.max_rounds):
             if ctrl is not None:
                 ctrl.on_yield("async.round", round=round_idx, engine=engine)
-            stop = False
             with tracer.span("round", round=round_idx, **round_attrs):
                 round_t0 = clock.now()
                 with tracer.span("exchange", round=round_idx, phase="exchange") as sp_exchange:
-                    self._sample_participants()
                     if engine is not None:
                         engine.mask_in_flight()
                     if self.injector is not None:
@@ -519,39 +473,38 @@ class FederatedTrainer:
                             self._distribute(global_state)
                     self.comm.end_round()
 
-                if round_idx % cfg.eval_every == 0:
-                    with tracer.span("eval", round=round_idx, phase="eval") as sp_eval:
-                        val_acc = self.evaluate("val")
-                        test_acc = self.evaluate("test")
-                    finite = [l for l in losses if np.isfinite(l)]
-                    self.history.append(
-                        RoundRecord(
-                            round=round_idx,
-                            train_loss=float(np.mean(finite)) if finite else float("nan"),
-                            val_acc=val_acc,
-                            test_acc=test_acc,
-                            uplink_bytes=self.comm.stats.uplink_bytes,
-                            downlink_bytes=self.comm.stats.downlink_bytes,
-                            wall_time=clock.now() - round_t0,
-                            exchange_time=sp_exchange.duration,
-                            train_time=train_time,
-                            agg_time=sp_agg.duration,
-                            eval_time=sp_eval.duration,
-                        )
+                with tracer.span("eval", round=round_idx, phase="eval") as sp_eval:
+                    val_acc = self.evaluate("val")
+                    test_acc = self.evaluate("test")
+                finite = [l for l in losses if np.isfinite(l)]
+                self.history.append(
+                    RoundRecord(
+                        round=round_idx,
+                        train_loss=float(np.mean(finite)) if finite else float("nan"),
+                        val_acc=val_acc,
+                        test_acc=test_acc,
+                        uplink_bytes=self.comm.stats.uplink_bytes,
+                        downlink_bytes=self.comm.stats.downlink_bytes,
+                        wall_time=clock.now() - round_t0,
+                        exchange_time=sp_exchange.duration,
+                        train_time=train_time,
+                        agg_time=sp_agg.duration,
+                        eval_time=sp_eval.duration,
                     )
-                    if verbose:
-                        print(
-                            f"[{self.name}] round {round_idx:4d} "
-                            f"loss {self.history.records[-1].train_loss:.4f} "
-                            f"val {val_acc:.4f} test {test_acc:.4f}"
-                        )
-                    if val_acc > self._best_val:
-                        self._best_val = val_acc
-                        self._best_states = [c.get_state() for c in self.clients]
-                        self._rounds_since_best = 0
-                    else:
-                        self._rounds_since_best += cfg.eval_every
-                    stop = self._rounds_since_best >= cfg.patience
+                )
+                if verbose:
+                    print(
+                        f"[{self.name}] round {round_idx:4d} "
+                        f"loss {self.history.records[-1].train_loss:.4f} "
+                        f"val {val_acc:.4f} test {test_acc:.4f}"
+                    )
+                if val_acc > self._best_val:
+                    self._best_val = val_acc
+                    self._best_states = [c.get_state() for c in self.clients]
+                    self._rounds_since_best = 0
+                else:
+                    self._rounds_since_best += 1
+                stop = self._rounds_since_best >= cfg.patience
             self._maybe_checkpoint(round_idx)
             if ctrl is not None:
                 # Checkpoint boundary: for the async engine the heap,

@@ -198,7 +198,7 @@ class Graph:
         diff = (self.adj - self.adj.T).tocsr()
         if diff.nnz and float(np.abs(diff.data).max()) > atol:
             raise ValueError("adjacency must be symmetric")
-        if self.adj.diagonal().sum() != 0:
+        if np.any(self.adj.diagonal() != 0):
             raise ValueError("adjacency must have an empty diagonal")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features contain non-finite values")

@@ -17,21 +17,9 @@ from repro.nn.losses import (
     accuracy,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    LRScheduler,
-    StepLR,
-    WarmupLR,
-    clip_grad_norm,
-)
 from repro.nn.serialize import load_checkpoint, load_state, save_checkpoint, save_state
 
 __all__ = [
-    "CosineAnnealingLR",
-    "LRScheduler",
-    "StepLR",
-    "WarmupLR",
-    "clip_grad_norm",
     "load_checkpoint",
     "load_state",
     "save_checkpoint",

@@ -15,17 +15,16 @@ Two views on top of the span tracer:
   (``exchange`` / ``train`` / ``aggregate`` / ``eval``): the peak is
   reset when a phase span opens and read when it closes, and the maximum
   across rounds lands in ``profile.mem_peak_bytes{phase=...}`` gauges.
-  tracemalloc costs real time (it hooks every allocation), which is why
-  memory profiling is opt-in *within* the opt-in profiler.
+  tracemalloc costs real time (it hooks every allocation), which is part
+  of why the whole profiler is opt-in.
 
 :class:`ProfileSession` bundles the full profiling stack — a
 :class:`~repro.obs.TelemetrySession`, the
-:class:`~repro.obs.cost.CostCollector`, and (optionally) the memory
-profiler — behind one context manager, and is what the train/experiments
-CLIs install for ``--profile``.  Profiling reads timestamps, shapes and
-allocation counters only: a profiled run's training history is bitwise
-identical to an unprofiled one (pinned by
-``tests/obs/test_profile.py``).
+:class:`~repro.obs.cost.CostCollector`, and the memory profiler — behind
+one context manager, and is what the train/experiments CLIs install for
+``--profile``.  Profiling reads timestamps, shapes and allocation
+counters only: a profiled run's training history is bitwise identical
+to an unprofiled one (pinned by ``tests/obs/test_profile.py``).
 """
 
 from __future__ import annotations
@@ -156,13 +155,13 @@ class MemoryProfiler:
 
 
 class ProfileSession:
-    """Telemetry + cost model + flamegraph + (opt-in) memory profiling.
+    """Telemetry + cost model + flamegraph + memory profiling.
 
     Entering installs a :class:`~repro.obs.TelemetrySession` (fresh
     registry + tracer as the process defaults), the
-    :class:`~repro.obs.cost.CostCollector` bound to them, and — when
-    ``memory`` is true — a tracemalloc :class:`MemoryProfiler` listening
-    on phase spans.  Exiting tears all of it down and writes:
+    :class:`~repro.obs.cost.CostCollector` bound to them, and a
+    tracemalloc :class:`MemoryProfiler` listening on phase spans.
+    Exiting tears all of it down and writes:
 
     * ``jsonl_path`` — the full ``repro.obs/v2`` trace (spans including
       open ones, cost counters, memory gauges, and one ``profile`` event
@@ -179,14 +178,13 @@ class ProfileSession:
         self,
         jsonl_path: Optional[str] = None,
         folded_path: Optional[str] = None,
-        memory: bool = True,
         **meta,
     ) -> None:
         self.jsonl_path = jsonl_path
         self.folded_path = folded_path
         self.telemetry = TelemetrySession(jsonl_path=None, profile=True, **meta)
         self.collector = CostCollector(self.telemetry.registry, self.telemetry.tracer)
-        self.memory = MemoryProfiler() if memory else None
+        self.memory = MemoryProfiler()
         self._prev_collector: Optional[CostCollector] = None
         self._installed = False
 
@@ -196,19 +194,17 @@ class ProfileSession:
             raise RuntimeError("profile session already installed")
         self.telemetry.install()
         self._prev_collector = set_collector(self.collector)
-        if self.memory is not None:
-            self.memory.start()
-            self.telemetry.tracer.add_listener(self.memory)
+        self.memory.start()
+        self.telemetry.tracer.add_listener(self.memory)
         self._installed = True
         return self
 
     def uninstall(self) -> None:
         if not self._installed:
             return
-        if self.memory is not None:
-            self.telemetry.tracer.remove_listener(self.memory)
-            self.memory.stop()
-            self.memory.flush_gauges(self.telemetry.registry)
+        self.telemetry.tracer.remove_listener(self.memory)
+        self.memory.stop()
+        self.memory.flush_gauges(self.telemetry.registry)
         set_collector(self._prev_collector)
         self.telemetry.uninstall()
         self._installed = False

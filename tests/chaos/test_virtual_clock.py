@@ -10,7 +10,7 @@ claims, plus two regressions:
 * a client whose crash report pops *after* its round already met quorum
   must be consumed cleanly in a later round (the fault plan is consulted
   for the dispatch round, not the pop round);
-* the barrier engine's straggler/timeout/retry-backoff waits route
+* the barrier engine's straggler/timeout/retry waits route
   through the injectable clock, so a chaos drill handed a
   :class:`VirtualClock` pays zero wall-clock for multi-second delays.
 """
@@ -220,7 +220,7 @@ class TestCrashAfterQuorum:
 
 
 class TestBarrierSleepsAreInjectable:
-    """Pin of the retry/backoff fix: barrier waits go through the clock."""
+    """Pin of the timeout/retry fix: barrier waits go through the clock."""
 
     def test_straggler_timeout_backoff_pay_no_wall_clock(self, parts, telemetry):
         clock = VirtualClock()
@@ -228,9 +228,8 @@ class TestBarrierSleepsAreInjectable:
             max_rounds=3,
             patience=50,
             hidden=8,
-            client_timeout=0.01,
+            client_timeout=3.0,
             client_retries=1,
-            retry_backoff=3.0,
         )
         plan = FaultPlan.from_spec("straggler=1.0:delay=5.0", seed=0)
         tr = FederatedTrainer(parts, cfg, seed=0, faults=plan, clock=clock)
@@ -238,9 +237,9 @@ class TestBarrierSleepsAreInjectable:
         hist = tr.run()
         wall = time.perf_counter() - t0
         assert len(hist) == 3
-        # Every client straggles every round: each costs one timeout
-        # (0.01) plus one retry backoff (3.0) in *virtual* seconds.
-        expected = 3 * len(tr.clients) * (0.01 + 3.0)
+        # Every client straggles past the deadline every round: each
+        # costs one timeout (3.0) in *virtual* seconds, then retries.
+        expected = 3 * len(tr.clients) * 3.0
         assert clock.elapsed == pytest.approx(expected)
         assert wall < 10.0  # ~45 virtual seconds of waiting, near-zero real
         recovered = telemetry.counter("faults.recovered", kind="straggler").value

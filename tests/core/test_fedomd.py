@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FedOMDConfig, FedOMDTrainer
+from repro.federated.faults import FaultPlan
 from repro.graphs import load_dataset, louvain_partition
 
 
@@ -14,6 +15,7 @@ def parts():
 
 
 QUICK = dict(max_rounds=5, patience=20, hidden=16)
+DROP_ONE = "drop=1.0:clients=1"
 
 
 class TestConfig:
@@ -136,7 +138,6 @@ class TestTrainer:
         # channel actually moved during the exchange (float64 payloads,
         # so the agreement is exact, not approximate).
         tr = FedOMDTrainer(parts, FedOMDConfig(**QUICK), seed=0)
-        tr._sample_participants()
         tr.begin_round(0)
         rep = tr.statistics_bytes_last_round()
         assert rep["statistics_bytes_per_round_measured"] == (
@@ -148,35 +149,30 @@ class TestTrainer:
             == rep["statistics_bytes_per_round_measured"]
         )
 
-    def test_empirical_range_mode(self, parts):
-        cfg = FedOMDConfig(activation_range=None, **QUICK)
-        tr = FedOMDTrainer(parts, cfg, seed=0)
-        tr.begin_round(0)
-        a, b = tr._range
-        assert b > a
-
 
 class TestPartialParticipation:
-    """Client sampling: only sampled parties exchange, train, and pay."""
+    """A dropped client neither exchanges, trains, nor pays."""
+
+    def make(self, parts, **overrides):
+        """A trainer whose client 1 is unreachable every round."""
+        cfg = FedOMDConfig(**dict(QUICK, **overrides))
+        return FedOMDTrainer(parts, cfg, seed=0, faults=FaultPlan.from_spec(DROP_ONE))
 
     def test_end_to_end_smoke(self, parts):
-        cfg = FedOMDConfig(participation_rate=0.5, **QUICK)
-        tr = FedOMDTrainer(parts, cfg, seed=0)
-        hist = tr.run()
+        hist = self.make(parts).run()
         assert len(hist) == QUICK["max_rounds"]
         assert all(np.isfinite(l) for l in hist.train_losses)
 
     def test_exchange_restricted_to_participants(self, parts):
-        cfg = FedOMDConfig(participation_rate=0.5, **QUICK)
-        tr = FedOMDTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
-        participants = tr.participating_clients()
+        tr = self.make(parts)
+        tr.injector.begin_round(0, len(tr.clients))
+        participants = tr.active_clients()
         assert 0 < len(participants) < len(tr.clients)
         before = tr.comm.snapshot()
         tr.begin_round(0)
         delta = tr.comm.snapshot() - before
-        # 2 statistic rounds × participants only: unsampled clients
-        # contribute zero uplink messages (and bytes) this round.
+        # 2 statistic rounds × participants only: the dropped client
+        # contributes zero uplink messages (and bytes) this round.
         assert delta.uplink_messages == 2 * len(participants)
         assert delta.downlink_messages == 2 * len(participants)
         rep = tr.statistics_bytes_last_round()
@@ -188,42 +184,38 @@ class TestPartialParticipation:
         from repro.core.exchange import pooled_central_moments
         from repro.autograd import no_grad
 
-        cfg = FedOMDConfig(participation_rate=0.5, **QUICK)
-        tr = FedOMDTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
+        tr = self.make(parts)
+        tr.injector.begin_round(0, len(tr.clients))
         tr.begin_round(0)
         hidden = []
-        for c in tr.participating_clients():
+        for c in tr.active_clients():
             c.model.eval()
             with no_grad():
                 _, h = c.model.forward_with_hidden(c.graph)
             hidden.append([t.data for t in h])
-        want = pooled_central_moments(hidden, orders=cfg.orders)
+        want = pooled_central_moments(hidden, orders=tr.omd_config.orders)
         got = tr._global_moments
         for l in range(got.num_layers):
             np.testing.assert_allclose(got.means[l], want.means[l], rtol=1e-10)
 
     def test_unsampled_clients_not_projected(self, parts):
-        cfg = FedOMDConfig(hard_orthogonal=True, participation_rate=0.5, **QUICK)
-        tr = FedOMDTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
-        sampled = {c.cid for c in tr.participating_clients()}
-        unsampled = [c for c in tr.clients if c.cid not in sampled]
-        assert unsampled
-        before = {c.cid: c.get_state() for c in unsampled}
+        tr = self.make(parts, hard_orthogonal=True)
+        tr.injector.begin_round(0, len(tr.clients))
+        active = {c.cid for c in tr.active_clients()}
+        dropped = [c for c in tr.clients if c.cid not in active]
+        assert dropped
+        before = {c.cid: c.get_state() for c in dropped}
         tr.begin_round(0)
-        for c in tr.participating_clients():
+        for c in tr.active_clients():
             c.train_step(tr.local_loss)
         tr.after_local_training(0)
-        for c in unsampled:
+        for c in dropped:
             for k, v in c.get_state().items():
                 np.testing.assert_array_equal(v, before[c.cid][k])
 
     def test_participation_reduces_uplink(self, parts):
-        def uplink(rate):
-            cfg = FedOMDConfig(participation_rate=rate, **QUICK)
-            tr = FedOMDTrainer(parts, cfg, seed=0)
-            tr.run()
-            return tr.comm.stats.uplink_bytes
-
-        assert uplink(0.5) < uplink(1.0)
+        full = FedOMDTrainer(parts, FedOMDConfig(**QUICK), seed=0)
+        full.run()
+        partial = self.make(parts)
+        partial.run()
+        assert partial.comm.stats.uplink_bytes < full.comm.stats.uplink_bytes

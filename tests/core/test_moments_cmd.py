@@ -10,7 +10,6 @@ from repro.core.cmd import cmd_distance, cmd_distance_arrays, layerwise_cmd
 from repro.core.moments import (
     central_moments,
     central_moments_np,
-    empirical_activation_range,
     layer_means,
     layer_means_np,
     moments_tensor,
@@ -54,14 +53,6 @@ class TestMomentsNumpy:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             central_moments_np(np.zeros((3, 2)), np.zeros(3), [2])
-
-    def test_empirical_range(self):
-        a, b = empirical_activation_range([np.array([[0.1, 0.5]]), np.array([[-0.2, 0.9]])])
-        assert (a, b) == (-0.2, 0.9)
-
-    def test_empirical_range_degenerate(self):
-        a, b = empirical_activation_range([np.ones((3, 2))])
-        assert b - a == 1.0
 
 
 class TestMomentsTensor:
@@ -373,11 +364,16 @@ class TestHeavyTailedNumerics:
         mean = z.mean(axis=0)
         assert_matches_power(z, mean, orders, central_moments_np(z, mean, orders))
 
-        # Targets from a second draw of the same family; range from both.
+        # Targets from a second draw of the same family; (a, b) spans
+        # both draws, widened to unit length when they coincide (a
+        # one-node lognormal draw is exactly ``magnitude``).
         other = heavy_tailed(seed + 1, family, n, d, magnitude)
         target_mean = other.mean(axis=0)
         targets = central_moments_np(other, target_mean, orders)
-        a, b = empirical_activation_range([z, other])
+        a = min(float(np.min(z)), float(np.min(other)))
+        b = max(float(np.max(z)), float(np.max(other)))
+        if b - a < 1e-12:
+            b = a + 1.0
         t = Tensor(z, requires_grad=True)
         dist = cmd_distance(t, target_mean, targets, a=a, b=b, orders=orders)
         assert np.isfinite(dist.item())

@@ -68,12 +68,6 @@ class TestEngineValidation:
         [
             ("quorum", 0.0),
             ("quorum", 1.5),
-            ("staleness_decay", 0.0),
-            ("staleness_decay", 2.0),
-            ("max_staleness", -1),
-            ("prox_mu", -0.5),
-            ("latency_base", -1.0),
-            ("latency_jitter", -0.1),
         ],
     )
     def test_async_knobs_validated(self, field, value):

@@ -16,9 +16,10 @@ The determinism matrix replays the same run across every operational
 axis that must not move a bit: engine (barrier, async at quorum 1.0) ×
 executor workers (1, 4) × instrumentation (plain, runtime sanitizers
 armed, inside a ``ProfileSession``).  Every cell must give the golden
-digest.  A subprocess leg adds the BLAS-thread axis: OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` once at load time, so each thread count runs
-the golden history in a fresh interpreter.
+digest.  A subprocess leg crosses the BLAS-thread axis with the engine
+axis: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once at load time, so
+each (engine, thread count) pair runs the golden history in a fresh
+interpreter.
 
 If a change is *intended* to alter the trajectory (a new default, a
 fixed bug in the math), re-record GOLDEN_DIGEST by running the helper
@@ -89,8 +90,8 @@ def test_golden_digest_matrix(engine, num_workers, mode):
     assert digest(history) == GOLDEN_DIGEST
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_golden_digest_across_blas_threads(threads):
+@pytest.mark.parametrize("engine,threads", list(itertools.product(ENGINES, ("1", "2"))))
+def test_golden_digest_across_blas_threads(engine, threads):
     root = Path(__file__).resolve().parents[2]
     env = dict(
         os.environ,
@@ -99,7 +100,7 @@ def test_golden_digest_across_blas_threads(threads):
     )
     code = (
         "from tests.federated.test_golden_history import digest, golden_history\n"
-        "print(digest(golden_history()))"
+        f"print(digest(golden_history(**{ENGINES[engine]!r})))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env,

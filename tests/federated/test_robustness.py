@@ -1,7 +1,8 @@
 """Robustness features of the federated loop, one class per mechanism:
 
-* :class:`TestClientSampling` — partial participation (McMahan-style
-  per-round client sampling).
+* :class:`TestClientSampling` — who takes part in a round: every
+  client (the paper's full participation), minus any a drop fault
+  removes.
 * :class:`TestLocalNaNGuard` — the *client-side* guard: a non-finite
   local loss rolls the step back instead of stepping into NaN weights.
 * :class:`TestServerQuarantine` — the *server-side* guard: an upload
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.federated import Client, FederatedTrainer, TrainerConfig
+from repro.federated import Client, FaultPlan, FederatedTrainer, TrainerConfig
 from repro.federated.server import fedavg
 from repro.gnn import GCN
 from repro.graphs import load_dataset, louvain_partition
@@ -31,54 +32,17 @@ def parts():
 class TestClientSampling:
     def test_full_participation_default(self, parts):
         tr = FederatedTrainer(parts, TrainerConfig(max_rounds=2, patience=10, hidden=8), seed=0)
-        tr._sample_participants()
         assert len(tr.participating_clients()) == 5
 
-    def test_partial_participation_counts(self, parts):
-        cfg = TrainerConfig(max_rounds=2, patience=10, hidden=8, participation_rate=0.4)
-        tr = FederatedTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
-        assert len(tr.participating_clients()) == 2
-
-    def test_at_least_one_participant(self, parts):
-        cfg = TrainerConfig(max_rounds=2, patience=10, hidden=8, participation_rate=0.01)
-        tr = FederatedTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
-        assert len(tr.participating_clients()) == 1
-
-    def test_sampling_varies_per_round(self, parts):
-        cfg = TrainerConfig(max_rounds=2, patience=10, hidden=8, participation_rate=0.4)
-        tr = FederatedTrainer(parts, cfg, seed=0)
-        draws = set()
-        for _ in range(20):
-            tr._sample_participants()
-            draws.add(tuple(tr._participants))
-        assert len(draws) > 1
-
-    def test_partial_run_trains_and_reduces_traffic(self, parts):
-        full_cfg = TrainerConfig(max_rounds=6, patience=20, hidden=8)
-        part_cfg = TrainerConfig(max_rounds=6, patience=20, hidden=8, participation_rate=0.4)
-        full = FederatedTrainer(parts, full_cfg, seed=0)
-        partial = FederatedTrainer(parts, part_cfg, seed=0)
-        full.run()
-        partial.run()
-        assert partial.comm.stats.uplink_bytes < full.comm.stats.uplink_bytes
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            TrainerConfig(participation_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainerConfig(participation_rate=1.5)
-
     def test_unsampled_clients_untouched_within_round(self, parts):
-        cfg = TrainerConfig(max_rounds=1, patience=10, hidden=8, participation_rate=0.2)
-        tr = FederatedTrainer(parts, cfg, seed=0)
-        tr._sample_participants()
-        sampled = {c.cid for c in tr.participating_clients()}
-        idle = next(c for c in tr.clients if c.cid not in sampled)
+        cfg = TrainerConfig(max_rounds=1, patience=10, hidden=8)
+        plan = FaultPlan.from_spec("drop=1.0:clients=1")
+        tr = FederatedTrainer(parts, cfg, seed=0, faults=plan)
+        tr.injector.begin_round(0, len(tr.clients))
+        idle = tr.clients[1]
+        assert idle not in tr.active_clients()
         before = idle.model.conv1.weight.data.copy()
-        for c in tr.participating_clients():
-            c.train_step(tr.local_loss)
+        tr._train_participants()
         np.testing.assert_array_equal(idle.model.conv1.weight.data, before)
 
 
@@ -132,7 +96,7 @@ class TestLocalNaNGuard:
                     return loss * Tensor(float("inf"))
                 return loss
 
-        cfg = TrainerConfig(max_rounds=5, patience=20, hidden=8, nan_guard=True)
+        cfg = TrainerConfig(max_rounds=5, patience=20, hidden=8)
         tr = Poisoned(parts, cfg, seed=0)
         hist = tr.run()
         # Weights stayed finite through the poisoned round.

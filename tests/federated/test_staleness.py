@@ -146,7 +146,7 @@ class TestProximalCorrection:
     def test_validation(self):
         with pytest.raises(ValueError, match="staleness"):
             proximal_correction({}, {}, -1, 0.1)
-        with pytest.raises(ValueError, match="prox_mu"):
+        with pytest.raises(ValueError, match="mu must be non-negative"):
             proximal_correction({}, {}, 1, -0.1)
 
 
@@ -256,11 +256,11 @@ class TestFoldArrivalsPermutationInvariance:
         original, permuted, version = drawn
         a = fold_arrivals(
             original, version, None,
-            max_staleness=8, decay=0.5, mu=0.1, sample_weighted=True,
+            max_staleness=8, decay=0.5, mu=0.1,
         )
         b = fold_arrivals(
             permuted, version, None,
-            max_staleness=8, decay=0.5, mu=0.1, sample_weighted=True,
+            max_staleness=8, decay=0.5, mu=0.1,
         )
         assert a.kept == b.kept
         assert a.new_global is not None
@@ -283,11 +283,11 @@ class TestFoldArrivalsPermutationInvariance:
         }
         a = fold_arrivals(
             original, version, global_state,
-            max_staleness=3, decay=0.7, mu=0.1, sample_weighted=True,
+            max_staleness=3, decay=0.7, mu=0.1,
         )
         b = fold_arrivals(
             permuted, version, global_state,
-            max_staleness=3, decay=0.7, mu=0.1, sample_weighted=True,
+            max_staleness=3, decay=0.7, mu=0.1,
         )
         assert a.kept == b.kept
         assert a.quarantined == b.quarantined and a.discarded == b.discarded

@@ -65,6 +65,11 @@ class TestGraphContainer:
         g = Graph(x=np.zeros((3, 2)), adj=adj, y=np.zeros(3, dtype=int), num_classes=1)
         with pytest.raises(ValueError):
             g.validate()
+        # Entries that cancel in a sum are still a non-empty diagonal.
+        adj = sp.diags([1.0, -1.0, 0.0], format="csr")
+        g = Graph(x=np.zeros((3, 2)), adj=adj, y=np.zeros(3, dtype=int), num_classes=1)
+        with pytest.raises(ValueError, match="diagonal"):
+            g.validate()
 
     def test_validate_nan_features(self):
         g = tiny_graph()

@@ -266,12 +266,3 @@ class TestProfileSessionEndToEnd:
             if e.get("type") == "metric" and e["name"] == "profile.mem_peak_bytes"
         }
         assert phases == {"exchange", "train", "aggregate", "eval"}
-
-    def test_memory_opt_out(self, parts):
-        session = ProfileSession(memory=False)
-        with session:
-            pass
-        assert session.memory is None
-        assert all(
-            e.get("name") != "profile.mem_peak_bytes" for e in session.events()
-        )

@@ -165,6 +165,15 @@ class TestExperimentCLI:
         assert "table2" in capsys.readouterr().out
         assert (tmp_path / "table2.csv").exists()
 
+    def test_main_rejects_fault_seed_outside_chaos(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--mode", "smoke", "--out", str(tmp_path), "--fault-seed", "7"])
+        assert exc.value.code == 2
+        assert "--fault-seed" in capsys.readouterr().err
+        assert not (tmp_path / "table2.csv").exists()
+
     def test_main_unknown_experiment(self, tmp_path):
         from repro.experiments.__main__ import main
 
