@@ -12,8 +12,8 @@ sources / sanitizers / sinks and per-function summaries (which
 parameters flow to the return value, which parameters reach a sink),
 iterated to a fixpoint so taint crosses function and class-attribute
 boundaries.  Powers RL007 (privacy escape): raw party tensors
-(``graph.x`` / ``.y`` / ``.edge_index`` / ``.adj``, the cached operators
-``.x_op`` / ``.s_op``, whole ``graph`` handles) must pass a statistic
+(``graph.x`` / ``.y`` / ``.edge_index`` / ``.adj``, the cached views
+``.x_dense`` / ``.s_op``, whole ``graph`` handles) must pass a statistic
 constructor (``mean`` / ``sum`` / ``state_dict`` / the moment helpers)
 before reaching a ``Communicator`` uplink (``send_to_server`` /
 ``gather`` / ``allgather``).  Legitimate aggregate uploads carry a
@@ -513,7 +513,7 @@ class TaintConfig:
     #: raw-field reads: ``<receiver>.<field>`` where the receiver's last
     #: segment names a party subgraph.
     source_fields: FrozenSet[str] = frozenset(
-        {"x", "y", "edge_index", "adj", "x_op", "s_op"}
+        {"x", "y", "edge_index", "adj", "x_dense", "s_op"}
     )
     source_receivers: FrozenSet[str] = frozenset({"graph", "g", "subgraph", "part", "parts"})
     #: attributes that *are* a party-data handle wherever they appear.

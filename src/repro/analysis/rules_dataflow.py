@@ -53,7 +53,7 @@ class PrivacyEscape(Rule):
     rationale = (
         "FedOMD's privacy claim (§4.4) is that only statistics cross the "
         "Communicator: raw party tensors (graph.x/.y/.edge_index/.adj "
-        "and the cached operators graph.x_op/.s_op) "
+        "and the cached views graph.x_dense/.s_op) "
         "reaching an uplink without a sanitizing aggregate "
         "(mean/sum/state_dict/moment helpers) is a privacy escape. "
         "Legitimate aggregate uploads carry `# privacy-ok(<reason>)`."

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, as_tensor
+from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.autograd import signatures as _signatures
 from repro.obs import cost as _cost
 
@@ -89,12 +89,14 @@ def spmm(s, x) -> Tensor:
     cc = _cost._collector
     if cc is not None:
         cc.spmm_op("fwd", s.nnz, x.data, out_data)
+    # The pre-transposed reverse-CSR, built at most once per container.
+    # A container made without it (a graph's features) gets it here, in
+    # the forward that will need it, never inside a backward pass.
+    rev = s.rev if x.requires_grad and is_grad_enabled() else None
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            # s.rev is the pre-transposed reverse-CSR, built at most
-            # once per container (eagerly for Graph-owned operators).
-            dx = s.rev.matmul(grad)
+            dx = rev.matmul(grad)
             cc = _cost._collector
             if cc is not None:
                 cc.spmm_op("bwd", s.nnz, grad, dx)

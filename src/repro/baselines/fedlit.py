@@ -133,7 +133,7 @@ class FedLITTrainer(FederatedTrainer):
         """(edge array (m,2), embedding matrix) for clustering."""
         coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
         edges = np.stack([coo.row, coo.col], axis=1)
-        base = h if h is not None else graph.x
+        base = h if h is not None else graph.x_dense
         eu, ev = base[edges[:, 0]], base[edges[:, 1]]
         emb = np.concatenate([(eu + ev) / 2.0, np.abs(eu - ev)], axis=1)
         return edges, emb
@@ -168,7 +168,7 @@ class FedLITTrainer(FederatedTrainer):
             for c in self.clients:
                 c.model.eval()
                 with no_grad():
-                    x = Tensor(c.graph.x)
+                    x = Tensor(c.graph.x_dense)
                     h = None
                     for s_t, conv in zip(self._typed_adjs[c.cid], c.model.layer1):
                         out = conv(s_t, x)
@@ -206,7 +206,7 @@ class FedLITTrainer(FederatedTrainer):
     def local_loss(self, client):
         from repro.nn import cross_entropy
 
-        logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))
+        logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x_dense))
         return cross_entropy(logits, client.graph.y, client.graph.train_mask)
 
     def evaluate(self, split: str = "test") -> float:
@@ -220,7 +220,7 @@ class FedLITTrainer(FederatedTrainer):
                 continue
             c.model.eval()
             with no_grad():
-                logits = c.model(self._typed_adjs[c.cid], Tensor(c.graph.x))
+                logits = c.model(self._typed_adjs[c.cid], Tensor(c.graph.x_dense))
             accs.append(accuracy(logits, c.graph.y, mask))
             counts.append(n)
         if not counts:

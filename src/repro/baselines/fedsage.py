@@ -97,8 +97,9 @@ def hide_edges(graph: Graph, frac: float, rng: np.random.Generator):
     hr, hc = coo.row[hide], coo.col[hide]
     np.add.at(hidden_count, hr, 1.0)
     np.add.at(hidden_count, hc, 1.0)
-    np.add.at(hidden_feat_sum, hr, graph.x[hc])
-    np.add.at(hidden_feat_sum, hc, graph.x[hr])
+    x = graph.x_dense
+    np.add.at(hidden_feat_sum, hr, x[hc])
+    np.add.at(hidden_feat_sum, hc, x[hr])
     denom = np.maximum(hidden_count, 1.0)[:, None]
     hidden_feat_mean = hidden_feat_sum / denom
 
@@ -143,7 +144,7 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         return out
 
     return Graph(
-        x=np.vstack([graph.x, new_x]),
+        x=np.vstack([graph.x_dense, new_x]),
         adj=adj.tocsr(),
         y=np.concatenate([graph.y, np.zeros(total_new, dtype=int)]),
         num_classes=graph.num_classes,
@@ -193,18 +194,19 @@ class FedSagePlusTrainer(FederatedTrainer):
                 visible, h_count, h_feat = hide_edges(g, self.hide_frac, self._gen_rng)
                 mean_adj = row_normalized_adjacency(visible.adj)
             except ValueError:
-                visible, h_count, h_feat = g, np.zeros(g.num_nodes), np.zeros_like(g.x)
+                h_count, h_feat = np.zeros(g.num_nodes), np.zeros_like(g.x_dense)
                 mean_adj = row_normalized_adjacency(g.adj)
             # One CSR container per party for the whole generator
             # pre-training: the reverse-CSR for backward is built here,
-            # once, instead of per epoch inside spmm.
-            data.append((visible, CSRMatrix.from_scipy(mean_adj), h_count, h_feat))
+            # once, instead of per epoch inside spmm.  The visible graph
+            # keeps every node's features, so g's dense copy serves it.
+            data.append((g.x_dense, CSRMatrix.from_scipy(mean_adj), h_count, h_feat))
 
         for epoch in range(self.gen_epochs):
-            for gen, opt, (vis, mean_adj, h_count, h_feat) in zip(gens, opts, data):
+            for gen, opt, (x, mean_adj, h_count, h_feat) in zip(gens, opts, data):
                 gen.train()
                 opt.zero_grad()
-                deg_pred, feat_pred = gen(mean_adj, Tensor(vis.x))
+                deg_pred, feat_pred = gen(mean_adj, Tensor(x))
                 deg_loss = mse_loss(deg_pred, h_count[:, None])
                 feat_loss = mse_loss(feat_pred, h_feat)
                 (deg_loss + feat_loss).backward()
@@ -217,14 +219,14 @@ class FedSagePlusTrainer(FederatedTrainer):
                     gen.load_state_dict(avg)
 
         mended = []
-        for g, gen, (vis, mean_adj, _, _) in zip(parts, gens, data):
+        for g, gen in zip(parts, gens):
             gen.eval()
             # Forward-only (no_grad) single use: skip the reverse build.
             full_mean_adj = CSRMatrix.from_scipy(
                 row_normalized_adjacency(g.adj), build_reverse=False
             )
             with no_grad():
-                deg_pred, feat_pred = gen(full_mean_adj, Tensor(g.x))
+                deg_pred, feat_pred = gen(full_mean_adj, Tensor(g.x_dense))
             mended.append(
                 mend_graph(
                     g,

@@ -95,14 +95,11 @@ class FedOMDTrainer(FederatedTrainer):
         self._last_exchange_traffic: Optional[CommStats] = None
         self._last_exchange_participants: int = len(self.clients)
         if self.sanitizer is not None:
-            # OrthoGCN's cached operators hold copies of the raw features
-            # and structure, not views of x / adj, so declare them too.
+            # OrthoGCN's cached propagation operator holds a copy of the
+            # raw structure, not a view of adj, so declare it too.
             for c in self.clients:
                 self.sanitizer.register_private_arrays(
-                    [
-                        (f"client{c.cid}.graph.x_op", c.graph.x_op.data),
-                        (f"client{c.cid}.graph.s_op", c.graph.s_op.data),
-                    ]
+                    [(f"client{c.cid}.graph.s_op", c.graph.s_op.data)]
                 )
 
     # ------------------------------------------------------------------

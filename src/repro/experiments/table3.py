@@ -84,7 +84,7 @@ def run(
                 if model == "fedlit":
                     from repro.autograd import Tensor
 
-                    c.model(trainer._typed_adjs[c.cid], Tensor(c.graph.x))
+                    c.model(trainer._typed_adjs[c.cid], Tensor(c.graph.x_dense))
                 else:
                     c.model(c.graph)
         t_infer = time.perf_counter() - t0

@@ -44,10 +44,13 @@ def fedavg(states: Sequence[StateDict], weights: Optional[Sequence[float]] = Non
     out: StateDict = {}
     for k in states[0]:
         acc = np.zeros_like(states[0][k])
+        # One product buffer per key, reused across the clients: λ_i·W_i
+        # is formed in place rather than allocated once per client.
+        term = np.empty_like(acc)
         for lam_i, s in zip(lam, states):
             if s[k].shape != acc.shape:
                 raise ValueError(f"shape mismatch for {k}")
-            acc += lam_i * s[k]
+            acc += np.multiply(s[k], lam_i, out=term)
         out[k] = acc
     return out
 

@@ -203,10 +203,12 @@ class FederatedTrainer:
         if self.sanitizer is not None:
             # Declare every party's raw tensors to the privacy tripwire:
             # an upload aliasing any of these buffers is a §4.4 escape.
+            # The features are their CSR values; an uploaded CSRMatrix
+            # (or its reverse) yields them too.
             for c in self.clients:
                 self.sanitizer.register_private_arrays(
                     [
-                        (f"client{c.cid}.graph.x", c.graph.x),
+                        (f"client{c.cid}.graph.x", c.graph.x.data),
                         (f"client{c.cid}.graph.y", c.graph.y),
                         (f"client{c.cid}.graph.adj", c.graph.adj.data),
                     ]
@@ -273,8 +275,11 @@ class FederatedTrainer:
         states: List[Dict[str, np.ndarray]] = []
         kept: List[Client] = []
         for c in self.active_clients():
+            # The live parameter arrays: the transport's deep copy is the
+            # upload, so a get_state() copy first would be a second one.
+            live = {name: p.data for name, p in c.model.named_parameters()}
             try:
-                payload = self.comm.send_to_server(c.cid, c.get_state(), kind=KIND_WEIGHTS)
+                payload = self.comm.send_to_server(c.cid, live, kind=KIND_WEIGHTS)
             except ClientDropped:
                 continue
             if self.config.quarantine_nonfinite and not payload_is_finite(payload):

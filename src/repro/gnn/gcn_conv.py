@@ -30,7 +30,7 @@ class GCNConv(Module):
       (transform then propagate) costs O(n·d_in·d_out + nnz·d_out); the
       other order would pay O(nnz·d_in + n·d_in·d_out) — cheaper only
       when d_out > d_in, so we pick per-call based on the shapes.
-    * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x_op``,
+    * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x``,
       the sparse bag-of-words features).  The layer computes
       ``S̃ (Z W)`` with two sparse products, O(nnz_z·d_out + nnz·d_out),
       and the weight gradient Zᵀ·G comes from the cached reverse CSR.

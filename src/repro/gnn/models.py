@@ -11,11 +11,12 @@ Every model exposes two entry points:
 Models receive the :class:`~repro.graphs.data.Graph` (not raw tensors)
 so each can pick its propagation operator: GCN/Ortho use ``graph.s_op``
 (the cached fused-kernel CSR container of S̃), SAGE uses ``graph.mean_op``
-(the row-normalized mean aggregator).  OrthoGCN's first layer also
-takes its features as ``graph.x_op``, the cached CSR of the sparse
-bag-of-words ``x``.  The containers are built once per graph with a
-pre-transposed reverse-CSR, so propagation never pays a sparse
-conversion — forward or backward — after the first touch.
+(the row-normalized mean aggregator).  OrthoGCN's first layer takes the
+sparse bag-of-words features ``graph.x``, a CSR container itself; the
+other models read the cached dense copy ``graph.x_dense``.  Every
+container is built once per graph and carries a pre-transposed
+reverse-CSR, so propagation never pays a sparse conversion — forward
+or backward — after the first touch.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class MLP(Module):
         self._rng = gen
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
-        x = Tensor(graph.x)
+        x = Tensor(graph.x_dense)
         h = relu(self.fc1(x))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
@@ -82,7 +83,7 @@ class GCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv1(s, Tensor(graph.x)))
+        h = relu(self.conv1(s, Tensor(graph.x_dense)))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(s, h), hid
@@ -113,7 +114,7 @@ class SGC(Module):
         self.fc = Linear(in_features, num_classes, rng=gen)
 
     def forward(self, graph: Graph) -> Tensor:
-        h = Tensor(graph.x)
+        h = Tensor(graph.x_dense)
         for _ in range(self.k):
             h = spmm(graph.s_op, h)
         return self.fc(h)
@@ -145,7 +146,7 @@ class SAGE(Module):
         # not in a model-side id(graph) dict: ids recycle after GC, which
         # aliased a new graph to a dead graph's operator.
         m = graph.mean_op
-        h = relu(self.conv1(m, Tensor(graph.x)))
+        h = relu(self.conv1(m, Tensor(graph.x_dense)))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(m, h), hid
@@ -187,7 +188,7 @@ class APPNP(Module):
         self._rng = gen
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
-        x = Tensor(graph.x)
+        x = Tensor(graph.x_dense)
         hid1 = relu(self.fc1(x))
         h = self.fc2(dropout(hid1, self.dropout_p, rng=self._rng, training=self.training))
         z = h
@@ -224,7 +225,7 @@ class GAT(Module):
         # Cached on the graph (graph.edge_index), not keyed on id(graph);
         # see SAGE.forward_with_hidden.
         edges = graph.edge_index
-        h = relu(self.conv1(edges, Tensor(graph.x)))
+        h = relu(self.conv1(edges, Tensor(graph.x_dense)))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(edges, h), hid
@@ -275,7 +276,7 @@ class OrthoGCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv_in(s, graph.x_op))
+        h = relu(self.conv_in(s, graph.x))
         hidden = [h]
         for layer in self.ortho_layers:
             h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)

@@ -177,6 +177,15 @@ class CSRMatrix:
     def ndim(self) -> int:
         return 2
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the CSR arrays, plus the reverse's once it is built."""
+        total = 0
+        for m in (self, self._rev):
+            if m is not None:
+                total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        return total
+
     # ------------------------------------------------------------------
     # products
     # ------------------------------------------------------------------
@@ -205,7 +214,7 @@ class CSRMatrix:
         return self._scipy
 
     def toarray(self) -> np.ndarray:
-        """Dense copy (tests / small diagnostics only)."""
+        """Dense copy (``Graph.x_dense`` caches one for the dense-input models)."""
         return self.to_scipy().toarray()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

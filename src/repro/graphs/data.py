@@ -1,16 +1,18 @@
 """The :class:`Graph` container used throughout the reproduction.
 
-One immutable-ish record per (sub)graph: features ``x`` (dense float
-array), CSR adjacency ``adj`` (symmetric, no self loops), integer labels
-``y``, and optional boolean train/val/test masks.  The normalized
-propagation matrix ``s_norm`` (the paper's S̃) is computed lazily and
-cached, since every GCN forward needs it and it never changes.
+One immutable-ish record per (sub)graph: features ``x``, CSR adjacency
+``adj`` (symmetric, no self loops), integer labels ``y``, and optional
+boolean train/val/test masks.  The normalized propagation matrix
+``s_norm`` (the paper's S̃) is computed lazily and cached, since every
+GCN forward needs it and it never changes.
 
 The bag-of-words features are 0.4–1.4% dense on the Table-2 twins, so
-the graph also caches them as a CSR operator (:attr:`Graph.x_op`):
-OrthoGCN's input projection multiplies that instead of the dense ``x``.
-The dense array stays for the models that read it (MLP, SAGE, GAT,
-APPNP, SGC, the GCN baseline, FedSAGE, FedLIT).
+``x`` is stored once, as a :class:`~repro.graphs.csr.CSRMatrix`: it is
+the operator OrthoGCN's input projection multiplies, and its reverse
+(Xᵀ, for the weight gradient) is built by the first forward that needs
+it.  The models that multiply dense features (MLP, SAGE, GAT, APPNP,
+SGC, the GCN baseline, FedSAGE, FedLIT) read :attr:`Graph.x_dense`, a
+dense copy built on first access and cached.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graphs.csr import CSRMatrix
 from repro.obs.metrics import get_registry as _get_metrics
 
 
@@ -31,6 +34,27 @@ def _meter_csr_cache(op: str, hit: bool) -> None:
         reg.counter("kernel.csr_cache", op=op, result="hit" if hit else "miss").inc()
 
 
+def _feature_csr(x) -> CSRMatrix:
+    """Features as a float64 :class:`CSRMatrix` with sorted, unique columns.
+
+    A ``CSRMatrix`` is kept as is.  Dense or scipy input is converted
+    once; explicit zeros are dropped, so the entries match what
+    ``scipy.sparse.csr_matrix(dense)`` stores.  The reverse is not built.
+    """
+    if isinstance(x, CSRMatrix):
+        return x
+    if sp.issparse(x):
+        m = sp.csr_matrix(x, dtype=np.float64, copy=True)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+    else:
+        dense = np.asarray(x, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {dense.shape}")
+        m = sp.csr_matrix(dense)
+    return CSRMatrix.from_scipy(m, build_reverse=False)
+
+
 @dataclass
 class Graph:
     """A node-classification graph.
@@ -38,7 +62,10 @@ class Graph:
     Attributes
     ----------
     x:
-        ``(n, f)`` float feature matrix.
+        ``(n, f)`` float64 feature matrix, a
+        :class:`~repro.graphs.csr.CSRMatrix`.  The constructor also
+        accepts a dense array or a scipy sparse matrix and converts it
+        once.
     adj:
         ``(n, n)`` symmetric CSR adjacency with zero diagonal.
     y:
@@ -51,7 +78,7 @@ class Graph:
         its classifier head must still be class-complete for FedAvg).
     """
 
-    x: np.ndarray
+    x: CSRMatrix
     adj: sp.csr_matrix
     y: np.ndarray
     num_classes: int
@@ -62,12 +89,12 @@ class Graph:
     _s_norm: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _mean_adj: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _edge_index: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _s_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
-    _mean_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
-    _x_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
+    _s_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
+    _mean_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
+    _x_dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=np.float64)
+        self.x = _feature_csr(self.x)
         self.y = np.asarray(self.y, dtype=np.int64)
         self.adj = sp.csr_matrix(self.adj)
         n = self.x.shape[0]
@@ -127,7 +154,7 @@ class Graph:
         return self._mean_adj
 
     @property
-    def s_op(self) -> "CSRMatrix":
+    def s_op(self) -> CSRMatrix:
         """Cached :class:`~repro.graphs.csr.CSRMatrix` of S̃ (the fused-kernel operator).
 
         Built once per graph with its pre-transposed reverse-CSR, so no
@@ -136,35 +163,27 @@ class Graph:
         """
         _meter_csr_cache("s_op", hit=self._s_op is not None)
         if self._s_op is None:
-            from repro.graphs.csr import CSRMatrix
-
             self._s_op = CSRMatrix.from_scipy(self.s_norm)
         return self._s_op
 
     @property
-    def mean_op(self) -> "CSRMatrix":
+    def mean_op(self) -> CSRMatrix:
         """Cached :class:`~repro.graphs.csr.CSRMatrix` of the mean aggregator."""
         _meter_csr_cache("mean_op", hit=self._mean_op is not None)
         if self._mean_op is None:
-            from repro.graphs.csr import CSRMatrix
-
             self._mean_op = CSRMatrix.from_scipy(self.mean_adj)
         return self._mean_op
 
     @property
-    def x_op(self) -> "CSRMatrix":
-        """Cached :class:`~repro.graphs.csr.CSRMatrix` of the features ``x``.
+    def x_dense(self) -> np.ndarray:
+        """Dense copy of ``x``, built on first access and cached.
 
-        Built once per graph with its reverse-CSR (Xᵀ), so the input
-        projection's weight gradient Xᵀ·G never pays a conversion.  The
-        values are a copy of the nonzeros of ``x``, not a view.
+        Only the models that multiply dense features read it; OrthoGCN
+        and FedOMD never do, so their parties hold the CSR alone.
         """
-        _meter_csr_cache("x_op", hit=self._x_op is not None)
-        if self._x_op is None:
-            from repro.graphs.csr import CSRMatrix
-
-            self._x_op = CSRMatrix.from_scipy(sp.csr_matrix(self.x))
-        return self._x_op
+        if self._x_dense is None:
+            self._x_dense = self.x.toarray()
+        return self._x_dense
 
     @property
     def edge_index(self) -> tuple:
@@ -200,13 +219,13 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(self.adj.diagonal() != 0):
             raise ValueError("adjacency must have an empty diagonal")
-        if not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(self.x.data)):
             raise ValueError("features contain non-finite values")
 
     def copy(self) -> "Graph":
         """Deep copy (masks included, cache dropped)."""
         return Graph(
-            x=self.x.copy(),
+            x=self.x.to_scipy(),  # the constructor copies scipy input
             adj=self.adj.copy(),
             y=self.y.copy(),
             num_classes=self.num_classes,

@@ -66,7 +66,11 @@ def feature_mean_distance(parts: Sequence[Graph]) -> float:
     The quantity FedOMD's first-order CMD term directly penalizes in
     hidden space; measured here in input space as a non-i.i.d. indicator.
     """
-    means = [p.x.mean(axis=0) for p in parts]
+    # Column sums in row order: bitwise the dense ``x.mean(axis=0)``.
+    means = [
+        np.bincount(p.x.indices, weights=p.x.data, minlength=p.num_features) / p.num_nodes
+        for p in parts
+    ]
     m = len(means)
     if m < 2:
         return 0.0

@@ -62,7 +62,7 @@ def subgraph(graph: Graph, nodes: np.ndarray, name: Optional[str] = None) -> Gra
         raise ValueError("cannot build an empty subgraph")
     sub_adj = graph.adj[nodes][:, nodes].tocsr()
     return Graph(
-        x=graph.x[nodes].copy(),
+        x=graph.x.to_scipy()[nodes],
         adj=sub_adj,
         y=graph.y[nodes].copy(),
         num_classes=graph.num_classes,

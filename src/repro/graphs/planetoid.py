@@ -71,7 +71,7 @@ def load_planetoid(root: str, name: str) -> Graph:
     tx_full[pos] = tx
     ty_full[pos] = ty
 
-    x = sp.vstack([allx, tx_full.tocsr()]).toarray()
+    x = sp.vstack([allx, tx_full.tocsr()]).tocsr()
     y_onehot = np.vstack([ally, ty_full])
     # Holes have all-zero label rows; argmax gives class 0, matching the
     # reference implementations (those nodes carry no supervision).

@@ -3,15 +3,38 @@
 Weight decay is decoupled (applied to the data, not the gradient moment
 estimates) matching the convention of GCN reference implementations with
 ``weight_decay=1e-4`` as the paper fixes.
+
+Adam's update runs through ``out=`` into two scratch buffers per
+parameter shape, shared by every optimizer on the same thread, so a
+step allocates nothing weight-sized: on the Coauthor-CS input weight the
+temporaries it would otherwise allocate and free are several MB each,
+every step of every client.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+import threading
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.nn.module import Parameter
+
+#: Per-thread ``(shape, dtype) -> (a, b)`` scratch for :meth:`Adam.step`.
+#: Client steps run concurrently on executor threads, so each thread owns
+#: its pairs; a buffer's contents never outlive the step that filled it.
+_scratch = threading.local()
+
+
+def _scratch_pair(like: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    pairs: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = getattr(_scratch, "pairs", None)
+    if pairs is None:
+        pairs = _scratch.pairs = {}
+    key = (like.shape, like.dtype)
+    pair = pairs.get(key)
+    if pair is None:
+        pair = pairs[key] = (np.empty_like(like), np.empty_like(like))
+    return pair
 
 
 class Optimizer:
@@ -124,26 +147,45 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One update, bitwise equal to the textbook expression::
+
+            g = grad + wd * w
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+        Each product is formed in scratch with the same operands and
+        rounding; only the multiplication order of a scalar and an
+        array changes, which is exact.
+        """
         self.t += 1
         b1, b2, t = self.b1, self.b2, self.t
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
         for i, p in enumerate(self.params):
-            g = self._grad(p)
+            a, b = _scratch_pair(p.data)
+            g = p.grad
+            if g is None:
+                a.fill(0.0)
+                g = a
+            if self.weight_decay:
+                np.multiply(p.data, self.weight_decay, out=b)
+                g = np.add(g, b, out=a)
             m, v = self._m[i], self._v[i]
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=b)
             v *= b2
-            v += (1 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def reset_state(self) -> None:
-        """Clear moment estimates (used when a new global model arrives)."""
-        self.t = 0
-        for m in self._m:
-            m[...] = 0.0
-        for v in self._v:
-            v[...] = 0.0
+            np.multiply(g, g, out=b)
+            b *= 1 - b2
+            v += b
+            # g is dead from here on, so a is free.
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            a /= b
+            p.data -= a
 
     def state_dict(self) -> dict:
         """Step count + moment estimates — everything resume needs for

@@ -25,10 +25,10 @@ class TestTaintSemantics:
         src = "def f(comm, graph):\n    return comm.send_to_server(0, graph.x)\n"
         assert not _rl007(src).ok
 
-    def test_cached_feature_operator_is_a_source(self):
-        src = "def f(comm, graph):\n    return comm.send_to_server(0, graph.x_op)\n"
+    def test_cached_dense_features_are_a_source(self):
+        src = "def f(comm, graph):\n    return comm.send_to_server(0, graph.x_dense)\n"
         (v,) = _rl007(src).violations
-        assert "graph.x_op" in v.message
+        assert "graph.x_dense" in v.message
 
     def test_container_mutation_carries_taint(self):
         src = (

@@ -385,10 +385,10 @@ class TestRuntimePrivacyEscape:
         with pytest.raises(PrivacyEscapeError, match="graph.x"):
             trainer.run()
 
-    @pytest.mark.parametrize("field", ["adj", "s_op", "x_op"])
+    @pytest.mark.parametrize("field", ["adj", "s_op", "x"])
     def test_injected_sparse_upload_caught(self, field):
         # Sparse containers reach the tripwire as their buffers: the raw
-        # adjacency and both cached CSR operators are private.
+        # adjacency, the cached S̃ operator and the CSR features are private.
         from repro.analysis.sanitize import PrivacyEscapeError
 
         class LeakyTrainer(FedOMDTrainer):
@@ -409,9 +409,9 @@ class TestRuntimePrivacyEscape:
 
         g = small_parts()[0]
         monitor = ProtocolMonitor()
-        monitor.register_private_array("graph.x_op", g.x_op.data)
-        with pytest.raises(PrivacyEscapeError, match="graph.x_op"):
-            monitor.on_event("up", "means", {"leak": g.x_op.rev})
+        monitor.register_private_array("graph.x", g.x.data)
+        with pytest.raises(PrivacyEscapeError, match="graph.x"):
+            monitor.on_event("up", "means", {"leak": g.x.rev})
 
     def test_statistics_only_run_stays_clean(self):
         cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)

@@ -77,12 +77,12 @@ SPECS = {
 #: activation ``h``.
 INPUTS = {
     "graph": lambda g, h: (g,),
-    "x": lambda g, h: (Tensor(g.x),),
-    "sparse_x": lambda g, h: (g.s_op, Tensor(g.x)),
+    "x": lambda g, h: (Tensor(g.x_dense),),
+    "sparse_x": lambda g, h: (g.s_op, Tensor(g.x_dense)),
     "sparse_h": lambda g, h: (g.s_op, h),
-    "mean_x": lambda g, h: (g.mean_op, Tensor(g.x)),
-    "edges_x": lambda g, h: (g.edge_index, Tensor(g.x)),
-    "slist_x": lambda g, h: ([g.s_op, g.s_op], Tensor(g.x)),
+    "mean_x": lambda g, h: (g.mean_op, Tensor(g.x_dense)),
+    "edges_x": lambda g, h: (g.edge_index, Tensor(g.x_dense)),
+    "slist_x": lambda g, h: ([g.s_op, g.s_op], Tensor(g.x_dense)),
 }
 
 #: Two graphs that differ in every dimension.  ``d_hidden`` lies between
@@ -113,7 +113,7 @@ def graphs():
             "d_hidden": spec["d_hidden"],
             "c": g.num_classes,
             "nnz": int(g.s_op.nnz),
-            "nnz_x": int(g.x_op.nnz),
+            "nnz_x": int(g.x.nnz),
         }
         out.append((g, dims))
     return out

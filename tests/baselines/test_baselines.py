@@ -227,7 +227,7 @@ class TestFedSagePlus:
         from repro.baselines.fedsage import mend_graph
 
         g = parts[0]
-        mended = mend_graph(g, np.zeros(g.num_nodes), g.x)
+        mended = mend_graph(g, np.zeros(g.num_nodes), g.x_dense)
         assert mended is g
 
     def test_mend_caps_new_neighbors(self, parts):
@@ -235,7 +235,7 @@ class TestFedSagePlus:
 
         g = parts[0]
         deg = np.full(g.num_nodes, 100.0)
-        mended = mend_graph(g, deg, g.x, max_new_per_node=1)
+        mended = mend_graph(g, deg, g.x_dense, max_new_per_node=1)
         assert mended.num_nodes == 2 * g.num_nodes
 
     def test_full_pipeline_mends(self, parts):

@@ -226,6 +226,39 @@ class TestFedAvg:
         out = fedavg([s, s, s], weights=[1, 2, 3])
         np.testing.assert_array_equal(out["w"], s["w"])
 
+    @staticmethod
+    def _states(m=5, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            {"w": rng.standard_normal((300, 64)), "b": rng.standard_normal(64)} for _ in range(m)
+        ]
+
+    def test_bitwise_equal_to_textbook_sum(self):
+        states = self._states()
+        weights = [3, 1, 4, 1, 5]
+        lam = np.asarray(weights, dtype=np.float64) / sum(weights)
+        out = fedavg(states, weights)
+        for k in states[0]:
+            ref = np.zeros_like(states[0][k])
+            for lam_i, s in zip(lam, states):
+                ref += lam_i * s[k]
+            assert np.array_equal(out[k], ref)
+
+    def test_allocates_output_plus_one_scratch_per_key(self):
+        import tracemalloc
+
+        states = self._states()
+        per_state = sum(v.nbytes for v in states[0].values())
+        fedavg(states, [1, 2, 3, 4, 5])  # warm any lazy numpy state
+        tracemalloc.start()
+        try:
+            fedavg(states, [1, 2, 3, 4, 5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output and one product buffer per key; no per-client copy.
+        assert peak <= 2 * per_state + 4096
+
 
 class TestWeightedMeanStatistics:
     def test_algorithm1_line25(self):

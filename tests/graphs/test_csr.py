@@ -166,8 +166,8 @@ class TestTransposeCacheRegression:
         assert transpose_conversion_count() == 3
 
     def test_orthogcn_builds_both_reverses_once(self):
-        # OrthoGCN propagates through graph.s_op and projects graph.x_op:
-        # two reverse CSRs, both built on first access, none in backward.
+        # OrthoGCN propagates through graph.s_op and projects graph.x:
+        # two reverse CSRs, both built by the first forward, none in backward.
         from repro.gnn import OrthoGCN
 
         graph = _small_graph(seed=3)

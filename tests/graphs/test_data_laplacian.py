@@ -73,7 +73,7 @@ class TestGraphContainer:
 
     def test_validate_nan_features(self):
         g = tiny_graph()
-        g.x[0, 0] = np.nan
+        g.x.data[0] = np.nan
         with pytest.raises(ValueError):
             g.validate()
 
@@ -130,9 +130,9 @@ class TestGraphContainer:
         g = tiny_graph()
         g.train_mask = np.zeros(g.num_nodes, dtype=bool)
         c = g.copy()
-        c.x[0, 0] = 99.0
+        c.x.data[0] = 99.0
         c.train_mask[0] = True
-        assert g.x[0, 0] != 99.0
+        assert g.x.data[0] != 99.0
         assert not g.train_mask[0]
 
     def test_s_norm_cached(self):

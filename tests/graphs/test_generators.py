@@ -85,7 +85,7 @@ class TestFeatures:
 
     def test_row_normalized(self):
         labels = np.random.default_rng(2).integers(0, 3, 40)
-        x = class_conditional_features(labels, 100, np.random.default_rng(2))
+        x = class_conditional_features(labels, 100, np.random.default_rng(2)).toarray()
         sums = x.sum(axis=1)
         np.testing.assert_allclose(sums[sums > 0], 1.0)
 
@@ -94,16 +94,18 @@ class TestFeatures:
         x = class_conditional_features(
             labels, 100, np.random.default_rng(3), row_normalize=False
         )
-        assert set(np.unique(x)) <= {0.0, 1.0}
+        assert set(np.unique(x.toarray())) <= {0.0, 1.0}
 
     def test_class_signal_separates_means(self):
         rng = np.random.default_rng(4)
         labels = np.repeat([0, 1], 100)
-        x = class_conditional_features(labels, 300, rng, class_signal=0.9)
+        x = class_conditional_features(labels, 300, rng, class_signal=0.9).toarray()
         mu0 = x[labels == 0].mean(axis=0)
         mu1 = x[labels == 1].mean(axis=0)
         separated = np.linalg.norm(mu0 - mu1)
-        x_noise = class_conditional_features(labels, 300, np.random.default_rng(5), class_signal=0.0)
+        x_noise = class_conditional_features(
+            labels, 300, np.random.default_rng(5), class_signal=0.0
+        ).toarray()
         n0 = x_noise[labels == 0].mean(axis=0)
         n1 = x_noise[labels == 1].mean(axis=0)
         assert separated > 2 * np.linalg.norm(n0 - n1)
@@ -179,7 +181,7 @@ class TestDatasets:
         g1 = load_dataset("cora", seed=3, scale=0.2)
         g2 = load_dataset("cora", seed=3, scale=0.2)
         assert abs(g1.adj - g2.adj).sum() == 0
-        np.testing.assert_array_equal(g1.x, g2.x)
+        np.testing.assert_array_equal(g1.x.toarray(), g2.x.toarray())
         np.testing.assert_array_equal(g1.train_mask, g2.train_mask)
 
     def test_unknown_name(self):

@@ -27,7 +27,7 @@ class TestLoadPlanetoid:
         b = write_planetoid_fixture(str(tmp_path / "b"), rng=rng(), shuffle_test=False)
         ga = load_planetoid(a, "tiny")
         gb = load_planetoid(b, "tiny")
-        np.testing.assert_array_equal(ga.x, gb.x)
+        np.testing.assert_array_equal(ga.x.toarray(), gb.x.toarray())
         np.testing.assert_array_equal(ga.y, gb.y)
 
     def test_adjacency_symmetric_no_selfloops(self, fixture_dir):

@@ -256,15 +256,96 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([quadratic_params()], betas=(1.0, 0.9))
 
-    def test_reset_state(self):
-        p = quadratic_params(seed=4)
-        opt = Adam([p], lr=0.1)
-        opt.zero_grad()
-        (p * p).sum().backward()
-        opt.step()
-        opt.reset_state()
-        assert opt.t == 0
-        assert all(np.all(m == 0) for m in opt._m)
+    @staticmethod
+    def _textbook_step(params, ms, vs, t, lr, b1, b2, eps, wd):
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v in zip(params, ms, vs):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if wd:
+                g = g + wd * p.data
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    @pytest.mark.parametrize("wd", [0.0, 1e-4])
+    def test_matches_textbook_expression_bitwise(self, wd):
+        from repro.nn.module import Parameter
+
+        rng = np.random.default_rng(11)
+        shapes = [(7, 5), (5,), (3, 4)]
+        ours = [Parameter(rng.standard_normal(s)) for s in shapes]
+        ref = [Parameter(p.data.copy()) for p in ours]
+        opt = Adam(ours, lr=0.01, weight_decay=wd)
+        ms = [np.zeros_like(p.data) for p in ref]
+        vs = [np.zeros_like(p.data) for p in ref]
+        for t in range(1, 6):
+            for i, (a, b) in enumerate(zip(ours, ref)):
+                # The last parameter never gets a gradient.
+                g = rng.standard_normal(a.data.shape) if i < 2 else None
+                a.grad, b.grad = g, None if g is None else g.copy()
+            opt.step()
+            self._textbook_step(ref, ms, vs, t, 0.01, 0.9, 0.999, 1e-8, wd)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a.data, b.data)
+        for m, m_ref in zip(opt._m, ms):
+            assert np.array_equal(m, m_ref)
+
+    def test_concurrent_steps_match_serial(self):
+        # Scratch is per thread: optimizers stepping at once on more
+        # threads than cores, with frequent switches, must not share it.
+        import sys
+        import threading
+
+        from repro.nn.module import Parameter
+
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            p = Parameter(rng.standard_normal((64, 32)))
+            opt = Adam([p], lr=0.01, weight_decay=1e-4)
+            for _ in range(40):
+                p.grad = rng.standard_normal((64, 32))
+                opt.step()
+            return p.data
+
+        serial = [run(s) for s in range(8)]
+        results = [None] * 8
+
+        def worker(i):
+            results[i] = run(i)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
+
+    def test_step_allocates_less_than_the_parameter(self):
+        import tracemalloc
+
+        from repro.nn.module import Parameter
+
+        rng = np.random.default_rng(12)
+        p = Parameter(rng.standard_normal((2000, 64)))
+        p.grad = rng.standard_normal((2000, 64))
+        opt = Adam([p], lr=0.01, weight_decay=1e-4)
+        opt.step()  # warm-up: this thread's scratch pair for the shape
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes
 
     def test_step_without_grad_is_safe(self):
         p = quadratic_params(seed=5)
