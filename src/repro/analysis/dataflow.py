@@ -16,8 +16,8 @@ boundaries.  Powers RL007 (privacy escape): raw party tensors
 ``.x_dense`` / ``.s_op``, whole ``graph`` handles) must pass a statistic
 constructor (``mean`` / ``sum`` / ``state_dict`` / the moment helpers)
 before reaching a ``Communicator`` uplink (``send_to_server`` /
-``gather`` / ``allgather``).  Legitimate aggregate uploads carry a
-per-call ``# privacy-ok(<reason>)`` annotation.
+``gather``).  Legitimate aggregate uploads carry a per-call
+``# privacy-ok(<reason>)`` annotation.
 
 The analysis is sound-ish rather than complete: unresolvable calls
 propagate taint conservatively, and the rule aims for zero false
@@ -532,7 +532,7 @@ class TaintConfig:
     )
     #: uplink sink methods → payload argument position (bound call).
     sink_methods: Dict[str, int] = field(
-        default_factory=lambda: {"send_to_server": 1, "gather": 0, "allgather": 0}
+        default_factory=lambda: {"send_to_server": 1, "gather": 0}
     )
     #: containers that mutate their receiver with their argument.
     mutators: FrozenSet[str] = frozenset(

@@ -33,10 +33,16 @@ runs included), it is the one checker of Algorithm 1's round order:
 kind-tagged transfers must advance the phase of :data:`PROTOCOL_PHASES`
 monotonically within a round (:class:`ProtocolViolationError`
 otherwise).  It is also the runtime half of the privacy rule RL007:
-every uplink payload is
-checked against the registered private party tensors with
-``np.may_share_memory`` (:class:`PrivacyEscapeError` on aliasing) —
-only statistics may cross the channel, never raw rows (§4.4).
+every uplink payload is checked against the registered private party
+tensors (:class:`PrivacyEscapeError`) — only statistics may cross the
+channel, never raw rows (§4.4).  A payload array trips it when it
+aliases a registered buffer (``np.may_share_memory``), when it is an
+integer or bool array (labels, index arrays, masks), or when one of its
+rows has exactly the nonzero columns of a registered sparse row (a
+copy, row slice, transpose, rescaling or binarisation of the features
+or the structure).  Tensors *derived* per node — projections, hidden
+activations, shifted or column-sliced features — keep no such
+fingerprint; the static RL007 pass is what catches those.
 
 Sanitizers only *read* values — they touch no RNG and change no numeric
 path — so sanitized and unsanitized runs are bitwise identical
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -96,7 +103,7 @@ class ProtocolViolationError(SanitizerError):
 
 
 class PrivacyEscapeError(SanitizerError):
-    """An uplink payload aliases a party's raw (private) tensors."""
+    """An uplink payload aliases or copies a party's raw (private) tensors."""
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +187,7 @@ class AutogradSanitizer:
 
 
 # ----------------------------------------------------------------------
-# protocol monitor: Algorithm 1 phase order and the RL007 privacy tripwire
+# protocol monitor: Algorithm 1 phase order and the privacy tripwire
 # ----------------------------------------------------------------------
 #: (direction, kind) → phase index within one communication round.
 PROTOCOL_PHASES: Dict[Tuple[str, str], int] = {
@@ -249,6 +256,51 @@ def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
             yield from _iter_arrays(v)
 
 
+def _support_key(cols: np.ndarray) -> bytes:
+    """Exact key of one row's support: its sorted column indices.
+
+    Exact bytes, not a hash, so no key collision can report a
+    statistic as a copy.
+    """
+    return np.sort(cols).astype(np.int64).tobytes()
+
+
+def _copied_row_owner(arr: np.ndarray, supports: Dict[int, Dict[bytes, str]]) -> Optional[str]:
+    """Name of the private tensor ``arr``'s rows copy, if any row does.
+
+    A 1-D or 2-D array whose last axis matches a registered row width
+    has each row's support (its nonzero columns) looked up.  Support
+    ignores values, so scaled or binarised copies match too; empty and
+    full rows carry no fingerprint and are skipped, as at registration.
+    Tensors of one width can share a few supports (a feature column and
+    a node's neighbourhood), so the owner of most matching rows is named.
+    """
+    if arr.ndim not in (1, 2):
+        return None
+    table = supports.get(arr.shape[-1])
+    if not table:
+        return None
+    rows = arr.reshape(-1, arr.shape[-1])
+    width = rows.shape[1]
+    r, cols = np.nonzero(rows)
+    counts = np.bincount(r, minlength=rows.shape[0])
+    owners: Counter = Counter()
+    for count, support in zip(counts, np.split(cols, np.cumsum(counts)[:-1])):
+        if 0 < count < width:
+            owner = table.get(_support_key(support))
+            if owner is not None:
+                owners[owner] += 1
+    return owners.most_common(1)[0][0] if owners else None
+
+
+def _escape(kind: str, arr: np.ndarray, what: str) -> PrivacyEscapeError:
+    return PrivacyEscapeError(
+        f"uplink payload (kind `{kind}`, shape {arr.shape}) {what}: only "
+        "statistics may cross the Communicator (§4.4), never raw "
+        "features/labels/structure"
+    )
+
+
 class ProtocolMonitor:
     """Runtime Algorithm-1 conformance checker and privacy tripwire.
 
@@ -262,13 +314,12 @@ class ProtocolMonitor:
     the :func:`transition_allowed` predicate.  Untagged (``other``-kind)
     traffic carries no phase and is only privacy-checked.
 
-    The monitor is read-only — it inspects payload *identity* (buffer
-    overlap via ``np.may_share_memory``), never values, and touches no
-    RNG — so sanitized runs remain bitwise identical to unsanitized
-    ones.  Partial participation and fault quarantine are legal by
-    construction: a dropped client's upload never reaches the transport
-    (``ClientDropped`` is raised first), and skipping phases forward is
-    always allowed.
+    The monitor is read-only — it inspects payload buffers, dtypes and
+    nonzero patterns and touches no RNG — so sanitized runs remain
+    bitwise identical to unsanitized ones.  Partial participation and
+    fault quarantine are legal by construction: a dropped client's
+    upload never reaches the transport (``ClientDropped`` is raised
+    first), and skipping phases forward is always allowed.
 
     **Per-client mode** (``per_client=True``, armed for the async round
     engine).  The strict global lattice assumes one barrier round at a
@@ -288,15 +339,37 @@ class ProtocolMonitor:
         self._phase = ROUND_BOUNDARY  # pre-round: anything may start
         self._rounds_seen = 0
         self._private: List[Tuple[str, np.ndarray]] = []
+        #: row width → {row support key → private tensor name}.
+        self._supports: Dict[int, Dict[bytes, str]] = {}
         self.per_client = bool(per_client)
         # cid → phase; unseen clients start at the collective phase.
         self._client_phase: Dict[int, int] = {}
         self._collective_phase = ROUND_BOUNDARY
 
-    def register_private_array(self, name: str, arr: np.ndarray) -> None:
-        """Declare ``arr`` as raw party data that must never be uploaded."""
+    def register_private_array(self, name: str, arr: Any) -> None:
+        """Declare ``arr`` as raw party data that must never be uploaded.
+
+        A dense array is registered for the alias check.  A sparse
+        matrix (``CSRMatrix`` or scipy) registers its values buffer for
+        the alias check and each row's support for the copy check;
+        rows whose support is empty or full are skipped.
+        """
+        if not (sp.issparse(arr) or getattr(arr, "is_kernel_operator", False)):
+            with self._lock:
+                self._private.append((name, np.asarray(arr)))
+            return
+        m = arr.tocsr() if sp.issparse(arr) else arr
+        width = m.shape[1]
+        keys = []
+        for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+            cols = m.indices[lo:hi][m.data[lo:hi] != 0]
+            if 0 < cols.size < width:
+                keys.append(_support_key(cols))
         with self._lock:
-            self._private.append((name, np.asarray(arr)))
+            self._private.append((name, m.data))
+            table = self._supports.setdefault(width, {})
+            for key in keys:
+                table.setdefault(key, name)
 
     # -- transport hooks ----------------------------------------------
     def on_event(
@@ -362,19 +435,28 @@ class ProtocolMonitor:
     def _check_privacy(self, kind: str, payload: Any) -> None:
         with self._lock:
             private = list(self._private)
+            supports = self._supports
         if not private:
             return
-        for arr in _iter_arrays(payload):
-            if arr.size == 0:
-                continue
+        arrays = [arr for arr in _iter_arrays(payload) if arr.size]
+        # Aliases first, over every array: an uploaded container is then
+        # named by the private tensor it shares, not by its index buffers.
+        for arr in arrays:
             for name, priv in private:
                 if priv.size and np.may_share_memory(arr, priv):
-                    raise PrivacyEscapeError(
-                        f"uplink payload (kind `{kind}`, shape {arr.shape}) "
-                        f"aliases private party tensor `{name}`: only "
-                        "statistics may cross the Communicator (§4.4), "
-                        "never raw features/labels/structure"
-                    )
+                    raise _escape(kind, arr, f"aliases private party tensor `{name}`")
+        for arr in arrays:
+            if arr.dtype.kind in "biu":
+                raise _escape(
+                    kind, arr, f"is an integer/bool array (dtype {arr.dtype}), "
+                    "the form of labels, index arrays and masks"
+                )
+            owner = _copied_row_owner(arr, supports)
+            if owner is not None:
+                raise _escape(
+                    kind, arr, f"copies rows of private party tensor `{owner}` "
+                    "(same nonzero columns)"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -709,8 +791,8 @@ class SanitizerSession:
         if self.schedule is not None:
             executor.controller = self.schedule
 
-    def register_private_arrays(self, named: Iterable[Tuple[str, np.ndarray]]) -> None:
-        """Feed raw party tensors to the protocol monitor's tripwire."""
+    def register_private_arrays(self, named: Iterable[Tuple[str, Any]]) -> None:
+        """Feed raw party tensors (dense or sparse) to the privacy tripwire."""
         for name, arr in named:
             self.protocol.register_private_array(name, arr)
 

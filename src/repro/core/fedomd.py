@@ -99,7 +99,7 @@ class FedOMDTrainer(FederatedTrainer):
             # raw structure, not a view of adj, so declare it too.
             for c in self.clients:
                 self.sanitizer.register_private_arrays(
-                    [(f"client{c.cid}.graph.s_op", c.graph.s_op.data)]
+                    [(f"client{c.cid}.graph.s_op", c.graph.s_op)]
                 )
 
     # ------------------------------------------------------------------

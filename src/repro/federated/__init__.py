@@ -3,7 +3,7 @@
 The paper simulates FL on a single machine; we do the same but keep the
 communication structure explicit: every byte that would cross the wire
 goes through a :class:`Communicator` with MPI-style collectives
-(broadcast / gather / allgather) and a per-round byte meter, so the
+(broadcast / gather) and a per-round byte meter, so the
 communication-cost claims of Table 3 and contribution (ii) are measured,
 not assumed.
 

@@ -15,7 +15,7 @@ real deployment would surface.
 Thread-safety contract: every stat mutation happens under one internal
 lock, so point-to-point transfers may be issued concurrently from
 :class:`~repro.federated.executor.ClientExecutor` worker threads and the
-counters stay exact.  Collectives (broadcast / gather / allgather) are
+counters stay exact.  Collectives (broadcast / gather) are
 round barriers and must be called from the coordinating thread only.
 Reading ``stats`` between rounds (how the trainer records history) needs
 no lock; use :meth:`Communicator.snapshot` for a consistent copy while
@@ -265,22 +265,6 @@ class Communicator:
         self._notify("up", kind, payload, client=client_id)
         self._meter_uplink(payload_bytes(payload), kind=kind)
         return copy.deepcopy(payload)
-
-    def allgather(self, payloads: List[Any], kind: str = KIND_OTHER) -> List[List[Any]]:
-        """Gather then broadcast the full list back to every client.
-
-        Not used by FedOMD (which only ever moves statistics through the
-        server — a privacy feature §4.4 emphasizes) but provided for
-        decentralized baselines and extensions.
-        """
-        gathered = self.gather(payloads, kind=kind)
-        self._notify("down", kind, gathered)
-        out = []
-        for _ in range(self.num_clients):
-            size = sum(payload_bytes(p) for p in gathered)
-            self._meter_downlink(size, kind=kind)
-            out.append(copy.deepcopy(gathered))
-        return out
 
     def end_round(self) -> None:
         """Mark a communication-round boundary (for per-round averages)."""

@@ -202,15 +202,16 @@ class FederatedTrainer:
             )
         if self.sanitizer is not None:
             # Declare every party's raw tensors to the privacy tripwire:
-            # an upload aliasing any of these buffers is a §4.4 escape.
-            # The features are their CSR values; an uploaded CSRMatrix
-            # (or its reverse) yields them too.
+            # an upload aliasing these buffers, or copying a row of the
+            # sparse ones (features, their transpose, the structure), is
+            # a §4.4 escape.
             for c in self.clients:
                 self.sanitizer.register_private_arrays(
                     [
-                        (f"client{c.cid}.graph.x", c.graph.x.data),
+                        (f"client{c.cid}.graph.x", c.graph.x),
+                        (f"client{c.cid}.graph.x.rev", c.graph.x.rev),
                         (f"client{c.cid}.graph.y", c.graph.y),
-                        (f"client{c.cid}.graph.adj", c.graph.adj.data),
+                        (f"client{c.cid}.graph.adj", c.graph.adj),
                     ]
                 )
         self._sync_initial_state()

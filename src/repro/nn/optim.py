@@ -1,7 +1,9 @@
 """First-order optimizers: SGD (with momentum) and Adam, plus weight decay.
 
-Weight decay is decoupled (applied to the data, not the gradient moment
-estimates) matching the convention of GCN reference implementations with
+Weight decay is L2-coupled: ``wd·w`` is added to the gradient before
+the momentum and Adam moment estimates (as ``torch.optim.Adam``'s
+``weight_decay`` does), not applied to the weights separately as in
+AdamW.  This matches the GCN reference implementations with
 ``weight_decay=1e-4`` as the paper fixes.
 
 Adam's update runs through ``out=`` into two scratch buffers per

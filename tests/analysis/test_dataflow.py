@@ -3,14 +3,24 @@
 The rule-level behavior (fixture projects, pinned lines, suppressions)
 lives in ``test_rules.py``; this module pins the engine semantics the
 rule rests on: how taint moves through sanitizers, containers,
-subscripts, and instance attributes.
+subscripts, and instance attributes, and how the shared
+:class:`~repro.analysis.dataflow.ProjectIndex` records nested functions.
 """
 
+import ast
+from pathlib import Path
+
 from repro.analysis import Linter
+from repro.analysis.dataflow import ProjectIndex
+from repro.analysis.lint import FileContext
 
 
 def _rl007(src: str, path: str = "federated/mod.py"):
     return Linter(rules=["RL007"]).lint_source(src, path=path)
+
+
+def _index(src: str, path: str = "federated/mod.py") -> ProjectIndex:
+    return ProjectIndex([FileContext(Path(path), path, src, ast.parse(src))])
 
 
 class TestTaintSemantics:
@@ -49,6 +59,13 @@ class TestTaintSemantics:
     def test_subscript_of_tainted_base_stays_tainted(self):
         src = "def f(comm, graph):\n    return comm.send_to_server(0, graph.x[0])\n"
         assert not _rl007(src).ok
+
+    def test_derived_per_node_rows_stay_tainted(self):
+        # Projections and shifts of the raw rows keep no buffer, dtype or
+        # row support the runtime tripwire could match; only taint sees them.
+        for expr in ("graph.x_dense @ w", "graph.x_dense + 1", "graph.x_dense[:, :5]"):
+            src = f"def f(comm, graph, w):\n    return comm.send_to_server(0, {expr})\n"
+            assert not _rl007(src).ok, expr
 
     def test_tainted_index_does_not_taint_element(self):
         src = (
@@ -93,7 +110,9 @@ class TestIndexer:
             "            return -g\n"
             "    return backward\n"
         )
-        assert _rl007(src).ok
+        outer = _index(src).functions["federated.mod.outer"]
+        assert set(outer.nested) == {"backward"}
+        assert outer.nested["backward"].qualname == "federated.mod.outer.<backward>"
 
     def test_doubly_nested_functions_index_cleanly(self):
         src = (
@@ -106,4 +125,7 @@ class TestIndexer:
             "        return 2\n"
             "    return mid, other\n"
         )
-        assert _rl007(src).ok
+        outer = _index(src).functions["federated.mod.outer"]
+        # inner belongs to mid only: the dedup keeps deeper nests out.
+        assert set(outer.nested) == {"mid", "other"}
+        assert set(outer.nested["mid"].nested) == {"inner"}

@@ -6,6 +6,7 @@ through ``repro.federated.faults``; and sanitizer-on histories are
 bitwise identical to sanitizer-off (pinned to the golden digest).
 """
 
+import copy
 import threading
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.analysis.sanitize import (
     OwnedLock,
     PHASE_NAMES,
     PROTOCOL_PHASES,
+    PrivacyEscapeError,
     ROUND_BOUNDARY,
     SanitizerSession,
     install_comm_probe,
@@ -268,7 +270,7 @@ class TestTrainerIntegration:
 
 
 # ----------------------------------------------------------------------
-# protocol monitor: Algorithm 1 phase order and the RL007 privacy tripwire
+# protocol monitor: Algorithm 1 phase order and the privacy tripwire
 # ----------------------------------------------------------------------
 class TestPhaseTable:
     def test_six_phases_named(self):
@@ -370,8 +372,8 @@ class TestProtocolMonitor:
 
 class TestRuntimePrivacyEscape:
     def test_injected_raw_feature_upload_caught(self):
-        # The runtime counterpart of the RL007 fixture: a trainer whose
-        # round uploads a party's raw feature matrix trips the monitor.
+        # A trainer whose round uploads a party's raw feature matrix
+        # from one of its own methods trips the monitor.
         from repro.analysis.sanitize import PrivacyEscapeError
 
         class LeakyTrainer(FedOMDTrainer):
@@ -417,6 +419,64 @@ class TestRuntimePrivacyEscape:
         cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
         history = FedOMDTrainer(small_parts(), cfg, seed=0).run()
         assert len(history) == 1
+
+
+@pytest.fixture(scope="module")
+def registered_trainer():
+    """A sanitized FedOMD trainer: every party's private tensors registered."""
+    cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
+    return FedOMDTrainer(small_parts(), cfg, seed=0)
+
+
+#: Uploads of raw party data, each with the pattern naming the tensor in
+#: the error: the private tensor it aliases or copies, or the dtype of a
+#: label-, index- or mask-like array.
+LEAKS = {
+    "x": (lambda g: g.x, r"graph\.x`"),
+    "x_dense": (lambda g: g.x_dense, r"graph\.x`"),
+    "x_dense[idx]": (lambda g: g.x_dense[np.flatnonzero(g.train_mask)], r"graph\.x`"),
+    "x_dense[0]": (lambda g: g.x_dense[0], r"graph\.x`"),
+    "2*x.toarray()": (lambda g: 2 * g.x.toarray(), r"graph\.x`"),
+    "(x_dense>0).astype(float)": (
+        lambda g: (g.x_dense > 0).astype(float), r"graph\.x`"
+    ),
+    "x_dense.T": (lambda g: g.x_dense.T, r"graph\.x\.rev`"),
+    "deepcopy(x)": (lambda g: copy.deepcopy(g.x), r"dtype int"),
+    "adj.toarray()": (lambda g: g.adj.toarray(), r"graph\.adj`"),
+    "s_op.toarray()": (lambda g: g.s_op.toarray(), r"graph\.s_op`"),
+    "adj.copy()": (lambda g: g.adj.copy(), r"dtype int"),
+    "y": (lambda g: g.y, r"graph\.y`"),
+    "y.copy()": (lambda g: g.y.copy(), r"dtype int64"),
+    "y[train_mask]": (lambda g: g.y[g.train_mask], r"dtype int64"),
+    "edge_index": (lambda g: g.edge_index, r"dtype int64"),
+    "train_mask": (lambda g: g.train_mask, r"dtype bool"),
+}
+
+
+class TestPrivacyTwins:
+    """Copies, slices and transposes of party data, not only aliases."""
+
+    @pytest.mark.parametrize("upload", sorted(LEAKS))
+    def test_raw_party_data_upload_caught(self, registered_trainer, upload):
+        build, names = LEAKS[upload]
+        payload = {"rows": [build(registered_trainer.clients[0].graph)]}
+        with pytest.raises(PrivacyEscapeError, match=names):
+            registered_trainer.comm.send_to_server(0, payload)
+
+    def test_gather_of_raw_rows_caught(self, registered_trainer):
+        rows = [c.graph.x_dense for c in registered_trainer.clients]
+        with pytest.raises(PrivacyEscapeError, match=r"graph\.x`"):
+            registered_trainer.comm.gather(rows)
+
+    def test_statistics_pass(self, registered_trainer):
+        comm = registered_trainer.comm
+        g = registered_trainer.clients[0].graph
+        comm.send_to_server(0, {"mean": g.x_dense.mean(axis=0)})
+        comm.send_to_server(0, g.x_dense.shape)
+        # A float table row picked by a label: the label does not leave.
+        table = np.random.default_rng(0).normal(size=(g.num_classes, g.num_features))
+        comm.send_to_server(0, table[g.y[0]])
+        comm.gather([c.graph.x_dense.mean(axis=0) for c in registered_trainer.clients])
 
 
 class TestSecureExchangeSanitized:

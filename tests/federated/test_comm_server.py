@@ -150,14 +150,6 @@ class TestCommunicator:
         with pytest.raises(ValueError):
             comm.send_to_server(-1, 1.0)
 
-    def test_allgather_traffic(self):
-        comm = Communicator(num_clients=2)
-        out = comm.allgather([np.zeros(1), np.zeros(1)])
-        assert len(out) == 2 and len(out[0]) == 2
-        # uplink: 2×8; downlink: each client receives both payloads.
-        assert comm.stats.uplink_bytes == 16
-        assert comm.stats.downlink_bytes == 32
-
     def test_round_counter(self):
         comm = Communicator(num_clients=1)
         comm.end_round()
