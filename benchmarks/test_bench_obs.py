@@ -10,8 +10,9 @@ end to end:
 * the emitted JSONL validates and covers every round;
 * wall-clock overhead stays under generous bounds (the per-op cost hook
   is one dict lookup + counter bump against NumPy kernels that dominate
-  by orders of magnitude; tracemalloc is the expensive part and gets its
-  own looser bound).
+  by orders of magnitude; profiling pays it on every op and gets its own
+  looser bound, while its memory high-water is one ``/proc`` reset and
+  read per phase).
 
 The bare time is the median of ``BARE_RUNS`` runs after a warm-up, so
 one slow or fast bare run cannot decide either ratio.  Timings are gated
@@ -36,8 +37,8 @@ from benchmarks.snapshot import gate_snapshot
 # microseconds against the milliseconds of a training round, but CI
 # runners are noisy so we only guard against order-of-magnitude
 # regressions (e.g. an accidental per-op span or sample-storing
-# histogram).  Full profiling arms tracemalloc (hooks every allocation),
-# hence the looser bound.
+# histogram).  Full profiling adds the per-op cost collector (a counter
+# bump on every autograd op), hence the looser bound.
 MAX_OVERHEAD_RATIO = 2.0
 MAX_PROFILE_OVERHEAD_RATIO = 4.0
 ROUNDS = 5

@@ -11,11 +11,14 @@ renders back to a text run report with::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
 from repro.experiments.registry import REGISTRY, get_experiment
 from repro.experiments.runner import default_out_dir
+from repro.obs import cli_session
 
 
 def _run_experiments(names, mode: str, out_dir: str, extra=None) -> None:
@@ -52,7 +55,7 @@ def main(argv=None) -> int:
         "--profile",
         action="store_true",
         help="profile the run: exact FLOP/byte cost model, flamegraph folded "
-        "stacks (<out>/profile.folded), per-phase memory high-water; prints "
+        "stacks (<out>/profile.folded), per-phase RSS high-water; prints "
         "the run report on exit (composes with --telemetry for the trace)",
     )
     chaos = parser.add_argument_group(
@@ -170,34 +173,17 @@ def main(argv=None) -> int:
                 f"{', '.join(used)} only apply to the 'chaos'/'loadtest' experiments"
             )
 
-    if args.profile:
-        import os
-
-        from repro.obs import ProfileSession
-
-        session = ProfileSession(
-            jsonl_path=args.telemetry,
-            folded_path=os.path.join(out_dir, "profile.folded"),
-            experiment=args.experiment,
-            mode=args.mode,
-        )
-        with session:
-            _run_experiments(names, args.mode, out_dir, extra)
-        print(session.report())
-        print(f"\n[profile] flamegraph folded stacks → {session.folded_path}")
-        if args.telemetry:
-            print(f"[profile] JSONL trace → {args.telemetry}")
-    elif args.telemetry:
-        from repro.obs import TelemetrySession
-
-        session = TelemetrySession(
-            args.telemetry, experiment=args.experiment, mode=args.mode
-        )
-        with session:
-            _run_experiments(names, args.mode, out_dir, extra)
-        print(f"[telemetry] {len(session.events())} events → {args.telemetry}")
-    else:
+    session = cli_session(
+        args.telemetry,
+        args.profile,
+        os.path.join(out_dir, "profile.folded"),
+        experiment=args.experiment,
+        mode=args.mode,
+    )
+    with session if session is not None else contextlib.nullcontext():
         _run_experiments(names, args.mode, out_dir, extra)
+    if session is not None:
+        print(session.summary())
     return 0
 
 

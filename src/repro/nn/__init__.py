@@ -3,7 +3,7 @@
 Provides the ``Module``/``Parameter`` abstraction (with the flat
 ``state_dict`` the federated server aggregates), layer initializers
 matching the paper's assumptions (§4.3 appeals to Xavier/He Gaussian
-initialization), the loss functions of Eq. 12, and first-order optimizers.
+initialization), the loss functions of Eq. 12, and the Adam optimizer.
 """
 
 from repro.nn.module import Module, Parameter
@@ -16,7 +16,7 @@ from repro.nn.losses import (
     orthogonality_loss,
     accuracy,
 )
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.nn.serialize import load_checkpoint, load_state, save_checkpoint, save_state
 
 __all__ = [
@@ -33,7 +33,5 @@ __all__ = [
     "mse_loss",
     "orthogonality_loss",
     "accuracy",
-    "SGD",
     "Adam",
-    "Optimizer",
 ]

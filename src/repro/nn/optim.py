@@ -1,9 +1,8 @@
-"""First-order optimizers: SGD (with momentum) and Adam, plus weight decay.
+"""The Adam optimizer, with weight decay.
 
 Weight decay is L2-coupled: ``wd·w`` is added to the gradient before
-the momentum and Adam moment estimates (as ``torch.optim.Adam``'s
-``weight_decay`` does), not applied to the weights separately as in
-AdamW.  This matches the GCN reference implementations with
+the moment estimates (as ``torch.optim.Adam``'s ``weight_decay`` does),
+not applied to the weights separately as in AdamW.  This matches the GCN reference implementations with
 ``weight_decay=1e-4`` as the paper fixes.
 
 Adam's update runs through ``out=`` into two scratch buffers per
@@ -39,91 +38,7 @@ def _scratch_pair(like: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-class Optimizer:
-    """Base: holds parameter list, provides ``zero_grad``/``step`` contract."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float, weight_decay: float = 0.0) -> None:
-        self.params: List[Parameter] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.lr = lr
-        self.weight_decay = weight_decay
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def _grad(self, p: Parameter) -> np.ndarray:
-        """Gradient with L2 weight decay folded in (0 when p has no grad)."""
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if self.weight_decay:
-            g = g + self.weight_decay * p.data
-        return g
-
-    # -- checkpointing ----------------------------------------------------
-    def state_dict(self) -> dict:
-        """Internal state (copied) for checkpoint/resume.
-
-        Base optimizers are stateless; subclasses with moment estimates
-        override both methods.  Hyper-parameters are not included — they
-        come from the config that rebuilt the optimizer.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state:
-            raise ValueError(f"{type(self).__name__} carries no state, got {set(state)}")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params] if momentum else None
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            g = self._grad(p)
-            if self._velocity is not None:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-
-    def state_dict(self) -> dict:
-        if self._velocity is None:
-            return {}
-        return {"velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        if self._velocity is None:
-            super().load_state_dict(state)
-            return
-        if set(state) != {"velocity"} or len(state["velocity"]) != len(self._velocity):
-            raise ValueError("SGD momentum state mismatch")
-        for dst, src in zip(self._velocity, state["velocity"]):
-            dst[...] = src
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba 2015) with bias correction.
 
     The de-facto optimizer for GCN training; used by all experiments
@@ -138,15 +53,27 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr, weight_decay)
+        self.params: List[Parameter] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        if weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
         b1, b2 = betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
+        self.lr = lr
+        self.weight_decay = weight_decay
         self.b1, self.b2 = b1, b2
         self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         """One update, bitwise equal to the textbook expression::

@@ -84,7 +84,6 @@ __all__ = [
     "CostCollector",
     "collecting",
     "get_collector",
-    "layer_scope",
     "matmul_flops",
     "set_collector",
     "spmm_bytes",
@@ -92,6 +91,7 @@ __all__ = [
     # profiler (repro.obs.profile)
     "MemoryProfiler",
     "ProfileSession",
+    "cli_session",
     "folded_stacks",
     "top_frames",
     "write_folded",
@@ -140,8 +140,11 @@ class TelemetrySession:
 
     def __exit__(self, *exc) -> None:
         self.uninstall()
-        if self.jsonl_path is not None:
+        if self._has_output():
             self.save()
+
+    def _has_output(self) -> bool:
+        return self.jsonl_path is not None
 
     # -- output -----------------------------------------------------------
     def events(self) -> List[Dict[str, object]]:
@@ -161,6 +164,10 @@ class TelemetrySession:
             raise ValueError("no jsonl_path given at construction or save()")
         return write_jsonl(target, self.events())
 
+    def summary(self) -> str:
+        """The line a CLI prints once the session has exited."""
+        return f"[telemetry] {len(self.events())} events → {self.jsonl_path}"
+
 
 # The profiling layer imports TelemetrySession back from this package,
 # so it must be pulled in only after the class exists.
@@ -168,7 +175,6 @@ from repro.obs.cost import (  # noqa: E402
     CostCollector,
     collecting,
     get_collector,
-    layer_scope,
     matmul_flops,
     set_collector,
     spmm_bytes,
@@ -177,6 +183,7 @@ from repro.obs.cost import (  # noqa: E402
 from repro.obs.profile import (  # noqa: E402
     MemoryProfiler,
     ProfileSession,
+    cli_session,
     folded_stacks,
     top_frames,
     write_folded,

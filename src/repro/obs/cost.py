@@ -195,10 +195,3 @@ def collecting(registry: MetricsRegistry, tracer: Tracer):
     finally:
         set_collector(prev)
 
-
-def layer_scope(name: str):
-    """Layer scope on the active collector (no-op context when off)."""
-    collector = _collector
-    if collector is None:
-        return contextlib.nullcontext()
-    return collector.layer(name)

@@ -26,7 +26,8 @@ emission order.  Three event types (the ``type`` field):
     One collapsed-stack profile: ``folded`` maps semicolon-joined span
     paths (``round;train;client.local_train``) to non-negative self-time
     values — the flamegraph input the profiler also writes to
-    ``results/profile.folded``.
+    ``results/profile.folded``.  An optional ``memory_unavailable``
+    string says why the run has no per-phase memory high-water.
 
 v2 additions (``repro.obs/v2``; v1 traces still validate):
 
@@ -44,6 +45,7 @@ line index on any malformed event.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, Iterable, List
 
 SCHEMA_VERSION = "repro.obs/v2"
@@ -142,6 +144,9 @@ def validate_events(events: Iterable[Dict[str, object]]) -> int:
 
 def write_jsonl(path: str, events: Iterable[Dict[str, object]]) -> int:
     """Write events one-per-line; returns the number written."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for event in events:

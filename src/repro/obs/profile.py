@@ -10,39 +10,40 @@ Two views on top of the span tracer:
   root, and identical paths merge (all ``round`` spans collapse into one
   frame), which is exactly what makes a flamegraph readable across many
   rounds.
-* :class:`MemoryProfiler` arms :mod:`tracemalloc` and, via tracer span
-  listeners, records the allocation high-water mark of every round phase
-  (``exchange`` / ``train`` / ``aggregate`` / ``eval``): the peak is
-  reset when a phase span opens and read when it closes, and the maximum
-  across rounds lands in ``profile.mem_peak_bytes{phase=...}`` gauges.
-  tracemalloc costs real time (it hooks every allocation), which is part
-  of why the whole profiler is opt-in.
+* :class:`MemoryProfiler` records, via tracer span listeners, the RSS
+  high-water mark of every round phase (``exchange`` / ``train`` /
+  ``aggregate`` / ``eval``): the kernel's peak (``VmHWM``) is reset when
+  a phase span opens and read when it closes, and the maximum across
+  rounds lands in ``profile.mem_peak_bytes{phase=...}`` gauges.  One
+  reset plus one read is a few tens of microseconds per phase, not a
+  cost per allocation.
 
-:class:`ProfileSession` bundles the full profiling stack — a
-:class:`~repro.obs.TelemetrySession`, the
-:class:`~repro.obs.cost.CostCollector`, and the memory profiler — behind
-one context manager, and is what the train/experiments CLIs install for
-``--profile``.  Profiling reads timestamps, shapes and allocation
-counters only: a profiled run's training history is bitwise identical
-to an unprofiled one (pinned by ``tests/obs/test_profile.py``).
+:class:`ProfileSession` is a :class:`~repro.obs.TelemetrySession` that
+adds the :class:`~repro.obs.cost.CostCollector`, the memory profiler and
+the folded-stack outputs, and is what the train/experiments CLIs install
+for ``--profile`` (:func:`cli_session` picks it).  Profiling reads
+timestamps, shapes and the kernel's RSS counters only: a profiled run's
+training history is bitwise identical to an unprofiled one (pinned by
+``tests/obs/test_profile.py``).
 """
 
 from __future__ import annotations
 
 import os
-import tracemalloc
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import TelemetrySession
 from repro.obs.cost import CostCollector, set_collector
-from repro.obs.export import write_jsonl
 from repro.obs.trace import Span
 
 #: The sibling round phases whose memory high-water is tracked.  They
-#: never nest within each other, so resetting the (global) tracemalloc
-#: peak at phase open cannot corrupt an enclosing tracked phase.
+#: never nest within each other, so resetting the (process-wide) peak at
+#: phase open cannot corrupt an enclosing tracked phase.
 MEMORY_PHASES = ("exchange", "train", "aggregate", "eval")
+#: Writing ``5`` here resets the process's ``VmHWM`` to its current RSS.
+CLEAR_REFS = "/proc/self/clear_refs"
+STATUS = "/proc/self/status"
 
 
 def folded_stacks(events: Sequence[dict]) -> Dict[str, float]:
@@ -107,71 +108,77 @@ def top_frames(events: Sequence[dict], k: int = 10) -> List[tuple]:
     return sorted(folded.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
-class MemoryProfiler:
-    """Per-phase allocation high-water marks via tracemalloc.
 
-    Registered as a tracer span listener: tracked phase spans reset the
-    tracemalloc peak on open and harvest it on close.  Phase spans run
-    only on the coordinator thread (worker tasks live *inside* the
-    ``train``/``eval`` phases), so open/close pairs cannot interleave.
+
+def _read_hwm_bytes() -> int:
+    """The process's ``VmHWM`` (peak resident set size) in bytes."""
+    with open(STATUS, "rb") as f:
+        for line in f:
+            if line.startswith(b"VmHWM:"):
+                return int(line.split()[1]) * 1024
+    raise OSError(f"no VmHWM line in {STATUS}")
+
+
+class MemoryProfiler:
+    """Per-phase RSS high-water marks from the kernel.
+
+    Registered as a tracer span listener: a tracked phase span writes
+    ``5`` to :data:`CLEAR_REFS` on open, which resets the process's
+    ``VmHWM`` to its current RSS, and reads ``VmHWM`` on close.  This is
+    the figure ``ru_maxrss`` reports, so the profile measures what the
+    memory gate and fedbench's ``peak_rss_mb`` gate; a side effect is
+    that after a profiled phase, ``ru_maxrss`` only covers the time since
+    that phase opened.  Phase spans run only on the coordinator thread
+    (worker tasks live *inside* the ``train``/``eval`` phases), so
+    open/close pairs cannot interleave.
+
+    Where the reset or the read fails, :attr:`unavailable` names why and
+    no peak is reported at all: a half-measured run would understate.
     """
 
-    def __init__(self, phases: Sequence[str] = MEMORY_PHASES) -> None:
-        self.phases = tuple(phases)
+    def __init__(self) -> None:
         self.peaks: Dict[str, int] = {}
-        self._owns_tracemalloc = False
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._owns_tracemalloc = not tracemalloc.is_tracing()
-        if self._owns_tracemalloc:
-            tracemalloc.start()
-        self._started = True
-
-    def stop(self) -> None:
-        if not self._started:
-            return
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-        self._started = False
+        self.unavailable: Optional[str] = None
 
     # -- tracer listener protocol -----------------------------------------
     def on_span_open(self, span: Span) -> None:
-        if self._started and span.name in self.phases:
-            tracemalloc.reset_peak()
+        if self.unavailable is None and span.name in MEMORY_PHASES:
+            try:
+                with open(CLEAR_REFS, "w") as f:
+                    f.write("5")
+            except OSError as e:
+                self.unavailable = f"cannot write {CLEAR_REFS}: {e.strerror or e}"
 
     def on_span_close(self, span: Span) -> None:
-        if self._started and span.name in self.phases:
-            _, peak = tracemalloc.get_traced_memory()
+        if self.unavailable is None and span.name in MEMORY_PHASES:
+            try:
+                peak = _read_hwm_bytes()
+            except OSError as e:
+                self.unavailable = f"cannot read VmHWM: {e.strerror or e}"
+                return
             if peak > self.peaks.get(span.name, -1):
-                self.peaks[span.name] = int(peak)
+                self.peaks[span.name] = peak
 
     def flush_gauges(self, registry) -> None:
         """Write the high-water marks into ``profile.mem_peak_bytes`` gauges."""
+        if self.unavailable is not None:
+            return
         for phase, peak in sorted(self.peaks.items()):
             registry.gauge("profile.mem_peak_bytes", phase=phase).set(peak)
 
 
-class ProfileSession:
+class ProfileSession(TelemetrySession):
     """Telemetry + cost model + flamegraph + memory profiling.
 
-    Entering installs a :class:`~repro.obs.TelemetrySession` (fresh
-    registry + tracer as the process defaults), the
-    :class:`~repro.obs.cost.CostCollector` bound to them, and a
-    tracemalloc :class:`MemoryProfiler` listening on phase spans.
-    Exiting tears all of it down and writes:
-
-    * ``jsonl_path`` — the full ``repro.obs/v2`` trace (spans including
-      open ones, cost counters, memory gauges, and one ``profile`` event
-      carrying the folded stacks);
-    * ``folded_path`` — the same collapsed stacks as a flamegraph
-      ``.folded`` file.
-
-    Either path may be ``None`` to skip that output; :meth:`report`
-    renders the run report (phase costs, arithmetic intensity, top
-    frames, memory high-water) from the captured events.
+    A :class:`~repro.obs.TelemetrySession` that, while installed, also
+    binds a :class:`~repro.obs.cost.CostCollector` to its registry and
+    tracer and listens on phase spans with a :class:`MemoryProfiler`.
+    Its events gain one ``profile`` event carrying the folded stacks
+    (and ``memory_unavailable`` when the high-water could not be read),
+    and saving also writes ``folded_path``, a flamegraph ``.folded``
+    file.  Either path may be ``None`` to skip that output;
+    :meth:`report` renders the run report (phase costs, arithmetic
+    intensity, top frames, memory high-water) from the captured events.
     """
 
     def __init__(
@@ -180,62 +187,70 @@ class ProfileSession:
         folded_path: Optional[str] = None,
         **meta,
     ) -> None:
-        self.jsonl_path = jsonl_path
+        super().__init__(jsonl_path, profile=True, **meta)
         self.folded_path = folded_path
-        self.telemetry = TelemetrySession(jsonl_path=None, profile=True, **meta)
-        self.collector = CostCollector(self.telemetry.registry, self.telemetry.tracer)
+        self.collector = CostCollector(self.registry, self.tracer)
         self.memory = MemoryProfiler()
         self._prev_collector: Optional[CostCollector] = None
-        self._installed = False
 
-    # -- lifecycle ---------------------------------------------------------
     def install(self) -> "ProfileSession":
-        if self._installed:
-            raise RuntimeError("profile session already installed")
-        self.telemetry.install()
+        super().install()
         self._prev_collector = set_collector(self.collector)
-        self.memory.start()
-        self.telemetry.tracer.add_listener(self.memory)
-        self._installed = True
+        self.tracer.add_listener(self.memory)
         return self
 
     def uninstall(self) -> None:
         if not self._installed:
             return
-        self.telemetry.tracer.remove_listener(self.memory)
-        self.memory.stop()
-        self.memory.flush_gauges(self.telemetry.registry)
+        self.tracer.remove_listener(self.memory)
+        self.memory.flush_gauges(self.registry)
         set_collector(self._prev_collector)
-        self.telemetry.uninstall()
-        self._installed = False
+        super().uninstall()
 
-    def __enter__(self) -> "ProfileSession":
-        return self.install()
+    def _has_output(self) -> bool:
+        return super()._has_output() or self.folded_path is not None
 
-    def __exit__(self, *exc) -> None:
-        self.uninstall()
-        self.save()
-
-    # -- output ------------------------------------------------------------
     def events(self) -> List[dict]:
         """Telemetry events plus the ``profile`` folded-stack event."""
-        events = self.telemetry.events()
-        events.append({"type": "profile", "folded": folded_stacks(events)})
+        events = super().events()
+        profile = {"type": "profile", "folded": folded_stacks(events)}
+        if self.memory.unavailable is not None:
+            profile["memory_unavailable"] = self.memory.unavailable
+        events.append(profile)
         return events
 
-    def save(self) -> None:
-        """Write whichever of the JSONL trace / folded file were requested."""
-        events = self.events()
-        if self.jsonl_path is not None:
-            parent = os.path.dirname(self.jsonl_path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            write_jsonl(self.jsonl_path, events)
+    def save(self, path: Optional[str] = None) -> int:
+        """Write the folded file (if requested) and the JSONL trace (if any path)."""
         if self.folded_path is not None:
-            write_folded(self.folded_path, events)
+            write_folded(self.folded_path, self.events())
+        if (path or self.jsonl_path) is None:
+            return 0
+        return super().save(path)
 
     def report(self) -> str:
         """The text run report for the captured events."""
         from repro.reporting.telemetry import render_run_report
 
         return render_run_report(self.events())
+
+    def summary(self) -> str:
+        lines = [self.report(), f"\n[profile] flamegraph folded stacks → {self.folded_path}"]
+        if self.jsonl_path is not None:
+            lines.append(f"[profile] JSONL trace → {self.jsonl_path}")
+        return "\n".join(lines)
+
+
+def cli_session(
+    telemetry: Optional[str], profile: bool, folded_path: str, **meta
+) -> Optional[TelemetrySession]:
+    """The session the ``--telemetry PATH`` / ``--profile`` flags ask for.
+
+    ``--profile`` wins (and still writes the trace to ``telemetry`` when
+    given); neither flag gives ``None``.  Print :meth:`summary` after the
+    session exits for the CLI's trailer.
+    """
+    if profile:
+        return ProfileSession(jsonl_path=telemetry, folded_path=folded_path, **meta)
+    if telemetry:
+        return TelemetrySession(telemetry, **meta)
+    return None

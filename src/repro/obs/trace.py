@@ -141,7 +141,7 @@ class Tracer:
         """Register an object with ``on_span_open(span)`` / ``on_span_close(span)``.
 
         Listeners fire outside the tracer lock (they may read the
-        registry or tracemalloc); the memory profiler is the consumer.
+        registry or ``/proc``); the memory profiler is the consumer.
         """
         with self._lock:
             self._listeners.append(listener)

@@ -234,10 +234,19 @@ def cost_summary(events: Sequence[dict]) -> str:
 
 
 def memory_summary(events: Sequence[dict]) -> str:
-    """Per-phase allocation high-water marks (``--profile`` with memory on)."""
+    """Per-phase RSS high-water marks of a ``--profile`` run.
+
+    A profiled run that could not read the high-water says so, with the
+    reason its ``profile`` event carries; an unprofiled one renders
+    nothing.
+    """
     gauges = metrics(events, "profile.mem_peak_bytes")
     if not gauges:
-        return ""
+        reason = next(
+            (e["memory_unavailable"] for e in events if e.get("memory_unavailable")),
+            None,
+        )
+        return f"memory high-water: unavailable ({reason})" if reason else ""
     rows = [
         [
             str(e.get("tags", {}).get("phase", "-")),

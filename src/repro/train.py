@@ -21,6 +21,7 @@ from repro.experiments.configs import paper_resolution
 from repro.experiments.runner import MODEL_NAMES, ModeParams, make_trainer
 from repro.graphs import DATASET_STATS, load_dataset, louvain_partition
 from repro.nn.serialize import save_checkpoint
+from repro.obs import cli_session
 from repro.reporting import render_series
 
 
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="profile the run: exact FLOP/byte cost model, flamegraph folded "
-        "stacks, per-phase memory high-water; prints the run report on exit",
+        "stacks, per-phase RSS high-water; prints the run report on exit",
     )
     p.add_argument(
         "--profile-dir",
@@ -72,24 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    session = None
-    if args.profile:
-        from repro.obs import ProfileSession
-
-        folded = os.path.join(args.profile_dir, "profile.folded")
-        session = ProfileSession(
-            jsonl_path=args.telemetry,
-            folded_path=folded,
-            model=args.model,
-            dataset=args.dataset,
-            seed=args.seed,
-        )
-    elif args.telemetry:
-        from repro.obs import TelemetrySession
-
-        session = TelemetrySession(
-            args.telemetry, model=args.model, dataset=args.dataset, seed=args.seed
-        )
+    session = cli_session(
+        args.telemetry,
+        args.profile,
+        os.path.join(args.profile_dir, "profile.folded"),
+        model=args.model,
+        dataset=args.dataset,
+        seed=args.seed,
+    )
 
     t0 = time.perf_counter()
     with session if session is not None else contextlib.nullcontext():
@@ -151,12 +142,8 @@ def main(argv=None) -> int:
         print(f"saved global model → {path}")
     if args.profile:
         print()
-        print(session.report())
-        print(f"\n[profile] flamegraph folded stacks → {session.folded_path}")
-        if args.telemetry:
-            print(f"[profile] JSONL trace → {args.telemetry}")
-    elif args.telemetry:
-        print(f"[telemetry] {len(session.events())} events → {args.telemetry}")
+    if session is not None:
+        print(session.summary())
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Tests for losses, metrics, initializers and optimizers."""
+"""Tests for losses, metrics, initializers and the Adam optimizer."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.autograd import Tensor, gradcheck
 from repro.nn import (
     Adam,
     Linear,
-    SGD,
     accuracy,
     cross_entropy,
     init,
@@ -187,48 +186,6 @@ def quadratic_params(n=4, seed=0):
     return Parameter(rng.standard_normal(n) + 3.0)
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = quadratic_params()
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            (p * p).sum().backward()
-            opt.step()
-        assert np.abs(p.data).max() < 1e-3
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = quadratic_params(seed=1)
-            opt = SGD([p], lr=0.02, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                (p * p).sum().backward()
-                opt.step()
-            return np.abs(p.data).max()
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = quadratic_params(seed=2)
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        start = np.abs(p.data).sum()
-        opt.step()  # no gradient: pure decay
-        assert np.abs(p.data).sum() < start
-
-    def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_params()], lr=0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_params()], lr=0.1, momentum=1.0)
-
-    def test_empty_params(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-
 class TestAdam:
     def test_converges_on_quadratic(self):
         p = quadratic_params(seed=3)
@@ -255,6 +212,14 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
             Adam([quadratic_params()], betas=(1.0, 0.9))
+
+    def test_invalid_lr(self):
+        with pytest.raises(ValueError):
+            Adam([quadratic_params()], lr=0.0)
+
+    def test_empty_params(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
 
     @staticmethod
     def _textbook_step(params, ms, vs, t, lr, b1, b2, eps, wd):

@@ -17,7 +17,6 @@ from repro.obs.cost import (
     CostCollector,
     collecting,
     get_collector,
-    layer_scope,
     matmul_flops,
     set_collector,
     spmm_bytes,
@@ -215,11 +214,6 @@ class TestAttribution:
         lin(Tensor(np.ones((4, 3)), requires_grad=True))
         layer_keys = [k for k in registry.names() if "layer=encoder" in k]
         assert layer_keys, registry.names()
-
-    def test_layer_scope_helper_is_noop_when_off(self):
-        assert get_collector() is None
-        with layer_scope("fc1"):
-            pass  # must not raise without a collector
 
 
 class TestLifecycle:

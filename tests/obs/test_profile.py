@@ -20,6 +20,7 @@ from repro.obs import (
     validate_events,
     write_folded,
 )
+from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -111,11 +112,18 @@ class TestFoldedStacks:
         assert frames == [("slow", pytest.approx(2.0))]
 
 
+def vm_rss_bytes():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line")
+
+
 class TestMemoryProfiler:
     def test_phase_peaks_harvested(self):
         tracer = Tracer()
         prof = MemoryProfiler()
-        prof.start()
         tracer.add_listener(prof)
         try:
             with tracer.span("train"):
@@ -124,14 +132,30 @@ class TestMemoryProfiler:
                 np.zeros(200_000)
         finally:
             tracer.remove_listener(prof)
-            prof.stop()
         assert prof.peaks.get("train", 0) > 1_000_000
         assert "not_a_phase" not in prof.peaks
+
+    def test_peak_is_rss_high_water(self):
+        # A touched 32 MB array raises the RSS high-water by about 32 MB
+        # over the RSS before the span, however little of the Python
+        # heap it uses; np.ones, because untouched calloc pages never
+        # become resident.
+        tracer = Tracer()
+        prof = MemoryProfiler()
+        tracer.add_listener(prof)
+        try:
+            rss_before = vm_rss_bytes()
+            with tracer.span("train"):
+                block = np.ones(32 * 2**20 // 8)
+                del block
+        finally:
+            tracer.remove_listener(prof)
+        assert prof.unavailable is None
+        assert prof.peaks["train"] >= rss_before + 30 * 2**20
 
     def test_max_across_rounds_kept(self):
         tracer = Tracer()
         prof = MemoryProfiler()
-        prof.start()
         tracer.add_listener(prof)
         try:
             with tracer.span("eval"):
@@ -141,7 +165,6 @@ class TestMemoryProfiler:
                 pass  # tiny round must not shrink the high-water mark
         finally:
             tracer.remove_listener(prof)
-            prof.stop()
         assert prof.peaks["eval"] >= big
 
     def test_flush_gauges(self):
@@ -152,19 +175,19 @@ class TestMemoryProfiler:
         assert reg.get("profile.mem_peak_bytes", phase="train").value == 123
         assert reg.get("profile.mem_peak_bytes", phase="eval").value == 456
 
-    def test_idempotent_start_stop_and_foreign_tracemalloc(self):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            prof = MemoryProfiler()
-            prof.start()
-            prof.start()
-            prof.stop()
-            # Someone else armed tracemalloc: stop() must not kill it.
-            assert tracemalloc.is_tracing()
-        finally:
-            tracemalloc.stop()
+    def test_unwritable_clear_refs_reports_unavailable(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(profile_mod, "CLEAR_REFS", str(tmp_path / "no" / "clear_refs"))
+        session = ProfileSession()
+        with session:
+            with session.tracer.span("train"):
+                np.ones(1000)
+        assert "No such file" in session.memory.unavailable
+        events = session.events()
+        assert not [
+            e for e in events if e.get("name") == "profile.mem_peak_bytes"
+        ]
+        validate_events(events)
+        assert "memory high-water: unavailable (cannot write" in session.report()
 
 
 @pytest.fixture(scope="module")
