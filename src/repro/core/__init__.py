@@ -15,7 +15,6 @@ Four pieces, mirroring §4:
 """
 
 from repro.core.moments import (
-    layer_means,
     layer_means_np,
     central_moments,
     central_moments_np,
@@ -26,7 +25,6 @@ from repro.core.exchange import MomentExchange, GlobalMoments
 from repro.core.fedomd import FedOMDTrainer, FedOMDConfig
 
 __all__ = [
-    "layer_means",
     "layer_means_np",
     "central_moments",
     "central_moments_np",

@@ -58,6 +58,31 @@ def cmd_distance(
     return dist
 
 
+def cmd_distance_np(
+    z: np.ndarray,
+    target_mean: np.ndarray,
+    target_moments: Sequence[np.ndarray],
+    a: float = 0.0,
+    b: float = 1.0,
+    orders: Sequence[int] = DEFAULT_ORDERS,
+) -> float:
+    """Plain-NumPy :func:`cmd_distance`: the sample ``z`` against fixed targets.
+
+    The one NumPy form of Eq. 11, for measuring rather than training.
+    """
+    if b - a <= 0:
+        raise ValueError("need b > a")
+    if len(target_moments) != len(orders):
+        raise ValueError("one target moment per order required")
+    z = np.asarray(z, dtype=np.float64)
+    span = float(b - a)
+    mean = z.mean(axis=0)
+    dist = float(np.linalg.norm(mean - target_mean)) / span
+    for j, c_j, s_j in zip(orders, central_moments_np(z, mean, orders), target_moments):
+        dist += float(np.linalg.norm(c_j - s_j)) / span ** int(j)
+    return dist
+
+
 def cmd_distance_arrays(
     z1: np.ndarray,
     z2: np.ndarray,
@@ -71,20 +96,12 @@ def cmd_distance_arrays(
     gaps (e.g. between parties' hidden features before/after training),
     not to train.
     """
-    if b - a <= 0:
-        raise ValueError("need b > a")
     z1 = np.asarray(z1, dtype=np.float64)
     z2 = np.asarray(z2, dtype=np.float64)
     if z1.ndim != 2 or z2.ndim != 2 or z1.shape[1] != z2.shape[1]:
         raise ValueError("samples must be 2-D with equal feature dims")
-    span = float(b - a)
-    m1, m2 = z1.mean(axis=0), z2.mean(axis=0)
-    dist = float(np.linalg.norm(m1 - m2)) / span
-    c1 = central_moments_np(z1, m1, orders)
-    c2 = central_moments_np(z2, m2, orders)
-    for j, a_j, b_j in zip(orders, c1, c2):
-        dist += float(np.linalg.norm(a_j - b_j)) / span ** int(j)
-    return dist
+    m2 = z2.mean(axis=0)
+    return cmd_distance_np(z1, m2, central_moments_np(z2, m2, orders), a=a, b=b, orders=orders)
 
 
 def layerwise_cmd(

@@ -24,11 +24,11 @@ communication-cost claim (statistics ≪ model weights) is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.moments import central_moments_np
+from repro.core.moments import central_moments_np, layer_means_np
 from repro.federated.comm import Communicator, KIND_MEANS, KIND_MOMENTS
 from repro.federated.server import weighted_mean_statistics
 from repro.obs import get_tracer
@@ -48,7 +48,13 @@ class GlobalMoments:
 
 
 class MomentExchange:
-    """Runs the 2-round exchange for one communication round."""
+    """Runs the 2-round exchange for one communication round.
+
+    :meth:`run` is the protocol's one implementation.  Variants change
+    only how a client encodes its statistics (:meth:`_encode`, or the
+    per-statistic :meth:`_perturb_statistic`) and how the server
+    reduces the uploads (:meth:`_reduce`).
+    """
 
     def __init__(self, comm: Communicator, orders: Sequence[int] = (2, 3, 4, 5)) -> None:
         for j in orders:
@@ -65,6 +71,21 @@ class MomentExchange:
         re-implementing the protocol.
         """
         return stat
+
+    def _encode(
+        self, stats: List[np.ndarray], n_i: float, slot: int, participants: int, round_no: int
+    ) -> List[np.ndarray]:
+        """Client side: participant ``slot``'s statistics as uploaded.
+
+        Plain encoding: each statistic through :meth:`_perturb_statistic`.
+        ``participants`` and ``round_no`` (0 = means, 1 = moments) are
+        there for encodings that depend on who else uploads.
+        """
+        return [self._perturb_statistic(stat, n_i) for stat in stats]
+
+    def _reduce(self, uploads: List[List[np.ndarray]], counts: List[float]) -> List[np.ndarray]:
+        """Server side: line 25's Σ n_i·s_i / Σ n_i, one statistic at a time."""
+        return [weighted_mean_statistics(column, counts) for column in zip(*uploads)]
 
     def run(
         self,
@@ -114,69 +135,67 @@ class MomentExchange:
         for h in client_hidden:
             if len(h) != num_layers:
                 raise ValueError("clients disagree on layer count")
-
+        counts = [float(n_i) for n_i in client_counts]
         tracer = get_tracer()
 
         # ---- round 1: upload local means + counts, download global means.
         with tracer.span("exchange.means", participants=m):
-            received = []
-            for cid, hidden, n_i in zip(client_ids, client_hidden, client_counts):
-                means = [
-                    self._perturb_statistic(np.asarray(z).mean(axis=0), float(n_i))
-                    for z in hidden
-                ]
-                received.append(
-                    self.comm.send_to_server(
-                        cid, {"means": means, "n": float(n_i)}, kind=KIND_MEANS
-                    )
-                )
-            global_means = [
-                weighted_mean_statistics(
-                    [r["means"][l] for r in received], [r["n"] for r in received]
-                )
-                for l in range(num_layers)
-            ]
-            means_per_client = [
-                self.comm.send_to_client(cid, global_means, kind=KIND_MEANS)
-                for cid in client_ids
-            ]
+            global_means, means_per_client = self._round(
+                0, KIND_MEANS, client_ids, counts, [layer_means_np(h) for h in client_hidden]
+            )
 
         # ---- round 2: moments about the global mean, download averages.
         with tracer.span("exchange.moments", participants=m):
-            received2 = []
-            for i, (cid, hidden, n_i) in enumerate(
-                zip(client_ids, client_hidden, client_counts)
-            ):
-                g_means = means_per_client[i]
-                layer_moms = []
-                for l, z in enumerate(hidden):
-                    layer_moms.append(
-                        [
-                            self._perturb_statistic(moment, float(n_i))
-                            for moment in central_moments_np(z, g_means[l], self.orders)
-                        ]
-                    )
-                received2.append(
-                    self.comm.send_to_server(
-                        cid, {"moments": layer_moms, "n": float(n_i)}, kind=KIND_MOMENTS
-                    )
-                )
-            global_moments: List[List[np.ndarray]] = []
-            for l in range(num_layers):
-                per_order = []
-                for oi in range(len(self.orders)):
-                    per_order.append(
-                        weighted_mean_statistics(
-                            [r["moments"][l][oi] for r in received2],
-                            [r["n"] for r in received2],
-                        )
-                    )
-                global_moments.append(per_order)
-            # The final IID summary goes back to every participant.
-            for cid in client_ids:
-                self.comm.send_to_client(cid, global_moments, kind=KIND_MOMENTS)
+            moments = [
+                [
+                    moment
+                    for z, g_mean in zip(hidden, g_means)
+                    for moment in central_moments_np(z, g_mean, self.orders)
+                ]
+                for hidden, g_means in zip(client_hidden, means_per_client)
+            ]
+            global_moments, _ = self._round(1, KIND_MOMENTS, client_ids, counts, moments)
 
         return GlobalMoments(means=global_means, moments=global_moments, orders=self.orders)
+
+    def _round(
+        self,
+        round_no: int,
+        kind: str,
+        client_ids: Sequence[int],
+        counts: List[float],
+        client_stats: List[List[np.ndarray]],
+    ) -> Tuple[list, list]:
+        """One statistics round: encode and upload, reduce, download.
+
+        ``client_stats[i]`` lists participant ``i``'s statistics
+        layer-major.  Uploads are ``{kind: stats, "n": n_i}``; moments
+        travel (and come back) nested per layer, one entry per order.
+        Returns the server's result and every participant's download.
+        """
+        width = len(self.orders)
+
+        def nest(flat: List[np.ndarray]) -> list:
+            if kind == KIND_MEANS:
+                return list(flat)
+            return [list(flat[i : i + width]) for i in range(0, len(flat), width)]
+
+        def flatten(nested: list) -> List[np.ndarray]:
+            return list(nested) if kind == KIND_MEANS else [s for row in nested for s in row]
+
+        participants = len(client_ids)
+        uploads = [
+            self.comm.send_to_server(
+                cid,
+                {kind: nest(self._encode(stats, n_i, slot, participants, round_no)), "n": n_i},
+                kind=kind,
+            )
+            for slot, (cid, stats, n_i) in enumerate(zip(client_ids, client_stats, counts))
+        ]
+        result = nest(
+            self._reduce([flatten(u[kind]) for u in uploads], [u["n"] for u in uploads])
+        )
+        return result, [self.comm.send_to_client(cid, result, kind=kind) for cid in client_ids]
 
 
 def pooled_central_moments(

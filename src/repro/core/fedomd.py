@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.core.cmd import layerwise_cmd
+from repro.core.cmd import cmd_distance_np, layerwise_cmd
 from repro.core.exchange import GlobalMoments, MomentExchange
-from repro.core.moments import central_moments_np
 from repro.federated.client import Client
 from repro.federated.comm import CommStats, KIND_MEANS, KIND_MOMENTS
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
@@ -192,15 +191,9 @@ class FedOMDTrainer(FederatedTrainer):
             return
         cfg = self.omd_config
         a, b = ACTIVATION_RANGE
-        span = float(b - a)
         gm = self._global_moments
         for l, z in enumerate(hidden):
-            data = np.asarray(z.data, dtype=np.float64)
-            mean_l = data.mean(axis=0)
-            d = float(np.linalg.norm(mean_l - gm.means[l])) / span
-            local = central_moments_np(data, mean_l, cfg.orders)
-            for j, c_j, s_j in zip(cfg.orders, local, gm.moments[l]):
-                d += float(np.linalg.norm(c_j - s_j)) / span ** int(j)
+            d = cmd_distance_np(z.data, gm.means[l], gm.moments[l], a=a, b=b, orders=cfg.orders)
             reg.gauge("fedomd.cmd_distance", client=client.cid, layer=l).set(d)
 
     def after_local_training(self, round_idx: int) -> None:

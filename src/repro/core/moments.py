@@ -1,14 +1,12 @@
 """Layer-wise hidden-feature statistics (Algorithm 1 lines 3–7, 12–13).
 
-Two forms of every computation:
-
 * ``*_np`` on plain ndarrays — used when preparing *uploads* (statistics
   leave the autograd graph; uploading tensors with history would leak
   the graph across the simulated network, and a real system would
   serialize plain buffers anyway).
 * Tensor versions (differentiable) — used inside the CMD *loss*, where
   gradients must flow back into the model through the client's own
-  moments.
+  moments.  The loss takes its means with ``Tensor.mean`` directly.
 
 Both forms of the central moments share one kernel,
 :func:`_moment_ladder`: it forms ``c, c·c, c²·c, …`` up to the highest
@@ -88,17 +86,6 @@ def central_moments_np(
         raise ValueError("z must be (n, d) and mean (d,)")
     out, _ = _moment_ladder(z - mean, _check_orders(orders))
     return list(out)
-
-
-def layer_means(hidden: Sequence[Tensor]) -> List[Tensor]:
-    """Differentiable per-layer means (the client side of the CMD loss)."""
-    out = []
-    for z in hidden:
-        z = as_tensor(z)
-        if z.ndim != 2:
-            raise ValueError(f"hidden activations must be 2-D, got {z.shape}")
-        out.append(z.mean(axis=0))
-    return out
 
 
 def central_moments(centered, orders: Sequence[int]) -> Tensor:

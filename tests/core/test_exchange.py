@@ -151,3 +151,14 @@ class TestExchangeProtocol:
         assert got.orders == (2, 4)
         assert len(got.moments[0]) == 2
         assert got.num_layers == 2
+
+    def test_single_order_keeps_per_layer_lists(self):
+        # One order still yields moments[layer][order], as the CMD loss
+        # zips each layer's moments with the orders.
+        hidden = make_hidden()
+        counts = [h[0].shape[0] for h in hidden]
+        got = MomentExchange(Communicator(num_clients=3), orders=(2,)).run(hidden, counts)
+        want = pooled_central_moments(hidden, orders=(2,))
+        for l in range(2):
+            assert len(got.moments[l]) == 1
+            np.testing.assert_allclose(got.moments[l][0], want.moments[l][0], rtol=1e-10)

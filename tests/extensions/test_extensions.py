@@ -73,7 +73,8 @@ class TestSecureExchange:
         orig = comm.send_to_server
 
         def spy(cid, payload, **kwargs):
-            captured.append((cid, payload["masked"][0].copy()))
+            if "means" in payload:
+                captured.append((cid, payload["means"][0].copy()))
             return orig(cid, payload, **kwargs)
 
         comm.send_to_server = spy
@@ -81,6 +82,19 @@ class TestSecureExchange:
         true_stat = counts[0] * hidden[0][0].mean(axis=0)
         assert captured[0][0] == 0
         assert np.abs(captured[0][1] - true_stat).max() > 0.1
+
+    def test_validates_inputs_like_the_plain_exchange(self):
+        # The masked encoding runs MomentExchange.run's protocol, checks
+        # included: a participant without a count would leave its mask
+        # uncancelled, and ragged layer lists have no per-layer sum.
+        hidden = make_hidden(num_clients=3)
+        counts = [h[0].shape[0] for h in hidden]
+        for exchange in (MomentExchange, SecureMomentExchange):
+            with pytest.raises(ValueError, match="one count per participant"):
+                exchange(Communicator(num_clients=3)).run(hidden, counts[:2])
+            ragged = [hidden[0], hidden[1][:1], hidden[2]]
+            with pytest.raises(ValueError, match="disagree on layer count"):
+                exchange(Communicator(num_clients=3)).run(ragged, counts)
 
     def test_matches_pooled_oracle(self):
         hidden = make_hidden(num_clients=3)
