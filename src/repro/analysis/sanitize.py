@@ -14,7 +14,11 @@ loop to detect, with op-name provenance in every error:
   re-verified just before the op's backward closure runs;
 * NaN/Inf escaping a forward op or accumulating into a gradient;
 * dtype drift away from ``_DEFAULT_DTYPE`` (float64 — the contract the
-  finite-difference gradchecks and golden digests rest on).
+  finite-difference gradchecks and golden digests rest on);
+* a parameter written in place with no model-version bump while its
+  client's eval forward is cached (:class:`StaleCacheError`): the same
+  fingerprints, taken when the forward is cached and re-checked on
+  every cache hit.
 
 **Concurrency probe** (:func:`install_comm_probe` /
 :func:`install_registry_probe`).  Wraps a :class:`Communicator`'s
@@ -84,6 +88,10 @@ class InplaceMutationError(SanitizerError):
 
 class NonFiniteValueError(SanitizerError):
     """NaN/Inf escaped a forward op or accumulated into a gradient."""
+
+
+class StaleCacheError(SanitizerError):
+    """A parameter changed in place without bumping its client's model version."""
 
 
 class DtypeDriftError(SanitizerError):
@@ -173,6 +181,25 @@ class AutogradSanitizer:
                     f"input of op `{node._op}` (shape {parent.data.shape}) was "
                     "mutated in place after being captured for backward; its "
                     "gradient would be computed against the wrong values"
+                )
+
+    def fingerprint_parameters(self, named: Iterable[Tuple[str, Tensor]]) -> tuple:
+        """``(name, fingerprint)`` of each parameter: the version snapshot
+        a :class:`~repro.federated.client.Client` keeps next to its
+        cached eval forward."""
+        return tuple((name, _fingerprint(p.data)) for name, p in named)
+
+    def check_parameters(
+        self, named: Iterable[Tuple[str, Tensor]], fingerprints: tuple, what: str
+    ) -> None:
+        """Raise :class:`StaleCacheError` if a parameter's content moved
+        since ``fingerprints`` while the cache ``what`` was still valid."""
+        for (name, fp), (_, now) in zip(fingerprints, self.fingerprint_parameters(named)):
+            if fp != now:
+                raise StaleCacheError(
+                    f"parameter `{name}` changed in place after {what} was "
+                    "computed, with no model-version bump; the cache would "
+                    "serve logits and hidden features of the old weights"
                 )
 
     def after_backward(self, node: Tensor) -> None:
@@ -806,6 +833,7 @@ __all__ = [
     "InplaceMutationError",
     "NonFiniteValueError",
     "DtypeDriftError",
+    "StaleCacheError",
     "LockViolationError",
     "LockOrderError",
     "ProtocolViolationError",

@@ -20,11 +20,11 @@ hidden weights after each step (DESIGN.md §7 extension ablation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.core.cmd import cmd_distance_np, layerwise_cmd
 from repro.core.exchange import GlobalMoments, MomentExchange
 from repro.federated.client import Client
@@ -122,7 +122,10 @@ class FedOMDTrainer(FederatedTrainer):
         ``weighted_mean_statistics``).  When *no* client is reachable
         the exchange is skipped and clients train against the last
         round's global moments — the stale-but-available policy.
-        Forward passes run through the :class:`ClientExecutor`
+        Each participant's hidden features come from its cached eval
+        forward (:meth:`Client.eval_forward`): the model it received
+        last round was already evaluated, so after round 0 this is a
+        cache read.  Misses run through the :class:`ClientExecutor`
         (read-only model + private graph per client, so they
         parallelize cleanly).
         """
@@ -131,15 +134,8 @@ class FedOMDTrainer(FederatedTrainer):
         participants = self.active_clients()
         if not participants:
             return
-
-        def detached_hidden(c: Client) -> List[np.ndarray]:
-            c.model.eval()
-            with no_grad():
-                _, hidden = c.model.forward_with_hidden(c.graph)
-            return [h.data for h in hidden]
-
         client_hidden = self.executor.map(
-            detached_hidden,
+            lambda c: c.eval_forward()[1],
             participants,
             span="client.upload_moments",
             attrs=lambda c: {"client": c.cid},
@@ -203,6 +199,7 @@ class FedOMDTrainer(FederatedTrainer):
             # never saw and de-sync it from its own last download.
             for c in self.active_clients():
                 c.model.project_orthogonal()  # type: ignore[attr-defined]
+                c.bump_version()
 
     # ------------------------------------------------------------------
     def statistics_bytes_last_round(self) -> Dict[str, int]:

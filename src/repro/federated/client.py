@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
+from repro.autograd.tensor import get_tensor_sanitizer
 from repro.graphs.data import Graph
 from repro.nn import Adam, accuracy, cross_entropy
 from repro.nn.module import Module
+
+
+class _EvalForward(NamedTuple):
+    version: int
+    logits: np.ndarray
+    hidden: List[np.ndarray]
+    # Per-parameter content fingerprints, taken only under the sanitizer.
+    fingerprints: Optional[tuple]
 
 
 class Client:
@@ -18,6 +27,21 @@ class Client:
     Holds the private subgraph (never leaves this object — only model
     states and statistics go through the communicator), the local model,
     and the local optimizer.
+
+    The client runs one eval-mode, no-grad forward per model version and
+    caches its logits and detached hidden activations
+    (:meth:`eval_forward`): :meth:`evaluate` reads both splits from it,
+    and FedOMD's moment exchange reads the hidden features of the model
+    the client received from it, so the exchange of round r+1 reuses
+    round r's evaluation.  ``version`` changes whenever the parameters
+    do: on :meth:`set_state` (broadcast, per-client download, checkpoint
+    restore, best-state restore), after an optimizer step, and on
+    :meth:`bump_version`, which any other in-place write to the model
+    (FedOMD's ``hard_orthogonal`` projection) must call.  A skipped step
+    (no labelled nodes, or a non-finite loss) and an async client still
+    in flight keep their version.  Under the runtime sanitizer every
+    cache hit re-checks the parameters' content, so a write that forgot
+    its bump raises instead of serving stale logits.
 
     Parameters
     ----------
@@ -44,6 +68,8 @@ class Client:
         self.graph = graph
         self.model = model
         self.optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
+        self.version = 0
+        self._eval: Optional[_EvalForward] = None
 
     # -- data facts the server is allowed to know -------------------------
     @property
@@ -80,6 +106,7 @@ class Client:
             return value
         loss.backward()
         self.optimizer.step()
+        self.version += 1
         return value
 
     def ce_loss(self) -> Tensor:
@@ -88,6 +115,41 @@ class Client:
         return cross_entropy(logits, self.graph.y, self.graph.train_mask)
 
     # -- evaluation ----------------------------------------------------------
+    def bump_version(self) -> None:
+        """Invalidate :meth:`eval_forward` after an in-place model write."""
+        self.version += 1
+
+    def eval_forward(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """Eval-mode logits and detached hidden activations of the model.
+
+        Computed by one no-grad ``forward_with_hidden`` per model
+        version (through ``Module.call``, so forward counters and the
+        cost collector see it) and served from the cache until the
+        version changes.  Callers must not write to the returned arrays.
+        """
+        self.model.eval()
+        sanitizer = get_tensor_sanitizer()
+        cached = self._eval
+        if cached is not None and cached.version == self.version:
+            if sanitizer is not None and cached.fingerprints is not None:
+                sanitizer.check_parameters(
+                    self.model.named_parameters(),
+                    cached.fingerprints,
+                    f"client {self.cid}'s cached eval forward",
+                )
+            return cached.logits, cached.hidden
+        with no_grad():
+            logits, hidden = self.model.call(self.model.forward_with_hidden, self.graph)
+        fingerprints = (
+            sanitizer.fingerprint_parameters(self.model.named_parameters())
+            if sanitizer is not None
+            else None
+        )
+        self._eval = _EvalForward(
+            self.version, logits.data, [h.data for h in hidden], fingerprints
+        )
+        return self._eval.logits, self._eval.hidden
+
     def evaluate(self, split: str = "test") -> tuple[float, int]:
         """(accuracy, #nodes) on the local ``split`` mask.
 
@@ -100,9 +162,7 @@ class Client:
         count = int(mask.sum())
         if count == 0:
             return float("nan"), 0
-        self.model.eval()
-        with no_grad():
-            logits = self.model(self.graph)
+        logits, _ = self.eval_forward()
         return accuracy(logits, self.graph.y, mask), count
 
     # -- model state movement ---------------------------------------------
@@ -111,3 +171,4 @@ class Client:
 
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)
+        self.version += 1

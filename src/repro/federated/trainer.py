@@ -329,7 +329,12 @@ class FederatedTrainer:
                 )
 
     def evaluate(self, split: str = "test") -> float:
-        """Node-weighted average accuracy across parties."""
+        """Node-weighted average accuracy across parties.
+
+        Each client's logits come from its cached eval forward
+        (:meth:`Client.eval_forward`), so evaluating ``val`` then
+        ``test`` runs one forward per client, not two.
+        """
         results = self.executor.map(
             lambda c: c.evaluate(split),
             self.clients,

@@ -126,15 +126,22 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
+        return self.call(self.forward, *args, **kwargs)
+
+    def call(self, method, *args, **kwargs):
+        """Run ``method`` (a forward of this module, e.g. its bound
+        ``forward_with_hidden``) with the accounting of ``__call__``:
+        the ``nn.forward_calls`` counter and the cost collector's layer
+        scope."""
         reg = get_registry()
         if reg.enabled:
             reg.counter("nn.forward_calls", module=type(self).__name__).inc()
         cc = _cost._collector
         if cc is None:
-            return self.forward(*args, **kwargs)
+            return method(*args, **kwargs)
         # Attribute ops run inside this module to its registered name
         # (`layers.0`, `classifier`), falling back to the class name for
         # root modules nobody registered.
         label = getattr(self, "_obs_name", None) or type(self).__name__
         with cc.layer(label):
-            return self.forward(*args, **kwargs)
+            return method(*args, **kwargs)

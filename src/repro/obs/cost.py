@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.autograd import signatures as _sig
 from repro.autograd.signatures import (  # re-exported: the shared source of truth
@@ -67,37 +67,47 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
+class _LayerScope:
+    """``with`` scope pushing one layer name on a thread's layer stack."""
+
+    __slots__ = ("stack", "name")
+
+    def __init__(self, stack: list, name: str) -> None:
+        self.stack = stack
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.stack.append(self.name)
+
+    def __exit__(self, *exc) -> None:
+        self.stack.pop()
+
+
 class CostCollector:
     """Accumulates exact op costs into tag-keyed registry counters.
 
-    Thread-safety: the per-tag counter cache is guarded by ``_lock``;
-    the :class:`~repro.obs.metrics.Counter` instruments it hands out are
-    themselves lock-guarded, so worker threads record concurrently.
+    Thread-safety: each thread keeps its own layer stack and its own
+    ``(op, dir, phase, client, layer)`` → counters cache, so the per-op
+    hit path takes no lock; a miss asks the registry, which hands every
+    thread the same lock-guarded :class:`~repro.obs.metrics.Counter`
+    for the same tags, so worker threads record concurrently.
     """
 
     def __init__(self, registry: MetricsRegistry, tracer: Tracer) -> None:
         self.registry = registry
         self.tracer = tracer
-        self._lock = threading.Lock()
-        self._cache: Dict[tuple, tuple] = {}
         self._local = threading.local()
 
     # -- attribution -------------------------------------------------------
-    def _layer(self) -> str:
-        stack = getattr(self._local, "layers", None)
-        return stack[-1] if stack else "-"
-
-    @contextlib.contextmanager
-    def layer(self, name: str):
-        """Scope ops to a named layer (entered by ``Module.__call__``)."""
+    def _stack(self) -> list:
         stack = getattr(self._local, "layers", None)
         if stack is None:
             stack = self._local.layers = []
-        stack.append(name)  # guarded-by(thread-local via self._local)
-        try:
-            yield
-        finally:
-            stack.pop()  # guarded-by(thread-local via self._local)
+        return stack
+
+    def layer(self, name: str) -> _LayerScope:
+        """Scope ops to a named layer (entered by ``Module.__call__``)."""
+        return _LayerScope(self._stack(), name)
 
     def _span_tags(self) -> Tuple[str, str]:
         """(phase, client) of the active span — ``-`` when unattributed."""
@@ -112,18 +122,18 @@ class CostCollector:
     # -- recording ---------------------------------------------------------
     def _counters(self, op: str, direction: str):
         phase, client = self._span_tags()
-        key = (op, direction, phase, client, self._layer())
-        with self._lock:
-            pair = self._cache.get(key)
-            if pair is None:
-                tags = dict(
-                    op=key[0], dir=key[1], phase=key[2], client=key[3], layer=key[4]
-                )
-                pair = (
-                    self.registry.counter("cost.flops", **tags),
-                    self.registry.counter("cost.bytes", **tags),
-                )
-                self._cache[key] = pair
+        stack = self._stack()
+        key = (op, direction, phase, client, stack[-1] if stack else "-")
+        cache = getattr(self._local, "counters", None)
+        if cache is None:
+            cache = self._local.counters = {}
+        pair = cache.get(key)
+        if pair is None:
+            tags = dict(op=key[0], dir=key[1], phase=key[2], client=key[3], layer=key[4])
+            pair = cache[key] = (
+                self.registry.counter("cost.flops", **tags),
+                self.registry.counter("cost.bytes", **tags),
+            )
         return pair
 
     def record(self, op: str, direction: str, flops: int, bytes_moved: int) -> None:

@@ -257,6 +257,66 @@ class TestAdam:
         for m, m_ref in zip(opt._m, ms):
             assert np.array_equal(m, m_ref)
 
+    @staticmethod
+    def _unblocked_step(params, ms, vs, t, lr, b1, b2, eps, wd):
+        """The update's ufunc sequence over each whole parameter at once."""
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v in zip(params, ms, vs):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if wd:
+                g = np.add(g, np.multiply(p.data, wd))
+            m *= b1
+            m += np.multiply(g, 1 - b1)
+            v *= b2
+            gg = np.multiply(g, g)
+            gg *= 1 - b2
+            v += gg
+            denom = np.sqrt(np.divide(v, bc2))
+            denom += eps
+            upd = np.divide(m, bc1)
+            upd *= lr
+            upd /= denom
+            p.data -= upd
+
+    @pytest.mark.parametrize("wd", [0.0, 1e-4])
+    def test_blocked_step_matches_unblocked_bitwise(self, wd):
+        from repro.nn.module import Parameter
+        from repro.nn.optim import BLOCK_ELEMENTS
+
+        # The Coauthor-CS input weight (several blocks, the last one
+        # ragged), a square hidden weight, a bias, and a parameter far
+        # smaller than one block; the bias never gets a gradient.
+        shapes = [(6805, 64), (64, 64), (64,), (7, 5)]
+        rows = BLOCK_ELEMENTS // 64
+        assert 6805 > rows and 6805 % rows
+        rng = np.random.default_rng(21)
+        ours = [Parameter(rng.standard_normal(s)) for s in shapes]
+        ref = [Parameter(p.data.copy()) for p in ours]
+        ms = [np.zeros_like(p.data) for p in ref]
+        vs = [np.zeros_like(p.data) for p in ref]
+        opt = Adam(ours, lr=0.01, weight_decay=wd)
+
+        def step_both(t):
+            for i, (a, b) in enumerate(zip(ours, ref)):
+                g = None if i == 2 else rng.standard_normal(a.data.shape)
+                a.grad, b.grad = g, None if g is None else g.copy()
+            opt.step()
+            self._unblocked_step(ref, ms, vs, t, 0.01, 0.9, 0.999, 1e-8, wd)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a.data, b.data)
+
+        for t in range(1, 6):
+            step_both(t)
+        for m, m_ref, v, v_ref in zip(opt._m, ms, opt._v, vs):
+            assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
+        # A fresh optimizer restored from the state dict continues the
+        # same sequence.
+        opt_state = opt.state_dict()
+        opt = Adam(ours, lr=0.01, weight_decay=wd)
+        opt.load_state_dict(opt_state)
+        for t in range(6, 8):
+            step_both(t)
+
     def test_concurrent_steps_match_serial(self):
         # Scratch is per thread: optimizers stepping at once on more
         # threads than cores, with frequent switches, must not share it.
