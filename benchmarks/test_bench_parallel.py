@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import FedOMDConfig, FedOMDTrainer
+from repro.federated.executor import available_cpus
 from repro.graphs import load_dataset, louvain_partition
 from repro.reporting import write_csv
 
@@ -94,7 +95,7 @@ def test_bench_parallel_speedup(sbm_parts):
         rows,
     )
 
-    cpus = os.cpu_count() or 1
+    cpus = available_cpus()
     if cpus < 4:
         pytest.skip(
             f"only {cpus} CPU(s): thread overlap impossible, "

@@ -39,7 +39,10 @@ monotonically within a round (:class:`ProtocolViolationError`
 otherwise).  It is also the runtime half of the privacy rule RL007:
 every uplink payload is checked against the registered private party
 tensors (:class:`PrivacyEscapeError`) — only statistics may cross the
-channel, never raw rows (§4.4).  A payload array trips it when it
+channel, never raw rows (§4.4).  Because the transport delivers read-only views,
+not copies, it also fingerprints every delivered array and raises
+:class:`SenderMutationError` when the sender writes to one before the
+peer's next transfer back.  A payload array trips it when it
 aliases a registered buffer (``np.may_share_memory``), when it is an
 integer or bool array (labels, index arrays, masks), or when one of its
 rows has exactly the nonzero columns of a registered sparse row (a
@@ -112,6 +115,10 @@ class ProtocolViolationError(SanitizerError):
 
 class PrivacyEscapeError(SanitizerError):
     """An uplink payload aliases or copies a party's raw (private) tensors."""
+
+
+class SenderMutationError(SanitizerError):
+    """A sender wrote to an array it had sent before the peer answered."""
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +335,21 @@ def _escape(kind: str, arr: np.ndarray, what: str) -> PrivacyEscapeError:
     )
 
 
+def _keyed_arrays(payload: Any, key: str = "") -> Iterator[Tuple[str, np.ndarray]]:
+    """``(path, array)`` of every ndarray leaf the transport delivers as a view."""
+    if isinstance(payload, np.ndarray):
+        yield key or "<payload>", payload
+    elif isinstance(payload, dict):
+        for k, v in payload.items():
+            yield from _keyed_arrays(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(payload, (list, tuple)):
+        for i, v in enumerate(payload):
+            yield from _keyed_arrays(v, f"{key}[{i}]")
+
+
+_OPPOSITE = {"up": "down", "down": "up"}
+
+
 class ProtocolMonitor:
     """Runtime Algorithm-1 conformance checker and privacy tripwire.
 
@@ -340,6 +362,20 @@ class ProtocolMonitor:
     Phase legality is decided by the :data:`PROTOCOL_PHASES` table and
     the :func:`transition_allowed` predicate.  Untagged (``other``-kind)
     traffic carries no phase and is only privacy-checked.
+
+    **Sender-mutation tripwire.**  The transport delivers read-only
+    views of the sender's arrays (:func:`repro.federated.comm.deliver`),
+    so a sender that writes to what it sent before the peer has used it
+    changes what the peer receives.  The monitor fingerprints every
+    delivered array at send and re-checks a party's outstanding
+    fingerprints at its next transfer in the opposite direction (a
+    collective answers every party; a point-to-point transfer answers
+    its own client and any collective), and checks whatever is still
+    outstanding at ``end_round``.  A mismatch raises
+    :class:`SenderMutationError` naming the kind, client and key.  The
+    check cannot wait for ``end_round``: the barrier upload is a view of
+    the live parameters, which ``_distribute``'s ``set_state``
+    legitimately overwrites once the broadcast has answered it.
 
     The monitor is read-only — it inspects payload buffers, dtypes and
     nonzero patterns and touches no RNG — so sanitized runs remain
@@ -372,6 +408,9 @@ class ProtocolMonitor:
         # cid → phase; unseen clients start at the collective phase.
         self._client_phase: Dict[int, int] = {}
         self._collective_phase = ROUND_BOUNDARY
+        #: (direction, client or None) → [(kind, key, array, fingerprint)]
+        #: of delivered arrays no transfer the other way has answered yet.
+        self._sent: Dict[Tuple[str, Optional[int]], List[tuple]] = {}
 
     def register_private_array(self, name: str, arr: Any) -> None:
         """Declare ``arr`` as raw party data that must never be uploaded.
@@ -410,6 +449,11 @@ class ProtocolMonitor:
         """
         if direction == "up":
             self._check_privacy(kind, payload)
+        self._check_sent(self._answered(direction, client))
+        sent = [(kind, key, arr, _fingerprint(arr)) for key, arr in _keyed_arrays(payload)]
+        if sent:
+            with self._lock:
+                self._sent.setdefault((direction, client), []).extend(sent)
         phase = PROTOCOL_PHASES.get((direction, kind))
         if phase is None:
             return
@@ -430,6 +474,31 @@ class ProtocolMonitor:
                 self._require(self._phase, phase, "round")
                 self._phase = phase
 
+    def _answered(self, direction: str, client: Optional[int]) -> List[tuple]:
+        """Pop the outstanding sends a ``direction`` transfer answers."""
+        opposite = _OPPOSITE[direction]
+        with self._lock:
+            if client is None:
+                keys = [k for k in self._sent if k[0] == opposite]
+            else:
+                keys = [k for k in ((opposite, client), (opposite, None)) if k in self._sent]
+            return [(k, self._sent.pop(k)) for k in keys]
+
+    @staticmethod
+    def _check_sent(outstanding: List[tuple]) -> None:
+        """Raise if a sender wrote to a delivered array since its send."""
+        for (direction, client), entries in outstanding:
+            for kind, key, arr, fp in entries:
+                if _fingerprint(arr) != fp:
+                    who = "every client" if client is None else f"client {client}"
+                    what = f"upload from {who}" if direction == "up" else f"download to {who}"
+                    raise SenderMutationError(
+                        f"`{kind}` {what}: `{key}` (shape {arr.shape}) was written "
+                        "by its sender after the send, before the peer's next "
+                        "transfer back; the receiver holds a read-only view of "
+                        "that buffer and would see the write"
+                    )
+
     def _require(self, prev: int, phase: int, who: str) -> None:
         """Raise unless ``prev → phase`` is lattice-legal (lock held)."""
         if not transition_allowed(prev, phase):
@@ -441,6 +510,9 @@ class ProtocolMonitor:
             )
 
     def on_round_end(self) -> None:
+        with self._lock:
+            outstanding, self._sent = list(self._sent.items()), {}
+        self._check_sent(outstanding)
         with self._lock:
             # The boundary resets every lattice, per-client ones
             # included: a round may legally end without a model push
@@ -838,6 +910,7 @@ __all__ = [
     "LockOrderError",
     "ProtocolViolationError",
     "PrivacyEscapeError",
+    "SenderMutationError",
     "AutogradSanitizer",
     "ProtocolMonitor",
     "LockOrderRecorder",

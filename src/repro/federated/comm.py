@@ -7,10 +7,26 @@ structures of them; :func:`payload_bytes` sizes exactly what a real
 transport would serialize, which is what Table 3's communication
 accounting reports.
 
-All transfers deep-copy the payload.  This is deliberate: in-process
-simulation would otherwise share mutable arrays between "machines",
-hiding bugs (e.g. a client mutating the global model in place) that a
-real deployment would surface.
+Transfers deliver read-only views, not copies.  Each ndarray leaf of a
+payload arrives as a ``view()`` with ``writeable=False``; containers are
+rebuilt per receiver, scalars and strings pass through, and any other
+leaf (a scipy or kernel sparse matrix) is still deep-copied.  A real
+deployment would serialize the buffers, so the receiver must not see the
+sender's later writes and the sender must not see the receiver's:
+
+* a receiver that writes to a delivered array raises ``ValueError`` at
+  once (a copy would have hidden that write);
+* a sender must not write to what it sent until the peer has answered
+  with a transfer the other way.  The round loop keeps that order: the
+  barrier upload is a view of the live parameters, and ``fedavg``
+  consumes it before ``_distribute`` overwrites them.  Under the
+  runtime sanitizer, :class:`~repro.analysis.sanitize.ProtocolMonitor`
+  fingerprints every delivered array at send and checks it then.
+
+Whoever keeps a payload past that point owns a copy: the async engine
+uploads ``get_state()`` snapshots because it holds uploads across
+rounds, and ``set_state`` copies a downloaded model into the
+parameters.
 
 Thread-safety contract: every stat mutation happens under one internal
 lock, so point-to-point transfers may be issued concurrently from
@@ -89,6 +105,26 @@ def payload_bytes(payload: Any) -> int:
     if isinstance(payload, (list, tuple)):
         return sum(payload_bytes(v) for v in payload)
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
+
+
+def deliver(payload: Any) -> Any:
+    """What the receiver of ``payload`` gets: read-only views of its arrays.
+
+    Containers are rebuilt (a receiver may reshape its own structure),
+    scalars and strings pass through, and leaves of any other type —
+    sparse matrices — are deep-copied.
+    """
+    if isinstance(payload, np.ndarray):
+        view = payload.view()
+        view.flags.writeable = False
+        return view
+    if type(payload) is dict:
+        return {k: deliver(v) for k, v in payload.items()}
+    if type(payload) in (list, tuple):
+        return type(payload)(deliver(v) for v in payload)
+    if payload is None or isinstance(payload, (bool, int, float, complex, str, np.generic)):
+        return payload
+    return copy.deepcopy(payload)
 
 
 def _zero_kind() -> Dict[str, int]:
@@ -237,18 +273,25 @@ class Communicator:
 
     # -- collectives ------------------------------------------------------
     def broadcast(self, payload: Any, kind: str = KIND_OTHER) -> List[Any]:
-        """Server → all clients.  Returns one independent copy per client."""
+        """Server → all clients.  Returns one delivery per client.
+
+        Each delivery has its own containers over read-only views of
+        ``payload``'s arrays (see :func:`deliver`): no weight-sized copy
+        is made, a client that writes to one raises, and the server
+        must leave ``payload`` unchanged until the clients answer.  A
+        client keeps the model by copying it (``set_state`` does).
+        """
         self._notify("down", kind, payload)
         size = payload_bytes(payload)
         self._meter_downlink(size * self.num_clients, self.num_clients, kind=kind)
-        return [copy.deepcopy(payload) for _ in range(self.num_clients)]
+        return [deliver(payload) for _ in range(self.num_clients)]
 
     def send_to_client(self, client_id: int, payload: Any, kind: str = KIND_OTHER) -> Any:
         """Server → one client."""
         self._check_id(client_id)
         self._notify("down", kind, payload, client=client_id)
         self._meter_downlink(payload_bytes(payload), kind=kind)
-        return copy.deepcopy(payload)
+        return deliver(payload)
 
     def gather(self, payloads: List[Any], kind: str = KIND_OTHER) -> List[Any]:
         """All clients → server.  ``payloads[i]`` comes from client ``i``."""
@@ -257,14 +300,14 @@ class Communicator:
         self._notify("up", kind, payloads)
         for p in payloads:
             self._meter_uplink(payload_bytes(p), kind=kind)
-        return [copy.deepcopy(p) for p in payloads]
+        return [deliver(p) for p in payloads]
 
     def send_to_server(self, client_id: int, payload: Any, kind: str = KIND_OTHER) -> Any:
         """One client → server."""
         self._check_id(client_id)
         self._notify("up", kind, payload, client=client_id)
         self._meter_uplink(payload_bytes(payload), kind=kind)
-        return copy.deepcopy(payload)
+        return deliver(payload)
 
     def end_round(self) -> None:
         """Mark a communication-round boundary (for per-round averages)."""

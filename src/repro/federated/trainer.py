@@ -64,9 +64,11 @@ class TrainerConfig:
     weight_decay: float = 1e-4
     hidden: int = 64
     # Worker threads for per-client work (local training, evaluation,
-    # moment-exchange forwards).  1 = serial (default), 0 = one per CPU.
-    # Parallel and serial runs produce identical training metrics; see
-    # repro.federated.executor for the determinism contract.
+    # moment-exchange forwards).  1 = serial (default), 0 = one per CPU
+    # in the process's affinity mask.  Parallel and serial runs produce
+    # identical training metrics; see repro.federated.executor for the
+    # determinism contract.  Serial runs on two or more CPUs overlap
+    # each client's optimizer step with the next client's pass instead.
     num_workers: int = 1
     # ---- resilience policy (see repro.federated.faults) ----------------
     # Per-client round deadline in seconds; a client that cannot answer
@@ -276,8 +278,9 @@ class FederatedTrainer:
         states: List[Dict[str, np.ndarray]] = []
         kept: List[Client] = []
         for c in self.active_clients():
-            # The live parameter arrays: the transport's deep copy is the
-            # upload, so a get_state() copy first would be a second one.
+            # The live parameter arrays: the server receives read-only
+            # views of them and fedavg consumes those before _distribute
+            # overwrites the parameters, so no weight-sized copy is made.
             live = {name: p.data for name, p in c.model.named_parameters()}
             try:
                 payload = self.comm.send_to_server(c.cid, live, kind=KIND_WEIGHTS)
@@ -416,7 +419,8 @@ class FederatedTrainer:
             # after construction; probe whatever is current.
             self.sanitizer.attach_registry(get_registry())
         try:
-            self._run_rounds(verbose)
+            with self.executor.one_blas_thread():
+                self._run_rounds(verbose)
         finally:
             if self.sanitizer is not None:
                 self.sanitizer.uninstall()

@@ -112,11 +112,16 @@ class TestCommunicator:
         assert comm.stats.downlink_bytes == 3 * 80
         assert comm.stats.downlink_messages == 3
 
-    def test_broadcast_copies_are_independent(self):
+    def test_broadcast_delivers_read_only_views(self):
         comm = Communicator(num_clients=2)
-        a, b = comm.broadcast({"w": np.zeros(2)})
-        a["w"][0] = 5.0
-        assert b["w"][0] == 0.0
+        src = {"w": np.zeros(2)}
+        a, b = comm.broadcast(src)
+        assert a is not b and a is not src
+        for got in (a, b):
+            assert np.shares_memory(got["w"], src["w"])  # no copy was made
+            with pytest.raises(ValueError, match="read-only"):
+                got["w"][0] = 5.0
+        src["w"][0] = 1.0  # the sender's own array stays writable
 
     def test_gather_counts_uplink(self):
         comm = Communicator(num_clients=2)
@@ -129,12 +134,32 @@ class TestCommunicator:
         with pytest.raises(ValueError):
             comm.gather([np.zeros(1)])
 
-    def test_gather_copies(self):
+    def test_gather_delivers_read_only_views(self):
         comm = Communicator(num_clients=1)
         src = np.zeros(3)
         (out,) = comm.gather([src])
-        src[0] = 7.0
-        assert out[0] == 0.0
+        assert np.shares_memory(out, src)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 7.0
+
+    def test_point_to_point_delivers_read_only_views(self):
+        comm = Communicator(num_clients=1)
+        up = {"stats": [np.ones(2), (np.ones(1), 3)], "n": 4, "tag": "x"}
+        got = comm.send_to_server(0, up)
+        assert got["n"] == 4 and got["tag"] == "x" and got["stats"][1][1] == 3
+        assert isinstance(got["stats"][1], tuple)
+        for arr, src in ((got["stats"][0], up["stats"][0]), (got["stats"][1][0], up["stats"][1][0])):
+            assert np.shares_memory(arr, src) and not arr.flags.writeable
+        down = np.arange(3.0)
+        assert np.shares_memory(comm.send_to_client(0, down), down)
+
+    def test_sparse_leaves_are_still_copied(self):
+        comm = Communicator(num_clients=1)
+        m = sp.random(4, 4, density=0.5, format="csr", random_state=0)
+        (out,) = comm.broadcast(m)
+        assert not np.shares_memory(out.data, m.data)
+        out.data[:] = 0.0  # the receiver's own copy
+        assert m.data.any()
 
     def test_point_to_point(self):
         comm = Communicator(num_clients=2)
@@ -159,6 +184,69 @@ class TestCommunicator:
     def test_stats_as_dict(self):
         d = CommStats(uplink_bytes=5, downlink_bytes=7).as_dict()
         assert d["total_bytes"] == 12
+
+
+class TestSenderMutationTripwire:
+    """The sanitizer's check that a sender leaves what it sent alone."""
+
+    def armed(self, num_clients=2):
+        from repro.analysis.sanitize import SanitizerSession
+
+        comm = Communicator(num_clients=num_clients)
+        SanitizerSession().attach_communicator(comm)
+        return comm
+
+    def test_upload_changed_before_next_downlink_raises(self):
+        from repro.analysis.sanitize import SenderMutationError
+
+        comm = self.armed()
+        live = {"conv.weight": np.zeros(3)}
+        comm.send_to_server(1, live, kind="weights")
+        live["conv.weight"][0] = 1.0  # the client trains on before the server answers
+        with pytest.raises(SenderMutationError, match=r"`weights` upload from client 1: `conv.weight`"):
+            comm.broadcast({"w": np.zeros(1)}, kind="weights")
+
+    def test_download_changed_before_next_uplink_raises(self):
+        from repro.analysis.sanitize import SenderMutationError
+
+        comm = self.armed()
+        means = [np.zeros(2), np.zeros(2)]
+        comm.send_to_client(0, means, kind="means")
+        means[1] += 1.0
+        with pytest.raises(SenderMutationError, match=r"download to client 0: `\[1\]`"):
+            comm.send_to_server(0, {"moments": [np.ones(2)], "n": 3}, kind="moments")
+
+    def test_write_after_the_answer_is_legal(self):
+        comm = self.armed()
+        live = {"w": np.zeros(3)}
+        comm.send_to_server(0, live, kind="weights")
+        comm.broadcast({"w": np.ones(3)}, kind="weights")  # answers the upload
+        live["w"][...] = 1.0  # set_state overwriting the uploaded parameters
+        comm.send_to_server(0, {"w": np.zeros(3)}, kind="weights")
+        comm.end_round()
+
+    def test_outstanding_sends_are_checked_at_end_round(self):
+        from repro.analysis.sanitize import SenderMutationError
+
+        comm = self.armed()
+        stats = np.zeros(2)
+        comm.gather([stats, np.zeros(2)])
+        stats[0] = 1.0
+        with pytest.raises(SenderMutationError, match="every client"):
+            comm.end_round()
+
+    @pytest.mark.parametrize("engine", ["barrier", "async"])
+    def test_sanitized_fedomd_runs_do_not_raise(self, engine):
+        from repro.core import FedOMDConfig, FedOMDTrainer
+        from repro.graphs import load_dataset, louvain_partition
+
+        g = load_dataset("cora", seed=0, scale=0.12)
+        parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
+        cfg = FedOMDConfig(
+            max_rounds=3, patience=50, hidden=8, sanitize=True, engine=engine, quorum=0.67
+        )
+        history = FedOMDTrainer(parts, cfg, seed=0).run()
+        assert len(history.records) == 3
 
 
 class TestFedAvg:

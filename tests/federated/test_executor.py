@@ -92,6 +92,13 @@ class TestClientExecutor:
         with pytest.raises(ValueError):
             resolve_workers(-1)
 
+    def test_auto_workers_honour_the_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(0) == 1
+
     def test_config_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             TrainerConfig(num_workers=-2)

@@ -19,7 +19,8 @@ armed, inside a ``ProfileSession``).  Every cell must give the golden
 digest.  A subprocess leg crosses the BLAS-thread axis with the engine
 axis: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once at load time, so
 each (engine, thread count) pair runs the golden history in a fresh
-interpreter.
+interpreter.  ``run()`` holds OpenBLAS at one thread, so one more leg
+disables that cap to keep two-thread GEMMs under the digest.
 
 If a change is *intended* to alter the trajectory (a new default, a
 fixed bug in the math), re-record GOLDEN_DIGEST by running the helper
@@ -90,15 +91,28 @@ def test_golden_digest_matrix(engine, num_workers, mode):
     assert digest(history) == GOLDEN_DIGEST
 
 
-@pytest.mark.parametrize("engine,threads", list(itertools.product(ENGINES, ("1", "2"))))
-def test_golden_digest_across_blas_threads(engine, threads):
+@pytest.mark.parametrize(
+    "engine,threads,cap",
+    [
+        pytest.param(engine, threads, True, id=f"{engine}-{threads}")
+        for engine, threads in itertools.product(ENGINES, ("1", "2"))
+    ]
+    # run() holds OpenBLAS at one thread, so the legs above train at 1
+    # thread; this leg disables the cap to keep 2-thread GEMMs covered.
+    + [pytest.param("barrier", "2", False, id="barrier-2-uncapped")],
+)
+def test_golden_digest_across_blas_threads(engine, threads, cap):
     root = Path(__file__).resolve().parents[2]
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS=threads,
         PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
     )
-    code = (
+    uncap = "" if cap else (
+        "import repro.federated.executor as ex\n"
+        "ex.openblas_threads_api = lambda: None\n"
+    )
+    code = uncap + (
         "from tests.federated.test_golden_history import digest, golden_history\n"
         f"print(digest(golden_history(**{ENGINES[engine]!r})))"
     )
