@@ -35,3 +35,7 @@ class LocGCNTrainer(FederatedTrainer):
         # real isolated deployment would not communicate at all, so we
         # skip the broadcast to keep the traffic meter honest at zero).
         pass
+
+    def global_model(self) -> Module:
+        # There is no global model; export party 0's local one.
+        return self.clients[0].model

@@ -20,7 +20,7 @@ hidden weights after each step (DESIGN.md §7 extension ablation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class FedOMDTrainer(FederatedTrainer):
         self.exchange = MomentExchange(self.comm, orders=self.omd_config.orders)
         self._global_moments: Optional[GlobalMoments] = None
         self._last_exchange_traffic: Optional[CommStats] = None
-        self._last_exchange_participants: int = len(self.clients)
+        self._last_exchange_cids: List[int] = [c.cid for c in self.clients]
         if self.sanitizer is not None:
             # OrthoGCN's cached propagation operator holds a copy of the
             # raw structure, not a view of adj, so declare it too.
@@ -146,7 +146,7 @@ class FedOMDTrainer(FederatedTrainer):
             client_hidden, counts, client_ids=[c.cid for c in participants]
         )
         self._last_exchange_traffic = self.comm.snapshot() - before
-        self._last_exchange_participants = len(participants)
+        self._last_exchange_cids = [c.cid for c in participants]
 
     def local_loss(self, client: Client) -> Tensor:
         """Eq. 12: CE + α·ortho + β·CMD."""
@@ -213,10 +213,13 @@ class FedOMDTrainer(FederatedTrainer):
         Before any exchange has run it falls back to the closed-form
         estimate; ``tests/core`` asserts formula == measured.
         """
-        model_bytes = sum(v.nbytes for v in self.clients[0].get_state().values())
-        m = self._last_exchange_participants
-        # m participant uploads + one broadcast to all clients.
-        per_round_weights = (m + len(self.clients)) * model_bytes
+        # A party's weights are the rows it holds, the same size both ways:
+        # the m participants upload theirs and every client downloads its own.
+        model_bytes = [sum(p.data.nbytes for p in c.model.parameters()) for c in self.clients]
+        m = len(self._last_exchange_cids)
+        per_round_weights = sum(model_bytes[cid] for cid in self._last_exchange_cids) + sum(
+            model_bytes
+        )
         d_h = self.config.hidden
         l = self.omd_config.num_hidden
         k = len(self.omd_config.orders)

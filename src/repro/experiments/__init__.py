@@ -38,6 +38,7 @@ from repro.experiments import fig7  # noqa: F401
 from repro.experiments import extensions  # noqa: F401
 from repro.experiments import chaos  # noqa: F401
 from repro.experiments import loadtest  # noqa: F401
+from repro.experiments import accuracy  # noqa: F401
 
 __all__ = [
     "REGISTRY",

@@ -31,7 +31,8 @@ into later rounds.  :class:`AsyncRoundEngine` is that server:
   versions old are discarded.  Both are exact no-ops at ``s = 0``: a
   full-quorum run takes the *identical* ``fedavg`` call the barrier
   trainer takes, which is what the golden-digest equivalence test pins
-  bitwise.
+  bitwise.  The global model is the trainer's one global state; a
+  party that holds only some rows uploads and downloads those.
 * **Churn.**  Drop/corrupt faults apply at upload time through the
   existing :class:`~repro.federated.faults.FaultyCommunicator`; a
   ``crash`` client trains (state and RNG advance) but its report is
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +63,7 @@ import numpy as np
 from repro.federated.clock import VirtualClock
 from repro.federated.comm import KIND_WEIGHTS
 from repro.federated.faults import CRASH, STRAGGLER, ClientDropped, payload_is_finite
-from repro.federated.server import StateDict, fedavg
+from repro.federated.server import PartialState, Rows, StateDict, fedavg, take_rows
 from repro.obs import get_registry, get_tracer
 
 #: SeedSequence domain tag keeping latency draws independent from every
@@ -137,7 +138,8 @@ def proximal_correction(
     proximal term grows with staleness, so an update that missed many
     versions is trusted less.  At ``s = 0`` (or ``μ = 0``) the input is
     returned *unchanged* (same object, no float ops), preserving bitwise
-    parity on the deterministic path.
+    parity on the deterministic path.  A :class:`PartialState` upload
+    is pulled toward the rows of ``W̄`` it holds and stays partial.
     """
     if staleness < 0:
         raise ValueError("staleness must be non-negative")
@@ -146,7 +148,11 @@ def proximal_correction(
     if staleness == 0 or mu == 0.0:
         return state
     gamma = (mu * staleness) / (1.0 + mu * staleness)
-    return {k: v + gamma * (global_state[k] - v) for k, v in state.items()}
+    target = take_rows(global_state, getattr(state, "rows", {}))
+    pulled = {k: v + gamma * (target[k] - v) for k, v in state.items()}
+    if isinstance(state, PartialState):
+        return PartialState(pulled, state.rows, state.base)
+    return pulled
 
 
 def quorum_target(num_dispatched: int, quorum: float) -> int:
@@ -219,6 +225,8 @@ class _ClientUpdate:
     state: StateDict
     num_train: int
     base_version: int
+    #: the rows the party holds of its partial parameters (none: all rows)
+    rows: Rows = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -258,7 +266,8 @@ def fold_arrivals(
     NaN payloads are quarantined (their ``n_i`` leaves the denominator),
     updates staler than ``max_staleness`` are discarded, and when every
     survivor has zero staleness the fold takes the *identical*
-    ``fedavg`` call the barrier trainer takes.
+    ``fedavg`` call the barrier trainer takes.  Partial uploads fold
+    into ``global_state``'s full rows through that same ``fedavg``.
     """
     kept: List[Tuple[_ClientUpdate, int]] = []
     quarantined: List[int] = []
@@ -272,30 +281,42 @@ def fold_arrivals(
             discarded.append(update.cid)
             continue
         kept.append((update, stale))
+    new_global = _fold(kept, global_state, decay, mu)
     kept_meta = tuple((u.cid, stale) for u, stale in kept)
-    if not kept:
-        return FoldResult(None, tuple(quarantined), tuple(discarded), kept_meta)
-    if all(stale == 0 for _, stale in kept):
-        states = [u.state for u, _ in kept]
-        new_global = fedavg(states, [u.num_train for u, _ in kept])
-    else:
-        states = [
-            proximal_correction(u.state, global_state, stale, mu)
-            for u, stale in kept
-        ]
-        counts = [float(u.num_train) for u, _ in kept]
-        lam = staleness_weights(counts, [stale for _, stale in kept], decay)
-        new_global = fedavg(states, lam.tolist())
     return FoldResult(new_global, tuple(quarantined), tuple(discarded), kept_meta)
+
+
+def _fold(
+    kept: Sequence[Tuple[_ClientUpdate, int]],
+    global_state: Optional[StateDict],
+    decay: float,
+    mu: float,
+) -> Optional[StateDict]:
+    """:func:`fold_arrivals`' average of the kept ``(update, staleness)`` pairs."""
+    if not kept:
+        return None
+    states = [
+        PartialState(u.state, u.rows, global_state) if u.rows else u.state
+        for u, _ in kept
+    ]
+    if all(stale == 0 for _, stale in kept):
+        return fedavg(states, [u.num_train for u, _ in kept])
+    states = [
+        proximal_correction(state, global_state, stale, mu)
+        for state, (_, stale) in zip(states, kept)
+    ]
+    counts = [float(u.num_train) for u, _ in kept]
+    lam = staleness_weights(counts, [stale for _, stale in kept], decay)
+    return fedavg(states, lam.tolist())
 
 
 class AsyncRoundEngine:
     """The quorum-aggregating event queue behind ``engine="async"``.
 
-    Owns the event heap, the in-flight set, the global model version
-    counter and (for proximal correction) the current global state.  The
-    trainer's round loop owns everything else — clients, communicator,
-    history, early stopping, checkpoints — and calls the engine for three
+    Owns the event heap, the in-flight set and the global model version
+    counter.  The trainer owns everything else — clients, communicator,
+    the global state, history, early stopping, checkpoints — and its
+    round loop calls the engine for three
     steps: :meth:`mask_in_flight` at round start,
     :meth:`train` for the local phase and :meth:`aggregate` for the
     server phase.  :meth:`state_dict` / :meth:`load_state_dict`
@@ -324,8 +345,6 @@ class AsyncRoundEngine:
         self.clock: VirtualClock = trainer.clock
         self.latency = ClientLatencyModel(trainer.seed, LATENCY_BASE, LATENCY_JITTER)
         self.version = 0
-        # Post-broadcast consensus state W₀ (every client holds it).
-        self.global_state: Optional[StateDict] = trainer.clients[0].get_state()
         self._seq = 0
         self._heap: List[Tuple[float, int, PendingReport]] = []
         self._in_flight: Dict[int, PendingReport] = {}
@@ -352,18 +371,14 @@ class AsyncRoundEngine:
                 }
                 for _, _, r in sorted(self._heap)
             ],
-            "has_global": self.global_state is not None,
         }
 
-    def global_arrays(self) -> Dict[str, np.ndarray]:
-        """The prox-target global model, for the checkpoint array store."""
-        if self.global_state is None:
-            return {}
-        return {f"async_global/{k}": v for k, v in self.global_state.items()}
+    @property
+    def global_state(self) -> StateDict:
+        """The current global model: the trainer's one global state."""
+        return self.trainer.global_state
 
-    def load_state_dict(
-        self, meta: dict, global_state: Optional[StateDict]
-    ) -> None:
+    def load_state_dict(self, meta: dict) -> None:
         self.version = int(meta["version"])
         self._seq = int(meta["seq"])
         self.clock.advance_to(float(meta["clock"]))
@@ -380,9 +395,6 @@ class AsyncRoundEngine:
             )
             heapq.heappush(self._heap, (report.time, report.seq, report))
             self._in_flight[report.cid] = report
-        if meta.get("has_global") and global_state is None:
-            raise ValueError("checkpoint advertises a global model but has none")
-        self.global_state = global_state
 
     # ------------------------------------------------------------------
     # the engine's steps of the trainer's round loop
@@ -418,7 +430,6 @@ class AsyncRoundEngine:
         """Fold this round's arrivals and push the new model to idle clients."""
         new_global = self._aggregate(self._arrivals)
         if new_global is not None:
-            self.global_state = new_global
             self.version += 1
             self.trainer._distribute(new_global, busy=self._in_flight)
         reg = get_registry()
@@ -548,14 +559,12 @@ class AsyncRoundEngine:
                     state=payload,
                     num_train=max(client.num_train, 1),
                     base_version=report.base_version,
+                    rows=client.rows,
                 )
-        if self.version > report.base_version and self.global_state is not None:
+        if self.version > report.base_version:
             # The server moved on while this client computed: it pulls the
             # current global model before it can be dispatched again.
-            synced = trainer.comm.send_to_client(
-                client.cid, self.global_state, kind=KIND_WEIGHTS
-            )
-            client.set_state(synced)
+            trainer._download(client)
         return update
 
     def _aggregate(self, arrivals: List[_ClientUpdate]) -> Optional[StateDict]:

@@ -8,7 +8,10 @@ than model weights:
 
 * every client's model ``state_dict`` **and** optimizer buffers (Adam's
   step count and moment estimates — without them the first resumed step
-  would use cold bias-correction and diverge numerically);
+  would use cold bias-correction and diverge numerically), each in the
+  client's own shape (only the rows a party holds);
+* the server's full-size global state, which holds the rows no party
+  holds, and its best-validation snapshot;
 * every RNG that advances during training: each client model's dropout
   generator (``PCG64`` states serialize as JSON-safe big-int dicts);
 * the early-stopping state (best validation accuracy, rounds since
@@ -43,7 +46,7 @@ from repro.federated.history import RoundRecord, TrainingHistory
 from repro.nn.serialize import load_arrays, save_arrays
 from repro.obs import get_registry, get_tracer
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _rng_state(gen: Optional[np.random.Generator]) -> Optional[dict]:
@@ -108,12 +111,16 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
             for i, state in enumerate(best_states):
                 for k, v in state.items():
                     arrays[f"best{i}/{k}"] = v
+        for k, v in trainer.global_state.items():
+            arrays[f"global/{k}"] = v
+        if trainer._best_global is not None:
+            for k, v in trainer._best_global.items():
+                arrays[f"best_global/{k}"] = v
+        # The async engine's event heap (in-flight reports), model version
+        # counter and virtual time go into the metadata: with the global
+        # state above, everything a mid-quorum resume needs to replay
+        # arrivals bitwise.
         engine = getattr(trainer, "async_engine", None)
-        if engine is not None:
-            # The event heap (in-flight reports), model version counter,
-            # virtual time, and the prox-target global state: everything
-            # a mid-quorum resume needs to replay arrivals bitwise.
-            arrays.update(engine.global_arrays())
         stats = trainer.comm.snapshot()
         meta = {
             "version": CHECKPOINT_VERSION,
@@ -175,12 +182,11 @@ def load_trainer_checkpoint(trainer, path: str) -> int:
             }
             raise ValueError(f"checkpoint config mismatch on {sorted(diff)}")
 
+        def prefixed(prefix: str) -> Dict[str, np.ndarray]:
+            return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
         for i, client in enumerate(trainer.clients):
-            prefix = f"client{i}/model/"
-            state = {
-                k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
-            }
-            client.set_state(state)
+            client.set_state(prefixed(f"client{i}/model/"))
             scalars = meta["opt"][i]
             opt_state: Dict[str, object] = {}
             for key, val in scalars.items():
@@ -195,15 +201,11 @@ def load_trainer_checkpoint(trainer, path: str) -> int:
             _set_rng_state(getattr(client.model, "_rng", None), meta["model_rng"][i])
 
         if meta["has_best"]:
-            best: List[Dict[str, np.ndarray]] = []
-            for i in range(len(trainer.clients)):
-                prefix = f"best{i}/"
-                best.append(
-                    {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-                )
-            trainer._best_states = best
+            trainer._best_states = [prefixed(f"best{i}/") for i in range(len(trainer.clients))]
         else:
             trainer._best_states = None
+        trainer.global_state = prefixed("global/")
+        trainer._best_global = prefixed("best_global/") or None
         trainer._best_val = meta["best_val"]
         trainer._rounds_since_best = meta["rounds_since_best"]
 
@@ -226,11 +228,7 @@ def load_trainer_checkpoint(trainer, path: str) -> int:
             # guards checkpoints from before the field existed.
             raise ValueError("checkpoint round-engine does not match the trainer's")
         if engine is not None:
-            prefix = "async_global/"
-            global_state = {
-                k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
-            }
-            engine.load_state_dict(saved_async, global_state or None)
+            engine.load_state_dict(saved_async)
         trainer._start_round = int(meta["next_round"])
     reg = get_registry()
     if reg.enabled:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -44,6 +45,16 @@ class Client:
     cache hit re-checks the parameters' content, so a write that forgot
     its bump raises instead of serving stale logits.
 
+    A model that declares ``feature_rows`` (OrthoGCN's ``conv_in.weight``)
+    is compacted to the party's active feature columns ``cols``, the
+    sorted union of its nodes' feature supports: the client holds a copy
+    of the graph whose feature CSR is renumbered to those columns and
+    keeps only the weight rows ``W[cols]``, so the parameter, its
+    gradient and Adam's moments are ``len(cols)`` rows tall.  The
+    caller's graph is left as it was.  :attr:`rows` maps the parameter
+    name to ``cols``; the server learns it once, at set-up, and every
+    transfer of that parameter carries those rows only.
+
     Parameters
     ----------
     cid:
@@ -53,6 +64,7 @@ class Client:
     model:
         Local model instance; all clients must be built with identical
         architecture and (for proper FL) identical initial weights.
+        A model declaring ``feature_rows`` is compacted in place.
     lr / weight_decay:
         Adam hyper-parameters (paper: weight decay 1e-4).
     """
@@ -66,6 +78,20 @@ class Client:
         weight_decay: float = 1e-4,
     ) -> None:
         self.cid = cid
+        self.rows: Dict[str, np.ndarray] = {}
+        name = getattr(model, "feature_rows", None)
+        if name is not None:
+            # Before the optimizer is built, so Adam's moments are born compact.
+            # The copy shares the caller's propagation operator (built here
+            # if it was not), so trainers that reuse one partition build it
+            # once, as they did when every client held the caller's graph.
+            cols = np.unique(graph.x.indices)
+            graph = dataclasses.replace(
+                graph, x=graph.x.compact_columns(cols), _x_dense=None, _s_op=graph.s_op
+            )
+            param = dict(model.named_parameters())[name]
+            param.data = param.data[cols]
+            self.rows[name] = cols
         self.graph = graph
         self.model = model
         self.optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)

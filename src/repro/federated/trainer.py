@@ -47,7 +47,7 @@ from repro.federated.faults import (
     payload_is_finite,
 )
 from repro.federated.history import RoundRecord, TrainingHistory
-from repro.federated.server import fedavg
+from repro.federated.server import PartialState, StateDict, fedavg, take_rows
 from repro.graphs.data import Graph
 from repro.nn.module import Module
 from repro.obs import get_registry, get_tracer
@@ -193,12 +193,19 @@ class FederatedTrainer:
         self._start_round = 0
         self._best_val = -np.inf
         self._best_states: Optional[List[Dict[str, np.ndarray]]] = None
+        self._best_global: Optional[StateDict] = None
         self._rounds_since_best = 0
+        self._model_graph = parts[0]
         self.clients: List[Client] = []
         for cid, g in enumerate(parts):
             # Same seed for every client: all parties start from one
             # global model, as phase 1 of §3 requires.
             model = self.build_model(g, np.random.default_rng(seed))
+            if cid == 0:
+                # The server's one global model, full-size before any
+                # party keeps only its rows: rows that no party holds
+                # live only here.  Both engines read and replace it.
+                self.global_state: StateDict = model.state_dict()
             self.clients.append(
                 Client(cid, g, model, lr=self.config.lr, weight_decay=self.config.weight_decay)
             )
@@ -217,9 +224,8 @@ class FederatedTrainer:
                     ]
                 )
         self._sync_initial_state()
-        # Built after the W₀ broadcast (the engine snapshots W₀ as its
-        # global model) and before any resume(), which restores the
-        # engine's event queue.
+        # Built after the W₀ download and before any resume(), which
+        # restores the engine's event queue.
         if self.config.engine == "async":
             from repro.federated.async_engine import AsyncRoundEngine
 
@@ -269,11 +275,14 @@ class FederatedTrainer:
         Aggregates what the *server received* (the metered — and, under
         fault injection, possibly corrupted — payload), not the client's
         in-memory state: the two only differ when the channel misbehaves,
-        which is exactly when the difference matters.  Uploads that
-        arrive non-finite are quarantined: excluded from FedAvg with
-        their ``n_i`` removed from the denominator, so survivors are
-        reweighted over whoever actually contributed.  Returns ``None``
-        (keep the previous global model) when nobody survives.
+        which is exactly when the difference matters.  A party that holds
+        only some rows uploads those, and
+        :func:`~repro.federated.server.fedavg` folds them into the full
+        global state.  Uploads that arrive non-finite are quarantined:
+        excluded from FedAvg with their ``n_i`` removed from the
+        denominator, so survivors are reweighted over whoever actually
+        contributed.  Returns ``None`` (keep the previous global model)
+        when nobody survives.
         """
         states: List[Dict[str, np.ndarray]] = []
         kept: List[Client] = []
@@ -289,6 +298,8 @@ class FederatedTrainer:
             if self.config.quarantine_nonfinite and not payload_is_finite(payload):
                 self._quarantine(c)
                 continue
+            if c.rows:
+                payload = PartialState(payload, c.rows, self.global_state)
             states.append(payload)
             kept.append(c)
         if not states:
@@ -310,26 +321,36 @@ class FederatedTrainer:
     # loop
     # ------------------------------------------------------------------
     def _sync_initial_state(self) -> None:
-        """Phase 1: broadcast W₀ so every party starts identically."""
-        self._distribute(self.clients[0].get_state())
+        """Phase 1: send W₀ so every party starts identically."""
+        self._distribute(self.global_state)
 
-    def _distribute(self, state: Dict[str, np.ndarray], busy=()) -> None:
-        """Send a global model to every client not in ``busy`` and install it.
+    def _distribute(self, state: StateDict, busy=()) -> None:
+        """Make ``state`` the global model; send it to every client not in ``busy``.
 
-        With nobody busy this is one metered broadcast collective;
-        otherwise each idle client gets its own send, and the busy ones
-        (async reports still in flight) pull the model when they report.
+        Each idle client gets its own send of the rows it holds
+        (:meth:`_download`); the busy ones (async reports still in
+        flight) pull the model when they report.
         """
-        if not busy:
-            delivered = self.comm.broadcast(state, kind=KIND_WEIGHTS)
-            for client, received in zip(self.clients, delivered):
-                client.set_state(received)
-            return
+        self.global_state = state
         for client in self.clients:
             if client.cid not in busy:
-                client.set_state(
-                    self.comm.send_to_client(client.cid, state, kind=KIND_WEIGHTS)
-                )
+                self._download(client)
+
+    def _download(self, client: Client) -> None:
+        """Send ``client`` the rows of the global model it holds and install them."""
+        payload = take_rows(self.global_state, client.rows)
+        client.set_state(self.comm.send_to_client(client.cid, payload, kind=KIND_WEIGHTS))
+
+    def global_model(self) -> Module:
+        """A full-size model holding the best-validation global state.
+
+        The current global state when no round has been evaluated yet.
+        This is the model ``--save-model`` exports.
+        """
+        model = self.build_model(self._model_graph, np.random.default_rng(self.seed))
+        best = self._best_global
+        model.load_state_dict(self.global_state if best is None else best)
+        return model
 
     def evaluate(self, split: str = "test") -> float:
         """Node-weighted average accuracy across parties.
@@ -424,14 +445,15 @@ class FederatedTrainer:
         finally:
             if self.sanitizer is not None:
                 self.sanitizer.uninstall()
+            # Release the pool threads, also when a round raised; the
+            # executor respawns lazily if the trainer is evaluated or
+            # resumed afterwards.
+            self.executor.shutdown()
 
         # Restore the best-validation snapshot (standard early stopping).
         if self._best_states is not None:
             for client, state in zip(self.clients, self._best_states):
                 client.set_state(state)
-        # Release idle pool threads; the executor respawns lazily if the
-        # trainer is evaluated or resumed afterwards.
-        self.executor.shutdown()
         return self.history
 
     def _run_rounds(self, verbose: bool) -> None:
@@ -516,6 +538,8 @@ class FederatedTrainer:
                 if val_acc > self._best_val:
                     self._best_val = val_acc
                     self._best_states = [c.get_state() for c in self.clients]
+                    # Global states are replaced, never written in place.
+                    self._best_global = self.global_state
                     self._rounds_since_best = 0
                 else:
                     self._rounds_since_best += 1

@@ -248,7 +248,14 @@ class OrthoGCN(Module):
     (first layer 0→1 GCNConv, hidden OrthoConv rows, final GCNConv).
     ``forward_with_hidden`` returns every post-ReLU hidden activation —
     the ``[Z^1, …, Z^{l-1}]`` of Algorithm 1 line 3.
+
+    ``feature_rows`` names the parameter whose rows index the sparse
+    input features: a party keeps only the rows of the feature columns
+    it has (see :class:`~repro.federated.client.Client`).  The
+    dense-input models declare none and always hold every row.
     """
+
+    feature_rows = "conv_in.weight"
 
     def __init__(
         self,

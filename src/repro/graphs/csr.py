@@ -202,6 +202,25 @@ class CSRMatrix:
             return self.matmul(other)
         return NotImplemented  # defer to Tensor.__rmatmul__ (fused spmm)
 
+    def compact_columns(self, cols: np.ndarray) -> "CSRMatrix":
+        """This matrix restricted to the sorted columns ``cols``, renumbered 0..len-1.
+
+        ``cols`` must hold every stored column.  Each row keeps its
+        entries in the same order, so ``X_c @ W[cols]`` adds the same
+        products in the same order as ``X @ W``.  ``data`` and ``indptr``
+        are shared.  The reverse is the rows ``cols`` of this matrix's
+        reverse (built here if it was not) and shares its ``data`` and
+        ``indices``: the other rows of Xᵀ are empty, so ``X_cᵀ @ G`` is
+        exactly ``(Xᵀ @ G)[cols]``.
+        """
+        indices = np.searchsorted(cols, self.indices).astype(self.indices.dtype)
+        out = CSRMatrix(self.data, indices, self.indptr, (self.shape[0], len(cols)))
+        rev = self.rev
+        rev_indptr = np.append(rev.indptr[cols], rev.indptr[-1])
+        out._rev = CSRMatrix(rev.data, rev.indices, rev_indptr, (len(cols), self.shape[0]))
+        out._rev._rev = out
+        return out
+
     # ------------------------------------------------------------------
     # interop
     # ------------------------------------------------------------------

@@ -138,7 +138,7 @@ def main(argv=None) -> int:
             "test_accuracy": acc,
             "rounds": len(history),
         }
-        path = save_checkpoint(trainer.clients[0].model, args.save_model, meta)
+        path = save_checkpoint(trainer.global_model(), args.save_model, meta)
         print(f"saved global model → {path}")
     if args.profile:
         print()

@@ -110,7 +110,7 @@ class TestVersionEvents:
         trainer = make_trainer(parts)
         c = trainer.clients[0]
         old_logits, _ = c.eval_forward()
-        state = {k: v * 0.5 for k, v in c.get_state().items()}
+        state = {k: v * 0.5 for k, v in trainer.global_state.items()}
         version = c.version
         trainer._distribute(state)
         assert c.version != version

@@ -175,3 +175,19 @@ class TestHistory:
         h.append(self.rec(0, 0.1, 0.2))
         d = h.as_dict()
         assert d["round"] == [0] and d["test_acc"] == [0.2]
+
+
+def test_a_run_that_raises_leaves_no_pool_threads(parts):
+    import threading
+
+    class FailsInRoundOne(FederatedTrainer):
+        def begin_round(self, round_idx):
+            if round_idx == 1:
+                raise RuntimeError("round 1 fails")
+
+    tr = FailsInRoundOne(
+        parts, TrainerConfig(max_rounds=3, patience=10, hidden=8, num_workers=2), seed=0
+    )
+    with pytest.raises(RuntimeError, match="round 1 fails"):
+        tr.run()
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("fl-client")]

@@ -85,7 +85,7 @@ class TestEndToEndFedOMD:
         tr = FedOMDTrainer(parts, cfg, seed=0)
         tr.run()
         acc = tr.evaluate("test")
-        path = save_checkpoint(tr.clients[0].model, str(tmp_path / "omd"), {"acc": acc})
+        path = save_checkpoint(tr.global_model(), str(tmp_path / "omd"), {"acc": acc})
 
         fresh = OrthoGCN(
             parts[0].num_features, parts[0].num_classes, hidden=16,
@@ -101,7 +101,9 @@ class TestEndToEndFedOMD:
         tr.clients[0].model.eval()
         with no_grad():
             a = accuracy(fresh(parts[0]), parts[0].y, parts[0].test_mask)
-            b = accuracy(tr.clients[0].model(parts[0]), parts[0].y, parts[0].test_mask)
+            # Party 0 holds the rows of its own feature columns.
+            local = tr.clients[0].graph
+            b = accuracy(tr.clients[0].model(local), local.y, local.test_mask)
         assert a == b
 
 
