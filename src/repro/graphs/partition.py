@@ -7,16 +7,28 @@ communities to M parties.  Larger resolution → more, smaller communities
 into exactly M parties by greedy size balancing, matching the paper's
 fixed party counts {3, 5, 7, 9, 20, 50}.
 
+Louvain runs on the adjacency's CSR arrays.  :func:`louvain_communities`
+returns exactly what networkx 3.6.1's
+``louvain_communities(G, resolution=resolution, seed=seed)`` returns for
+the unweighted graph ``G`` built from ``sp.triu(adj, 1)``'s COO stream:
+the same sets, in the same list order, each iterating in the same order
+(the split path's ``rng.permutation`` sees that order).  Per-level
+adjacency building, community-graph aggregation and modularity are
+NumPy; the local-moving sweep and the set bookkeeping are Python, kept
+operation for operation with networkx's, because set iteration order
+depends on the exact history of inserts and removals.  networkx is not
+imported; the test suite compares against it.
+
 A ``random_partition`` alternative (uniform node assignment) is provided
 for the "Louvain effect vs federation effect" extension ablation.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
@@ -73,13 +85,198 @@ def subgraph(graph: Graph, nodes: np.ndarray, name: Optional[str] = None) -> Gra
     )
 
 
-def _to_networkx(adj: sp.spmatrix) -> nx.Graph:
-    """CSR → networkx (edges only; attributes are irrelevant to Louvain)."""
-    coo = sp.coo_matrix(sp.triu(adj, k=1))
-    g = nx.Graph()
-    g.add_nodes_from(range(adj.shape[0]))
-    g.add_edges_from(zip(coo.row.tolist(), coo.col.tolist()))
-    return g
+# networkx's default modularity-gain threshold between levels.
+_THRESHOLD = 0.0000001
+
+# One level's graph as ``(row, nbr, weight)`` entries sorted by row; each
+# row lists the node's neighbours (self-loop included) in networkx's
+# adjacency-dict order.
+_Level = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _adjacency(src: np.ndarray, dst: np.ndarray, wt: np.ndarray, n: int) -> _Level:
+    """Adjacency of an ``nx.Graph`` on nodes ``0..n-1`` grown edge by edge.
+
+    ``add_edge(a, b)`` appends ``b`` to ``a``'s neighbour dict and then
+    ``a`` to ``b``'s, unless already there; both directions share one
+    weight, summed over repeats.  Rows come out in order of first
+    appearance.
+    """
+    t = len(src)
+    ev_src = np.empty(2 * t, dtype=np.int64)
+    ev_dst = np.empty(2 * t, dtype=np.int64)
+    ev_src[0::2], ev_src[1::2] = src, dst
+    ev_dst[0::2], ev_dst[1::2] = dst, src
+    keep = np.ones(2 * t, dtype=bool)
+    keep[1::2] = src != dst  # a self-loop is one entry
+    key = ev_src[keep] * n + ev_dst[keep]
+    keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    weight = np.bincount(inv, weights=np.repeat(wt, 2)[keep], minlength=len(keys))
+    rows = keys // n
+    order = np.lexsort((first, rows))
+    return rows[order], (keys % n)[order], weight[order].astype(np.int64)
+
+
+def _edges(level: _Level) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``G.edges(data=True)``: each edge once, from its lower endpoint."""
+    rows, nbr, wt = level
+    up = nbr >= rows
+    return rows[up], nbr[up], wt[up]
+
+
+def _degrees(level: _Level, n: int) -> np.ndarray:
+    """Weighted degrees; a self-loop counts twice."""
+    rows, nbr, wt = level
+    loop = nbr == rows
+    deg = np.bincount(rows, weights=wt, minlength=n) + np.bincount(
+        rows[loop], weights=wt[loop], minlength=n
+    )
+    return deg.astype(np.int64)
+
+
+def _modularity(level: _Level, degrees: np.ndarray, com: np.ndarray, resolution: float) -> float:
+    """``nx.community.modularity`` of the partition ``node -> com[node]``.
+
+    ``L_c`` counts each intra-community edge once (self-loops once); the
+    per-community terms are summed left to right by the builtin ``sum``,
+    exactly as networkx does.
+    """
+    src, dst, wt = _edges(level)
+    ncom = int(com.max()) + 1
+    inside = com[src] == com[dst]
+    l_c = np.bincount(com[src[inside]], weights=wt[inside], minlength=ncom).astype(np.int64)
+    d_c = np.bincount(com, weights=degrees, minlength=ncom).astype(np.int64)
+    deg_sum = int(degrees.sum())
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+    return sum((l_c / m - resolution * d_c * d_c * norm).tolist())
+
+
+def _one_level(
+    level: _Level,
+    degrees: np.ndarray,
+    m: float,
+    partition: List[Set[int]],
+    members: List[Set[int]],
+    resolution: float,
+    rand: random.Random,
+) -> Tuple[List[Set[int]], List[Set[int]], List[int], bool]:
+    """networkx's ``_one_level``: move nodes while modularity improves.
+
+    ``members[u]`` is the set of original nodes behind node ``u``.
+    Returns the non-empty ``partition`` and inner-partition sets, the
+    final ``node2com`` and whether any node moved.
+    """
+    rows, nbr, wt = level
+    n = len(degrees)
+    other = nbr != rows
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows[other], minlength=n)))).tolist()
+    # Float weights: ``d[c] = w`` is networkx's ``0.0 + w``, exactly.
+    pairs = list(zip(nbr[other].tolist(), wt[other].astype(float).tolist()))
+    nbrs = [pairs[ptr[u] : ptr[u + 1]] for u in range(n)]
+    deg = degrees.tolist()
+    stot = list(deg)
+    node2com = list(range(n))
+    inner = [{u} for u in range(n)]
+    two_m2 = 2 * m**2
+    rand_nodes = list(range(n))
+    rand.shuffle(rand_nodes)
+    nb_moves = 1
+    improvement = False
+    while nb_moves > 0:
+        nb_moves = 0
+        for u in rand_nodes:
+            best_mod = 0
+            best_com = node2com[u]
+            weights2com = {}
+            for v, w in nbrs[u]:
+                c = node2com[v]
+                if c in weights2com:
+                    weights2com[c] += w
+                else:
+                    weights2com[c] = w
+            degree = deg[u]
+            stot[best_com] -= degree
+            # The own community joins the candidates last, at weight 0.0,
+            # when no neighbour is in it (networkx's defaultdict lookup).
+            remove_cost = (
+                -weights2com.setdefault(best_com, 0.0) / m
+                + resolution * (stot[best_com] * degree) / two_m2
+            )
+            for c, w in weights2com.items():
+                gain = remove_cost + w / m - resolution * (stot[c] * degree) / two_m2
+                if gain > best_mod:
+                    best_mod = gain
+                    best_com = c
+            stot[best_com] += degree
+            old = node2com[u]
+            if best_com != old:
+                com = members[u]
+                partition[old].difference_update(com)
+                inner[old].remove(u)
+                partition[best_com].update(com)
+                inner[best_com].add(u)
+                improvement = True
+                nb_moves += 1
+                node2com[u] = best_com
+    partition = list(filter(len, partition))
+    inner = list(filter(len, inner))
+    return partition, inner, node2com, improvement
+
+
+def louvain_communities(
+    adj: sp.spmatrix, resolution: float = 1.0, seed: int = 0
+) -> List[Set[int]]:
+    """Louvain communities of the unweighted graph ``sp.triu(adj, 1)``.
+
+    Equal, set iteration order included, to networkx 3.6.1's
+    ``louvain_communities`` on that graph with the same ``resolution``
+    and integer ``seed`` (see the module docstring).
+    """
+    n = adj.shape[0]
+    coo = sp.triu(adj, k=1, format="coo")
+    # The graph G grown from triu's stream, then the weighted copy that
+    # networkx's louvain_partitions rebuilds from G.edges.
+    ones = np.ones(coo.nnz, dtype=np.int64)
+    src, dst, _ = _edges(_adjacency(coo.row, coo.col, ones, n))
+    if len(src) == 0:
+        return [{u} for u in range(n)]
+    level = _adjacency(src, dst, np.ones(len(src), dtype=np.int64), n)
+    degrees = _degrees(level, n)
+    m = int(degrees.sum()) / 2
+    mod = _modularity(level, degrees, np.arange(n), resolution)
+    rand = random.Random(seed)
+    partition = [{u} for u in range(n)]
+    members = [{u} for u in range(n)]
+    partition, inner, node2com, _ = _one_level(
+        level, degrees, m, partition, members, resolution, rand
+    )
+    while True:
+        result = [s.copy() for s in partition]
+        # Filtering empties keeps community order: renumber by rank.
+        n2c = np.asarray(node2com)
+        rank = np.cumsum(np.bincount(n2c, minlength=len(node2com)) > 0) - 1
+        com = rank[n2c]
+        new_mod = _modularity(level, degrees, com, resolution)
+        if new_mod - mod <= _THRESHOLD:
+            return result
+        mod = new_mod
+        # _gen_graph: supernode i holds the members of inner[i]'s nodes.
+        new_members = []
+        for part in inner:
+            nodes: Set[int] = set()
+            for node in part:
+                nodes.update(members[node])
+            new_members.append(nodes)
+        members = new_members
+        src, dst, wt = _edges(level)
+        level = _adjacency(com[src], com[dst], wt, len(inner))
+        degrees = _degrees(level, len(inner))
+        partition, inner, node2com, improvement = _one_level(
+            level, degrees, m, partition, members, resolution, rand
+        )
+        if not improvement:
+            return result
 
 
 def _group_communities(
@@ -124,9 +321,8 @@ def louvain_partition(
         raise ValueError("num_parties must be >= 1")
     if num_parties > graph.num_nodes:
         raise ValueError("more parties than nodes")
-    nxg = _to_networkx(graph.adj)
     seed = int(rng.integers(0, 2**31 - 1))
-    comms = nx.community.louvain_communities(nxg, resolution=resolution, seed=seed)
+    comms = louvain_communities(graph.adj, resolution=resolution, seed=seed)
     communities = [np.fromiter(c, dtype=int) for c in comms]
     num_communities = len(communities)
 
@@ -163,6 +359,15 @@ def random_partition(
     for p in range(num_parties):
         if not np.any(assignment == p):
             assignment[rng.integers(0, graph.num_nodes)] = p
+    # That pass can take a party's last node; refill from the largest
+    # party, which holds at least two nodes while any party is empty.
+    counts = np.bincount(assignment, minlength=num_parties)
+    for p in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(counts))
+        members = np.flatnonzero(assignment == donor)
+        assignment[members[rng.integers(0, len(members))]] = p
+        counts[donor] -= 1
+        counts[p] = 1
     parts, node_maps = [], []
     for p in range(num_parties):
         nodes = np.flatnonzero(assignment == p)

@@ -101,6 +101,15 @@ class TestRandomPartition:
         pr = random_partition(cora_small, 10, np.random.default_rng(1))
         assert all(s > 0 for s in pr.sizes())
 
+    def test_no_empty_parties_when_fix_up_steals_a_last_node(self):
+        # 271 nodes into 135 parties: the one-pass fix-up alone empties
+        # another party here, and building its subgraph then fails.
+        g = load_dataset("cora", seed=0, scale=0.1)
+        pr = random_partition(g, 135, np.random.default_rng(0))
+        assert pr.num_parties == 135
+        assert min(pr.sizes()) >= 1
+        assert sum(pr.sizes()) == g.num_nodes
+
 
 class TestNonIIDMetrics:
     def test_louvain_more_noniid_than_random(self, cora_small):
