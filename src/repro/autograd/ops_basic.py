@@ -94,7 +94,7 @@ def power(a, exponent: float) -> Tensor:
 
     A general op; arbitrary float exponents require positive inputs for
     a valid derivative.  (Central moments do not use it: they come from
-    the fused ``repro.core.moments.central_moments``.)
+    the fused Eq. 11 op ``repro.core.cmd.layerwise_cmd``.)
     """
     a = as_tensor(a)
     exponent = float(exponent)

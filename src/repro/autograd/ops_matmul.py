@@ -49,9 +49,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad @ b.data.T)
+            a._accumulate(grad @ b.data.T, owned=True)
         if b.requires_grad:
-            b._accumulate(a.data.T @ grad)
+            b._accumulate(a.data.T @ grad, owned=True)
 
     return Tensor._make(out_data, (a, b), backward, "matmul")
 
@@ -100,7 +100,7 @@ def spmm(s, x) -> Tensor:
             cc = _cost._collector
             if cc is not None:
                 cc.spmm_op("bwd", s.nnz, grad, dx)
-            x._accumulate(dx)
+            x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, (x,), backward, "spmm")
 

@@ -28,7 +28,7 @@ def relu(a) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad * mask)
+            a._accumulate(grad * mask, owned=True)
 
     return Tensor._make(out_data, (a,), backward, "relu")
 
@@ -118,7 +118,7 @@ def dropout(a, p: float, rng: Optional[np.random.Generator] = None, training: bo
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad * keep)
+            a._accumulate(grad * keep, owned=True)
 
     return Tensor._make(out_data, (a,), backward, "dropout")
 

@@ -50,17 +50,19 @@ EXPLICIT_OPS = frozenset({"spmm"})
 #: ``elementwise`` ``out.size``            ``Σ p.size``
 #: ``reduce``      ``Σ p.size``            ``Σ p.size``
 #: ``softmax``     ``4·out.size``          ``3·out.size`` per grad parent
-#: ``moments``     ``2·K·p.size``          ``2·K·p.size`` per grad parent
+#: ``cmd``         Σ per layer, see        Σ per grad layer, see
+#:                 :func:`cmd_flops`       :func:`cmd_flops`
 #: ``zero``        ``0``                   ``0``
 #: ==============  ======================  ============================
 #:
-#: ``moments`` is the fused central-moment op (``K = out.shape[0]``
-#: orders over an ``(n, d)`` parent): forward is one product and one
-#: node reduction per order, backward one multiply and one add per
-#: order.  It is exact for contiguous orders starting at 2 (the paper's
-#: 2..5); other order sets build the ``max(orders)`` power ladder and
-#: the formula is an accounting approximation for them.
-KINDS = ("matmul", "spmm", "elementwise", "reduce", "softmax", "moments", "zero")
+#: ``cmd`` is the fused Eq. 11 op (``repro.core.cmd.layerwise_cmd``).
+#: Its parents alternate each layer's ``(n, d)`` activations and its
+#: ``(K+1, d)`` targets (the mean, then one row per order), so ``K`` is
+#: read off the targets.  The ladder part is exact for contiguous
+#: orders starting at 2 (the paper's 2..5); other order sets build the
+#: ``max(orders)`` power ladder and the formula is an accounting
+#: approximation for them.
+KINDS = ("matmul", "spmm", "elementwise", "reduce", "softmax", "cmd", "zero")
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,8 @@ declare("scatter_add", "elementwise")
 declare("concat", "zero")
 declare("stack", "zero")
 
-# repro.core.moments
-declare("central_moments", "moments")
+# repro.core.cmd
+declare("cmd", "cmd")
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +187,29 @@ def spmm_bytes(nnz, dense_bytes, out_bytes):
 
 
 def moments_flops(num_orders, size):
-    """FLOPs of the fused central moments, either direction: ``2·K·n·d``."""
+    """FLOPs of ``K`` central moments of an ``(n, d)`` block, either direction:
+    ``2·K·n·d`` (forward one product and one node reduction per order,
+    backward one multiply and one add per order)."""
     return 2 * num_orders * size
+
+
+def cmd_flops(num_orders, n, d, backward=False):
+    """FLOPs of one layer of the fused Eq. 11 op: ``K`` orders over ``(n, d)``.
+
+    Forward ``2·K·n·d + 2·n·d + 3·(K+1)·d``: the moments, the node mean
+    and the centring, then per norm term the difference, the square and
+    the sum.  Backward ``2·K·n·d + 2·n·d + 4·(K+1)·d``: the moments'
+    VJP, the row sum of ``dc`` and the mean gradient's add, then per
+    term the gradient's scale and divide and per order its ``j/n``
+    factor (two each), and ``(v_0 − Σ)/n``.
+    """
+    per_term = 4 if backward else 3
+    return moments_flops(num_orders, n * d) + 2 * n * d + per_term * (num_orders + 1) * d
+
+
+def _cmd_layers(parents):
+    """``(z, targets)`` pairs of a ``cmd`` op's alternating parents."""
+    return zip(parents[0::2], parents[1::2])
 
 
 def forward_flops(op: str, out, parents: Sequence):
@@ -195,9 +218,11 @@ def forward_flops(op: str, out, parents: Sequence):
     if kind == "matmul":
         a, b = parents
         return matmul_flops(a.shape[0], a.shape[1], b.shape[1])
-    if kind == "moments":
-        (c,) = parents
-        return moments_flops(out.shape[0], c.size)
+    if kind == "cmd":
+        total = 0
+        for z, t in _cmd_layers(parents):
+            total = total + cmd_flops(t.shape[0] - 1, z.shape[0], z.shape[1])
+        return total
     if kind == "zero":
         return 0
     if kind == "reduce":
@@ -221,10 +246,11 @@ def backward_flops(op: str, out, parents: Sequence, grad_parents: Sequence):
         return 0
     if kind == "softmax":
         return 3 * out.size * len(grad_parents)
-    if kind == "moments":
+    if kind == "cmd":
         total = 0
-        for p in grad_parents:
-            total = total + moments_flops(out.shape[0], p.size)
+        for z, t in _cmd_layers(parents):
+            if any(z is g for g in grad_parents):
+                total = total + cmd_flops(t.shape[0] - 1, z.shape[0], z.shape[1], backward=True)
         return total
     # Reductions broadcast the gradient back over the input; elementwise
     # ops do one multiply per input element.  Both are p.size per parent.
@@ -266,6 +292,7 @@ __all__ = [
     "spmm_flops",
     "spmm_bytes",
     "moments_flops",
+    "cmd_flops",
     "forward_flops",
     "backward_flops",
     "forward_bytes",

@@ -192,11 +192,16 @@ class Tensor:
     # ------------------------------------------------------------------
     # backward
     # ------------------------------------------------------------------
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into ``self.grad`` (allocating lazily)."""
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Accumulate ``grad`` into ``self.grad`` (allocating lazily).
+
+        ``owned`` says the caller hands over a fresh float64 buffer that
+        nothing else references (a product an op's backward just
+        formed): a first gradient adopts it instead of copying it.
+        """
         if self.grad is None:
-            # Copy: the incoming buffer may be shared with other edges.
-            self.grad = grad.astype(_DEFAULT_DTYPE, copy=True)
+            # Otherwise copy: the incoming buffer may be shared with other edges.
+            self.grad = grad if owned else grad.astype(_DEFAULT_DTYPE, copy=True)
         else:
             self.grad += grad
 

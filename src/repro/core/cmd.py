@@ -10,14 +10,21 @@ are constants received through the exchange.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import Tensor, as_tensor, l2_norm
-from repro.core.moments import central_moments_np, moments_tensor
+from repro.autograd import Tensor, as_tensor
+from repro.autograd import signatures as _signatures
+from repro.core.moments import _check_orders, _moment_ladder, central_moments_np
+
+_signatures.expect("cmd")
 
 DEFAULT_ORDERS = (2, 3, 4, 5)
+
+#: The ε under each norm's square root: ``l2_norm``'s default, which
+#: keeps the gradient finite when a moment difference vanishes.
+L2_EPS = 1e-12
 
 
 def cmd_distance(
@@ -41,21 +48,10 @@ def cmd_distance(
         ``orders``).
     a, b:
         Activation range bounds of Eq. 11 (|b−a| must be positive).
-    """
-    if b - a <= 0:
-        raise ValueError("need b > a")
-    if len(target_moments) != len(orders):
-        raise ValueError("one target moment per order required")
-    z = as_tensor(z)
-    span = float(b - a)
 
-    local_mean = z.mean(axis=0)
-    dist = l2_norm(local_mean - Tensor(np.asarray(target_mean))) * (1.0 / span)
-    local_moments = moments_tensor(z, local_mean, orders)
-    for j, c_j, s_j in zip(orders, local_moments, target_moments):
-        term = l2_norm(c_j - Tensor(np.asarray(s_j))) * (1.0 / span ** int(j))
-        dist = dist + term
-    return dist
+    The one-layer case of :func:`layerwise_cmd`.
+    """
+    return layerwise_cmd([z], [target_mean], [target_moments], a=a, b=b, orders=orders)
 
 
 def cmd_distance_np(
@@ -111,17 +107,81 @@ def layerwise_cmd(
     a: float = 0.0,
     b: float = 1.0,
     orders: Sequence[int] = DEFAULT_ORDERS,
+    terms: Optional[List[float]] = None,
 ) -> Tensor:
-    """Σ over hidden layers of :func:`cmd_distance` — Algorithm 1 line 19.
+    """Σ over hidden layers of Eq. 11 — Algorithm 1 line 19 — as one autograd op.
 
-    ``target_moments[l]`` are the global moments of layer ``l``.
+    ``target_moments[l]`` are the global moments of layer ``l``.  When
+    ``terms`` is given, each layer's distance (the summands of the
+    returned total) is appended to it.
+
+    Per layer, the forward takes the node mean ``μ``, the centred
+    activations ``c = z − μ`` and their moments by :func:`_moment_ladder`,
+    and sums the ε-regularized norms of ``l2_norm`` over the differences
+    ``u_0 = μ − E(Z_IID)`` and ``u_k = C_{j_k} − S_{j_k}``, each weighted
+    by ``w = 1/|b−a|^j``.  For an output gradient ``g`` the backward is
+    the analytic VJP (DESIGN.md §3.1)::
+
+        v_k = g·w_k·u_k / ‖u_k‖_ε
+        dc  = Σ_k (j_k/n) · v_k ⊙ c^{j_k−1}
+        dz  = dc + (v_0 − Σ_rows dc) / n
+
+    Both directions do the arithmetic of the op chain mean, sub,
+    moments, sub, ``l2_norm``, mul, add in its order, and ``dc`` and the
+    mean's row land on ``z``'s gradient as two accumulations, centring
+    first: value and gradients are bitwise that chain's, also where
+    ``z`` feeds other ops.
     """
+    if b - a <= 0:
+        raise ValueError("need b > a")
     if not hidden:
         raise ValueError("no hidden layers given")
     if not (len(hidden) == len(target_means) == len(target_moments)):
         raise ValueError("layer counts disagree")
+    orders = _check_orders(orders)
+    span = float(b - a)
+    weights = (1.0 / span,) + tuple(1.0 / span ** j for j in orders)
+    parents: List[Tensor] = []
+    saved = []
     total = None
     for z, mean, moms in zip(hidden, target_means, target_moments):
-        term = cmd_distance(z, mean, moms, a=a, b=b, orders=orders)
-        total = term if total is None else total + term
-    return total
+        if len(moms) != len(orders):
+            raise ValueError("one target moment per order required")
+        z = as_tensor(z)
+        if z.ndim != 2:
+            raise ValueError("hidden activations must be 2-D")
+        # Row 0 the target mean, row 1 + k the target moment of orders[k].
+        targets = np.vstack([np.asarray(mean, dtype=np.float64)] + list(moms))
+        local_mean = z.data.mean(axis=0)
+        moments, powers = _moment_ladder(z.data - local_mean, orders)
+        diffs = [local_mean - targets[0]] + [m - t for m, t in zip(moments, targets[1:])]
+        norms = [np.sqrt(float((u * u).sum()) + L2_EPS) for u in diffs]
+        dist = norms[0] * weights[0]
+        for norm, w in zip(norms[1:], weights[1:]):
+            dist = dist + norm * w
+        total = dist if total is None else total + dist
+        if terms is not None:
+            terms.append(float(dist))
+        parents += [z, Tensor(targets)]
+        saved.append((z, powers, diffs, norms))
+
+    def backward(grad: np.ndarray) -> None:
+        for z, powers, diffs, norms in saved:
+            if not z.requires_grad:
+                continue
+            n = z.data.shape[0]
+            v = [float(grad * w) * u / norm for w, u, norm in zip(weights, diffs, norms)]
+            dc = np.zeros_like(z.data)
+            term = np.empty_like(dc)
+            for k, j in enumerate(orders):
+                scale = (v[k + 1] / n) * j
+                if j == 1:
+                    dc += scale
+                else:
+                    np.multiply(scale, powers[j - 2], out=term)
+                    dc += term
+            mean_grad = (v[0] - dc.sum(axis=0)) / n
+            z._accumulate(dc, owned=True)
+            z._accumulate(np.broadcast_to(mean_grad, dc.shape))
+
+    return Tensor._make(np.asarray(total), tuple(parents), backward, "cmd")

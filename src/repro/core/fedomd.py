@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.core.cmd import cmd_distance_np, layerwise_cmd
+from repro.core.cmd import layerwise_cmd
 from repro.core.exchange import GlobalMoments, MomentExchange
 from repro.federated.client import Client
 from repro.federated.comm import CommStats, KIND_MEANS, KIND_MOMENTS
@@ -152,7 +152,7 @@ class FedOMDTrainer(FederatedTrainer):
         """Eq. 12: CE + α·ortho + β·CMD."""
         cfg = self.omd_config
         model: OrthoGCN = client.model  # type: ignore[assignment]
-        logits, hidden = model.forward_with_hidden(client.graph)
+        logits, hidden = client.train_forward()
         from repro.nn import cross_entropy
 
         loss = cross_entropy(logits, client.graph.y, client.graph.train_mask)
@@ -160,6 +160,8 @@ class FedOMDTrainer(FederatedTrainer):
             loss = loss + orthogonality_loss(model.ortho_weights()) * cfg.alpha
         if cfg.use_cmd and self._global_moments is not None:
             a, b = ACTIVATION_RANGE
+            reg = get_registry()
+            terms: Optional[List[float]] = [] if reg.enabled else None
             cmd = layerwise_cmd(
                 hidden,
                 self._global_moments.means,
@@ -167,30 +169,17 @@ class FedOMDTrainer(FederatedTrainer):
                 a=a,
                 b=b,
                 orders=cfg.orders,
+                terms=terms,
             )
             loss = loss + cmd * cfg.beta
-            self._gauge_cmd_distances(client, hidden)
+            if terms is not None:
+                # Per-layer CMD-to-IID gauges: the GCFL-style drift
+                # diagnosis (which client's hidden distribution sits
+                # farthest from the pooled "IID" one, and at which depth)
+                # needs the per-layer terms Eq. 12 sums away.
+                for l, d in enumerate(terms):
+                    reg.gauge("fedomd.cmd_distance", client=client.cid, layer=l).set(d)
         return loss
-
-    def _gauge_cmd_distances(self, client: Client, hidden: Sequence[Tensor]) -> None:
-        """Per-layer CMD-to-IID gauges (telemetry only; no autograd, no RNG).
-
-        The GCFL-style drift diagnosis — which client's hidden
-        distribution sits farthest from the pooled "IID" one, and at
-        which depth — needs the per-layer terms Eq. 12 sums away.
-        Recomputed here in plain NumPy on the already-detached data so
-        the training graph and the RNG stream are untouched; skipped
-        entirely against the null registry.
-        """
-        reg = get_registry()
-        if not reg.enabled:
-            return
-        cfg = self.omd_config
-        a, b = ACTIVATION_RANGE
-        gm = self._global_moments
-        for l, z in enumerate(hidden):
-            d = cmd_distance_np(z.data, gm.means[l], gm.moments[l], a=a, b=b, orders=cfg.orders)
-            reg.gauge("fedomd.cmd_distance", client=client.cid, layer=l).set(d)
 
     def after_local_training(self, round_idx: int) -> None:
         if self.omd_config.hard_orthogonal:

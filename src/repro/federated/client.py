@@ -21,6 +21,10 @@ class _EvalForward(NamedTuple):
     hidden: List[np.ndarray]
     # Per-parameter content fingerprints, taken only under the sanitizer.
     fingerprints: Optional[tuple]
+    # The model's input layer with its autograd graph, until the first
+    # training forward of this version takes it (None for a model
+    # without an ``input_layer``).
+    first: Optional[Tensor]
 
 
 class Client:
@@ -44,6 +48,14 @@ class Client:
     in flight keep their version.  Under the runtime sanitizer every
     cache hit re-checks the parameters' content, so a write that forgot
     its bump raises instead of serving stale logits.
+
+    A model with an ``input_layer`` (OrthoGCN's ``relu(S̃ (X W) + b)``,
+    the same in train and eval mode) has that layer recorded with its
+    autograd graph by the eval forward, and the first training forward
+    of the same version (:meth:`train_forward`) starts from it instead
+    of recomputing it: once per version, since the backward fills the
+    recorded nodes' gradients.  Under the sanitizer, taking it re-checks
+    the parameters' content like a cache hit does.
 
     A model that declares ``feature_rows`` (OrthoGCN's ``conv_in.weight``)
     is compacted to the party's active feature columns ``cols``, the
@@ -147,6 +159,32 @@ class Client:
         self.version += 1
         return value
 
+    def train_forward(self) -> Tuple[Tensor, List[Tensor]]:
+        """The model's training ``forward_with_hidden`` on the local graph.
+
+        The first call of a model version starts from the input layer
+        its :meth:`eval_forward` recorded; any other recomputes it.
+        """
+        first = self._take_first()
+        if first is None:
+            return self.model.forward_with_hidden(self.graph)
+        return self.model.forward_with_hidden(self.graph, first)
+
+    def _take_first(self) -> Optional[Tensor]:
+        """This version's recorded input layer, handed out once."""
+        cached = self._eval
+        if cached is None or cached.first is None or cached.version != self.version:
+            return None
+        self._eval = cached._replace(first=None)
+        sanitizer = get_tensor_sanitizer()
+        if sanitizer is not None and cached.fingerprints is not None:
+            sanitizer.check_parameters(
+                self.model.named_parameters(),
+                cached.fingerprints,
+                f"client {self.cid}'s recorded input layer",
+            )
+        return cached.first
+
     def ce_loss(self) -> Tensor:
         """Default supervised loss: CE on the local train mask."""
         logits = self.model(self.graph)
@@ -160,10 +198,11 @@ class Client:
     def eval_forward(self) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Eval-mode logits and detached hidden activations of the model.
 
-        Computed by one no-grad ``forward_with_hidden`` per model
-        version (through ``Module.call``, so forward counters and the
-        cost collector see it) and served from the cache until the
-        version changes.  Callers must not write to the returned arrays.
+        Computed by one ``forward_with_hidden`` per model version
+        (through ``Module.call``, so forward counters and the cost
+        collector see it), no-grad except for a recorded input layer,
+        and served from the cache until the version changes.  Callers
+        must not write to the returned arrays.
         """
         self.model.eval()
         sanitizer = get_tensor_sanitizer()
@@ -176,17 +215,29 @@ class Client:
                     f"client {self.cid}'s cached eval forward",
                 )
             return cached.logits, cached.hidden
-        with no_grad():
-            logits, hidden = self.model.call(self.model.forward_with_hidden, self.graph)
+        logits, hidden, first = self.model.call(self._eval_pass)
         fingerprints = (
             sanitizer.fingerprint_parameters(self.model.named_parameters())
             if sanitizer is not None
             else None
         )
         self._eval = _EvalForward(
-            self.version, logits.data, [h.data for h in hidden], fingerprints
+            self.version, logits.data, [h.data for h in hidden], fingerprints, first
         )
         return self._eval.logits, self._eval.hidden
+
+    def _eval_pass(self) -> Tuple[Tensor, List[Tensor], Optional[Tensor]]:
+        """No-grad ``forward_with_hidden``, with the input layer (if the
+        model has one) recorded for :meth:`train_forward`."""
+        input_layer = getattr(self.model, "input_layer", None)
+        first = input_layer(self.graph) if input_layer is not None else None
+        with no_grad():
+            if first is None:
+                logits, hidden = self.model.forward_with_hidden(self.graph)
+            else:
+                logits, hidden = self.model.forward_with_hidden(self.graph, first)
+        # Recorded only where grad mode is on; otherwise the step recomputes it.
+        return logits, hidden, first if first is not None and first.requires_grad else None
 
     def evaluate(self, split: str = "test") -> tuple[float, int]:
         """(accuracy, #nodes) on the local ``split`` mask.

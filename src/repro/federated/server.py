@@ -17,6 +17,8 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.graphs.csr import add_scaled_rows
+
 StateDict = Dict[str, np.ndarray]
 #: Parameter name -> the sorted global rows a party holds of it.
 Rows = Mapping[str, np.ndarray]
@@ -123,11 +125,10 @@ def _fold_rows(
     for lam_i, r in zip(lam, held):
         cover[r] += lam_i
     acc = base * (1.0 - cover).reshape((-1,) + (1,) * (base.ndim - 1))
-    term = np.empty_like(base)
     for lam_i, a, r in zip(lam, arrays, held):
         if a.shape != (len(r),) + base.shape[1:]:
             raise ValueError(f"shape mismatch for {key}")
-        acc[r] += np.multiply(a, lam_i, out=term[: len(r)])
+        add_scaled_rows(acc, r, a, lam_i)
     return acc
 
 

@@ -253,6 +253,10 @@ class OrthoGCN(Module):
     input features: a party keeps only the rows of the feature columns
     it has (see :class:`~repro.federated.client.Client`).  The
     dense-input models declare none and always hold every row.
+
+    :meth:`input_layer` splits off the first hidden layer, so a client
+    can record it in its eval forward and hand it to the first training
+    forward of the same weights (``forward_with_hidden(graph, first)``).
     """
 
     feature_rows = "conv_in.weight"
@@ -281,9 +285,21 @@ class OrthoGCN(Module):
         self.dropout_p = dropout_p
         self._rng = gen
 
-    def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
+    def input_layer(self, graph: Graph) -> Tensor:
+        """The first hidden layer ``relu(S̃ (X W) + b)``.
+
+        No dropout precedes it, so it is the same in train and eval
+        mode and draws nothing from the model's RNG.
+        """
+        return relu(self.conv_in(graph.s_op, graph.x))
+
+    def forward_with_hidden(
+        self, graph: Graph, first: Optional[Tensor] = None
+    ) -> Tuple[Tensor, List[Tensor]]:
+        """Logits and hidden layers; ``first`` is :meth:`input_layer`'s
+        output when the caller already holds it for these weights."""
         s = graph.s_op
-        h = relu(self.conv_in(s, graph.x))
+        h = self.input_layer(graph) if first is None else first
         hidden = [h]
         for layer in self.ortho_layers:
             h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)

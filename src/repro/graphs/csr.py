@@ -30,6 +30,7 @@ import threading
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # scipy's compiled CSR kernels, imported here only
 
 from repro.obs.metrics import Counter, get_registry
 
@@ -66,6 +67,37 @@ def reset_transpose_conversion_count() -> int:
         prev = total - _reset_base
         _reset_base = total
     return prev
+
+
+def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale: float) -> None:
+    """``acc[rows] += values * scale`` in one compiled pass.
+
+    ``rows`` are sorted, unique row indices of the C-contiguous ``acc``,
+    one per row of ``values``.  This is scipy's CSR × dense kernel
+    ``csr_matvecs`` (``Y += A·X``) on the matrix with the one entry
+    ``A[rows[k], k] = scale`` per held row: per element it does the same
+    multiply and then the same add as the NumPy expression, so the
+    result is bitwise equal, without the gather, the product buffer and
+    the scatter.
+    """
+    if not acc.flags.c_contiguous:
+        raise ValueError("acc must be C-contiguous")
+    n_rows, n_held = acc.shape[0], len(rows)
+    if values.shape != (n_held,) + acc.shape[1:]:
+        raise ValueError(f"values {values.shape} do not match {n_held} rows of {acc.shape}")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indptr[np.asarray(rows) + 1] = 1
+    np.cumsum(indptr, out=indptr)
+    _sparsetools.csr_matvecs(
+        n_rows,
+        n_held,
+        acc.size // max(n_rows, 1),
+        indptr,
+        np.arange(n_held, dtype=np.int64),
+        np.full(n_held, float(scale)),
+        np.ascontiguousarray(values).reshape(-1),
+        acc.reshape(-1),
+    )
 
 
 class CSRMatrix:

@@ -5,16 +5,81 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd import Tensor, gradcheck
-from repro.core.cmd import cmd_distance, cmd_distance_arrays, layerwise_cmd
-from repro.core.moments import (
-    central_moments,
-    central_moments_np,
-    layer_means_np,
-    moments_tensor,
-)
+from repro.autograd import Tensor, gradcheck, l2_norm, matmul, relu
+from repro.core.cmd import L2_EPS, cmd_distance, cmd_distance_arrays, layerwise_cmd
+from repro.core.moments import _check_orders, _moment_ladder, central_moments_np, layer_means_np
 
 RNG = np.random.default_rng(19)
+
+
+# ----------------------------------------------------------------------
+# The reference: Eq. 11 as the composite op chain the loss used before it
+# became one fused op (mean, sub, the central-moments op, getitem, sub,
+# l2_norm, mul, add).  The fused op must match it bit for bit.
+# ----------------------------------------------------------------------
+def ref_central_moments(centered, orders):
+    """The differentiable central-moments op of the composite chain."""
+    orders = _check_orders(orders)
+    c = centered.data
+    out_data, powers = _moment_ladder(c, orders)
+    n = c.shape[0]
+
+    def backward(grad):
+        if not centered.requires_grad:
+            return
+        dc = np.zeros_like(c)
+        term = np.empty_like(c)
+        for k, j in enumerate(orders):
+            scale = (grad[k] / n) * j
+            if j == 1:
+                dc += scale
+            else:
+                np.multiply(scale, powers[j - 2], out=term)
+                dc += term
+        centered._accumulate(dc)
+
+    # The retired op, kept as a test-only reference: no cost collector
+    # ever runs it, so it has no signature.
+    # repro-lint: disable=RL015
+    return Tensor._make(out_data, (centered,), backward, "central_moments")
+
+
+def ref_cmd_distance(z, target_mean, target_moments, a=0.0, b=1.0, orders=(2, 3, 4, 5)):
+    span = float(b - a)
+    local_mean = z.mean(axis=0)
+    dist = l2_norm(local_mean - Tensor(np.asarray(target_mean))) * (1.0 / span)
+    moments = ref_central_moments(z - local_mean, orders)
+    for k, (j, s_j) in enumerate(zip(orders, target_moments)):
+        term = l2_norm(moments[k] - Tensor(np.asarray(s_j))) * (1.0 / span ** int(j))
+        dist = dist + term
+    return dist
+
+
+def ref_layerwise_cmd(hidden, target_means, target_moments, a=0.0, b=1.0, orders=(2, 3, 4, 5)):
+    total = None
+    for z, mean, moms in zip(hidden, target_means, target_moments):
+        term = ref_cmd_distance(z, mean, moms, a=a, b=b, orders=orders)
+        total = term if total is None else total + term
+    return total
+
+
+def numpy_cmd(z, target_mean, target_moments, orders, span=1.0):
+    """Eq. 11 with ``l2_norm``'s ε-norms, in NumPy from ``central_moments_np``."""
+    mean = z.mean(axis=0)
+    diffs = [mean - target_mean] + [
+        c - s for c, s in zip(central_moments_np(z, mean, orders), target_moments)
+    ]
+    weights = [1.0 / span] + [1.0 / span ** int(j) for j in orders]
+    dist = None
+    for u, w in zip(diffs, weights):
+        term = np.sqrt(float((u * u).sum()) + L2_EPS) * w
+        dist = term if dist is None else dist + term
+    return dist
+
+
+def bits(arr):
+    """The exact bytes of an array (``-0.0`` and ``+0.0`` differ)."""
+    return np.ascontiguousarray(arr).tobytes()
 
 
 class TestMomentsNumpy:
@@ -55,26 +120,24 @@ class TestMomentsNumpy:
 
 
 class TestMomentsTensor:
+    """The fused op's central moments, observed through Eq. 11."""
+
     def test_matches_numpy(self):
         z = RNG.standard_normal((20, 3))
-        t = Tensor(z)
-        moms = moments_tensor(t, t.mean(axis=0), [2, 3])
-        ref = central_moments_np(z, z.mean(axis=0), [2, 3])
-        for got, want in zip(moms, ref):
-            np.testing.assert_allclose(got.data, want, rtol=1e-12)
+        mu = RNG.standard_normal(3)
+        targets = [RNG.standard_normal(3) for _ in range(2)]
+        got = cmd_distance(Tensor(z), mu, targets, orders=[2, 3]).item()
+        assert got == numpy_cmd(z, mu, targets, [2, 3])
 
     @pytest.mark.parametrize("j", [2, 3, 4, 5])
     def test_gradcheck_each_order(self, j):
         z = Tensor(RNG.standard_normal((6, 3)), requires_grad=True)
-
-        def f(t):
-            return (moments_tensor(t, t.mean(axis=0), [j])[0] ** 2).sum()
-
-        assert gradcheck(f, [z])
+        mu, (target,) = RNG.standard_normal(3), [RNG.standard_normal(3)]
+        assert gradcheck(lambda t: cmd_distance(t, mu, [target], orders=(j,)), [z])
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            moments_tensor(Tensor(np.zeros(3)), Tensor(np.zeros(3)), [2])
+            cmd_distance(Tensor(np.zeros(3)), np.zeros(3), [np.zeros(3)], orders=(2,))
 
 
 class TestCMDDistance:
@@ -287,36 +350,33 @@ class TestFusedCentralMoments:
     @given(party_blocks(), order_subsets)
     def test_numpy_form_matches_power(self, z, orders):
         mean = z.mean(axis=0)
-        assert_matches_power(z, mean, orders, central_moments_np(z, mean, orders))
+        got = central_moments_np(z, mean, orders)
+        assert_matches_power(z, mean, orders, got)
 
     @settings(max_examples=100, deadline=None)
     @given(party_blocks(), order_subsets)
     def test_tensor_form_matches_numpy_form(self, z, orders):
         mean = z.mean(axis=0)
-        out = central_moments(Tensor(z - mean), orders)
-        assert out.shape == (len(orders), z.shape[1])
-        np.testing.assert_array_equal(out.data, np.stack(central_moments_np(z, mean, orders)))
+        targets = [np.zeros(z.shape[1])] * len(orders)
+        got = cmd_distance(Tensor(z), mean, targets, orders=orders).item()
+        assert got == numpy_cmd(z, mean, targets, orders)
 
     @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (2, 5), (1, 3)])
     def test_gradcheck(self, orders):
         z = Tensor(RNG.standard_normal((7, 3)), requires_grad=True)
-        weights = RNG.standard_normal((len(orders), 3))
-
-        def f(t):
-            return (central_moments(t - t.mean(axis=0), orders) * weights).sum()
-
-        assert gradcheck(f, [z])
+        mu = RNG.standard_normal(3)
+        targets = [RNG.standard_normal(3) for _ in orders]
+        assert gradcheck(lambda t: cmd_distance(t, mu, targets, orders=orders), [z])
 
     def test_one_node_party_is_exactly_zero_with_finite_gradient(self):
         z = Tensor(RNG.standard_normal((1, 4)), requires_grad=True)
-        rows = moments_tensor(z, z.mean(axis=0), (2, 3, 4, 5))
-        for row in rows:
-            np.testing.assert_array_equal(row.data, 0.0)
-        total = rows[0].sum()
-        for row in rows[1:]:
-            total = total + row.sum()
-        total.backward()
-        assert np.isfinite(z.grad).all()
+        zeros = [np.zeros(4)] * 4
+        # Every moment of one node is exactly 0 and its mean is the node,
+        # so each of the five norm terms is its ε floor alone.
+        dist = cmd_distance(z, z.data[0].copy(), zeros)
+        assert dist.item() == numpy_cmd(z.data, z.data[0], zeros, (2, 3, 4, 5))
+        dist.backward()
+        np.testing.assert_array_equal(z.grad, 0.0)
         for m in central_moments_np(z.data, z.data.mean(axis=0), (2, 3, 4, 5)):
             np.testing.assert_array_equal(m, 0.0)
 
@@ -324,14 +384,15 @@ class TestFusedCentralMoments:
         z = RNG.standard_normal((5, 3))
         assert central_moments_np(z, z.mean(axis=0), ()) == []
         t = Tensor(z, requires_grad=True)
-        assert central_moments(t, ()).shape == (0, 3)
-        assert moments_tensor(t, t.mean(axis=0), ()) == []
+        mu = RNG.standard_normal(3)
+        # No moment terms: Eq. 11 is the mean term alone.
+        assert cmd_distance(t, mu, [], orders=()).item() == numpy_cmd(z, mu, [], ())
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            central_moments(Tensor(np.zeros(3)), (2,))
+            cmd_distance(Tensor(np.zeros(3)), np.zeros(3), [np.zeros(3)], orders=(2,))
         with pytest.raises(ValueError):
-            central_moments(Tensor(np.zeros((3, 2))), (0, 2))
+            cmd_distance(Tensor(np.zeros((3, 2))), np.zeros(2), [np.zeros(2)] * 2, orders=(0, 2))
 
 
 def heavy_tailed(seed, family, n, d, magnitude):
@@ -394,3 +455,83 @@ class TestLayerwiseCMD:
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             layerwise_cmd([Tensor(np.zeros((3, 2)))], [], [])
+
+
+def two_layer_inputs(seed, n=23, dims=(5, 4), zero_difference=False):
+    """Activations and targets of two hidden layers.
+
+    With ``zero_difference`` the targets are each layer's own statistics,
+    so every moment difference is exactly 0 and each norm is its ε floor.
+    """
+    rng = np.random.default_rng(seed)
+    orders = (2, 3, 4, 5)
+    hidden = [np.maximum(rng.standard_normal((n, d)), 0.0) for d in dims]
+    if zero_difference:
+        means = [h.mean(axis=0) for h in hidden]
+        moments = [central_moments_np(h, m, orders) for h, m in zip(hidden, means)]
+    else:
+        means = [rng.standard_normal(d) * 0.1 for d in dims]
+        moments = [[rng.standard_normal(d) * 0.01 for _ in orders] for d in dims]
+    return hidden, means, moments
+
+
+class TestFusedOracle:
+    """The fused Eq. 11 op against the composite chain, bit for bit."""
+
+    @staticmethod
+    def run(cmd, hidden, means, moments, g=0.37):
+        zs = [Tensor(h.copy(), requires_grad=True) for h in hidden]
+        out = cmd(zs, means, moments)
+        out.backward(np.asarray(g))
+        return out.data, [z.grad for z in zs]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("zero_difference", [False, True], ids=["random", "eps-path"])
+    def test_value_and_gradients_bitwise(self, seed, zero_difference):
+        inputs = two_layer_inputs(seed, zero_difference=zero_difference)
+        got_value, got_grads = self.run(layerwise_cmd, *inputs)
+        want_value, want_grads = self.run(ref_layerwise_cmd, *inputs)
+        assert bits(got_value) == bits(want_value)
+        for got, want in zip(got_grads, want_grads):
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("cmd_first", [False, True], ids=["cmd-added-last", "cmd-added-first"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_activations_accumulate_in_the_chains_order(self, seed, cmd_first):
+        # Each hidden layer also feeds the next layer, the last one the
+        # classifier, as in OrthoGCN: z's gradient sums the CMD term's
+        # contributions and the other consumers' in one order, and the
+        # parameters' gradients (and so the training digest) depend on it.
+        rng = np.random.default_rng(100 + seed)
+        x = rng.standard_normal((23, 6))
+        weights = [rng.standard_normal(shape) * 0.5 for shape in ((6, 5), (5, 4), (4, 3))]
+        _, means, moments = two_layer_inputs(seed)
+
+        def grads(cmd):
+            w1, w2, w3 = (Tensor(w.copy(), requires_grad=True) for w in weights)
+            z1 = relu(matmul(Tensor(x), w1))
+            z2 = relu(matmul(z1, w2))
+            task = (matmul(z2, w3) * matmul(z2, w3)).sum() * 0.01
+            reg = cmd([z1, z2], means, moments) * 0.5
+            loss = reg + task if cmd_first else task + reg
+            loss.backward()
+            return loss.data, [w.grad for w in (w1, w2, w3)]
+
+        got_value, got = grads(layerwise_cmd)
+        want_value, want = grads(ref_layerwise_cmd)
+        assert bits(got_value) == bits(want_value)
+        for g, w in zip(got, want):
+            assert bits(g) == bits(w)
+
+    def test_gradcheck_two_layers(self):
+        hidden, means, moments = two_layer_inputs(7, n=6, dims=(3, 2))
+        zs = [Tensor(h + 0.1, requires_grad=True) for h in hidden]
+        assert gradcheck(lambda a, b: layerwise_cmd([a, b], means, moments), zs)
+
+    def test_terms_are_the_per_layer_distances(self):
+        hidden, means, moments = two_layer_inputs(8)
+        terms = []
+        total = layerwise_cmd([Tensor(h) for h in hidden], means, moments, terms=terms)
+        want = [ref_cmd_distance(Tensor(h), m, s).item() for h, m, s in zip(hidden, means, moments)]
+        assert terms == want
+        assert total.item() == terms[0] + terms[1]

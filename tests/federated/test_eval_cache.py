@@ -295,3 +295,62 @@ class TestStaleCacheTripwire:
         c = make_trainer(parts).clients[0]
         c.eval_forward()
         assert c._eval.fingerprints is None
+
+
+class TestFirstStepReuse:
+    """The first step of a model version starts from the input layer
+    its eval forward recorded, instead of recomputing ``conv_in``."""
+
+    def test_three_gcnconv_forwards_per_client_round(self, parts):
+        rounds = 4
+        trainer = make_trainer(parts, max_rounds=rounds)
+        assert all(c.has_train_nodes() for c in trainer.clients)
+        registry = MetricsRegistry()
+        prev = set_registry(registry)
+        try:
+            trainer.run()
+        finally:
+            set_registry(prev)
+        # Per client and round: the eval forward runs conv_in and
+        # conv_out, the step conv_out only (4 before the reuse).  Round
+        # 0's exchange adds one more eval forward of W₀.
+        calls = registry.get("nn.forward_calls", module="GCNConv").value
+        assert calls == len(parts) * (3 * rounds + 2)
+
+    def test_reused_step_gradients_equal_a_fresh_pass(self, parts):
+        def gradients(reuse):
+            trainer = make_trainer(parts)
+            trainer.begin_round(0)  # the exchange's eval forward records conv_in
+            c = trainer.clients[0]
+            assert c._eval.first is not None
+            if not reuse:
+                c._eval = c._eval._replace(first=None)
+            c.model.train()
+            trainer.local_loss(c).backward()
+            assert c._eval.first is None
+            return {name: p.grad for name, p in c.model.named_parameters()}
+
+        reused, fresh = gradients(True), gradients(False)
+        for name in fresh:
+            assert reused[name].tobytes() == fresh[name].tobytes(), name
+
+    def test_recorded_layer_is_taken_once_per_version(self, parts):
+        c = make_trainer(parts).clients[0]
+        c.eval_forward()
+        first = c._eval.first
+        assert first is not None and first.requires_grad
+        assert c._take_first() is first
+        assert c._take_first() is None
+        c.bump_version()
+        c.eval_forward()
+        c.bump_version()  # a write after the eval forward: its layer is stale
+        assert c._take_first() is None
+
+    def test_unbumped_write_before_the_step_raises_under_sanitizer(self, parts):
+        trainer = make_trainer(parts)
+        c = trainer.clients[0]
+        with SanitizerSession():
+            c.eval_forward()
+            c.model.conv_in.weight.data[0, 0] += 1.0
+            with pytest.raises(StaleCacheError, match="conv_in.weight"):
+                c.train_step(trainer.local_loss)

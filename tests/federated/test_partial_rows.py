@@ -204,6 +204,20 @@ class TestRowFedavg:
         np.testing.assert_array_equal(got["bias"], want["bias"])
         np.testing.assert_array_equal(got[W][9], base[W][9])  # held by nobody
 
+    def test_fold_is_the_numpy_row_scatter_bitwise(self, uploads):
+        # The fold's compiled scatter does, per element, the multiply and
+        # the add of ``acc[r] += λ_i·W_i``, in party order.
+        base, rows, states, weights = uploads
+        partial = [PartialState(s, {W: r}, base) for s, r in zip(states, rows)]
+        lam = np.asarray(weights) / np.sum(weights)
+        cover = np.zeros(len(base[W]))
+        for lam_i, r in zip(lam, rows):
+            cover[r] += lam_i
+        want = base[W] * (1.0 - cover)[:, None]
+        for lam_i, s, r in zip(lam, states, rows):
+            want[r] += np.multiply(s[W], lam_i)
+        assert fedavg(partial, weights)[W].tobytes() == want.tobytes()
+
     def test_partial_uploads_must_share_one_base(self, uploads):
         base, rows, states, weights = uploads
         other = {k: v.copy() for k, v in base.items()}

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from repro.graphs import CSRMatrix, Graph
 from repro.graphs.csr import (
+    add_scaled_rows,
     reset_transpose_conversion_count,
     transpose_conversion_count,
 )
@@ -183,3 +184,29 @@ class TestTransposeCacheRegression:
             loss.backward()
             assert transpose_conversion_count() == 2
             opt.step()
+
+
+class TestAddScaledRows:
+    """``add_scaled_rows`` is ``acc[rows] += values * scale``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_numpy_scatter(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        shape = (n,) if seed % 4 == 0 else (n, int(rng.integers(1, 9)))
+        acc = rng.standard_normal(shape)
+        rows = np.unique(rng.integers(0, n, size=int(rng.integers(0, n + 1)))).astype(np.int32)
+        values = rng.standard_normal((len(rows),) + shape[1:])
+        values.setflags(write=False)  # uploads arrive as read-only views
+        scale = float(rng.random())
+        want = acc.copy()
+        want[rows] += np.multiply(values, scale)
+        add_scaled_rows(acc, rows, values, scale)
+        assert acc.tobytes() == want.tobytes()
+
+    def test_rejects_mismatched_values_and_strided_acc(self):
+        acc = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="do not match"):
+            add_scaled_rows(acc, np.array([0, 2]), np.zeros((3, 3)), 0.5)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_scaled_rows(acc.T, np.array([0]), np.zeros((1, 4)), 0.5)

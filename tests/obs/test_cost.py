@@ -9,9 +9,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autograd import matmul, spmm
-from repro.autograd.signatures import moments_flops
+from repro.autograd.signatures import cmd_flops, moments_flops
 from repro.autograd.tensor import Tensor
-from repro.core.moments import central_moments
+from repro.core.cmd import layerwise_cmd
 from repro.graphs.csr import CSRMatrix
 from repro.obs.cost import (
     CostCollector,
@@ -58,6 +58,12 @@ class TestFormulas:
     def test_moments_flops(self):
         # 4 orders over a (5, 3) block: 2·4·15 in either direction.
         assert moments_flops(4, 15) == 120
+
+    def test_cmd_flops(self):
+        # 4 orders over a (5, 3) block: moments 120, mean and centring 30,
+        # then 5 norm terms of 3 elements at 3 (fwd) or 4 (bwd) FLOPs each.
+        assert cmd_flops(4, 5, 3) == 120 + 30 + 45
+        assert cmd_flops(4, 5, 3, backward=True) == 120 + 30 + 60
 
     def test_spmm_bytes(self):
         # 12 bytes per stored entry + dense + output footprints.
@@ -148,20 +154,33 @@ class TestElementwiseAndShape:
 
 
 class TestCentralMoments:
+    """The fused Eq. 11 op (``cmd``), which carries the central moments."""
+
     @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (2, 5)])
     def test_forward_and_backward_match_signature(self, collected, orders):
         registry, _, _ = collected
-        n, d = 5, 3
-        c = Tensor(np.linspace(-1.0, 1.0, n * d).reshape(n, d), requires_grad=True)
-        out = central_moments(c, orders)
-        out.backward(np.ones(out.shape))
-        want = moments_flops(len(orders), n * d)
-        assert flops_of(registry, op="central_moments", dir="fwd", **UNATTRIBUTED) == want
-        assert flops_of(registry, op="central_moments", dir="bwd", **UNATTRIBUTED) == want
-        # fwd bytes: the (n, d) parent read + the (K, d) moments written.
-        assert bytes_of(registry, op="central_moments", dir="fwd", **UNATTRIBUTED) == (
-            8 * (n * d + len(orders) * d)
+        k, n, dims = len(orders), 5, (3, 2)
+        zs = [
+            Tensor(np.linspace(-1.0, 1.0, n * d).reshape(n, d), requires_grad=True)
+            for d in dims
+        ]
+        # The second layer is a constant: only the first has a backward.
+        zs[1].requires_grad = False
+        means = [np.zeros(d) for d in dims]
+        moments = [[np.full(d, 0.5)] * k for d in dims]
+        out = layerwise_cmd(zs, means, moments, orders=orders)
+        out.backward()
+        want_fwd = cmd_flops(k, n, dims[0]) + cmd_flops(k, n, dims[1])
+        assert flops_of(registry, op="cmd", dir="fwd", **UNATTRIBUTED) == want_fwd
+        want_bwd = cmd_flops(k, n, dims[0], backward=True)
+        assert flops_of(registry, op="cmd", dir="bwd", **UNATTRIBUTED) == want_bwd
+        # fwd bytes: each layer's (n, d) activations and (K+1, d) targets
+        # read, the scalar written; bwd: the scalar gradient read, the
+        # first layer's (n, d) gradient written.
+        assert bytes_of(registry, op="cmd", dir="fwd", **UNATTRIBUTED) == (
+            8 * (sum(n * d + (k + 1) * d for d in dims) + 1)
         )
+        assert bytes_of(registry, op="cmd", dir="bwd", **UNATTRIBUTED) == 8 * (1 + n * dims[0])
 
 
 class TestUnpricedOp:
