@@ -14,9 +14,6 @@ from typing import Optional, Sequence
 from repro.analysis.lint import RULE_REGISTRY, Linter, all_rule_ids
 from repro.analysis.reporters import RENDERERS
 
-#: The whole-program rules ``--no-dataflow`` skips.
-DATAFLOW_RULE_IDS = frozenset({"RL007", "RL010"})
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,13 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SUBSTR",
         help="skip files whose path contains this substring (repeatable); "
         "e.g. --exclude tests/analysis/fixtures",
-    )
-    parser.add_argument(
-        "--no-dataflow",
-        action="store_true",
-        help="skip the interprocedural rules (RL007 privacy taint, RL010 "
-        "happens-before); used to lint trees (tests/, benchmarks/) where "
-        "whole-program taint/thread analysis does not apply",
     )
     parser.add_argument(
         "--changed-since",
@@ -132,21 +122,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"       {cls.rationale}")
         return 0
 
-    rules = args.rules
-    if args.no_dataflow:
-        import repro.analysis.rules  # noqa: F401  (registers the rule set)
-
-        rules = [r for r in (rules or all_rule_ids()) if r not in DATAFLOW_RULE_IDS]
-        if not rules:
-            print(
-                "error: --no-dataflow leaves no rule to run (every requested "
-                f"rule is one of {', '.join(sorted(DATAFLOW_RULE_IDS))})",
-                file=sys.stderr,
-            )
-            return 2
-
     try:
-        linter = Linter(rules=rules, root=Path(args.root) if args.root else None)
+        linter = Linter(rules=args.rules, root=Path(args.root) if args.root else None)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

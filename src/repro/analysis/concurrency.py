@@ -4,8 +4,7 @@ PR 8 made the runtime genuinely concurrent: executor worker threads run
 client tasks while the engine thread owns the event heap, and the async
 engine's aggregation consumes reports in heap-pop order.
 :class:`HappensBeforeAnalysis` gives the linter a thread-aware view of
-that code, built on the same
-:class:`~repro.analysis.dataflow.ProjectIndex` the dataflow rules share.
+that code, built on :class:`~repro.analysis.dataflow.ProjectIndex`.
 It classifies every function by the thread context(s) it can run in and
 every ``self.*`` field access by the locks held around it, then reports
 fields written on executor threads and read (or written) on the engine
@@ -263,7 +262,7 @@ class HappensBeforeAnalysis:
             for node in ast.walk(func.node):
                 if not isinstance(node, ast.Call):
                     continue
-                callees, _ = self.index.callees(node, func, local_types)
+                callees = self.index.callees(node, func, local_types)
                 chain = _dotted(node.func)
                 # A root mapped over items owns its first parameter; a
                 # method reached through an owned receiver owns its

@@ -562,8 +562,6 @@ class BareLenDivisor(Rule):
                 )
 
 
-# The interprocedural rules (RL007, RL010) live in their own
-# modules but register through the same registry; importing any of the
-# rule modules loads them all.
-from repro.analysis import rules_dataflow  # noqa: E402, F401
+# The whole-project rule RL010 lives in its own module but registers
+# through the same registry; importing this module loads it too.
 from repro.analysis import rules_concurrency  # noqa: E402, F401

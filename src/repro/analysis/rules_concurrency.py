@@ -1,9 +1,8 @@
 """Concurrency rule RL010, built on :mod:`repro.analysis.concurrency`.
 
-Like RL007 this is a whole-project rule (thread roots and their
+RL010 is the linter's whole-project rule (thread roots and their
 reachable callees cross files), so it runs in :meth:`Rule.finish` over
-the shared :class:`~repro.analysis.dataflow.ProjectIndex` — the same
-one-index-per-run cache as :mod:`repro.analysis.rules_dataflow`.
+a :class:`~repro.analysis.dataflow.ProjectIndex` of every linted file.
 
 Reporting scope: RL010 fires only under ``federated/`` (that is where
 the executor/engine thread split lives — the analysis itself spans the
@@ -19,8 +18,8 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.concurrency import HappensBeforeAnalysis
+from repro.analysis.dataflow import ProjectIndex
 from repro.analysis.lint import ProjectContext, Rule, Violation, register_rule
-from repro.analysis.rules_dataflow import _index_for
 
 
 def _in_federated(display: str) -> bool:
@@ -43,7 +42,7 @@ class UnsynchronizedSharedField(Rule):
     )
 
     def finish(self, project: ProjectContext) -> Iterable[Violation]:
-        analysis = HappensBeforeAnalysis(_index_for(project))
+        analysis = HappensBeforeAnalysis(ProjectIndex(list(project.files.values())))
         for f in analysis.races():
             if not _in_federated(f.path):
                 continue

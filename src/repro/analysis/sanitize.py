@@ -36,20 +36,26 @@ Communicator's ``_monitor`` hook whenever ``--sanitize`` is on (serial
 runs included), it is the one checker of Algorithm 1's round order:
 kind-tagged transfers must advance the phase of :data:`PROTOCOL_PHASES`
 monotonically within a round (:class:`ProtocolViolationError`
-otherwise).  It is also the runtime half of the privacy rule RL007:
-every uplink payload is checked against the registered private party
-tensors (:class:`PrivacyEscapeError`) — only statistics may cross the
-channel, never raw rows (§4.4).  Because the transport delivers read-only views,
-not copies, it also fingerprints every delivered array and raises
+otherwise).  It is also the project's one privacy check (§4.4): every
+uplink must carry only what Algorithm 1 names — layer means, counts,
+central moments, model weights — and never raw party data
+(:class:`PrivacyEscapeError`).  Three passes run in order.  The alias
+pass raises when a payload array shares memory with a registered
+private tensor (``np.may_share_memory``).  The row pass raises when one
+of its rows has exactly the nonzero columns of a registered sparse row
+(a copy, row slice, transpose, rescaling or binarisation of the
+features or the structure), or exactly the bytes of a registered dense
+row (a node's hidden activation, view or copy).  Both name the private
+tensor.  The schema pass then checks the payload against the schema
+the sending client declared for its kind (:func:`schema_mismatch`):
+exact keys, nesting and shapes, and float64 arrays only — so labels,
+index arrays and masks, projections, per-node activation matrices and
+any undeclared or untagged kind are refused.  What it cannot see is a
+per-node tensor that takes a declared shape by coincidence and is not
+a registered row.  Because the transport delivers read-only views, not
+copies, the monitor also fingerprints every delivered array and raises
 :class:`SenderMutationError` when the sender writes to one before the
-peer's next transfer back.  A payload array trips it when it
-aliases a registered buffer (``np.may_share_memory``), when it is an
-integer or bool array (labels, index arrays, masks), or when one of its
-rows has exactly the nonzero columns of a registered sparse row (a
-copy, row slice, transpose, rescaling or binarisation of the features
-or the structure).  Tensors *derived* per node — projections, hidden
-activations, shifted or column-sliced features — keep no such
-fingerprint; the static RL007 pass is what catches those.
+peer's next transfer back.
 
 Sanitizers only *read* values — they touch no RNG and change no numeric
 path — so sanitized and unsanitized runs are bitwise identical
@@ -291,7 +297,7 @@ def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
 
 
 def _support_key(cols: np.ndarray) -> bytes:
-    """Exact key of one row's support: its sorted column indices.
+    """Exact key of one sparse row's support: its sorted column indices.
 
     Exact bytes, not a hash, so no key collision can report a
     statistic as a copy.
@@ -299,31 +305,49 @@ def _support_key(cols: np.ndarray) -> bytes:
     return np.sort(cols).astype(np.int64).tobytes()
 
 
-def _copied_row_owner(arr: np.ndarray, supports: Dict[int, Dict[bytes, str]]) -> Optional[str]:
+def _dense_row_keys(arr: np.ndarray) -> List[bytes]:
+    """Exact-bytes keys of a dense 2-D array's non-constant rows.
+
+    A constant row (a dead ReLU row is all zeros) is shared by many
+    nodes and can be an honest statistic, so it carries no fingerprint.
+    A key is the row's full ``itemsize × width`` bytes, longer than any
+    support key of the same width, so the two kinds share one table.
+    """
+    rows = np.ascontiguousarray(arr)
+    if not rows.size:
+        return []
+    keep = rows.max(axis=1) != rows.min(axis=1)
+    return [row.tobytes() for row in rows[keep]]
+
+
+def _copied_row_owner(arr: np.ndarray, rows_by_width: Dict[int, Dict[bytes, str]]) -> Optional[str]:
     """Name of the private tensor ``arr``'s rows copy, if any row does.
 
     A 1-D or 2-D array whose last axis matches a registered row width
-    has each row's support (its nonzero columns) looked up.  Support
-    ignores values, so scaled or binarised copies match too; empty and
-    full rows carry no fingerprint and are skipped, as at registration.
-    Tensors of one width can share a few supports (a feature column and
-    a node's neighbourhood), so the owner of most matching rows is named.
+    has each row looked up twice: by its exact bytes (a dense private
+    row, such as a node's hidden activation) and by its support, the
+    nonzero columns (a sparse private row; support ignores values, so
+    scaled or binarised copies match too, and empty and full rows are
+    skipped, as at registration).  Tensors of one width can share a few
+    supports (a feature column and a node's neighbourhood), so the owner
+    of most matching rows is named.
     """
     if arr.ndim not in (1, 2):
         return None
-    table = supports.get(arr.shape[-1])
+    table = rows_by_width.get(arr.shape[-1])
     if not table:
         return None
-    rows = arr.reshape(-1, arr.shape[-1])
+    rows = np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]))
     width = rows.shape[1]
     r, cols = np.nonzero(rows)
     counts = np.bincount(r, minlength=rows.shape[0])
     owners: Counter = Counter()
-    for count, support in zip(counts, np.split(cols, np.cumsum(counts)[:-1])):
-        if 0 < count < width:
+    for row, count, support in zip(rows, counts, np.split(cols, np.cumsum(counts)[:-1])):
+        owner = table.get(row.tobytes())
+        if owner is None and 0 < count < width:
             owner = table.get(_support_key(support))
-            if owner is not None:
-                owners[owner] += 1
+        if owner is not None:
+            owners[owner] += 1
     return owners.most_common(1)[0][0] if owners else None
 
 
@@ -333,6 +357,59 @@ def _escape(kind: str, arr: np.ndarray, what: str) -> PrivacyEscapeError:
         "statistics may cross the Communicator (§4.4), never raw "
         "features/labels/structure"
     )
+
+
+def schema_mismatch(schema: Any, payload: Any) -> Optional[str]:
+    """Why ``payload`` breaks an uplink ``schema``, or ``None`` if it conforms.
+
+    Schemas are plain data.  A dict admits a dict with exactly its keys;
+    a list admits a list or tuple with one entry per element; a tuple is
+    the shape of one array, each dimension an int or a ``range`` of
+    allowed sizes, and the shape ``()`` also admits a Python int or
+    float.  Declared arrays are float64, so an array of any other dtype
+    anywhere in the payload (sparse buffers included) is refused first.
+    ``schema`` ``None`` is an undeclared kind, which admits nothing.
+    """
+    for arr in _iter_arrays(payload):
+        if arr.dtype != np.float64:
+            return (
+                f"carries an array of dtype {arr.dtype} (shape {arr.shape}), the "
+                "form of labels, index arrays and masks; declared arrays are float64"
+            )
+    if schema is None:
+        return "the client declares no schema for this kind"
+
+    def walk(spec: Any, value: Any, path: str) -> Optional[str]:
+        where = f"`{path}`" if path else "the payload"
+        if isinstance(spec, dict):
+            if not isinstance(value, dict) or set(value) != set(spec):
+                keys = sorted(map(str, value)) if isinstance(value, dict) else type(value).__name__
+                return f"{where} is {keys}, declared keys {sorted(spec)}"
+            items = [(spec[k], value[k], f"{path}.{k}" if path else str(k)) for k in spec]
+        elif isinstance(spec, list):
+            if not isinstance(value, (list, tuple)) or len(value) != len(spec):
+                size = len(value) if isinstance(value, (list, tuple)) else type(value).__name__
+                return f"{where} has {size} entries, declared {len(spec)}"
+            items = [(s, v, f"{path}[{i}]") for i, (s, v) in enumerate(zip(spec, value))]
+        else:
+            if spec == () and isinstance(value, (int, float)) and not isinstance(value, bool):
+                return None
+            shape = getattr(value, "shape", None)
+            if not (
+                isinstance(value, np.ndarray)
+                and len(shape) == len(spec)
+                and all(d in s if isinstance(s, range) else d == s for d, s in zip(shape, spec))
+            ):
+                got = f"shape {shape}" if isinstance(value, np.ndarray) else type(value).__name__
+                return f"{where} is {got}, declared a float64 array of shape {spec}"
+            return None
+        for item in items:
+            why = walk(*item)
+            if why is not None:
+                return why
+        return None
+
+    return walk(schema, payload, "")
 
 
 def _keyed_arrays(payload: Any, key: str = "") -> Iterator[Tuple[str, np.ndarray]]:
@@ -361,7 +438,13 @@ class ProtocolMonitor:
 
     Phase legality is decided by the :data:`PROTOCOL_PHASES` table and
     the :func:`transition_allowed` predicate.  Untagged (``other``-kind)
-    traffic carries no phase and is only privacy-checked.
+    traffic carries no phase.
+
+    **Privacy.**  Every uplink first meets the alias and row passes over
+    the tensors :meth:`register_private_array` declared, then the schema
+    its sender declared for its kind (:meth:`declare_uplinks`,
+    :func:`schema_mismatch`).  A monitor with no schema declared checks
+    no schema, and one with no private tensor checks no alias or row.
 
     **Sender-mutation tripwire.**  The transport delivers read-only
     views of the sender's arrays (:func:`repro.federated.comm.deliver`),
@@ -401,9 +484,15 @@ class ProtocolMonitor:
         self._lock = threading.Lock()
         self._phase = ROUND_BOUNDARY  # pre-round: anything may start
         self._rounds_seen = 0
-        self._private: List[Tuple[str, np.ndarray]] = []
-        #: row width → {row support key → private tensor name}.
-        self._supports: Dict[int, Dict[bytes, str]] = {}
+        #: name → buffer, for the alias pass.
+        self._private: Dict[str, np.ndarray] = {}
+        #: row width → {row key → private tensor name}: sparse rows keyed
+        #: by support, dense rows by exact bytes.
+        self._rows: Dict[int, Dict[bytes, str]] = {}
+        #: name → (width, keys) it put in ``_rows``, so it can be replaced.
+        self._row_keys: Dict[str, Tuple[int, List[bytes]]] = {}
+        #: client id → {kind → schema} of what it may upload.
+        self._schemas: Dict[int, Dict[str, Any]] = {}
         self.per_client = bool(per_client)
         # cid → phase; unseen clients start at the collective phase.
         self._client_phase: Dict[int, int] = {}
@@ -415,27 +504,46 @@ class ProtocolMonitor:
     def register_private_array(self, name: str, arr: Any) -> None:
         """Declare ``arr`` as raw party data that must never be uploaded.
 
-        A dense array is registered for the alias check.  A sparse
-        matrix (``CSRMatrix`` or scipy) registers its values buffer for
-        the alias check and each row's support for the copy check;
-        rows whose support is empty or full are skipped.
+        Registering a name again replaces what it registered before.
+        Every array is registered for the alias pass.  A sparse matrix
+        (``CSRMatrix`` or scipy) registers its values buffer there and
+        each row's support for the row pass, skipping empty and full
+        rows; a dense 2-D array registers each non-constant row's exact
+        bytes.
         """
-        if not (sp.issparse(arr) or getattr(arr, "is_kernel_operator", False)):
-            with self._lock:
-                self._private.append((name, np.asarray(arr)))
-            return
-        m = arr.tocsr() if sp.issparse(arr) else arr
-        width = m.shape[1]
-        keys = []
-        for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
-            cols = m.indices[lo:hi][m.data[lo:hi] != 0]
-            if 0 < cols.size < width:
-                keys.append(_support_key(cols))
+        if sp.issparse(arr) or getattr(arr, "is_kernel_operator", False):
+            m = arr.tocsr() if sp.issparse(arr) else arr
+            buf, width, keys = m.data, m.shape[1], []
+            for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
+                cols = m.indices[lo:hi][m.data[lo:hi] != 0]
+                if 0 < cols.size < width:
+                    keys.append(_support_key(cols))
+        else:
+            buf = np.asarray(arr)
+            width, keys = (buf.shape[1], _dense_row_keys(buf)) if buf.ndim == 2 else (0, [])
         with self._lock:
-            self._private.append((name, m.data))
-            table = self._supports.setdefault(width, {})
-            for key in keys:
-                table.setdefault(key, name)
+            old_width, old_keys = self._row_keys.pop(name, (0, []))
+            old = self._rows.get(old_width, {})
+            for key in old_keys:
+                if old.get(key) == name:
+                    del old[key]
+            self._private[name] = buf
+            if keys:
+                table = self._rows.setdefault(width, {})
+                for key in keys:
+                    table.setdefault(key, name)
+                self._row_keys[name] = (width, keys)
+
+    def declare_uplinks(self, client: int, schemas: Dict[str, Any]) -> None:
+        """Declare what ``client`` may upload: ``{kind: schema}``.
+
+        Adds to the client's earlier declarations, replacing a kind it
+        declared before.  Once any client has declared, every uplink is
+        checked against its sender's schema for its kind, and an
+        undeclared kind (untagged ``other`` included) raises.
+        """
+        with self._lock:
+            self._schemas.setdefault(client, {}).update(schemas)
 
     # -- transport hooks ----------------------------------------------
     def on_event(
@@ -448,7 +556,7 @@ class ProtocolMonitor:
         runs in per-client mode and is ignored otherwise.
         """
         if direction == "up":
-            self._check_privacy(kind, payload)
+            self._check_privacy(kind, payload, client)
         self._check_sent(self._answered(direction, client))
         sent = [(kind, key, arr, _fingerprint(arr)) for key, arr in _keyed_arrays(payload)]
         if sent:
@@ -530,13 +638,12 @@ class ProtocolMonitor:
             self._client_phase = {cid: ROUND_BOUNDARY for cid in self._client_phase}
             self._rounds_seen += 1
 
-    # -- privacy tripwire ---------------------------------------------
-    def _check_privacy(self, kind: str, payload: Any) -> None:
+    # -- privacy ------------------------------------------------------
+    def _check_privacy(self, kind: str, payload: Any, client: Optional[int]) -> None:
         with self._lock:
-            private = list(self._private)
-            supports = self._supports
-        if not private:
-            return
+            private = list(self._private.items())
+            rows = self._rows
+            schemas = self._schemas
         arrays = [arr for arr in _iter_arrays(payload) if arr.size]
         # Aliases first, over every array: an uploaded container is then
         # named by the private tensor it shares, not by its index buffers.
@@ -544,17 +651,23 @@ class ProtocolMonitor:
             for name, priv in private:
                 if priv.size and np.may_share_memory(arr, priv):
                     raise _escape(kind, arr, f"aliases private party tensor `{name}`")
+        # Integer and bool arrays are left to the schema, which refuses
+        # them as the form of labels, index arrays and masks.
         for arr in arrays:
-            if arr.dtype.kind in "biu":
-                raise _escape(
-                    kind, arr, f"is an integer/bool array (dtype {arr.dtype}), "
-                    "the form of labels, index arrays and masks"
-                )
-            owner = _copied_row_owner(arr, supports)
+            owner = None if arr.dtype.kind in "biu" else _copied_row_owner(arr, rows)
             if owner is not None:
-                raise _escape(
-                    kind, arr, f"copies rows of private party tensor `{owner}` "
-                    "(same nonzero columns)"
+                raise _escape(kind, arr, f"copies rows of private party tensor `{owner}`")
+        if not schemas:
+            return
+        # A gather carries one payload per client, in client order.
+        senders = [(client, payload)] if client is not None else enumerate(payload)
+        for cid, sent in senders:
+            why = schema_mismatch(schemas.get(cid, {}).get(kind), sent)
+            if why is not None:
+                raise PrivacyEscapeError(
+                    f"uplink payload (kind `{kind}`, client {cid}) fails its "
+                    f"declared schema: {why}; only the statistics and "
+                    "weights of Algorithm 1 may cross the Communicator (§4.4)"
                 )
 
 
@@ -901,6 +1014,7 @@ __all__ = [
     "PHASE_NAMES",
     "ROUND_BOUNDARY",
     "transition_allowed",
+    "schema_mismatch",
     "SanitizerError",
     "InplaceMutationError",
     "NonFiniteValueError",

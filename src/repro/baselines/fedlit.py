@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import Tensor, no_grad, relu
+from repro.federated.comm import KIND_CENTROIDS
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
 from repro.graphs.csr import CSRMatrix
 from repro.graphs.data import Graph
@@ -122,6 +123,12 @@ class FedLITTrainer(FederatedTrainer):
         super().__init__(parts, config, seed=seed)
         # Initial clustering uses raw features as embeddings.
         self._typed_adjs = [self._cluster_edges(c.graph, None) for c in self.clients]
+        if self.sanitizer is not None:
+            # Re-clustering uploads at most K centroids of the hidden edge
+            # embeddings [(h_u + h_v)/2, |h_u − h_v|].
+            schema = {KIND_CENTROIDS: (range(1, num_types + 1), 2 * self.config.hidden)}
+            for c in self.clients:
+                self.sanitizer.protocol.declare_uplinks(c.cid, schema)
 
     # ------------------------------------------------------------------
     def build_model(self, graph: Graph, rng: np.random.Generator) -> Module:
@@ -176,8 +183,7 @@ class FedLITTrainer(FederatedTrainer):
                 new_adjs.append(self._cluster_edges(c.graph, h.data))
             self._typed_adjs = new_adjs
             # Upload centroids for server-side type alignment (metered).
-            # privacy-ok(kmeans centroids are per-cluster edge-embedding means, not raw rows)
-            gathered = self.comm.gather(self._centroids)
+            gathered = self.comm.gather(self._centroids, kind=KIND_CENTROIDS)
             self._align_types(gathered)
 
     def _align_types(self, centroids: List[np.ndarray]) -> None:

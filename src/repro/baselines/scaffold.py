@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.federated.client import Client
+from repro.federated.comm import KIND_CONTROL
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
 from repro.gnn import MLP
 from repro.graphs.data import Graph
@@ -44,6 +45,12 @@ class ScaffoldTrainer(FederatedTrainer):
             {k: v.copy() for k, v in zero.items()} for _ in self.clients
         ]
         self._round_start_state: Optional[StateDict] = self.clients[0].get_state()
+        if self.sanitizer is not None:
+            # A control delta has exactly the parameters' names and shapes.
+            for c in self.clients:
+                self.sanitizer.protocol.declare_uplinks(
+                    c.cid, {KIND_CONTROL: self.parameter_schema(c)}
+                )
 
     def build_model(self, graph: Graph, rng: np.random.Generator) -> Module:
         return MLP(graph.num_features, graph.num_classes, hidden=self.config.hidden, rng=rng)
@@ -83,7 +90,7 @@ class ScaffoldTrainer(FederatedTrainer):
                 delta[name] = new_val - ci[name]
                 new_ci[name] = new_val
             self._client_c[client.cid] = new_ci
-            deltas.append(self.comm.send_to_server(client.cid, delta))
+            deltas.append(self.comm.send_to_server(client.cid, delta, kind=KIND_CONTROL))
         m = len(self.clients)
         for name in self._server_c:
             self._server_c[name] = self._server_c[name] + sum(

@@ -95,11 +95,23 @@ class FedOMDTrainer(FederatedTrainer):
         self._last_exchange_cids: List[int] = [c.cid for c in self.clients]
         if self.sanitizer is not None:
             # OrthoGCN's cached propagation operator holds a copy of the
-            # raw structure, not a view of adj, so declare it too.
+            # raw structure, not a view of adj, so declare it too.  The
+            # statistics uplinks are Algorithm 1's: one float64 vector per
+            # hidden layer (per order, for the moments) and the count n_i.
+            cfg = self.omd_config
+            layer = (cfg.hidden,)
+            schemas = {
+                KIND_MEANS: {KIND_MEANS: [layer] * cfg.num_hidden, "n": ()},
+                KIND_MOMENTS: {
+                    KIND_MOMENTS: [[layer] * len(cfg.orders)] * cfg.num_hidden,
+                    "n": (),
+                },
+            }
             for c in self.clients:
                 self.sanitizer.register_private_arrays(
                     [(f"client{c.cid}.graph.s_op", c.graph.s_op)]
                 )
+                self.sanitizer.protocol.declare_uplinks(c.cid, schemas)
 
     # ------------------------------------------------------------------
     def build_model(self, graph: Graph, rng: np.random.Generator) -> Module:
@@ -127,7 +139,8 @@ class FedOMDTrainer(FederatedTrainer):
         last round was already evaluated, so after round 0 this is a
         cache read.  Misses run through the :class:`ClientExecutor`
         (read-only model + private graph per client, so they
-        parallelize cleanly).
+        parallelize cleanly).  Under the sanitizer, each participant's
+        activations replace its previous ones as private tensors.
         """
         if not self.omd_config.use_cmd:
             return
@@ -140,6 +153,14 @@ class FedOMDTrainer(FederatedTrainer):
             span="client.upload_moments",
             attrs=lambda c: {"client": c.cid},
         )
+        if self.sanitizer is not None:
+            # A node's hidden activation row is private too: a layer mean
+            # must not be one of them, nor a view or copy of one.
+            self.sanitizer.register_private_arrays(
+                (f"client{c.cid}.hidden[{l}]", h)
+                for c, hidden in zip(participants, client_hidden)
+                for l, h in enumerate(hidden)
+            )
         counts = [c.num_nodes for c in participants]
         before = self.comm.snapshot()
         self._global_moments = self.exchange.run(

@@ -51,11 +51,14 @@ import scipy.sparse as sp
 from repro.obs import get_registry
 
 # Well-known payload kinds (callers may also pass their own): model
-# weights vs the two statistic phases of Algorithm 1.  Untagged
-# transfers land in "other".
+# weights, the two statistic phases of Algorithm 1, and the baselines'
+# phase-less extras (SCAFFOLD's control variates, FedLIT's link-type
+# centroids).  Untagged transfers land in "other".
 KIND_WEIGHTS = "weights"
 KIND_MEANS = "means"
 KIND_MOMENTS = "moments"
+KIND_CONTROL = "control"
+KIND_CENTROIDS = "centroids"
 KIND_OTHER = "other"
 
 

@@ -210,18 +210,24 @@ class FederatedTrainer:
                 Client(cid, g, model, lr=self.config.lr, weight_decay=self.config.weight_decay)
             )
         if self.sanitizer is not None:
-            # Declare every party's raw tensors to the privacy tripwire:
-            # an upload aliasing these buffers, or copying a row of the
+            # Declare every party's raw tensors to the privacy check: an
+            # upload aliasing these buffers, or copying a row of the
             # sparse ones (features, their transpose, the structure), is
-            # a §4.4 escape.
-            for c in self.clients:
-                self.sanitizer.register_private_arrays(
-                    [
-                        (f"client{c.cid}.graph.x", c.graph.x),
-                        (f"client{c.cid}.graph.x.rev", c.graph.x.rev),
-                        (f"client{c.cid}.graph.y", c.graph.y),
-                        (f"client{c.cid}.graph.adj", c.graph.adj),
-                    ]
+            # a §4.4 escape.  A compacted client's features are a copy of
+            # the caller's full-width ones, which are declared too.  Each
+            # party may upload exactly its parameters as `weights`.
+            for c, part in zip(self.clients, parts):
+                named = [
+                    (f"client{c.cid}.graph.x", c.graph.x),
+                    (f"client{c.cid}.graph.x.rev", c.graph.x.rev),
+                    (f"client{c.cid}.graph.y", c.graph.y),
+                    (f"client{c.cid}.graph.adj", c.graph.adj),
+                ]
+                if part.x is not c.graph.x:
+                    named.append((f"client{c.cid}.part.x", part.x))
+                self.sanitizer.register_private_arrays(named)
+                self.sanitizer.protocol.declare_uplinks(
+                    c.cid, {KIND_WEIGHTS: self.parameter_schema(c)}
                 )
         self._sync_initial_state()
         # Built after the W₀ download and before any resume(), which
@@ -241,6 +247,11 @@ class FederatedTrainer:
         from repro.gnn import GCN
 
         return GCN(graph.num_features, graph.num_classes, hidden=self.config.hidden, rng=rng)
+
+    @staticmethod
+    def parameter_schema(client: Client) -> Dict[str, tuple]:
+        """The uplink schema of ``client``'s parameters: name → shape."""
+        return {name: p.data.shape for name, p in client.model.named_parameters()}
 
     def local_loss(self, client: Client) -> Tensor:
         """Per-step objective (default: masked cross-entropy)."""

@@ -81,8 +81,8 @@ class TestSuppressions:
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_all_rules_registered(self):
-        # RL008, RL009 and RL011-RL014 are retired
-        # (docs/LINT_RULES.md); their IDs stay unused.
+        # The IDs missing here belong to retired rules
+        # (docs/LINT_RULES.md) and stay unused.
         assert all_rule_ids() == [
             "RL001",
             "RL002",
@@ -90,7 +90,6 @@ class TestEngine:
             "RL004",
             "RL005",
             "RL006",
-            "RL007",
             "RL010",
             "RL015",
         ]
@@ -196,21 +195,6 @@ class TestCLI:
 
     def test_unknown_rule_exits_two(self, capsys):
         assert cli_main(["--rule", "RL999", "src"]) == 2
-
-    def test_no_dataflow_leaving_no_rule_exits_two(self, capsys):
-        # --no-dataflow filters RL007 out of the request; the empty rest
-        # must be a usage error, not a silent run of every rule.
-        assert cli_main(["src", "--rule", "RL007", "--no-dataflow"]) == 2
-        assert "no rule to run" in capsys.readouterr().err
-
-    def test_no_dataflow_keeps_other_requested_rules(self, capsys):
-        code = cli_main(
-            [str(FIXTURES / "rl003.py"), "--rule", "RL003", "--rule", "RL010",
-             "--no-dataflow", "--format", "json"]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in payload["violations"]} == {"RL003"}
 
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0

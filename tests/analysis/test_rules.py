@@ -182,51 +182,6 @@ class TestRL006:
         assert report.ok
 
 
-RL007_PROJ = FIXTURES / "rl007proj"
-
-
-class TestRL007:
-    """Interprocedural privacy-escape taint over the fixture project."""
-
-    def _report(self):
-        return Linter(rules=["RL007"], root=RL007_PROJ).lint_paths([str(RL007_PROJ)])
-
-    def test_leaks_fire_clean_paths_do_not(self):
-        report = self._report()
-        # upload_raw (direct) and upload_helper_leak (through
-        # core/features.raw_rows); the two mean-statistic uploads, the
-        # allowlisted upload, and the suppressed one stay quiet.
-        assert fired_lines(report, "RL007") == [19, 24]
-        assert report.suppressed == 1
-
-    def test_cross_file_trace_in_message(self):
-        report = self._report()
-        helper = [v for v in report.violations if v.line == 24]
-        assert len(helper) == 1
-        # The report shows the full source→sink path across files.
-        assert "core/features.py" in helper[0].message
-        assert "send_to_server" in helper[0].message
-
-    def test_privacy_ok_annotation_allowlists(self):
-        report = self._report()
-        assert all("graph.y" not in v.message for v in report.violations)
-
-    def test_cli_exits_nonzero(self, capsys):
-        assert (
-            cli_main([str(RL007_PROJ), "--root", str(RL007_PROJ), "--rule", "RL007"])
-            == 1
-        )
-        capsys.readouterr()
-
-    def test_out_of_scope_sink_not_reported(self):
-        # The same leak in a module outside federated/core/baselines/
-        # extensions is analysis input but not a reporting target.
-        src = "def f(comm, graph):\n    return comm.send_to_server(0, graph.x)\n"
-        linter = Linter(rules=["RL007"])
-        assert linter.lint_source(src, path="gnn/leak.py").ok
-        assert not linter.lint_source(src, path="federated/leak.py").ok
-
-
 def test_shipped_tree_is_clean():
     """`python -m repro.analysis src/` exits 0 on the repo (acceptance)."""
     root = Path(__file__).resolve().parents[2]

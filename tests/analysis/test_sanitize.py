@@ -359,7 +359,9 @@ class TestProtocolMonitor:
         m = self._monitor()
         x = np.arange(12.0).reshape(3, 4)
         m.register_private_array("client0.graph.x", x)
-        m.on_event("up", "means", x.mean(axis=0))  # statistic: fine
+        # A statistic passes.  (This x's column mean is bitwise its middle
+        # row, which the row pass reports as a copy, so the sum stands in.)
+        m.on_event("up", "means", x.sum(axis=0))
         with pytest.raises(PrivacyEscapeError, match="client0.graph.x"):
             m.on_event("up", "means", {"h": [x[1:]]})  # a view, nested
 
@@ -367,7 +369,36 @@ class TestProtocolMonitor:
         m = self._monitor()
         x = np.zeros(4)
         m.register_private_array("x", x)
+        m.declare_uplinks(0, {"means": [(4,)]})
         m.on_event("down", "weights", x)  # server→client may carry anything
+
+    def test_reregistering_replaces_the_rows(self):
+        m = self._monitor()
+        old, new = np.arange(8.0).reshape(2, 4), np.arange(8.0, 16.0).reshape(2, 4)
+        m.register_private_array("client0.hidden[0]", old)
+        m.register_private_array("client0.hidden[0]", new)
+        m.on_event("up", "means", old[0].copy())  # the previous version is gone
+        with pytest.raises(PrivacyEscapeError, match=r"client0\.hidden\[0\]`"):
+            m.on_event("up", "means", new[1].copy())
+
+    def test_constant_rows_carry_no_fingerprint(self):
+        # A dead ReLU row is all zeros, like many an honest statistic.
+        m = self._monitor()
+        m.register_private_array("h", np.array([[0.0, 0.0], [1.0, 2.0]]))
+        m.on_event("up", "means", np.zeros(2))
+
+    def test_one_node_party_mean_is_its_row(self):
+        # A one-node party's layer mean is bitwise its node's activation
+        # row: a true disclosure, not exempted.
+        m = self._monitor()
+        h = np.array([[0.25, 0.5, 0.0]])
+        m.register_private_array("client0.hidden[0]", h)
+        with pytest.raises(PrivacyEscapeError, match=r"hidden\[0\]`"):
+            m.on_event("up", "means", {"means": [h.mean(axis=0)], "n": 1.0})
+
+    def test_nothing_declared_checks_no_schema(self):
+        m = self._monitor()
+        m.on_event("up", "other", {"anything": np.arange(3)})
 
 
 class TestRuntimePrivacyEscape:
@@ -423,9 +454,24 @@ class TestRuntimePrivacyEscape:
 
 @pytest.fixture(scope="module")
 def registered_trainer():
-    """A sanitized FedOMD trainer: every party's private tensors registered."""
+    """A sanitized FedOMD trainer after one moment exchange.
+
+    Every party's private tensors are registered, its hidden activations
+    included, and its uplink schemas declared; ``parts`` are the
+    caller's full-width party graphs.
+    """
+    parts = small_parts()
     cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
-    return FedOMDTrainer(small_parts(), cfg, seed=0)
+    trainer = FedOMDTrainer(parts, cfg, seed=0)
+    trainer.begin_round(0)
+    trainer.comm.end_round()
+    trainer.parts = parts
+    return trainer
+
+
+def honest_means(trainer, cid=0):
+    """Client ``cid``'s layer means, as its means upload carries them."""
+    return [h.mean(axis=0) for h in trainer.clients[cid].eval_forward()[1]]
 
 
 #: Uploads of raw party data, each with the pattern naming the tensor in
@@ -450,6 +496,41 @@ LEAKS = {
     "y[train_mask]": (lambda g: g.y[g.train_mask], r"dtype int64"),
     "edge_index": (lambda g: g.edge_index, r"dtype int64"),
     "train_mask": (lambda g: g.train_mask, r"dtype bool"),
+    # The caller's full-width features, of which a party's are a copy.
+    "part.x_dense": (lambda g: g.x_dense, r"part\.x`"),
+    "part.x_dense[0]": (lambda g: g.x_dense[0], r"part\.x`"),
+}
+
+#: Tensors derived per node, each uploaded in place of the first layer
+#: mean: a projection, a shift, a column slice, a label cast (n_i is not
+#: a layer width here), one-hot labels, and a node's hidden activations,
+#: whole, as a row view and as a row copy.
+DERIVED = {
+    "x_dense @ w": (
+        lambda g, h: g.x_dense @ np.ones((g.num_features, 16)), r"`means\[0\]` is shape"
+    ),
+    "x_dense + 1": (lambda g, h: g.x_dense + 1, r"`means\[0\]` is shape"),
+    "x_dense[:, :5]": (lambda g, h: g.x_dense[:, :5], r"`means\[0\]` is shape"),
+    "y.astype(float)": (lambda g, h: g.y.astype(float), r"`means\[0\]` is shape"),
+    "one-hot y": (lambda g, h: np.eye(g.num_classes)[g.y], r"`means\[0\]` is shape"),
+    "hidden[0]": (lambda g, h: h[0], r"aliases private party tensor `client0\.hidden\[0\]`"),
+    "hidden[0][0]": (lambda g, h: h[0][0], r"aliases private party tensor `client0\.hidden\[0\]`"),
+    "hidden[0][0].copy()": (
+        lambda g, h: h[0][0].copy(), r"copies rows of private party tensor `client0\.hidden\[0\]`"
+    ),
+}
+
+#: Uploads that break the declared means schema: (kind, payload from the
+#: honest means, pattern).
+SCHEMA_BREAKS = {
+    "extra key": ("means", lambda m: {"means": m, "n": 3.0, "extra": 1.0}, r"declared keys"),
+    "wrong width": ("means", lambda m: {"means": [m[0][:-1], m[1]], "n": 3.0}, r"shape \(15,\)"),
+    "2-D statistic": ("means", lambda m: {"means": [m[0][None], m[1]], "n": 3.0}, r"shape \(1, 16\)"),
+    "int array": (
+        "means", lambda m: {"means": [x.astype(np.int64) for x in m], "n": 3.0}, r"dtype int64"
+    ),
+    "undeclared kind": ("other", lambda m: {"means": m, "n": 3.0}, r"no schema for this kind"),
+    "missing count": ("means", lambda m: {"means": m}, r"declared keys"),
 }
 
 
@@ -459,9 +540,35 @@ class TestPrivacyTwins:
     @pytest.mark.parametrize("upload", sorted(LEAKS))
     def test_raw_party_data_upload_caught(self, registered_trainer, upload):
         build, names = LEAKS[upload]
-        payload = {"rows": [build(registered_trainer.clients[0].graph)]}
+        owner = registered_trainer.parts if upload.startswith("part.") else [
+            c.graph for c in registered_trainer.clients
+        ]
+        payload = {"rows": [build(owner[0])]}
         with pytest.raises(PrivacyEscapeError, match=names):
             registered_trainer.comm.send_to_server(0, payload)
+
+    @pytest.mark.parametrize("upload", sorted(DERIVED))
+    def test_derived_per_node_tensor_caught(self, registered_trainer, upload):
+        build, names = DERIVED[upload]
+        client = registered_trainer.clients[0]
+        means = honest_means(registered_trainer)
+        means[0] = build(client.graph, client.eval_forward()[1])
+        with pytest.raises(PrivacyEscapeError, match=names):
+            registered_trainer.comm.send_to_server(0, {"means": means, "n": 3.0}, kind="means")
+
+    @pytest.mark.parametrize("upload", sorted(SCHEMA_BREAKS))
+    def test_schema_break_caught(self, registered_trainer, upload):
+        kind, build, names = SCHEMA_BREAKS[upload]
+        payload = build(honest_means(registered_trainer))
+        with pytest.raises(PrivacyEscapeError, match=names):
+            registered_trainer.comm.send_to_server(0, payload, kind=kind)
+
+    def test_gather_element_breaking_its_schema_caught(self, registered_trainer):
+        trainer = registered_trainer
+        uploads = [{"means": honest_means(trainer, c.cid), "n": 3.0} for c in trainer.clients]
+        uploads[1]["means"] = uploads[1]["means"][:1]
+        with pytest.raises(PrivacyEscapeError, match=r"client 1\).*1 entries, declared 2"):
+            trainer.comm.gather(uploads, kind="means")
 
     def test_gather_of_raw_rows_caught(self, registered_trainer):
         rows = [c.graph.x_dense for c in registered_trainer.clients]
@@ -469,14 +576,36 @@ class TestPrivacyTwins:
             registered_trainer.comm.gather(rows)
 
     def test_statistics_pass(self, registered_trainer):
-        comm = registered_trainer.comm
-        g = registered_trainer.clients[0].graph
-        comm.send_to_server(0, {"mean": g.x_dense.mean(axis=0)})
-        comm.send_to_server(0, g.x_dense.shape)
+        trainer = registered_trainer
+        comm = trainer.comm
+        g = trainer.clients[0].graph
+        comm.send_to_server(0, {"means": honest_means(trainer), "n": 3.0}, kind="means")
+        # Metadata under a kind declared for it.
+        trainer.sanitizer.protocol.declare_uplinks(0, {"shape": [(), ()]})
+        comm.send_to_server(0, g.x_dense.shape, kind="shape")
         # A float table row picked by a label: the label does not leave.
-        table = np.random.default_rng(0).normal(size=(g.num_classes, g.num_features))
-        comm.send_to_server(0, table[g.y[0]])
-        comm.gather([c.graph.x_dense.mean(axis=0) for c in registered_trainer.clients])
+        table = np.random.default_rng(0).normal(size=(g.num_classes, 16))
+        comm.send_to_server(0, {"means": [table[g.y[0]], table[g.y[1]]], "n": 3.0}, kind="means")
+        comm.gather(
+            [{"means": honest_means(trainer, c.cid), "n": 3.0} for c in trainer.clients],
+            kind="means",
+        )
+
+    def test_hidden_activation_upload_caught_in_a_run(self, monkeypatch):
+        # The per-node hidden activations added to the means upload
+        # (`"h": list(hidden)`) raise in a sanitized FedOMD run.
+        cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
+        trainer = FedOMDTrainer(small_parts(), cfg, seed=0)
+        send = trainer.comm.send_to_server
+
+        def leaky(cid, payload, kind="other"):
+            if kind == "means":
+                payload = {**payload, "h": list(trainer.clients[cid].eval_forward()[1])}
+            return send(cid, payload, kind=kind)
+
+        monkeypatch.setattr(trainer.comm, "send_to_server", leaky)
+        with pytest.raises(PrivacyEscapeError, match=r"client0\.hidden\[0\]`"):
+            trainer.run()
 
 
 class TestSecureExchangeSanitized:

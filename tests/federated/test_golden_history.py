@@ -16,11 +16,17 @@ The determinism matrix replays the same run across every operational
 axis that must not move a bit: engine (barrier, async at quorum 1.0) ×
 executor workers (1, 4) × instrumentation (plain, runtime sanitizers
 armed, inside a ``ProfileSession``).  Every cell must give the golden
-digest.  A subprocess leg crosses the BLAS-thread axis with the engine
-axis: OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once at load time, so
-each (engine, thread count) pair runs the golden history in a fresh
-interpreter.  ``run()`` holds OpenBLAS at one thread, so one more leg
-disables that cap to keep two-thread GEMMs under the digest.
+digest, and the bytes of its final parameters (the global model and
+every client's) must equal those of the plain barrier 1-worker cell
+run in the same process: the digest's 10 digits cannot see a changed
+summation order, raw bytes can.  A subprocess leg crosses the
+BLAS-thread axis with the engine axis: OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once at load time, so each (engine, thread
+count) pair runs the golden history in a fresh interpreter, and its
+parameters are compared with the same in-process reference.  ``run()``
+holds OpenBLAS at one thread, so one more leg disables that cap to keep
+two-thread GEMMs under the digest.  The reference is computed, not
+pinned: raw bytes may differ between BLAS builds.
 
 If a change is *intended* to alter the trajectory (a new default, a
 fixed bug in the math), re-record GOLDEN_DIGEST by running the helper
@@ -28,6 +34,7 @@ at the bottom of this file and explain the change in the commit.
 """
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import os
@@ -50,11 +57,40 @@ from repro.graphs import load_dataset, louvain_partition
 GOLDEN_DIGEST = "e5172b3437956aa62a5362b6539f97422c0aed432e5a06ff93b9da1b3fd4cfff"
 
 
-def golden_history(**overrides):
+def golden_trainer(**overrides):
     g = load_dataset("cora", seed=0, scale=0.12)
     parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
     cfg = FedOMDConfig(max_rounds=3, patience=50, hidden=16, **overrides)
-    return FedOMDTrainer(parts, cfg, seed=0).run()
+    return FedOMDTrainer(parts, cfg, seed=0)
+
+
+def golden_history(**overrides):
+    return golden_trainer(**overrides).run()
+
+
+def state_hash(trainer) -> str:
+    """sha256 of the raw bytes of the global model and every client's parameters."""
+    h = hashlib.sha256()
+    named = [sorted(trainer.global_state.items())]
+    named += [c.model.named_parameters() for c in trainer.clients]
+    for params in named:
+        for name, value in params:
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(getattr(value, "data", value)).tobytes())
+    return h.hexdigest()
+
+
+def golden_run(**overrides):
+    """(metrics digest, final-parameter hash) of the golden run."""
+    trainer = golden_trainer(**overrides)
+    history = trainer.run()
+    return digest(history), state_hash(trainer)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_state_hash() -> str:
+    """Final-parameter hash of the plain barrier 1-worker cell, in this process."""
+    return golden_run()[1]
 
 
 def digest(history) -> str:
@@ -93,8 +129,9 @@ def test_golden_digest_matrix(engine, num_workers, mode):
         overrides["sanitize"] = True
     session = ProfileSession() if mode == "profiled" else contextlib.nullcontext()
     with session:
-        history = golden_history(**overrides)
-    assert digest(history) == GOLDEN_DIGEST
+        metrics, params = golden_run(**overrides)
+    assert metrics == GOLDEN_DIGEST
+    assert params == reference_state_hash()
 
 
 @pytest.mark.parametrize(
@@ -119,14 +156,16 @@ def test_golden_digest_across_blas_threads(engine, threads, cap):
         "ex.openblas_threads_api = lambda: None\n"
     )
     code = uncap + (
-        "from tests.federated.test_golden_history import digest, golden_history\n"
-        f"print(digest(golden_history(**{ENGINES[engine]!r})))"
+        "from tests.federated.test_golden_history import golden_run\n"
+        f"print(*golden_run(**{ENGINES[engine]!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env,
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == GOLDEN_DIGEST
+    metrics, params = proc.stdout.split()
+    assert metrics == GOLDEN_DIGEST
+    assert params == reference_state_hash()
 
 
 if __name__ == "__main__":  # pragma: no cover — digest re-recording helper
