@@ -8,7 +8,8 @@ buffers anyway).
 Every central moment in the repo comes from one kernel,
 :func:`_moment_ladder`: it forms ``c, c·c, c²·c, …`` up to the highest
 requested order by incremental products (no ``pow``) and reduces each
-requested power over nodes.  The differentiable side — the CMD *loss*,
+requested power over nodes (the upload path keeps no power, writing
+each into one buffer in place).  The differentiable side — the CMD *loss*,
 where gradients flow back into the model through the client's own
 moments — is the fused Eq. 11 op :func:`repro.core.cmd.layerwise_cmd`,
 which calls the same kernel and keeps its lower powers for the backward
@@ -42,7 +43,7 @@ def _check_orders(orders: Sequence[int]) -> tuple:
 
 
 def _moment_ladder(
-    centered: np.ndarray, orders: tuple
+    centered: np.ndarray, orders: tuple, keep_powers: bool = True
 ) -> tuple[np.ndarray, List[np.ndarray]]:
     """The fused kernel: ``out[k] = mean over nodes of centered**orders[k]``.
 
@@ -50,16 +51,20 @@ def _moment_ladder(
     last, and reduces a power over nodes when an order asks for it.
     Returns the ``(K, d)`` moments and the powers ``[c¹ … c^{max−1}]``
     (the ones a backward pass needs); ``c^max`` is dropped after its
-    reduction.
+    reduction.  With ``keep_powers=False`` (the upload path, which has
+    no backward) every power past ``c¹`` is written into one ``n × d``
+    buffer in place and no power is returned; the products and their
+    reductions are the same, so the moments are bitwise equal.
     """
     out = np.empty((len(orders), centered.shape[1]))
     top = max(orders, default=0)
     powers: List[np.ndarray] = []
+    buf = None if keep_powers or top < 2 else np.empty_like(centered)
     power = centered
     for j in range(1, top + 1):
         if j > 1:
-            power = power * centered
-        if j < top:
+            power = power * centered if buf is None else np.multiply(power, centered, out=buf)
+        if keep_powers and j < top:
             powers.append(power)
         for k, order in enumerate(orders):
             if order == j:
@@ -79,5 +84,5 @@ def central_moments_np(
     mean = np.asarray(mean, dtype=np.float64)
     if z.ndim != 2 or mean.shape != (z.shape[1],):
         raise ValueError("z must be (n, d) and mean (d,)")
-    out, _ = _moment_ladder(z - mean, _check_orders(orders))
+    out, _ = _moment_ladder(z - mean, _check_orders(orders), keep_powers=False)
     return list(out)

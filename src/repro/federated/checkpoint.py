@@ -15,7 +15,9 @@ than model weights:
 * every RNG that advances during training: each client model's dropout
   generator (``PCG64`` states serialize as JSON-safe big-int dicts);
 * the early-stopping state (best validation accuracy, rounds since
-  best, and the best-model snapshot per client);
+  best, and the best-model snapshot per client, written out in full
+  also for a party the trainer keeps as its rows of the best global
+  state);
 * the metered :class:`~repro.federated.comm.CommStats` (history records
   report cumulative byte counters — a resume that reset them would
   fork the history);
@@ -93,8 +95,11 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
         opt_meta: List[dict] = []
         rng_states: List[Optional[dict]] = []
         for i, client in enumerate(trainer.clients):
-            for k, v in client.get_state().items():
-                arrays[f"client{i}/model/{k}"] = v
+            # The live parameter arrays, not copies: np.savez writes them
+            # before this returns, and no optimizer step is pending at the
+            # end of a round.
+            for k, p in client.model.named_parameters():
+                arrays[f"client{i}/model/{k}"] = p.data
             opt_state = client.optimizer.state_dict()
             scalars = {}
             for key, val in opt_state.items():
@@ -108,8 +113,10 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
             rng_states.append(_rng_state(getattr(client.model, "_rng", None)))
         best_states = getattr(trainer, "_best_states", None)
         if best_states is not None:
-            for i, state in enumerate(best_states):
-                for k, v in state.items():
+            # A party kept as its rows of the best global state is written
+            # as those rows, the same arrays a copy would have held.
+            for i, client in enumerate(trainer.clients):
+                for k, v in trainer._best_state(client).items():
                     arrays[f"best{i}/{k}"] = v
         for k, v in trainer.global_state.items():
             arrays[f"global/{k}"] = v

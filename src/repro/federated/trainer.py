@@ -28,7 +28,7 @@ train and aggregate steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,9 +192,14 @@ class FederatedTrainer:
         # checkpoint/resume can capture and replay it exactly.
         self._start_round = 0
         self._best_val = -np.inf
-        self._best_states: Optional[List[Dict[str, np.ndarray]]] = None
+        # Per party, its parameters at the best round, or None where they
+        # were exactly its rows of ``_best_global`` (:meth:`_snapshot_best`).
+        self._best_states: Optional[List[Optional[StateDict]]] = None
         self._best_global: Optional[StateDict] = None
         self._rounds_since_best = 0
+        # Per party: its model version right after its last download, and
+        # the global state that download came from (:meth:`_in_sync`).
+        self._downloaded: Dict[int, Tuple[int, StateDict]] = {}
         self._model_graph = parts[0]
         self.clients: List[Client] = []
         for cid, g in enumerate(parts):
@@ -340,17 +345,78 @@ class FederatedTrainer:
 
         Each idle client gets its own send of the rows it holds
         (:meth:`_download`); the busy ones (async reports still in
-        flight) pull the model when they report.
+        flight) pull the model when they report, and forget the older
+        state they downloaded, so it can be freed.
         """
         self.global_state = state
         for client in self.clients:
-            if client.cid not in busy:
+            if client.cid in busy:
+                self._downloaded.pop(client.cid, None)
+            else:
                 self._download(client)
 
     def _download(self, client: Client) -> None:
         """Send ``client`` the rows of the global model it holds and install them."""
         payload = take_rows(self.global_state, client.rows)
         client.set_state(self.comm.send_to_client(client.cid, payload, kind=KIND_WEIGHTS))
+        self._downloaded[client.cid] = (client.version, self.global_state)
+
+    def _in_sync(self, client: Client) -> bool:
+        """Whether ``client`` holds exactly its rows of ``global_state``.
+
+        True when its model version is unchanged since it downloaded the
+        current global state: every write to its parameters (a step, a
+        ``set_state``, ``bump_version`` after an in-place projection)
+        moves the version.  Downlinks are reliable under every fault
+        plan, so a download always installs what the server sent.
+        """
+        record = self._downloaded.get(client.cid)
+        return (
+            record is not None
+            and record[0] == client.version
+            and record[1] is self.global_state
+        )
+
+    def _snapshot_best(self) -> None:
+        """Keep this round's model as the best-validation one.
+
+        The server keeps the global state; a party in sync with it
+        (:meth:`_in_sync`) is kept as its rows of that state, with no
+        copy.  Every other party is copied: an async party still in
+        flight, one that trained in a round whose aggregate returned
+        ``None``, and one written after its download.  Under the
+        sanitizer each in-sync party's parameters are compared with its
+        rows of the global state byte for byte.
+        """
+        states: List[Optional[StateDict]] = []
+        for client in self.clients:
+            if self._in_sync(client):
+                if self.sanitizer is not None:
+                    self._check_in_sync(client)
+                states.append(None)
+            else:
+                states.append(client.get_state())
+        self._best_states = states
+        # Global states are replaced, never written in place.
+        self._best_global = self.global_state
+
+    def _check_in_sync(self, client: Client) -> None:
+        """Raise if an in-sync party's parameters are not its rows of the global state."""
+        from repro.analysis.sanitize import StaleCacheError
+
+        want = take_rows(self.global_state, client.rows)
+        for name, p in client.model.named_parameters():
+            if p.data.tobytes() != np.asarray(want[name], dtype=p.data.dtype).tobytes():
+                raise StaleCacheError(
+                    f"client {client.cid}'s parameter `{name}` changed in place "
+                    "after its download, with no model-version bump; the "
+                    "best-round snapshot would restore the downloaded rows"
+                )
+
+    def _best_state(self, client: Client) -> StateDict:
+        """``client``'s parameters at the best-validation round."""
+        state = self._best_states[client.cid]
+        return take_rows(self._best_global, client.rows) if state is None else state
 
     def global_model(self) -> Module:
         """A full-size model holding the best-validation global state.
@@ -462,9 +528,10 @@ class FederatedTrainer:
             self.executor.shutdown()
 
         # Restore the best-validation snapshot (standard early stopping).
+        # Unmetered: an in-sync party gets back the rows it downloaded.
         if self._best_states is not None:
-            for client, state in zip(self.clients, self._best_states):
-                client.set_state(state)
+            for client in self.clients:
+                client.set_state(self._best_state(client))
         return self.history
 
     def _run_rounds(self, verbose: bool) -> None:
@@ -548,9 +615,7 @@ class FederatedTrainer:
                     )
                 if val_acc > self._best_val:
                     self._best_val = val_acc
-                    self._best_states = [c.get_state() for c in self.clients]
-                    # Global states are replaced, never written in place.
-                    self._best_global = self.global_state
+                    self._snapshot_best()
                     self._rounds_since_best = 0
                 else:
                     self._rounds_since_best += 1

@@ -361,6 +361,28 @@ class TestFusedCentralMoments:
         got = cmd_distance(Tensor(z), mean, targets, orders=orders).item()
         assert got == numpy_cmd(z, mean, targets, orders)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("orders", [(1,), (2, 3, 4, 5), (3, 5)])
+    def test_ladder_without_powers_is_bitwise_the_kept_ladder(self, orders, layout):
+        # The upload path writes every power into one buffer in place;
+        # the loss's path keeps them for its backward.  Same moments.
+        z = RNG.standard_normal((29, 12))
+        centered = z - z.mean(axis=0)
+        if layout == "strided":
+            z = z[::2, ::3]
+            wide = np.zeros((z.shape[0], 2 * z.shape[1]))
+            wide[:, ::2] = z - z.mean(axis=0)
+            centered = wide[:, ::2]
+            assert not z.flags.c_contiguous and not centered.flags.c_contiguous
+        kept, powers = _moment_ladder(centered, orders)
+        got, none = _moment_ladder(centered, orders, keep_powers=False)
+        assert none == []
+        assert len(powers) == max(orders) - 1
+        assert bits(got) == bits(kept)
+        upload = central_moments_np(z, z.mean(axis=0), orders)
+        assert [bits(m) for m in upload] == [bits(m) for m in kept]
+        assert_matches_power(z, z.mean(axis=0), orders, upload)
+
     @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (2, 5), (1, 3)])
     def test_gradcheck(self, orders):
         z = Tensor(RNG.standard_normal((7, 3)), requires_grad=True)
