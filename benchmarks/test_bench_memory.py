@@ -2,22 +2,28 @@
 
 A fresh Python process loads the Coauthor-CS twin at full size (18,333
 nodes, 6,805 bag-of-words features), splits it into 10 or 50 Louvain
-parties (Table 5's largest M) and trains 2 FedOMD rounds; the test then
-reads the child's high-water RSS (``ru_maxrss``).  A dense copy of the
-features alone is 998 MB, so the budget fails loudly if any step of the
-FedOMD path materializes it.  At M=50 it also holds the per-party model
-state: a party that kept every row of the 6,805-row input weight (its
-weight, gradient and Adam moments, about 3.5 MB each) would need about
-990 MB.  A third leg runs M=50 with a trainer checkpoint saved after
-every round, so the checkpoint write's transient arrays count too.
+parties (Table 5's largest M) and trains 2 rounds; the test then reads
+the child's high-water RSS (``ru_maxrss``).  A dense copy of the
+features alone is 998 MB, so the budget fails loudly if any step
+materializes it.  Three legs train FedOMD.  At M=50 it also holds the
+per-party model state: a party that kept every row of the 6,805-row
+input weight (its weight, gradient and Adam moments, about 3.5 MB
+each) would need about 990 MB.  The third runs M=50 with a trainer
+checkpoint saved after every round, so the checkpoint write's
+transient arrays count too.  The fourth trains the FedGCN baseline at
+M=10: its GCN reads the same sparse features, but each party keeps
+every input-weight row, so M=50 (about 700 MB) is out of its budget.
 The child is a separate process so the measurement covers exactly one
 load, partition and training run, and nothing the test session did
 before.
 
 Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6): 278 MB at M=10,
-321 MB at M=50, and 443 MB at M=50 with checkpoints.  Before the
-best-validation round was kept as the best global model instead of a
-copy of every party's weights, the same legs read 304, 366 and 488 MB.
+321 MB at M=50, 359 MB at M=50 with checkpoints, and 252 MB for FedGCN
+at M=10.  Before the best-validation round was kept as the best global
+model instead of a copy of every party's weights, the first three legs
+read 304, 366 and 488 MB; before a checkpoint wrote Adam's live moment
+buffers instead of copies, the third read 443 MB; and before every
+model read the sparse features, FedGCN at M=10 read 1,196 MB.
 
 Run with::
 
@@ -40,11 +46,19 @@ ROUNDS = 2
 CHECKPOINT_PARTIES = 50
 
 
-def child(parties: int, checkpoint_dir: Optional[str] = None) -> str:
+#: The import that binds ``Trainer`` and ``Config`` for each measured trainer.
+TRAINERS = {
+    "fedomd": "from repro.core import FedOMDConfig as Config, FedOMDTrainer as Trainer",
+    "fedgcn": "from repro.baselines import FedGCNTrainer as Trainer\n"
+    "from repro.federated import TrainerConfig as Config",
+}
+
+
+def child(parties: int, trainer: str = "fedomd", checkpoint_dir: Optional[str] = None) -> str:
     """The measured program: load, partition into ``parties``, train.
 
-    With ``checkpoint_dir`` the run also saves a trainer checkpoint there
-    after every round.
+    ``trainer`` names a :data:`TRAINERS` entry.  With ``checkpoint_dir``
+    the run also saves a trainer checkpoint there after every round.
     """
     checkpoint = (
         f", checkpoint_every=1, checkpoint_dir={checkpoint_dir!r}" if checkpoint_dir else ""
@@ -52,14 +66,14 @@ def child(parties: int, checkpoint_dir: Optional[str] = None) -> str:
     return f"""
 import json, resource
 import numpy as np
-from repro.core import FedOMDConfig, FedOMDTrainer
+{TRAINERS[trainer]}
 from repro.graphs import load_dataset, louvain_partition
 
 graph = load_dataset({DATASET!r}, seed=0, scale=1.0)
 parts = louvain_partition(graph, {parties}, np.random.default_rng(0)).parts
 del graph
-history = FedOMDTrainer(
-    parts, FedOMDConfig(max_rounds={ROUNDS}, patience={ROUNDS + 1}{checkpoint}), seed=0
+history = Trainer(
+    parts, Config(max_rounds={ROUNDS}, patience={ROUNDS + 1}{checkpoint}), seed=0
 ).run()
 print(json.dumps({{
     "rounds": len(history),
@@ -69,12 +83,12 @@ print(json.dumps({{
 """
 
 
-def measure(parties: int, checkpoint_dir: Optional[str] = None) -> dict:
+def measure(parties: int, trainer: str = "fedomd", checkpoint_dir: Optional[str] = None) -> dict:
     """Run :func:`child` in a fresh process and return its result line."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", child(parties, checkpoint_dir)],
+        [sys.executable, "-c", child(parties, trainer, checkpoint_dir)],
         capture_output=True, text=True, env=env, timeout=900,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -98,8 +112,14 @@ def test_full_size_coauthor_cs_fits_memory_budget(parties):
 
 def test_full_size_coauthor_cs_checkpointing_fits_memory_budget(tmp_path):
     parties = CHECKPOINT_PARTIES
-    result = measure(parties, str(tmp_path))
+    result = measure(parties, checkpoint_dir=str(tmp_path))
     assert os.path.exists(os.path.join(tmp_path, "trainer.ckpt.npz"))
     assert_within_budget(
         result, f"full-size {DATASET}, M={parties}, {ROUNDS} rounds, a checkpoint each round"
     )
+
+
+def test_full_size_coauthor_cs_fedgcn_fits_memory_budget():
+    parties = 10
+    result = measure(parties, "fedgcn")
+    assert_within_budget(result, f"full-size {DATASET}, FedGCN, M={parties}, {ROUNDS} rounds")

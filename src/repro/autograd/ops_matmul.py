@@ -1,4 +1,4 @@
-"""Matrix products: dense ``matmul``, sparse-constant ``spmm``, transpose.
+"""Matrix products: ``matmul``, sparse-constant ``spmm``, transpose.
 
 ``spmm`` is the hot path of every GCN forward/backward: the normalized
 adjacency is a fixed sparse matrix, so only the dense operand needs a
@@ -37,11 +37,13 @@ def get_backend() -> SimpleNamespace:
 
 
 def matmul(a, b) -> Tensor:
-    """Dense 2-D matrix product ``a @ b``.
+    """2-D matrix product ``a @ b``; a sparse ``a`` (a ``CSRMatrix``) is :func:`spmm`'s.
 
     Gradients: ``dA = G @ Bᵀ`` and ``dB = Aᵀ @ G`` — the standard matrix
     calculus identities.
     """
+    if _is_sparse_operand(a):
+        return spmm(a, b)
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
@@ -125,7 +127,5 @@ def _is_sparse_operand(other) -> bool:
 
 
 Tensor.__matmul__ = lambda self, other: matmul(self, other)
-Tensor.__rmatmul__ = lambda self, other: (
-    spmm(other, self) if _is_sparse_operand(other) else matmul(other, self)
-)
+Tensor.__rmatmul__ = lambda self, other: matmul(other, self)
 Tensor.matmul = matmul

@@ -29,7 +29,7 @@ of the already-sparse signal.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,7 +87,7 @@ class _TypedGCN(Module):
             self.layer1.append(c1)
             self.layer2.append(c2)
 
-    def forward(self, s_list: List[CSRMatrix], x: Tensor) -> Tensor:
+    def forward(self, s_list: List[CSRMatrix], x: Union[Tensor, CSRMatrix]) -> Tensor:
         h = None
         for s_t, conv in zip(s_list, self.layer1):
             out = conv(s_t, x)
@@ -140,8 +140,12 @@ class FedLITTrainer(FederatedTrainer):
         """(edge array (m,2), embedding matrix) for clustering."""
         coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
         edges = np.stack([coo.row, coo.col], axis=1)
-        base = h if h is not None else graph.x_dense
-        eu, ev = base[edges[:, 0]], base[edges[:, 1]]
+        if h is not None:
+            eu, ev = h[edges[:, 0]], h[edges[:, 1]]
+        else:
+            # Raw features: densify only the gathered endpoint rows.
+            x = graph.x.to_scipy()
+            eu, ev = x[edges[:, 0]].toarray(), x[edges[:, 1]].toarray()
         emb = np.concatenate([(eu + ev) / 2.0, np.abs(eu - ev)], axis=1)
         return edges, emb
 
@@ -175,10 +179,9 @@ class FedLITTrainer(FederatedTrainer):
             for c in self.clients:
                 c.model.eval()
                 with no_grad():
-                    x = Tensor(c.graph.x_dense)
                     h = None
                     for s_t, conv in zip(self._typed_adjs[c.cid], c.model.layer1):
-                        out = conv(s_t, x)
+                        out = conv(s_t, c.graph.x)
                         h = out if h is None else h + out
                 new_adjs.append(self._cluster_edges(c.graph, h.data))
             self._typed_adjs = new_adjs
@@ -212,7 +215,7 @@ class FedLITTrainer(FederatedTrainer):
     def local_loss(self, client):
         from repro.nn import cross_entropy
 
-        logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x_dense))
+        logits = client.model(self._typed_adjs[client.cid], client.graph.x)
         return cross_entropy(logits, client.graph.y, client.graph.train_mask)
 
     def evaluate(self, split: str = "test") -> float:
@@ -226,7 +229,7 @@ class FedLITTrainer(FederatedTrainer):
                 continue
             c.model.eval()
             with no_grad():
-                logits = c.model(self._typed_adjs[c.cid], Tensor(c.graph.x_dense))
+                logits = c.model(self._typed_adjs[c.cid], c.graph.x)
             accs.append(accuracy(logits, c.graph.y, mask))
             counts.append(n)
         if not counts:

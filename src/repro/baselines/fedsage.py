@@ -36,7 +36,7 @@ only as good as the tiny labeled set's embedding space.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,6 +50,7 @@ from repro.graphs.laplacian import row_normalized_adjacency
 from repro.nn import Adam, Linear, mse_loss
 from repro.nn.module import Module
 from repro.gnn import SAGE
+from repro.gnn.sage_conv import sage_mean
 
 
 class NeighGen(Module):
@@ -61,13 +62,11 @@ class NeighGen(Module):
         self.deg_head = Linear(hidden, 1, rng=rng)
         self.feat_head = Linear(hidden, in_features, rng=rng)
 
-    def encode(self, mean_adj: CSRMatrix, x: Tensor) -> Tensor:
-        from repro.autograd import concat, spmm
+    def encode(self, mean_adj: CSRMatrix, x: Union[Tensor, CSRMatrix]) -> Tensor:
+        """``relu([X ‖ mean_N(X)] W_enc + b)``: one SAGE-mean layer."""
+        return relu(sage_mean(mean_adj, x, self.enc.weight, self.enc.bias))
 
-        agg = spmm(mean_adj, x)
-        return relu(self.enc(concat([x, agg], axis=1)))
-
-    def forward(self, mean_adj: CSRMatrix, x: Tensor):
+    def forward(self, mean_adj: CSRMatrix, x: Union[Tensor, CSRMatrix]):
         h = self.encode(mean_adj, x)
         missing_deg = relu(self.deg_head(h))  # non-negative counts
         feats = self.feat_head(h)
@@ -91,15 +90,12 @@ def hide_edges(graph: Graph, frac: float, rng: np.random.Generator):
     vis = sp.coo_matrix((np.ones(len(keep_r)), (keep_r, keep_c)), shape=graph.adj.shape)
     vis = (vis + vis.T).tocsr()
 
-    n = graph.num_nodes
-    hidden_count = np.zeros(n)
-    hidden_feat_sum = np.zeros((n, graph.num_features))
     hr, hc = coo.row[hide], coo.col[hide]
-    np.add.at(hidden_count, hr, 1.0)
-    np.add.at(hidden_count, hc, 1.0)
-    x = graph.x_dense
-    np.add.at(hidden_feat_sum, hr, x[hc])
-    np.add.at(hidden_feat_sum, hc, x[hr])
+    hid = sp.coo_matrix((np.ones(len(hr)), (hr, hc)), shape=graph.adj.shape)
+    hid = (hid + hid.T).tocsr()
+    hidden_count = np.asarray(hid.sum(axis=1)).ravel()
+    # Each node's hidden-neighbour feature sum, one sparse product.
+    hidden_feat_sum = (hid @ graph.x.to_scipy()).toarray()
     denom = np.maximum(hidden_count, 1.0)[:, None]
     hidden_feat_mean = hidden_feat_sum / denom
 
@@ -144,7 +140,7 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         return out
 
     return Graph(
-        x=np.vstack([graph.x_dense, new_x]),
+        x=sp.vstack([graph.x.to_scipy(), sp.csr_matrix(new_x)], format="csr"),
         adj=adj.tocsr(),
         y=np.concatenate([graph.y, np.zeros(total_new, dtype=int)]),
         num_classes=graph.num_classes,
@@ -194,19 +190,19 @@ class FedSagePlusTrainer(FederatedTrainer):
                 visible, h_count, h_feat = hide_edges(g, self.hide_frac, self._gen_rng)
                 mean_adj = row_normalized_adjacency(visible.adj)
             except ValueError:
-                h_count, h_feat = np.zeros(g.num_nodes), np.zeros_like(g.x_dense)
+                h_count, h_feat = np.zeros(g.num_nodes), np.zeros(g.x.shape)
                 mean_adj = row_normalized_adjacency(g.adj)
             # One CSR container per party for the whole generator
             # pre-training: the reverse-CSR for backward is built here,
             # once, instead of per epoch inside spmm.  The visible graph
-            # keeps every node's features, so g's dense copy serves it.
-            data.append((g.x_dense, CSRMatrix.from_scipy(mean_adj), h_count, h_feat))
+            # keeps every node's features, so g's sparse features serve it.
+            data.append((g.x, CSRMatrix.from_scipy(mean_adj), h_count, h_feat))
 
         for epoch in range(self.gen_epochs):
             for gen, opt, (x, mean_adj, h_count, h_feat) in zip(gens, opts, data):
                 gen.train()
                 opt.zero_grad()
-                deg_pred, feat_pred = gen(mean_adj, Tensor(x))
+                deg_pred, feat_pred = gen(mean_adj, x)
                 deg_loss = mse_loss(deg_pred, h_count[:, None])
                 feat_loss = mse_loss(feat_pred, h_feat)
                 (deg_loss + feat_loss).backward()
@@ -226,7 +222,7 @@ class FedSagePlusTrainer(FederatedTrainer):
                 row_normalized_adjacency(g.adj), build_reverse=False
             )
             with no_grad():
-                deg_pred, feat_pred = gen(full_mean_adj, Tensor(g.x_dense))
+                deg_pred, feat_pred = gen(full_mean_adj, g.x)
             mended.append(
                 mend_graph(
                     g,

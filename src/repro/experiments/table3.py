@@ -80,9 +80,7 @@ def run(
             for c in trainer.clients:
                 c.model.eval()
                 if model == "fedlit":
-                    from repro.autograd import Tensor
-
-                    c.model(trainer._typed_adjs[c.cid], Tensor(c.graph.x_dense))
+                    c.model(trainer._typed_adjs[c.cid], c.graph.x)
                 else:
                     c.model(c.graph)
         t_infer = time.perf_counter() - t0

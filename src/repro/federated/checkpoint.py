@@ -95,9 +95,9 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
         opt_meta: List[dict] = []
         rng_states: List[Optional[dict]] = []
         for i, client in enumerate(trainer.clients):
-            # The live parameter arrays, not copies: np.savez writes them
-            # before this returns, and no optimizer step is pending at the
-            # end of a round.
+            # The live parameter and Adam moment arrays, not copies:
+            # np.savez writes them before this returns, and no optimizer
+            # step is pending at the end of a round.
             for k, p in client.model.named_parameters():
                 arrays[f"client{i}/model/{k}"] = p.data
             opt_state = client.optimizer.state_dict()

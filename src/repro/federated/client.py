@@ -98,9 +98,7 @@ class Client:
             # if it was not), so trainers that reuse one partition build it
             # once, as they did when every client held the caller's graph.
             cols = np.unique(graph.x.indices)
-            graph = dataclasses.replace(
-                graph, x=graph.x.compact_columns(cols), _x_dense=None, _s_op=graph.s_op
-            )
+            graph = dataclasses.replace(graph, x=graph.x.compact_columns(cols), _s_op=graph.s_op)
             param = dict(model.named_parameters())[name]
             param.data = param.data[cols]
             self.rows[name] = cols

@@ -58,7 +58,7 @@ class GATConv(Module):
     def forward(self, edges: tuple, z: Tensor) -> Tensor:
         src, dst = edges
         n = z.shape[0]
-        h = matmul(z, self.weight)  # (n, d_out)
+        h = matmul(z, self.weight)  # (n, d_out); spmm for sparse features
         # Per-node attention scores, gathered onto edges.
         score_src = (h * self.att_src).sum(axis=1, keepdims=True)  # (n, 1)
         score_dst = (h * self.att_dst).sum(axis=1, keepdims=True)

@@ -25,15 +25,16 @@ class GCNConv(Module):
 
     The input ``z`` is one of two kinds:
 
-    * a dense :class:`~repro.autograd.Tensor` (hidden activations, or raw
-      features for the baselines).  The multiply order ``S̃ (Z W)``
-      (transform then propagate) costs O(n·d_in·d_out + nnz·d_out); the
-      other order would pay O(nnz·d_in + n·d_in·d_out) — cheaper only
-      when d_out > d_in, so we pick per-call based on the shapes.
-    * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x``,
-      the sparse bag-of-words features).  The layer computes
-      ``S̃ (Z W)`` with two sparse products, O(nnz_z·d_out + nnz·d_out),
-      and the weight gradient Zᵀ·G comes from the cached reverse CSR.
+    * a dense :class:`~repro.autograd.Tensor` (hidden activations).  The
+      multiply order ``S̃ (Z W)`` (transform then propagate) costs
+      O(n·d_in·d_out + nnz·d_out); the other order would pay
+      O(nnz·d_in + n·d_in·d_out) — cheaper only when d_out > d_in, so we
+      pick per-call based on the shapes.
+    * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x``, the
+      sparse bag-of-words features every first layer takes).  The layer
+      computes ``S̃ (Z W)`` with two sparse products, O(nnz_z·d_out +
+      nnz·d_out), and the weight gradient Zᵀ·G comes from the cached
+      reverse CSR.
     """
 
     def __init__(

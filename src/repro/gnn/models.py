@@ -11,12 +11,13 @@ Every model exposes two entry points:
 Models receive the :class:`~repro.graphs.data.Graph` (not raw tensors)
 so each can pick its propagation operator: GCN/Ortho use ``graph.s_op``
 (the cached fused-kernel CSR container of S̃), SAGE uses ``graph.mean_op``
-(the row-normalized mean aggregator).  OrthoGCN's first layer takes the
-sparse bag-of-words features ``graph.x``, a CSR container itself; the
-other models read the cached dense copy ``graph.x_dense``.  Every
-container is built once per graph and carries a pre-transposed
-reverse-CSR, so propagation never pays a sparse conversion — forward
-or backward — after the first touch.
+(the row-normalized mean aggregator).  Every model's first layer takes
+the sparse bag-of-words features ``graph.x``, a CSR container itself,
+and multiplies it through ``spmm``: no model densifies the features.
+Every container is built once per graph and carries a pre-transposed
+reverse-CSR (the features' reverse is built by the first forward that
+needs it), so propagation never pays a sparse conversion — forward or
+backward — after the first touch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, dropout, relu, spmm
+from repro.autograd import Tensor, dropout, matmul, relu, spmm
 from repro.graphs.data import Graph
 from repro.nn import Linear
 from repro.nn.module import Module
@@ -53,8 +54,7 @@ class MLP(Module):
         self._rng = gen
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
-        x = Tensor(graph.x_dense)
-        h = relu(self.fc1(x))
+        h = relu(self.fc1(graph.x))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.fc2(h), hid
@@ -83,7 +83,7 @@ class GCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv1(s, Tensor(graph.x_dense)))
+        h = relu(self.conv1(s, graph.x))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(s, h), hid
@@ -93,7 +93,7 @@ class GCN(Module):
 
 
 class SGC(Module):
-    """Simplified GCN (Wu et al. 2019): S̃^k X W — no nonlinearity.
+    """Simplified GCN (Wu et al. 2019): S̃^k (X W) + b — no nonlinearity.
 
     Used by tests as the linear reference the paper's Eq. 5 derivation
     assumes ("without considering the activation function … as SGC did").
@@ -114,10 +114,11 @@ class SGC(Module):
         self.fc = Linear(in_features, num_classes, rng=gen)
 
     def forward(self, graph: Graph) -> Tensor:
-        h = Tensor(graph.x_dense)
+        # Transform first: S̃^k (X W) propagates c columns, not f.
+        h = matmul(graph.x, self.fc.weight)
         for _ in range(self.k):
             h = spmm(graph.s_op, h)
-        return self.fc(h)
+        return h + self.fc.bias
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         return self.forward(graph), []
@@ -146,7 +147,7 @@ class SAGE(Module):
         # not in a model-side id(graph) dict: ids recycle after GC, which
         # aliased a new graph to a dead graph's operator.
         m = graph.mean_op
-        h = relu(self.conv1(m, Tensor(graph.x_dense)))
+        h = relu(self.conv1(m, graph.x))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(m, h), hid
@@ -188,8 +189,7 @@ class APPNP(Module):
         self._rng = gen
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
-        x = Tensor(graph.x_dense)
-        hid1 = relu(self.fc1(x))
+        hid1 = relu(self.fc1(graph.x))
         h = self.fc2(dropout(hid1, self.dropout_p, rng=self._rng, training=self.training))
         z = h
         s = graph.s_op
@@ -225,7 +225,7 @@ class GAT(Module):
         # Cached on the graph (graph.edge_index), not keyed on id(graph);
         # see SAGE.forward_with_hidden.
         edges = graph.edge_index
-        h = relu(self.conv1(edges, Tensor(graph.x_dense)))
+        h = relu(self.conv1(edges, graph.x))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(edges, h), hid
@@ -251,8 +251,8 @@ class OrthoGCN(Module):
 
     ``feature_rows`` names the parameter whose rows index the sparse
     input features: a party keeps only the rows of the feature columns
-    it has (see :class:`~repro.federated.client.Client`).  The
-    dense-input models declare none and always hold every row.
+    it has (see :class:`~repro.federated.client.Client`).  The other
+    models declare none and always hold every row.
 
     :meth:`input_layer` splits off the first hidden layer, so a client
     can record it in its eval forward and hand it to the first training

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro.autograd import Tensor, concat, matmul, spmm
+from repro.autograd import Tensor, matmul, spmm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graphs.csr import CSRMatrix
 from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
+
+
+def sage_mean(mean_adj: "CSRMatrix", z, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+    """``[Z ‖ mean_N(Z)] W + b`` as ``Z W[:d] + mean_N (Z W[d:]) + b`` (``d``: Z's width).
+
+    The split builds no concatenation, so ``Z`` may be a dense tensor or
+    a graph's sparse features (``matmul`` is then ``spmm``).
+    """
+    d = z.shape[1]
+    out = matmul(z, weight[:d]) + spmm(mean_adj, matmul(z, weight[d:]))
+    if bias is not None:
+        out = out + bias
+    return out
 
 
 class SAGEConv(Module):
@@ -21,7 +34,8 @@ class SAGEConv(Module):
     caller as a constant :class:`~repro.graphs.csr.CSRMatrix` (the
     graph's ``mean_op``).
     Self and neighbor representations are concatenated as in Hamilton
-    et al. (2017), giving the layer twice the input width.
+    et al. (2017), giving the weight twice the input width (see
+    :func:`sage_mean`).
     """
 
     def __init__(
@@ -40,12 +54,8 @@ class SAGEConv(Module):
         self.weight = Parameter(init_mod.xavier_uniform(2 * in_features, out_features, gen))
         self.bias = Parameter(init_mod.zeros(out_features)) if bias else None
 
-    def forward(self, mean_adj: "CSRMatrix", z: Tensor) -> Tensor:
-        agg = spmm(mean_adj, z)
-        out = matmul(concat([z, agg], axis=1), self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, mean_adj: "CSRMatrix", z: Union[Tensor, "CSRMatrix"]) -> Tensor:
+        return sage_mean(mean_adj, z, self.weight, self.bias)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SAGEConv({self.in_features}, {self.out_features})"

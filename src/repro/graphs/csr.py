@@ -16,7 +16,8 @@ substrate in cannot move the golden training digests.
 
 Both products run scipy's compiled CSR kernel on the container's cached
 scipy view; :func:`repro.autograd.spmm` consumes the container as a
-fused autograd op and accepts no other sparse operand.
+fused autograd op and accepts no other sparse operand, and
+:func:`repro.autograd.matmul` hands a container on its left to it.
 
 This module also owns the transpose-conversion counter: every reverse
 (Sᵀ) CSR materialization reports here, which is how the regression
@@ -265,7 +266,8 @@ class CSRMatrix:
         return self._scipy
 
     def toarray(self) -> np.ndarray:
-        """Dense copy (``Graph.x_dense`` caches one for the dense-input models)."""
+        """Dense copy, for tests and small inspection only: no model or
+        trainer densifies a graph's features."""
         return self.to_scipy().toarray()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

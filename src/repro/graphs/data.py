@@ -7,12 +7,10 @@ boolean train/val/test masks.  The normalized propagation matrix
 GCN forward needs it and it never changes.
 
 The bag-of-words features are 0.4–1.4% dense on the Table-2 twins, so
-``x`` is stored once, as a :class:`~repro.graphs.csr.CSRMatrix`: it is
-the operator OrthoGCN's input projection multiplies, and its reverse
-(Xᵀ, for the weight gradient) is built by the first forward that needs
-it.  The models that multiply dense features (MLP, SAGE, GAT, APPNP,
-SGC, the GCN baseline, FedSAGE, FedLIT) read :attr:`Graph.x_dense`, a
-dense copy built on first access and cached.
+``x`` is stored once, as a :class:`~repro.graphs.csr.CSRMatrix`, and
+never densified: it is the operator every model's first layer
+multiplies through ``spmm``, and its reverse (Xᵀ, for the weight
+gradient) is built by the first forward that needs it.
 """
 
 from __future__ import annotations
@@ -91,7 +89,6 @@ class Graph:
     _edge_index: Optional[tuple] = field(default=None, repr=False, compare=False)
     _s_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
     _mean_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
-    _x_dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x = _feature_csr(self.x)
@@ -173,17 +170,6 @@ class Graph:
         if self._mean_op is None:
             self._mean_op = CSRMatrix.from_scipy(self.mean_adj)
         return self._mean_op
-
-    @property
-    def x_dense(self) -> np.ndarray:
-        """Dense copy of ``x``, built on first access and cached.
-
-        Only the models that multiply dense features read it; OrthoGCN
-        and FedOMD never do, so their parties hold the CSR alone.
-        """
-        if self._x_dense is None:
-            self._x_dense = self.x.toarray()
-        return self._x_dense
 
     @property
     def edge_index(self) -> tuple:

@@ -12,7 +12,7 @@ from repro.nn.module import Module, Parameter
 
 
 class Linear(Module):
-    """``y = x @ W + b``.
+    """``y = x @ W + b``; ``x`` may be a graph's sparse features (``spmm``).
 
     Parameters
     ----------

@@ -147,12 +147,12 @@ class Adam:
 
     def state_dict(self) -> dict:
         """Step count + moment estimates — everything resume needs for
-        bitwise-identical continuation of the update sequence."""
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-        }
+        bitwise-identical continuation of the update sequence.
+
+        The moments are the live buffers, not copies (as a checkpoint
+        write wants them): the next :meth:`step` overwrites them.
+        """
+        return {"t": self.t, "m": list(self._m), "v": list(self._v)}
 
     def load_state_dict(self, state: dict) -> None:
         if set(state) != {"t", "m", "v"}:

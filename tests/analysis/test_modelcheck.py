@@ -117,13 +117,14 @@ class TestEquivalence:
 # The concrete interleaving pinned below was produced by
 # `python -m repro.analysis.modelcheck --replay mc4x2-1 --inject-race`:
 # round 0 pops clients in order 2,3,1,0 (rank 1 swaps the last pair of
-# the ready set), round 1 in arrival order 1,2,0,3.
+# the ready set), round 1 in arrival order 1,2,0,3.  The digest moved
+# once when the checker's GCN began reading its features through spmm.
 PINNED_SID = "mc4x2-1"
 PINNED_POPS = [
     (2, 0, 2), (3, 0, 3), (1, 0, 1), (0, 0, 0),
     (1, 1, 5), (2, 1, 6), (0, 1, 4), (3, 1, 7),
 ]
-PINNED_RACY_DIGEST = "2edf23a26203bebde9da2ba15a21892f"
+PINNED_RACY_DIGEST = "4d700f99ce90cf2539098583b861da82"
 
 
 class TestSeededRegression:

@@ -476,17 +476,18 @@ def honest_means(trainer, cid=0):
 
 #: Uploads of raw party data, each with the pattern naming the tensor in
 #: the error: the private tensor it aliases or copies, or the dtype of a
-#: label-, index- or mask-like array.
+#: label-, index- or mask-like array.  ``x_dense`` in an id names the
+#: dense copy ``x.toarray()``.
 LEAKS = {
     "x": (lambda g: g.x, r"graph\.x`"),
-    "x_dense": (lambda g: g.x_dense, r"graph\.x`"),
-    "x_dense[idx]": (lambda g: g.x_dense[np.flatnonzero(g.train_mask)], r"graph\.x`"),
-    "x_dense[0]": (lambda g: g.x_dense[0], r"graph\.x`"),
+    "x_dense": (lambda g: g.x.toarray(), r"graph\.x`"),
+    "x_dense[idx]": (lambda g: g.x.toarray()[np.flatnonzero(g.train_mask)], r"graph\.x`"),
+    "x_dense[0]": (lambda g: g.x.toarray()[0], r"graph\.x`"),
     "2*x.toarray()": (lambda g: 2 * g.x.toarray(), r"graph\.x`"),
     "(x_dense>0).astype(float)": (
-        lambda g: (g.x_dense > 0).astype(float), r"graph\.x`"
+        lambda g: (g.x.toarray() > 0).astype(float), r"graph\.x`"
     ),
-    "x_dense.T": (lambda g: g.x_dense.T, r"graph\.x\.rev`"),
+    "x_dense.T": (lambda g: g.x.toarray().T, r"graph\.x\.rev`"),
     "deepcopy(x)": (lambda g: copy.deepcopy(g.x), r"dtype int"),
     "adj.toarray()": (lambda g: g.adj.toarray(), r"graph\.adj`"),
     "s_op.toarray()": (lambda g: g.s_op.toarray(), r"graph\.s_op`"),
@@ -497,8 +498,8 @@ LEAKS = {
     "edge_index": (lambda g: g.edge_index, r"dtype int64"),
     "train_mask": (lambda g: g.train_mask, r"dtype bool"),
     # The caller's full-width features, of which a party's are a copy.
-    "part.x_dense": (lambda g: g.x_dense, r"part\.x`"),
-    "part.x_dense[0]": (lambda g: g.x_dense[0], r"part\.x`"),
+    "part.x_dense": (lambda g: g.x.toarray(), r"part\.x`"),
+    "part.x_dense[0]": (lambda g: g.x.toarray()[0], r"part\.x`"),
 }
 
 #: Tensors derived per node, each uploaded in place of the first layer
@@ -507,10 +508,10 @@ LEAKS = {
 #: whole, as a row view and as a row copy.
 DERIVED = {
     "x_dense @ w": (
-        lambda g, h: g.x_dense @ np.ones((g.num_features, 16)), r"`means\[0\]` is shape"
+        lambda g, h: g.x.toarray() @ np.ones((g.num_features, 16)), r"`means\[0\]` is shape"
     ),
-    "x_dense + 1": (lambda g, h: g.x_dense + 1, r"`means\[0\]` is shape"),
-    "x_dense[:, :5]": (lambda g, h: g.x_dense[:, :5], r"`means\[0\]` is shape"),
+    "x_dense + 1": (lambda g, h: g.x.toarray() + 1, r"`means\[0\]` is shape"),
+    "x_dense[:, :5]": (lambda g, h: g.x.toarray()[:, :5], r"`means\[0\]` is shape"),
     "y.astype(float)": (lambda g, h: g.y.astype(float), r"`means\[0\]` is shape"),
     "one-hot y": (lambda g, h: np.eye(g.num_classes)[g.y], r"`means\[0\]` is shape"),
     "hidden[0]": (lambda g, h: h[0], r"aliases private party tensor `client0\.hidden\[0\]`"),
@@ -571,7 +572,7 @@ class TestPrivacyTwins:
             trainer.comm.gather(uploads, kind="means")
 
     def test_gather_of_raw_rows_caught(self, registered_trainer):
-        rows = [c.graph.x_dense for c in registered_trainer.clients]
+        rows = [c.graph.x.toarray() for c in registered_trainer.clients]
         with pytest.raises(PrivacyEscapeError, match=r"graph\.x`"):
             registered_trainer.comm.gather(rows)
 
@@ -582,7 +583,7 @@ class TestPrivacyTwins:
         comm.send_to_server(0, {"means": honest_means(trainer), "n": 3.0}, kind="means")
         # Metadata under a kind declared for it.
         trainer.sanitizer.protocol.declare_uplinks(0, {"shape": [(), ()]})
-        comm.send_to_server(0, g.x_dense.shape, kind="shape")
+        comm.send_to_server(0, g.x.shape, kind="shape")
         # A float table row picked by a label: the label does not leave.
         table = np.random.default_rng(0).normal(size=(g.num_classes, 16))
         comm.send_to_server(0, {"means": [table[g.y[0]], table[g.y[1]]], "n": 3.0}, kind="means")

@@ -77,12 +77,12 @@ SPECS = {
 #: activation ``h``.
 INPUTS = {
     "graph": lambda g, h: (g,),
-    "x": lambda g, h: (Tensor(g.x_dense),),
-    "sparse_x": lambda g, h: (g.s_op, Tensor(g.x_dense)),
+    "x": lambda g, h: (Tensor(g.x.toarray()),),
+    "sparse_x": lambda g, h: (g.s_op, Tensor(g.x.toarray())),
     "sparse_h": lambda g, h: (g.s_op, h),
-    "mean_x": lambda g, h: (g.mean_op, Tensor(g.x_dense)),
-    "edges_x": lambda g, h: (g.edge_index, Tensor(g.x_dense)),
-    "slist_x": lambda g, h: ([g.s_op, g.s_op], Tensor(g.x_dense)),
+    "mean_x": lambda g, h: (g.mean_op, Tensor(g.x.toarray())),
+    "edges_x": lambda g, h: (g.edge_index, Tensor(g.x.toarray())),
+    "slist_x": lambda g, h: ([g.s_op, g.s_op], Tensor(g.x.toarray())),
 }
 
 #: Two graphs that differ in every dimension.  ``d_hidden`` lies between
@@ -192,7 +192,7 @@ def expected_flops(name, dims):
     on layer ``-``.  Raw features never require grad.
     """
     n, nnz, nnz_x = dims["n"], dims["nnz"], dims["nnz_x"]
-    f, h, c = dims["d_in"], dims["d_hidden"], dims["c"]
+    h, c = dims["d_hidden"], dims["c"]
     table = Counter()
 
     def dense(layer, d_in, d_out, input_grad):
@@ -210,20 +210,30 @@ def expected_flops(name, dims):
         if transform_first or input_grad:
             table["spmm", "bwd", "-"] += spmm_flops(nnz, width)
 
+    def sparse_in(layer, d_out):
+        # X W on the sparse features is an spmm, and the weight gradient
+        # Xᵀ·G is another on X's reverse CSR.
+        table["spmm", "fwd", layer] += spmm_flops(nnz_x, d_out)
+        table["spmm", "bwd", "-"] += spmm_flops(nnz_x, d_out)
+
+    def sparse_gcn_conv(layer, d_out):
+        # S̃ (X W): the feature product, then propagation.
+        sparse_in(layer, d_out)
+        table["spmm", "fwd", layer] += spmm_flops(nnz, d_out)
+        table["spmm", "bwd", "-"] += spmm_flops(nnz, d_out)
+
+    # Every first layer takes the sparse features.
     if name == "gcn":
-        gcn_conv("conv1", f, h, input_grad=False)
+        sparse_gcn_conv("conv1", h)
         gcn_conv("conv2", h, c, input_grad=True)
     elif name == "orthogcn":
-        # conv_in takes the sparse features: S̃ (X W) as two spmm's, and
-        # the weight gradient Xᵀ·G is a third on X's reverse CSR.
-        table["spmm", "fwd", "conv_in"] += spmm_flops(nnz_x, h) + spmm_flops(nnz, h)
-        table["spmm", "bwd", "-"] += spmm_flops(nnz_x, h) + spmm_flops(nnz, h)
+        sparse_gcn_conv("conv_in", h)
         dense("ortho0", h, h, input_grad=True)  # OrthoConv: S̃ (Z W̃)
         table["spmm", "fwd", "ortho0"] += spmm_flops(nnz, h)
         table["spmm", "bwd", "-"] += spmm_flops(nnz, h)
         gcn_conv("conv_out", h, c, input_grad=True)
     elif name == "gat":
-        dense("conv1", f, h, input_grad=False)
+        sparse_in("conv1", h)
         dense("conv2", h, c, input_grad=True)
     return table
 

@@ -114,7 +114,7 @@ class TestBackboneModels:
                   dropout_p=0.0, rng=np.random.default_rng(2)).eval()
         with no_grad():
             z = m(graph).data
-            h = m.fc2(m.fc1(Tensor(graph.x_dense)).relu()).data
+            h = m.fc2(m.fc1(Tensor(graph.x.toarray())).relu()).data
         np.testing.assert_allclose(z, h, atol=1e-12)
 
     def test_appnp_validation(self):

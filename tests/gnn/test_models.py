@@ -151,7 +151,7 @@ class TestSGCSpecifics:
         m = SGC(graph.num_features, graph.num_classes, rng=np.random.default_rng(0))
         m.fc.bias.data[...] = 0.0
         g2 = Graph(
-            x=2.0 * graph.x_dense, adj=graph.adj, y=graph.y, num_classes=graph.num_classes
+            x=2.0 * graph.x.toarray(), adj=graph.adj, y=graph.y, num_classes=graph.num_classes
         )
         with no_grad():
             np.testing.assert_allclose(m(g2).data, 2 * m(graph).data, atol=1e-9)
@@ -229,7 +229,7 @@ class TestOperatorCacheIdentity:
         with no_grad():
             got = model(star).data
             m = CSRMatrix.from_scipy(row_normalized_adjacency(star.adj))
-            h = relu(model.conv1(m, Tensor(star.x_dense)))
+            h = relu(model.conv1(m, Tensor(star.x.toarray())))
             want = model.conv2(m, h).data
         np.testing.assert_allclose(got, want)
         np.testing.assert_allclose(
@@ -246,6 +246,6 @@ class TestOperatorCacheIdentity:
         star = _toy_graph(STAR_EDGES)
         with no_grad():
             got = model(star).data
-            h = relu(model.conv1(star.edge_index, Tensor(star.x_dense)))
+            h = relu(model.conv1(star.edge_index, Tensor(star.x.toarray())))
             want = model.conv2(star.edge_index, h).data
         np.testing.assert_allclose(got, want)

@@ -121,7 +121,12 @@ class TestReverse:
 
 
 class TestTransposeCacheRegression:
-    """Exactly one transpose conversion per graph across a multi-round run."""
+    """Exactly one transpose conversion per operator across a multi-round run.
+
+    Every model's first layer multiplies the sparse features ``graph.x``,
+    so a graph's features add one reverse (Xᵀ, for the weight gradient)
+    to its propagation operators' reverses.
+    """
 
     def _train(self, model_name, graph, steps=6):
         from repro.gnn import GCN, SAGE
@@ -143,28 +148,30 @@ class TestTransposeCacheRegression:
         graph = _small_graph()
         reset_transpose_conversion_count()
         self._train("gcn", graph)
-        # One conversion for graph.s_op's reverse-CSR — not one per
-        # layer per forward call as the pre-substrate spmm paid.
-        assert transpose_conversion_count() == 1
+        # One conversion each for graph.s_op's and graph.x's reverse-CSR
+        # — not one per layer per forward call as the pre-substrate spmm paid.
+        assert transpose_conversion_count() == 2
 
     def test_sage_multi_round_converts_once(self):
         graph = _small_graph(seed=1)
         reset_transpose_conversion_count()
         self._train("sage", graph)
-        assert transpose_conversion_count() == 1
+        # graph.mean_op's reverse and graph.x's.
+        assert transpose_conversion_count() == 2
 
     def test_two_operators_convert_twice(self):
         graph = _small_graph(seed=2)
         reset_transpose_conversion_count()
         self._train("gcn", graph)
         self._train("sage", graph)
-        assert transpose_conversion_count() == 2
+        # s_op and mean_op once each; the second model reuses x's reverse.
+        assert transpose_conversion_count() == 3
 
     def test_fresh_graphs_convert_independently(self):
         reset_transpose_conversion_count()
         for seed in range(3):
             self._train("gcn", _small_graph(seed=seed), steps=2)
-        assert transpose_conversion_count() == 3
+        assert transpose_conversion_count() == 6
 
     def test_orthogcn_builds_both_reverses_once(self):
         # OrthoGCN propagates through graph.s_op and projects graph.x:

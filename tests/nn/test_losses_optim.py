@@ -310,8 +310,10 @@ class TestAdam:
         for m, m_ref, v, v_ref in zip(opt._m, ms, opt._v, vs):
             assert np.array_equal(m, m_ref) and np.array_equal(v, v_ref)
         # A fresh optimizer restored from the state dict continues the
-        # same sequence.
+        # same sequence.  The dict holds the live moment buffers, so a
+        # checkpoint write copies no weight-sized array.
         opt_state = opt.state_dict()
+        assert all(a is b for a, b in zip(opt_state["m"] + opt_state["v"], opt._m + opt._v))
         opt = Adam(ours, lr=0.01, weight_decay=wd)
         opt.load_state_dict(opt_state)
         for t in range(6, 8):
