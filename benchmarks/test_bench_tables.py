@@ -5,7 +5,11 @@ use — ``pedantic`` single-pass timing, because an experiment is a
 macro-benchmark, not a microsecond kernel.
 """
 
+import numpy as np
+
 from repro.experiments import get_experiment
+from repro.experiments.runner import MODE_PARAMS, make_trainer
+from repro.graphs import load_dataset, louvain_partition
 
 
 def _run_experiment(benchmark, name, bench_out, **kw):
@@ -25,13 +29,32 @@ def test_bench_table2_dataset_stats(benchmark, bench_out):
     assert len(res.rows) == 5  # five datasets
 
 
+def _weight_bytes(trainer) -> int:
+    """Bytes of every party's parameters, as each party holds them."""
+    return sum(p.data.nbytes for c in trainer.clients for p in c.model.parameters())
+
+
 def test_bench_table3_cost_accounting(benchmark, bench_out):
     res = _run_experiment(benchmark, "table3", bench_out)
-    rows = {r[0]: r for r in res.rows}
-    # Shape claims of Table 3: LocGCN moves no bytes; FedOMD's uplink
-    # exceeds FedGCN's only by the (small) statistics payload.
-    assert int(rows["locgcn"][4]) == 0
-    assert int(rows["fedgcn"][4]) < int(rows["fedomd"][4]) < 2 * int(rows["fedgcn"][4])
+    uplink = {r[0]: int(r[4]) for r in res.rows}
+    # Rebuild the experiment's partition to price its uplink exactly.
+    params = MODE_PARAMS["smoke"]
+    g = load_dataset("cora", seed=0, scale=params.scale)
+    parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
+    fedgcn = make_trainer("fedgcn", parts, params, seed=0)
+    fedomd = make_trainer("fedomd", parts, params, seed=0)
+    # Each party uploads its means (L·d_h + 1 floats: the +1 is its node
+    # count) and its K central moments (L·d_h·K + 1) once per round.
+    m, d_h = len(parts), fedomd.config.hidden
+    layers, k = fedomd.omd_config.num_hidden, len(fedomd.omd_config.orders)
+    moments = m * ((layers * d_h + 1) + (layers * d_h * k + 1)) * 8
+    # LocGCN moves no bytes; FedGCN ships every party's full model;
+    # FedOMD ships only the input-weight rows each party reads, plus
+    # the moment payload, which keeps it below FedGCN.
+    assert uplink["locgcn"] == 0
+    assert uplink["fedgcn"] == _weight_bytes(fedgcn)
+    assert uplink["fedomd"] == _weight_bytes(fedomd) + moments
+    assert uplink["fedomd"] < uplink["fedgcn"]
 
 
 def test_bench_table4_main_results_slice(benchmark, bench_out):

@@ -8,8 +8,8 @@ Reporting scope: RL010 fires only under ``federated/`` (that is where
 the executor/engine thread split lives — the analysis itself spans the
 whole tree so roots and callees resolve).  Clock monotonicity is held
 at runtime by ``VirtualClock.advance_to``, and order-insensitive
-aggregation by the model checker (:mod:`repro.analysis.modelcheck`)
-and the ``fold_arrivals`` permutation property.
+aggregation by the ``fold_arrivals`` permutation property and a
+straggler-reordered async run (``tests/federated/test_async_engine.py``).
 """
 
 from __future__ import annotations

@@ -923,26 +923,17 @@ class SanitizerSession:
         Track one Algorithm-1 phase lattice per client instead of one
         global lattice — required under the async round engine, where
         stragglers legally interleave across server rounds.
-    schedule_controller:
-        A :class:`repro.federated.clock.ScheduleController` to install at
-        the runtime's yield points (the async engine's event-pop choice,
-        the executor's serial task order) via :meth:`attach_clock` /
-        :meth:`attach_executor`.  Only the model checker passes one; the
-        default ``None`` leaves every yield point on its uncontrolled
-        (earliest-first) behaviour.
     """
 
     def __init__(
         self,
         concurrency: bool = False,
         per_client_protocol: bool = False,
-        schedule_controller=None,
     ) -> None:
         self.autograd = AutogradSanitizer()
         self.protocol = ProtocolMonitor(per_client=per_client_protocol)
         self.lock_order = LockOrderRecorder()
         self.concurrency = bool(concurrency)
-        self.schedule = schedule_controller
         self._prev: Optional[AutogradSanitizer] = None
         self._installed = False
 
@@ -988,20 +979,6 @@ class SanitizerSession:
         """Probe a MetricsRegistry's table (no-op unless ``concurrency``)."""
         if self.concurrency:
             install_registry_probe(registry, recorder=self.lock_order)
-
-    def attach_clock(self, clock) -> None:
-        """Install the schedule controller on a VirtualClock's yield points.
-
-        No-op without a controller or on clocks that don't expose the
-        shim (``SystemClock`` — real time cannot be schedule-controlled).
-        """
-        if self.schedule is not None and hasattr(clock, "attach_controller"):
-            clock.attach_controller(self.schedule)
-
-    def attach_executor(self, executor) -> None:
-        """Point the executor's serial-order yield point at the controller."""
-        if self.schedule is not None:
-            executor.controller = self.schedule
 
     def register_private_arrays(self, named: Iterable[Tuple[str, Any]]) -> None:
         """Feed raw party tensors (dense or sparse) to the privacy tripwire."""

@@ -259,9 +259,9 @@ def fold_arrivals(
     client id, so any permutation of ``arrivals`` (network reordering,
     heap-pop order, executor interleaving) produces a bitwise-identical
     result.  That invariant is what the hypothesis property in
-    ``tests/federated/test_staleness.py`` pins and what the model
-    checker (``python -m repro.analysis.modelcheck``) re-verifies over
-    explored schedules.
+    ``tests/federated/test_staleness.py`` pins, and what
+    ``tests/federated/test_async_engine.py`` checks end to end on a run
+    whose stragglers reorder the engine's pops.
 
     NaN payloads are quarantined (their ``n_i`` leaves the denominator),
     updates staler than ``max_staleness`` are discarded, and when every
@@ -499,28 +499,9 @@ class AsyncRoundEngine:
         return arrivals
 
     def _next_report(self) -> PendingReport:
-        """Pop the next arrival — the engine's schedule-controller yield point.
-
-        Uncontrolled (the production path), this is a plain heap pop in
-        virtual-arrival order.  With a controller attached to the clock
-        (only the model checker does), the controller picks *which*
-        pending report arrives next from the whole in-flight set — an
-        out-of-order choice models network reordering, so the clock
-        advances to ``max(report.time, now)``: a message can arrive late,
-        never before it was sent.  Virtual time stays monotone either
-        way (``VirtualClock.advance_to`` raises on any regression).
-        """
-        ctrl = self.clock.controller
-        if ctrl is None:
-            _, _, report = heapq.heappop(self._heap)
-            self.clock.advance_to(report.time)
-            return report
-        ready = [r for _, _, r in sorted(self._heap)]
-        report = ready[ctrl.choose("async.pop", ready)]
-        self._heap.remove((report.time, report.seq, report))
-        heapq.heapify(self._heap)
-        self.clock.advance_to(max(report.time, self.clock.now()))
-        ctrl.on_yield("async.pop", report=report, engine=self)
+        """Pop the earliest arrival and advance virtual time to it."""
+        _, _, report = heapq.heappop(self._heap)
+        self.clock.advance_to(report.time)
         return report
 
     def _complete(self, report: PendingReport) -> Optional[_ClientUpdate]:

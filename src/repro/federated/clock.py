@@ -28,36 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Optional, Sequence
-
-
-class ScheduleController:
-    """Scheduling hook consulted at the runtime's annotated yield points.
-
-    The async engine (and, in serial mode, the client executor) route
-    every schedule-relevant decision — which pending report to pop next,
-    which client task to run next — through the controller attached to
-    the :class:`VirtualClock` driving the run.  The base implementation
-    always picks candidate ``0``, which is exactly the uncontrolled
-    behaviour (earliest-arrival pop order, submission-order task
-    execution), so attaching it changes nothing.
-
-    The model checker (``python -m repro.analysis.modelcheck``) subclasses
-    this to force a specific interleaving: :meth:`choose` returns the
-    index of the candidate to run, and :meth:`on_yield` observes each
-    yield point as it is passed (the checker uses it to trace pop
-    boundaries for replay and checkpoint-equivalence checks).  Both
-    methods must be deterministic pure functions of the controller's own
-    state — a controller that consults RNG or wall time would make the
-    very nondeterminism the checker exists to rule out.
-    """
-
-    def choose(self, point: str, candidates: Sequence) -> int:
-        """Index of the candidate to schedule next at yield point ``point``."""
-        return 0
-
-    def on_yield(self, point: str, **info) -> None:
-        """Observe a yield point (no decision; tracing/snapshot hook)."""
 
 
 class Clock:
@@ -98,23 +68,6 @@ class VirtualClock(Clock):
         self._start = float(start)
         self._now = float(start)
         self._lock = threading.Lock()
-        self._controller: Optional[ScheduleController] = None
-
-    def attach_controller(self, controller: Optional[ScheduleController]) -> None:
-        """Install (or clear) the schedule controller for this timeline.
-
-        The controller rides on the clock because the clock is the one
-        object every schedule-relevant component (engine, executor,
-        fault injector) already shares: attaching here reaches all of
-        them without new plumbing.
-        """
-        with self._lock:
-            self._controller = controller
-
-    @property
-    def controller(self) -> Optional[ScheduleController]:
-        with self._lock:
-            return self._controller
 
     def now(self) -> float:
         with self._lock:

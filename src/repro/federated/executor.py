@@ -174,14 +174,6 @@ class ClientExecutor:
     def __init__(self, num_workers: int = 1) -> None:
         self.num_workers = resolve_workers(num_workers)
         self._pool: Optional[ThreadPoolExecutor] = None
-        # Schedule-controller yield point (see repro.federated.clock).
-        # When a controller is attached — only ever by the model checker,
-        # through SanitizerSession.attach_executor — the serial loop asks
-        # it which task to run next, exploring worker interleavings that
-        # a thread pool would realize nondeterministically.  Results are
-        # still returned in submission order, so the determinism contract
-        # above is exactly what the controller exercises.
-        self.controller = None
         # The deferred-step stream, open only inside one_blas_thread().
         self._stream: Optional[StepStream] = None
 
@@ -251,8 +243,6 @@ class ClientExecutor:
         return [f.result() for f in futures]
 
     def _serial_map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        if self.controller is not None and len(items) > 1:
-            return self._controlled_map(fn, items)
         return [fn(item) for item in items]
 
     def _streamed_map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
@@ -274,25 +264,6 @@ class ClientExecutor:
             _active.stream = outer
         stream.join_all()
         return results
-
-    def _controlled_map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Serial map whose *execution* order the schedule controller picks.
-
-        Every task still runs exactly once and results land in submission
-        order; only the interleaving varies.  This is the "worker-thread
-        yield point" of the concurrency verifier: tasks whose order
-        changes any result would be a cross-client dependency the
-        determinism contract forbids, and the model checker's bitwise
-        comparison across schedules is what detects it.
-        """
-        pending = list(range(len(items)))
-        results: List[Optional[R]] = [None] * len(items)
-        while pending:
-            idx = self.controller.choose("executor.task", pending)
-            task = pending.pop(idx if 0 <= idx < len(pending) else 0)
-            results[task] = fn(items[task])
-            self.controller.on_yield("executor.task", task=task)
-        return results  # type: ignore[return-value]
 
     def _instrument(
         self,

@@ -44,25 +44,20 @@ class RoundRecord:
         }
 
 
-def _metrics_match(a: Dict[str, float], b: Dict[str, float], tol: float = 0.0) -> bool:
-    """Dict equality where NaN matches NaN, optionally within ``tol``.
+def _metrics_match(a: Dict[str, float], b: Dict[str, float]) -> bool:
+    """Dict equality where NaN matches NaN.
 
     A round whose every arrived loss is non-finite (or whose quorum was
     met entirely by loss-less reports) deterministically records a NaN
     ``train_loss``; two such runs still *match* — the NaN is in the same
-    place for the same reason.  With ``tol > 0`` numeric fields may
-    differ by up to ``tol`` absolutely (NaN still only matches NaN); the
-    default ``0.0`` keeps the exact ``==`` the bitwise gates rely on.
+    place for the same reason.
     """
     if a.keys() != b.keys():
         return False
     for k, va in a.items():
         vb = b[k]
-        if va == vb or (va != va and vb != vb):
-            continue
-        if tol > 0.0 and abs(va - vb) <= tol:
-            continue
-        return False
+        if va != vb and not (va != va and vb != vb):
+            return False
     return True
 
 
@@ -102,20 +97,17 @@ class TrainingHistory:
         """Summed per-round wall-clock of the recorded rounds."""
         return float(sum(r.wall_time for r in self.records))
 
-    def metrics_equal(self, other: "TrainingHistory", tol: float = 0.0) -> bool:
+    def metrics_equal(self, other: "TrainingHistory") -> bool:
         """True when the deterministic metrics match record-for-record.
 
         Timing fields are excluded: a parallel run must reproduce the
         serial run's *training trajectory* exactly, but will (by design)
-        differ in wall-clock.  ``tol`` relaxes each numeric field to an
-        absolute tolerance — the model checker passes ``0.0`` for its
-        bitwise schedule-equivalence oracle and a small ``tol`` where it
-        compares legs that legitimately differ in float rounding.
+        differ in wall-clock.
         """
         if len(self.records) != len(other.records):
             return False
         return all(
-            _metrics_match(a.metrics_dict(), b.metrics_dict(), tol)
+            _metrics_match(a.metrics_dict(), b.metrics_dict())
             for a, b in zip(self.records, other.records)
         )
 

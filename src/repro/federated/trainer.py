@@ -180,10 +180,6 @@ class FederatedTrainer:
                 per_client_protocol=self.config.engine == "async",
             )
             self.sanitizer.attach_communicator(self.comm)
-            # Yield-point shims (no-ops unless the session carries a
-            # schedule controller — only the model checker does).
-            self.sanitizer.attach_clock(self.clock)
-            self.sanitizer.attach_executor(self.executor)
         else:
             self.sanitizer = None
         self.history = TrainingHistory()
@@ -553,14 +549,9 @@ class FederatedTrainer:
         cfg = self.config
         engine = self.async_engine
         clock = self.clock
-        # Schedule-controller yield points (only the model checker
-        # attaches a controller).
-        ctrl = getattr(clock, "controller", None)
         tracer = get_tracer()
         round_attrs = {"engine": "async"} if engine is not None else {}
         for round_idx in range(self._start_round, cfg.max_rounds):
-            if ctrl is not None:
-                ctrl.on_yield("async.round", round=round_idx, engine=engine)
             with tracer.span("round", round=round_idx, **round_attrs):
                 round_t0 = clock.now()
                 with tracer.span("exchange", round=round_idx, phase="exchange") as sp_exchange:
@@ -621,12 +612,6 @@ class FederatedTrainer:
                     self._rounds_since_best += 1
                 stop = self._rounds_since_best >= cfg.patience
             self._maybe_checkpoint(round_idx)
-            if ctrl is not None:
-                # Checkpoint boundary: for the async engine the heap,
-                # version and clock are exactly what its state_dict()
-                # serializes — the checker snapshots here to assert
-                # resume equivalence.
-                ctrl.on_yield("async.checkpoint", round=round_idx, engine=engine)
             if stop:
                 return
 

@@ -244,8 +244,9 @@ def arrival_sets(draw, max_staleness=0):
 class TestFoldArrivalsPermutationInvariance:
     """Order-insensitive aggregation: the fold is a pure function of the *set*.
 
-    The model checker re-verifies this end-to-end over explored
-    schedules; these properties pin the reduction itself, bitwise.
+    ``test_async_engine.py`` re-checks this end to end on a run whose
+    stragglers reorder the engine's pops; these properties pin the
+    reduction itself, bitwise.
     """
 
     @settings(max_examples=60, deadline=None)
