@@ -97,10 +97,11 @@ def lock_id(index: ProjectIndex, chain: Tuple[str, ...], func: FunctionInfo) -> 
 def _guard_tokens(func: FunctionInfo, line: int) -> Optional[FrozenSet[str]]:
     """Tokens of a ``# guarded-by(...)`` annotation covering ``line``.
 
-    Same placement convention as RL005: on the access line itself
-    or on a comment-only line directly above.  Returns ``None`` when the
-    line carries no annotation (an empty annotation still returns a
-    non-None frozenset — the author declared *a* discipline).
+    On the access line itself or on a comment-only line directly
+    above, as ``# repro-lint: disable=`` suppressions are placed.
+    Returns ``None`` when the line carries no annotation (an empty
+    annotation still returns a non-None frozenset — the author declared
+    *a* discipline).
     """
     for candidate in (line, line - 1):
         text = func.ctx.line_text(candidate)

@@ -1,11 +1,11 @@
 """AST-based project linter: engine, rule registry, suppressions.
 
 The tier-1 test suite catches bugs that *already happened*; this linter
-catches the bug *classes* this codebase has actually hit (the
-``id()``-keyed operator caches fixed in PR 1, the FedAvg denominator
-accounting fixed in PR 3) plus the ones a concurrent, fault-injected
-trainer structurally risks (unseeded RNG, wall-clock in hot paths,
-unguarded shared-state mutation).  Rules live in
+catches the bug *classes* no test or runtime check holds: the
+``id()``-keyed operator caches that once served a dead graph's operator
+to a new graph, unseeded global RNG in code no determinism test runs,
+differentiable ops without a gradcheck, and fields a worker thread
+races with the engine thread.  Rules live in
 :mod:`repro.analysis.rules`; the CLI is ``python -m repro.analysis``.
 
 Design

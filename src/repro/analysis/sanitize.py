@@ -694,7 +694,7 @@ class LockOrderRecorder:
         held = getattr(self._tls, "held", None)
         if held is None:
             # threading.local: each thread sees only its own attribute.
-            held = self._tls.held = []  # repro-lint: disable=RL005
+            held = self._tls.held = []
         return held
 
     def _path(self, src: str, dst: str) -> Optional[List[str]]:
@@ -747,9 +747,6 @@ class OwnedLock:
     with a :class:`LockOrderRecorder` every acquisition/release is also
     reported under the lock's ``name`` for cycle detection.
     """
-
-    # The wrapped lock is deliberately named `_inner`, not `_lock`:
-    # RL005 treats a `_lock` attribute as a shared-state marker.
 
     def __init__(
         self,

@@ -14,8 +14,7 @@ from repro.autograd.tensor import Tensor, as_tensor, _unbroadcast
 from repro.autograd import signatures as _signatures
 
 # Cost signatures for the ops this module constructs live in
-# repro.autograd.signatures; fail at import if one is missing (RL015
-# checks the literal op names of Tensor._make calls elsewhere).
+# repro.autograd.signatures; fail at import if one is missing.
 _signatures.expect(
     "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "sqrt",
     "clip", "abs", "maximum",

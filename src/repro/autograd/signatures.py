@@ -8,18 +8,16 @@ kind** (which closed-form FLOP/byte formula applies).  Its readers are
   / :func:`backward_bytes` with real ndarrays, and :func:`lookup` raises
   ``KeyError`` on an op nobody declared, so a profiled run cannot drop
   an op from the accounting.
-* lint rule RL015, which checks that every literal
-  ``Tensor._make(..., "op")`` names a declared op — also in code no
-  profiled run reaches.
 * the trace-check test (``tests/analysis/test_shapes.py``), which runs
   every model once under the collector and compares its per-layer
   ``matmul`` / ``spmm`` counts with :func:`matmul_flops` /
   :func:`spmm_flops` at the graph's dimensions.
 
 The formulas are pure arithmetic over ``.shape`` / ``.size`` /
-``.nbytes``, so this module never imports numpy.  Each ``ops_*`` module
-closes the loop at import time with :func:`expect`, which fails fast if
-an op it constructs was never declared.
+``.nbytes``, so this module never imports numpy.  Every module that
+builds a ``Tensor._make`` node (each ``ops_*`` module and
+``repro.core.cmd``) closes the loop at import time with :func:`expect`,
+which fails fast if an op it constructs was never declared.
 """
 
 from __future__ import annotations

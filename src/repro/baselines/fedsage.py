@@ -23,9 +23,11 @@ Our reimplementation keeps the full pipeline on our substrate:
    structurally equivalent channel.
 3. **Mending**: each node with predicted missing degree ≥ 0.5 gets that
    many generated neighbor nodes (features from the feature head +
-   learned noise), connected only to it.
+   learned noise), connected only to it.  The generated features are
+   dense; they stay apart from the party's sparse features
+   (:class:`MendedGraph`).
 4. **Classification**: federated GraphSAGE on the mended graphs via the
-   standard loop.
+   standard loop (:class:`MendedSAGE`).
 
 The failure mode §5.2 reports — needing "massive samples … to maintain
 sampling effectiveness" at a 1% label rate — emerges naturally: the
@@ -36,12 +38,13 @@ only as good as the tiny labeled set's embedding space.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import Tensor, no_grad, relu
+from repro.autograd import Tensor, concat, dropout, matmul, no_grad, relu, spmm
 from repro.federated.server import fedavg
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
 from repro.graphs.csr import CSRMatrix
@@ -112,18 +115,38 @@ def hide_edges(graph: Graph, frac: float, rng: np.random.Generator):
     return visible, hidden_count, hidden_feat_mean
 
 
+@dataclass
+class MendedGraph(Graph):
+    """A party's graph with generated neighbour nodes appended after its own.
+
+    ``x`` holds the party's sparse feature rows and no entry for a
+    generated node, so every reader of ``x`` sees the party's own
+    features only.  ``x_gen`` holds the generated nodes' dense feature
+    rows, in node order.
+    """
+
+    x_gen: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def times(self, x: CSRMatrix, w: Tensor) -> Tensor:
+        """``X·w`` over every node: ``spmm`` on the party's sparse rows
+        (``x``), ``matmul`` on the generated dense rows."""
+        gen = matmul(self.x_gen, w)
+        own = np.zeros((self.num_nodes - len(self.x_gen), gen.shape[1]))
+        return spmm(x, w) + concat([own, gen])
+
+
 def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max_new_per_node: int = 3) -> Graph:
     """Append generated neighbor nodes per the degree predictions.
 
     Generated nodes carry label 0 but are excluded from every mask, so
     they influence propagation only — exactly the original's usage.
+    Their features go to the :class:`MendedGraph`'s ``x_gen``.
     """
     n = graph.num_nodes
     counts = np.minimum(np.round(missing_deg).astype(int).clip(min=0), max_new_per_node)
     total_new = int(counts.sum())
     if total_new == 0:
         return graph
-    new_x = np.repeat(gen_feats, counts, axis=0)
     hosts = np.repeat(np.arange(n), counts)
     new_ids = np.arange(n, n + total_new)
 
@@ -139,8 +162,9 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         out[:n] = mask
         return out
 
-    return Graph(
-        x=sp.vstack([graph.x.to_scipy(), sp.csr_matrix(new_x)], format="csr"),
+    empty = sp.csr_matrix((total_new, graph.num_features))
+    return MendedGraph(
+        x=sp.vstack([graph.x.to_scipy(), empty], format="csr"),
         adj=adj.tocsr(),
         y=np.concatenate([graph.y, np.zeros(total_new, dtype=int)]),
         num_classes=graph.num_classes,
@@ -148,7 +172,23 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         val_mask=pad(graph.val_mask),
         test_mask=pad(graph.test_mask),
         name=f"{graph.name}-mended",
+        x_gen=np.repeat(np.asarray(gen_feats, dtype=np.float64), counts, axis=0),
     )
+
+
+class MendedSAGE(SAGE):
+    """FedSage+'s classifier: on a :class:`MendedGraph` the first layer
+    multiplies the generated dense rows apart from the sparse ones
+    (:meth:`MendedGraph.times`); on any other graph it is :class:`SAGE`."""
+
+    def forward_with_hidden(self, graph: Graph):
+        if not isinstance(graph, MendedGraph):
+            return super().forward_with_hidden(graph)
+        m, conv = graph.mean_op, self.conv1
+        h = relu(sage_mean(m, graph.x, conv.weight, conv.bias, times=graph.times))
+        hid = [h]
+        h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
+        return self.conv2(m, h), hid
 
 
 class FedSagePlusTrainer(FederatedTrainer):
@@ -235,4 +275,4 @@ class FedSagePlusTrainer(FederatedTrainer):
 
     # -- phase 4 ----------------------------------------------------------
     def build_model(self, graph: Graph, rng: np.random.Generator) -> Module:
-        return SAGE(graph.num_features, graph.num_classes, hidden=self.config.hidden, rng=rng)
+        return MendedSAGE(graph.num_features, graph.num_classes, hidden=self.config.hidden, rng=rng)

@@ -13,11 +13,11 @@ into later rounds.  :class:`AsyncRoundEngine` is that server:
   from the fault plan).  The engine pops reports in timestamp order,
   advancing a :class:`~repro.federated.clock.VirtualClock` — never the
   wall clock, so arrival schedules (and therefore quorum decisions and
-  staleness accounting) are bit-reproducible and lint rule RL003 stays
-  clean.  A client's local epochs run when its report *pops*: between
-  dispatch and pop the client is "computing" and its in-memory state is
-  exactly its dispatch-time state, which is what makes mid-quorum
-  checkpoints consistent without serializing any extra arrays.
+  staleness accounting) are bit-reproducible.  A client's local epochs
+  run when its report *pops*: between dispatch and pop the client is
+  "computing" and its in-memory state is exactly its dispatch-time
+  state, which is what makes mid-quorum checkpoints consistent without
+  serializing any extra arrays.
 * **Quorum.**  A round waits for ``ceil(quorum · dispatched)``
   successful uploads (stragglers of earlier rounds count — an upload is
   an upload), then aggregates.  Clients still in flight are simply not

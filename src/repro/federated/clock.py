@@ -21,7 +21,7 @@ coordinating thread: virtual time is a property of the *simulation*,
 not of any OS thread.
 
 No wall-clock (``time.time``) is read anywhere here: ``SystemClock``
-builds on ``time.monotonic``, keeping lint rule RL003 satisfied.
+builds on ``time.monotonic``, which NTP steps cannot move backwards.
 """
 
 from __future__ import annotations

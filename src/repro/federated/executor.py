@@ -3,9 +3,11 @@
 Parties in a synchronous FL round are embarrassingly parallel: local
 training, evaluation, and the hidden-activation forward passes of the
 moment exchange touch only per-client state (model, optimizer, private
-subgraph, per-client RNG).  On this NumPy substrate the heavy kernels
-(BLAS matmuls, scipy spmm) release the GIL, so a *thread* pool already
-overlaps real computation without any pickling or process spawn cost.
+subgraph, per-client RNG).  On this NumPy substrate the BLAS matmuls
+release the GIL, so a *thread* pool overlaps them without any pickling
+or process spawn cost.  scipy's sparse kernel (``csr_matvecs``, behind
+every ``spmm``) holds the GIL, so threads do not overlap the sparse
+products (``benchmarks/gil_spmm.py`` measures it).
 
 :class:`ClientExecutor` is the one place that knows about threads.  It
 maps a function over clients and returns results **in submission
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import os
 import threading
@@ -94,11 +97,14 @@ def resolve_workers(num_workers: int) -> int:
     return num_workers
 
 
+@functools.lru_cache(maxsize=None)
 def openblas_threads_api() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
     """``(get, set)`` of numpy's bundled OpenBLAS thread count, or ``None``.
 
     Looked up in numpy's own ``numpy.libs`` copy of scipy-openblas, the
     library numpy's matmul calls; ``None`` under any other BLAS build.
+    Looked up once per process: each lookup ``dlopen``s the library and
+    leaves its ctypes wrappers behind as cyclic garbage.
     """
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):

@@ -14,14 +14,18 @@ from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
 
 
-def sage_mean(mean_adj: "CSRMatrix", z, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+def sage_mean(
+    mean_adj: "CSRMatrix", z, weight: Tensor, bias: Optional[Tensor], times=matmul
+) -> Tensor:
     """``[Z ‖ mean_N(Z)] W + b`` as ``Z W[:d] + mean_N (Z W[d:]) + b`` (``d``: Z's width).
 
     The split builds no concatenation, so ``Z`` may be a dense tensor or
-    a graph's sparse features (``matmul`` is then ``spmm``).
+    a graph's sparse features (``matmul`` is then ``spmm``).  ``times(z,
+    w)`` forms each ``Z·w``; FedSage+ passes one that multiplies a
+    mended graph's generated dense rows apart from its sparse rows.
     """
     d = z.shape[1]
-    out = matmul(z, weight[:d]) + spmm(mean_adj, matmul(z, weight[d:]))
+    out = times(z, weight[:d]) + spmm(mean_adj, times(z, weight[d:]))
     if bias is not None:
         out = out + bias
     return out

@@ -27,11 +27,7 @@ def fired_lines(report, rule):
 CASES = [
     ("RL001", FIXTURES / "rl001.py", [3, 7], 1),
     ("RL002", FIXTURES / "rl002.py", [8, 12, 16], 1),
-    ("RL003", FIXTURES / "rl003.py", [7, 11], 1),
-    ("RL005", FIXTURES / "rl005.py", [12, 15], 1),
-    ("RL006", FIXTURES / "federated" / "rl006.py", [5], 1),
     ("RL010", FIXTURES / "federated" / "rl010.py", [16], 1),
-    ("RL015", FIXTURES / "rl015.py", [14], 1),
 ]
 
 
@@ -68,20 +64,6 @@ class TestRL002:
         assert not Linter(rules=["RL002"]).lint_source(src).ok
 
 
-class TestRL003:
-    def test_experiments_path_exempt(self):
-        report = lint_fixture("RL003", FIXTURES / "experiments" / "rl003_exempt.py")
-        assert report.ok
-
-    def test_bare_time_import_flagged(self):
-        src = "from time import time\nt = time()\n"
-        assert not Linter(rules=["RL003"]).lint_source(src).ok
-
-    def test_perf_counter_and_sleep_allowed(self):
-        src = "import time\na = time.perf_counter()\ntime.sleep(0)\n"
-        assert Linter(rules=["RL003"]).lint_source(src).ok
-
-
 class TestRL004:
     def _report(self):
         return lint_fixture("RL004", RL004_OPS, root=RL004_PROJ)
@@ -115,71 +97,6 @@ class TestRL004:
         root = Path(__file__).resolve().parents[2]
         report = Linter(rules=["RL004"], root=root).lint_paths([str(root / "src")])
         assert report.ok, [v.message for v in report.violations]
-
-
-class TestRL005:
-    def test_class_without_lock_not_audited(self):
-        report = lint_fixture("RL005", FIXTURES / "rl005.py")
-        assert all(v.line < 29 for v in report.violations)  # Unlocked class clean
-
-    def test_guarded_by_annotation_accepted(self):
-        src = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.n = 0\n"
-            "    def bump(self):\n"
-            "        self.n += 1  # guarded-by(self._lock, held by caller)\n"
-        )
-        assert Linter(rules=["RL005"]).lint_source(src).ok
-
-    def test_thread_local_state_exempt(self):
-        src = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._local = threading.local()\n"
-            "    def push(self):\n"
-            "        self._local.stack = []\n"
-        )
-        assert Linter(rules=["RL005"]).lint_source(src).ok
-
-    def test_mutation_in_finally_still_checked(self):
-        src = (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.n = 0\n"
-            "    def bump(self):\n"
-            "        try:\n"
-            "            pass\n"
-            "        finally:\n"
-            "            self.n += 1\n"
-        )
-        assert not Linter(rules=["RL005"]).lint_source(src).ok
-
-
-class TestRL006:
-    def test_scope_limited_to_aggregation_dirs(self):
-        # Identical code outside federated/core/baselines/extensions is fine.
-        src = "def f(xs):\n    return sum(xs) / len(xs)\n"
-        linter = Linter(rules=["RL006"])
-        assert linter.lint_source(src, path="gnn/agg.py").ok
-        assert not linter.lint_source(src, path="federated/agg.py").ok
-        from repro.analysis.rules import BareLenDivisor
-
-        rule = BareLenDivisor()
-        assert rule.applies_to(Path("src/repro/federated/server.py"))
-        assert not rule.applies_to(Path("src/repro/gnn/gcn.py"))
-
-    def test_named_denominator_accepted(self):
-        src = "def f(xs):\n    n = len(xs)\n    return sum(xs) / n\n"
-        linter = Linter(rules=["RL006"])
-        report = linter.lint_source(src, path="federated/agg.py")
-        assert report.ok
 
 
 def test_shipped_tree_is_clean():

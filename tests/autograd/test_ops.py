@@ -400,7 +400,7 @@ class TestGradcheckUtility:
 
             # Deliberately unpriced op: this test exists to prove gradcheck
             # rejects a wrong gradient, not to extend the cost model.
-            return T._make(out_data, (a,), backward, "bad")  # repro-lint: disable=RL015
+            return T._make(out_data, (a,), backward, "bad")
 
         with pytest.raises(AssertionError):
             gradcheck(lambda x: bad_square(x).sum(), [rand_t(3)])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.baselines import (
     ALL_BASELINES,
@@ -237,6 +238,40 @@ class TestFedSagePlus:
         deg = np.full(g.num_nodes, 100.0)
         mended = mend_graph(g, deg, g.x.toarray(), max_new_per_node=1)
         assert mended.num_nodes == 2 * g.num_nodes
+
+    def test_mended_features_keep_generated_rows_dense_and_apart(self, parts):
+        from repro.baselines.fedsage import MendedGraph, MendedSAGE, mend_graph
+        from repro.gnn import SAGE
+        from repro.graphs import Graph
+
+        g = parts[0]
+        rng = np.random.default_rng(1)
+        deg = rng.integers(0, 4, g.num_nodes).astype(float)
+        feats = rng.random((g.num_nodes, g.num_features))
+        mended = mend_graph(g, deg, feats)
+        assert isinstance(mended, MendedGraph)
+        # The CSR stores the party's entries only; the generated rows are dense.
+        assert mended.x.shape == (mended.num_nodes, g.num_features)
+        assert mended.x.nnz == g.x.nnz
+        counts = np.minimum(np.round(deg).astype(int), 3)
+        np.testing.assert_array_equal(mended.x_gen, np.repeat(feats, counts, axis=0))
+        # The same logits and gradients as SAGE over one CSR of all rows.
+        stacked = Graph(
+            x=sp.vstack([g.x.to_scipy(), sp.csr_matrix(mended.x_gen)]),
+            adj=mended.adj,
+            y=mended.y,
+            num_classes=mended.num_classes,
+        )
+        ours = MendedSAGE(g.num_features, g.num_classes, hidden=16, rng=np.random.default_rng(0))
+        ref = SAGE(g.num_features, g.num_classes, hidden=16, rng=np.random.default_rng(0))
+        ours.eval()
+        ref.eval()
+        a, b = ours(mended), ref(stacked)
+        np.testing.assert_allclose(a.data, b.data, rtol=1e-10, atol=1e-12)
+        a.sum().backward()
+        b.sum().backward()
+        for p, q in zip(ours.parameters(), ref.parameters()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-11)
 
     def test_full_pipeline_mends(self, parts):
         tr = FedSagePlusTrainer(

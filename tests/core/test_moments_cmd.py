@@ -40,7 +40,6 @@ def ref_central_moments(centered, orders):
 
     # The retired op, kept as a test-only reference: no cost collector
     # ever runs it, so it has no signature.
-    # repro-lint: disable=RL015
     return Tensor._make(out_data, (centered,), backward, "central_moments")
 
 

@@ -7,6 +7,7 @@ iterating in the same order.  The oracle tests compare against networkx
 (a dev dependency only); the pinned digests keep the cut fixed without it.
 """
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -154,3 +155,41 @@ def test_runtime_does_not_import_networkx():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+class TestCollectorPause:
+    """The sweep runs with the cyclic GC paused, and leaves it as it was."""
+
+    @pytest.fixture
+    def adj(self):
+        return load_dataset("cora", seed=0, scale=0.05).adj
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, adj, enabled):
+        seen = []
+        sweep = partition_mod._one_level
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return sweep(*args)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(partition_mod, "_one_level", watched)
+                louvain_communities(adj, seed=0)
+            assert seen and not any(seen)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_state_restored_on_error(self, adj, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(partition_mod, "_one_level", fail)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            louvain_communities(adj, seed=0)
+        assert gc.isenabled()

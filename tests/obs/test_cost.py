@@ -188,7 +188,6 @@ class TestUnpricedOp:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         message = r"'mystery_tanh'.*declare it in repro\.autograd\.signatures"
         with pytest.raises(KeyError, match=message):
-            # repro-lint: disable=RL015
             Tensor._make(np.tanh(a.data), (a,), lambda g: None, "mystery_tanh")
 
 
