@@ -10,18 +10,21 @@ per-party model state: a party that kept every row of the 6,805-row
 input weight (its weight, gradient and Adam moments, about 3.5 MB
 each) would need about 990 MB.  The third runs M=50 with a trainer
 checkpoint saved after every round, so the checkpoint write's
-transient arrays count too.  The fourth trains the FedGCN baseline at
-M=10: its GCN reads the same sparse features, but each party keeps
-every input-weight row, so M=50 (about 700 MB) is out of its budget.
+transient arrays count too.  The fourth and fifth train the FedGCN
+baseline at M=10 and M=50: its GCN reads the same sparse features, but
+each party keeps every input-weight row, which fits the budget at M=50
+only in float32 (about 460 MB; 705 MB in float64).
 The child is a separate process so the measurement covers exactly one
 load, partition and training run, and nothing the test session did
 before.
 
-Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6): 278 MB at M=10,
-321 MB at M=50, 359 MB at M=50 with checkpoints, and 252 MB for FedGCN
-at M=10.  Before the best-validation round was kept as the best global
-model instead of a copy of every party's weights, the first three legs
-read 304, 366 and 488 MB; before a checkpoint wrote Adam's live moment
+Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6), training in
+float32: 183 MB at M=10, 202 MB at M=50, 220 MB at M=50 with
+checkpoints, and 169 and 456 MB for FedGCN at M=10 and M=50.  In
+float64 the legs read 278, 321, 359, 252 and 705 MB.  Before the
+best-validation round was kept as the best global model instead of a
+copy of every party's weights, the first three legs read 304, 366
+and 488 MB; before a checkpoint wrote Adam's live moment
 buffers instead of copies, the third read 443 MB; and before every
 model read the sparse features, FedGCN at M=10 read 1,196 MB.
 
@@ -119,7 +122,7 @@ def test_full_size_coauthor_cs_checkpointing_fits_memory_budget(tmp_path):
     )
 
 
-def test_full_size_coauthor_cs_fedgcn_fits_memory_budget():
-    parties = 10
+@pytest.mark.parametrize("parties", [10, 50])
+def test_full_size_coauthor_cs_fedgcn_fits_memory_budget(parties):
     result = measure(parties, "fedgcn")
     assert_within_budget(result, f"full-size {DATASET}, FedGCN, M={parties}, {ROUNDS} rounds")

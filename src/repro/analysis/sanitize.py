@@ -13,8 +13,9 @@ loop to detect, with op-name provenance in every error:
   fingerprints (blake2b of the buffer) taken at record time and
   re-verified just before the op's backward closure runs;
 * NaN/Inf escaping a forward op or accumulating into a gradient;
-* dtype drift away from ``_DEFAULT_DTYPE`` (float64 — the contract the
-  finite-difference gradchecks and golden digests rest on);
+* dtype drift: an op whose output's dtype is not its operands' one
+  dtype (a float64 temporary promoted a float32 run's data, or two
+  dtypes met), and an op without operands that is not float64;
 * a parameter written in place with no model-version bump while its
   client's eval forward is cached (:class:`StaleCacheError`): the same
   fingerprints, taken when the forward is cached and re-checked on
@@ -44,16 +45,18 @@ pass raises when a payload array shares memory with a registered
 private tensor (``np.may_share_memory``).  The row pass raises when one
 of its rows has exactly the nonzero columns of a registered sparse row
 (a copy, row slice, transpose, rescaling or binarisation of the
-features or the structure), or exactly the bytes of a registered dense
-row (a node's hidden activation, view or copy).  Both name the private
-tensor.  The schema pass then checks the payload against the schema
-the sending client declared for its kind (:func:`schema_mismatch`):
-exact keys, nesting and shapes, and float64 arrays only — so labels,
-index arrays and masks, projections, per-node activation matrices and
-any undeclared or untagged kind are refused.  What it cannot see is a
-per-node tensor that takes a declared shape by coincidence and is not
-a registered row.  Because the transport delivers read-only views, not
-copies, the monitor also fingerprints every delivered array and raises
+features or the structure), or exactly the values of a registered dense
+row (a node's hidden activation, view or copy, also one widened to
+float64).  Both name the private tensor.  The schema pass then checks
+the payload against the schema the sending client declared for its
+kind (:func:`schema_mismatch`): exact keys, nesting and shapes, and
+arrays of the kind's declared float dtype only (the run's dtype for
+weights, float64 for statistics) — so labels, index arrays and masks,
+projections, per-node activation matrices and any undeclared or
+untagged kind are refused.  What it cannot see is a per-node tensor
+that takes a declared shape by coincidence and is not a registered
+row.  Because the transport delivers read-only views, not copies, the
+monitor also fingerprints every delivered array and raises
 :class:`SenderMutationError` when the sender writes to one before the
 peer's next transfer back.
 
@@ -104,7 +107,7 @@ class StaleCacheError(SanitizerError):
 
 
 class DtypeDriftError(SanitizerError):
-    """A tensor left the ``_DEFAULT_DTYPE`` (float64) contract."""
+    """An op's output left its operands' dtype."""
 
 
 class LockViolationError(SanitizerError):
@@ -169,10 +172,13 @@ class AutogradSanitizer:
         track: bool,
     ) -> None:
         data = out.data
-        if data.dtype != _DEFAULT_DTYPE:
+        # A run trains in one dtype, its features': every op keeps its
+        # operands' dtype.
+        want = {p.data.dtype for p in parents} or {np.dtype(_DEFAULT_DTYPE)}
+        if want != {data.dtype}:
             raise DtypeDriftError(
-                f"op `{op}` produced dtype {data.dtype}, violating the "
-                f"{np.dtype(_DEFAULT_DTYPE).name} contract"
+                f"op `{op}` produced dtype {data.dtype} from operands of dtype "
+                + ", ".join(sorted(d.name for d in want))
             )
         if not np.all(np.isfinite(data)):
             raise NonFiniteValueError(
@@ -310,10 +316,12 @@ def _dense_row_keys(arr: np.ndarray) -> List[bytes]:
 
     A constant row (a dead ReLU row is all zeros) is shared by many
     nodes and can be an honest statistic, so it carries no fingerprint.
-    A key is the row's full ``itemsize × width`` bytes, longer than any
-    support key of the same width, so the two kinds share one table.
+    A key is the row's bytes as float64, so a float32 row's copy widened
+    to float64 matches too.  It is ``8 × width`` bytes, longer than any
+    support key of the same width (8 bytes per column of a row that is
+    not full), so the two kinds share one table.
     """
-    rows = np.ascontiguousarray(arr)
+    rows = np.ascontiguousarray(arr, dtype=np.float64)
     if not rows.size:
         return []
     keep = rows.max(axis=1) != rows.min(axis=1)
@@ -324,20 +332,20 @@ def _copied_row_owner(arr: np.ndarray, rows_by_width: Dict[int, Dict[bytes, str]
     """Name of the private tensor ``arr``'s rows copy, if any row does.
 
     A 1-D or 2-D array whose last axis matches a registered row width
-    has each row looked up twice: by its exact bytes (a dense private
-    row, such as a node's hidden activation) and by its support, the
-    nonzero columns (a sparse private row; support ignores values, so
-    scaled or binarised copies match too, and empty and full rows are
-    skipped, as at registration).  Tensors of one width can share a few
-    supports (a feature column and a node's neighbourhood), so the owner
-    of most matching rows is named.
+    has each row looked up twice: by its values as float64 (a dense
+    private row, such as a node's hidden activation, or its widened
+    copy) and by its support, the nonzero columns (a sparse private
+    row; support ignores values, so scaled or binarised copies match
+    too, and empty and full rows are skipped, as at registration).
+    Tensors of one width can share a few supports (a feature column and
+    a node's neighbourhood), so the owner of most matching rows is named.
     """
     if arr.ndim not in (1, 2):
         return None
     table = rows_by_width.get(arr.shape[-1])
     if not table:
         return None
-    rows = np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]))
+    rows = np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]), dtype=np.float64)
     width = rows.shape[1]
     r, cols = np.nonzero(rows)
     counts = np.bincount(r, minlength=rows.shape[0])
@@ -359,22 +367,26 @@ def _escape(kind: str, arr: np.ndarray, what: str) -> PrivacyEscapeError:
     )
 
 
-def schema_mismatch(schema: Any, payload: Any) -> Optional[str]:
+def schema_mismatch(schema: Any, payload: Any, dtype=np.float64) -> Optional[str]:
     """Why ``payload`` breaks an uplink ``schema``, or ``None`` if it conforms.
 
     Schemas are plain data.  A dict admits a dict with exactly its keys;
     a list admits a list or tuple with one entry per element; a tuple is
     the shape of one array, each dimension an int or a ``range`` of
     allowed sizes, and the shape ``()`` also admits a Python int or
-    float.  Declared arrays are float64, so an array of any other dtype
-    anywhere in the payload (sparse buffers included) is refused first.
-    ``schema`` ``None`` is an undeclared kind, which admits nothing.
+    float.  Declared arrays have ``dtype``, so an array of any other
+    dtype anywhere in the payload (sparse buffers included) is refused
+    first, a non-float one (labels, an index array, a mask) before a
+    float of the wrong width.  ``schema`` ``None`` is an undeclared
+    kind, which admits nothing.
     """
-    for arr in _iter_arrays(payload):
-        if arr.dtype != np.float64:
+    name = np.dtype(dtype).name
+    for arr in sorted(_iter_arrays(payload), key=lambda a: a.dtype.kind == "f"):
+        if arr.dtype != dtype:
+            form = "" if arr.dtype.kind == "f" else ", the form of labels, index arrays and masks"
             return (
-                f"carries an array of dtype {arr.dtype} (shape {arr.shape}), the "
-                "form of labels, index arrays and masks; declared arrays are float64"
+                f"carries an array of dtype {arr.dtype} (shape {arr.shape}){form}; "
+                f"declared arrays are {name}"
             )
     if schema is None:
         return "the client declares no schema for this kind"
@@ -401,7 +413,7 @@ def schema_mismatch(schema: Any, payload: Any) -> Optional[str]:
                 and all(d in s if isinstance(s, range) else d == s for d, s in zip(shape, spec))
             ):
                 got = f"shape {shape}" if isinstance(value, np.ndarray) else type(value).__name__
-                return f"{where} is {got}, declared a float64 array of shape {spec}"
+                return f"{where} is {got}, declared a {name} array of shape {spec}"
             return None
         for item in items:
             why = walk(*item)
@@ -491,8 +503,8 @@ class ProtocolMonitor:
         self._rows: Dict[int, Dict[bytes, str]] = {}
         #: name → (width, keys) it put in ``_rows``, so it can be replaced.
         self._row_keys: Dict[str, Tuple[int, List[bytes]]] = {}
-        #: client id → {kind → schema} of what it may upload.
-        self._schemas: Dict[int, Dict[str, Any]] = {}
+        #: client id → {kind → (schema, dtype)} of what it may upload.
+        self._schemas: Dict[int, Dict[str, Tuple[Any, np.dtype]]] = {}
         self.per_client = bool(per_client)
         # cid → phase; unseen clients start at the collective phase.
         self._client_phase: Dict[int, int] = {}
@@ -534,16 +546,19 @@ class ProtocolMonitor:
                     table.setdefault(key, name)
                 self._row_keys[name] = (width, keys)
 
-    def declare_uplinks(self, client: int, schemas: Dict[str, Any]) -> None:
-        """Declare what ``client`` may upload: ``{kind: schema}``.
+    def declare_uplinks(self, client: int, schemas: Dict[str, Any], dtype=np.float64) -> None:
+        """Declare what ``client`` may upload: ``{kind: schema}``, arrays of ``dtype``.
 
+        Weights are declared in the run's dtype, statistics in float64.
         Adds to the client's earlier declarations, replacing a kind it
         declared before.  Once any client has declared, every uplink is
         checked against its sender's schema for its kind, and an
         undeclared kind (untagged ``other`` included) raises.
         """
         with self._lock:
-            self._schemas.setdefault(client, {}).update(schemas)
+            self._schemas.setdefault(client, {}).update(
+                {kind: (schema, np.dtype(dtype)) for kind, schema in schemas.items()}
+            )
 
     # -- transport hooks ----------------------------------------------
     def on_event(
@@ -662,7 +677,8 @@ class ProtocolMonitor:
         # A gather carries one payload per client, in client order.
         senders = [(client, payload)] if client is not None else enumerate(payload)
         for cid, sent in senders:
-            why = schema_mismatch(schemas.get(cid, {}).get(kind), sent)
+            schema, dtype = schemas.get(cid, {}).get(kind, (None, np.float64))
+            why = schema_mismatch(schema, sent, dtype)
             if why is not None:
                 raise PrivacyEscapeError(
                     f"uplink payload (kind `{kind}`, client {cid}) fails its "

@@ -21,9 +21,19 @@ _signatures.expect(
 )
 
 
+def _operands(a, b) -> tuple:
+    """Both operands as tensors; a Python number takes the other's dtype,
+    as under NumPy's scalar rule (a float64 0-d array would promote)."""
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
+        b = np.asarray(b, dtype=a.data.dtype)
+    elif isinstance(a, (int, float)) and isinstance(b, Tensor):
+        a = np.asarray(a, dtype=b.data.dtype)
+    return as_tensor(a), as_tensor(b)
+
+
 def add(a, b) -> Tensor:
     """Elementwise ``a + b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(grad: np.ndarray) -> None:
@@ -37,7 +47,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     """Elementwise ``a - b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def backward(grad: np.ndarray) -> None:
@@ -51,7 +61,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise ``a * b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(grad: np.ndarray) -> None:
@@ -65,7 +75,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     """Elementwise ``a / b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def backward(grad: np.ndarray) -> None:
@@ -172,7 +182,7 @@ def absolute(a) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; ties send the gradient to ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = np.maximum(a.data, b.data)
     take_a = a.data >= b.data
 

@@ -68,8 +68,8 @@ def spmm(s, x) -> Tensor:
 
     Operands are validated up front: a shape mismatch raises a clear
     ``ValueError`` instead of dying inside scipy internals.  The
-    container itself refuses non-float64 values at construction, so the
-    output dtype is never silently promoted or demoted.
+    container holds float32 or float64 values; a run casts its operators
+    to its dtype once, at construction, so the product keeps that dtype.
     """
     x = as_tensor(x)
     if not _is_sparse_operand(s):
@@ -90,7 +90,7 @@ def spmm(s, x) -> Tensor:
     out_data = s.matmul(x.data)
     cc = _cost._collector
     if cc is not None:
-        cc.spmm_op("fwd", s.nnz, x.data, out_data)
+        cc.spmm_op("fwd", s, x.data, out_data)
     # The pre-transposed reverse-CSR, built at most once per container.
     # A container made without it (a graph's features) gets it here, in
     # the forward that will need it, never inside a backward pass.
@@ -101,7 +101,7 @@ def spmm(s, x) -> Tensor:
             dx = rev.matmul(grad)
             cc = _cost._collector
             if cc is not None:
-                cc.spmm_op("bwd", s.nnz, grad, dx)
+                cc.spmm_op("bwd", rev, grad, dx)
             x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, (x,), backward, "spmm")

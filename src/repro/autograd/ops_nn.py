@@ -41,7 +41,7 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(grad * np.where(mask, 1.0, negative_slope))
+            a._accumulate(grad * np.where(mask, 1.0, negative_slope).astype(grad.dtype))
 
     return Tensor._make(out_data, (a,), backward, "leaky_relu")
 
@@ -113,7 +113,8 @@ def dropout(a, p: float, rng: Optional[np.random.Generator] = None, training: bo
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     gen = rng if rng is not None else np.random.default_rng()
-    keep = (gen.random(a.shape) >= p) / (1.0 - p)
+    # The draw stays float64, so the RNG stream is the same in every dtype.
+    keep = ((gen.random(a.shape) >= p) / (1.0 - p)).astype(a.data.dtype, copy=False)
     out_data = a.data * keep
 
     def backward(grad: np.ndarray) -> None:

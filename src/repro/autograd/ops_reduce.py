@@ -48,9 +48,9 @@ def mean(a, axis: _Axis = None, keepdims: bool = False) -> Tensor:
     """Arithmetic mean along ``axis``."""
     a = as_tensor(a)
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
+    count = a.data.size if axis is None else int(np.prod(
         [a.shape[ax % a.ndim] for ax in ((axis,) if isinstance(axis, int) else axis)]
-    )
+    ))
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -82,8 +82,8 @@ def l2_norm(a, eps: float = 1e-12) -> Tensor:
     """
     a = as_tensor(a)
     sq = float((a.data * a.data).sum())
-    val = np.sqrt(sq + eps)
-    out_data = np.asarray(val)
+    val = float(np.sqrt(sq + eps))
+    out_data = np.asarray(val, dtype=a.data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:

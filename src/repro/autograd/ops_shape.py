@@ -67,7 +67,7 @@ def scatter_add(src, idx, num_rows: int) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
         raise ValueError("idx out of range")
     out_shape = (num_rows,) + src.shape[1:]
-    out_data = np.zeros(out_shape)
+    out_data = np.zeros(out_shape, dtype=src.data.dtype)
     np.add.at(out_data, idx, src.data)
 
     def backward(grad: np.ndarray) -> None:

@@ -25,14 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-#: Substrate element size: the repo's determinism contract is float64.
-FLOAT_BYTES = 8
-
-#: Per-stored-entry footprint of a CSR operand: 8-byte value + 4-byte
-#: column index (scipy's default index dtype).  ``indptr`` is O(rows)
-#: and excluded so the formula depends on ``nnz`` alone.
-SPARSE_ENTRY_BYTES = 12
-
 #: Ops that report their own cost at the op site (they need operand
 #: metadata — nnz — the generic shape-based hook cannot see).
 EXPLICIT_OPS = frozenset({"spmm"})
@@ -179,9 +171,14 @@ def spmm_flops(nnz, d):
     return 2 * nnz * d
 
 
-def spmm_bytes(nnz, dense_bytes, out_bytes):
-    """Bytes moved by one SpMM: sparse entries + dense read + out write."""
-    return SPARSE_ENTRY_BYTES * nnz + dense_bytes + out_bytes
+def spmm_bytes(s, dense_bytes, out_bytes):
+    """Bytes moved by one SpMM: sparse entries + dense read + out write.
+
+    A stored entry of the CSR operand ``s`` is its value and its column
+    index, at their own item sizes (a float32 operand moves a third
+    fewer bytes than a float64 one); ``indptr`` is O(rows) and excluded.
+    """
+    return (s.data.itemsize + s.indices.itemsize) * s.nnz + dense_bytes + out_bytes
 
 
 def moments_flops(num_orders, size):
@@ -275,8 +272,6 @@ def backward_bytes(out, grad_parents: Sequence):
 
 
 __all__ = [
-    "FLOAT_BYTES",
-    "SPARSE_ENTRY_BYTES",
     "EXPLICIT_OPS",
     "KINDS",
     "OpSignature",

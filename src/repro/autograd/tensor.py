@@ -19,6 +19,7 @@ import numpy as np
 from repro.obs import cost as _cost
 from repro.obs.metrics import get_registry as _get_metrics
 
+#: The dtype of a :class:`Tensor` built from anything but a floating array.
 _DEFAULT_DTYPE = np.float64
 
 
@@ -91,10 +92,11 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like value.  Always stored as a contiguous ``float64``
-        ndarray (float64 keeps finite-difference gradient checks tight;
-        the graphs used here are small enough that the 2x memory over
-        float32 is irrelevant).
+        Array-like value.  A floating ndarray keeps its dtype (a float32
+        run trains in float32); anything else, Python numbers and lists
+        included, is stored as ``float64`` (:data:`_DEFAULT_DTYPE`,
+        which keeps finite-difference gradient checks tight).  A
+        gradient always has its tensor's dtype.
     requires_grad:
         Whether gradients should be accumulated into ``self.grad``.
     """
@@ -109,7 +111,9 @@ class Tensor:
         _backward: Optional[Callable[[np.ndarray], None]] = None,
         _op: str = "",
     ) -> None:
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(_DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
@@ -195,13 +199,15 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Accumulate ``grad`` into ``self.grad`` (allocating lazily).
 
-        ``owned`` says the caller hands over a fresh float64 buffer that
-        nothing else references (a product an op's backward just
-        formed): a first gradient adopts it instead of copying it.
+        ``owned`` says the caller hands over a fresh buffer that nothing
+        else references (a product an op's backward just formed): a
+        first gradient of this tensor's dtype adopts it instead of
+        copying it.
         """
         if self.grad is None:
             # Otherwise copy: the incoming buffer may be shared with other edges.
-            self.grad = grad if owned else grad.astype(_DEFAULT_DTYPE, copy=True)
+            dtype = self.data.dtype
+            self.grad = grad if owned and grad.dtype == dtype else grad.astype(dtype, copy=True)
         else:
             self.grad += grad
 
@@ -218,7 +224,7 @@ class Tensor:
                 )
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            grad = np.asarray(grad, dtype=self.data.dtype)
             if grad.shape != self.data.shape:
                 raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
 

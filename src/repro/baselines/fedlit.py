@@ -146,7 +146,9 @@ class FedLITTrainer(FederatedTrainer):
             # Raw features: densify only the gathered endpoint rows.
             x = graph.x.to_scipy()
             eu, ev = x[edges[:, 0]].toarray(), x[edges[:, 1]].toarray()
-        emb = np.concatenate([(eu + ev) / 2.0, np.abs(eu - ev)], axis=1)
+        # Float64, like every statistic a party uploads: k-means makes
+        # the centroids from it.
+        emb = np.concatenate([(eu + ev) / 2.0, np.abs(eu - ev)], axis=1, dtype=np.float64)
         return edges, emb
 
     def _cluster_edges(self, graph: Graph, h: Optional[np.ndarray]) -> List[CSRMatrix]:
@@ -169,7 +171,7 @@ class FedLITTrainer(FederatedTrainer):
                 (np.ones(mask.sum()), (rows, cols)), shape=(n, n)
             )
             a = (a + a.T).tocsr()
-            adjs.append(CSRMatrix.from_scipy(normalized_adjacency(a)))
+            adjs.append(CSRMatrix.from_scipy(normalized_adjacency(a).astype(graph.x.dtype)))
         return adjs
 
     def begin_round(self, round_idx: int) -> None:

@@ -131,7 +131,7 @@ class MendedGraph(Graph):
         """``X·w`` over every node: ``spmm`` on the party's sparse rows
         (``x``), ``matmul`` on the generated dense rows."""
         gen = matmul(self.x_gen, w)
-        own = np.zeros((self.num_nodes - len(self.x_gen), gen.shape[1]))
+        own = np.zeros((self.num_nodes - len(self.x_gen), gen.shape[1]), dtype=gen.data.dtype)
         return spmm(x, w) + concat([own, gen])
 
 
@@ -162,7 +162,7 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         out[:n] = mask
         return out
 
-    empty = sp.csr_matrix((total_new, graph.num_features))
+    empty = sp.csr_matrix((total_new, graph.num_features), dtype=graph.x.dtype)
     return MendedGraph(
         x=sp.vstack([graph.x.to_scipy(), empty], format="csr"),
         adj=adj.tocsr(),
@@ -172,7 +172,7 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         val_mask=pad(graph.val_mask),
         test_mask=pad(graph.test_mask),
         name=f"{graph.name}-mended",
-        x_gen=np.repeat(np.asarray(gen_feats, dtype=np.float64), counts, axis=0),
+        x_gen=np.repeat(np.asarray(gen_feats, dtype=graph.x.dtype), counts, axis=0),
     )
 
 
@@ -223,7 +223,9 @@ class FedSagePlusTrainer(FederatedTrainer):
         opts: List[Adam] = []
         data = []
         for g in parts:
-            gen = NeighGen(g.num_features, cfg.hidden, np.random.default_rng(seed))
+            # The generator trains in the party's dtype, like the classifier.
+            dtype = g.x.dtype
+            gen = NeighGen(g.num_features, cfg.hidden, np.random.default_rng(seed)).astype(dtype)
             gens.append(gen)
             opts.append(Adam(gen.parameters(), lr=0.01))
             try:
@@ -236,7 +238,8 @@ class FedSagePlusTrainer(FederatedTrainer):
             # pre-training: the reverse-CSR for backward is built here,
             # once, instead of per epoch inside spmm.  The visible graph
             # keeps every node's features, so g's sparse features serve it.
-            data.append((g.x, CSRMatrix.from_scipy(mean_adj), h_count, h_feat))
+            mean_op = CSRMatrix.from_scipy(mean_adj.astype(dtype))
+            data.append((g.x, mean_op, h_count.astype(dtype), h_feat.astype(dtype)))
 
         for epoch in range(self.gen_epochs):
             for gen, opt, (x, mean_adj, h_count, h_feat) in zip(gens, opts, data):
@@ -259,7 +262,7 @@ class FedSagePlusTrainer(FederatedTrainer):
             gen.eval()
             # Forward-only (no_grad) single use: skip the reverse build.
             full_mean_adj = CSRMatrix.from_scipy(
-                row_normalized_adjacency(g.adj), build_reverse=False
+                row_normalized_adjacency(g.adj).astype(g.x.dtype), build_reverse=False
             )
             with no_grad():
                 deg_pred, feat_pred = gen(full_mean_adj, g.x)

@@ -49,7 +49,7 @@ class ScaffoldTrainer(FederatedTrainer):
             # A control delta has exactly the parameters' names and shapes.
             for c in self.clients:
                 self.sanitizer.protocol.declare_uplinks(
-                    c.cid, {KIND_CONTROL: self.parameter_schema(c)}
+                    c.cid, {KIND_CONTROL: self.parameter_schema(c)}, dtype=self.dtype
                 )
 
     def build_model(self, graph: Graph, rng: np.random.Generator) -> Module:

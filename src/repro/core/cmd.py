@@ -150,12 +150,13 @@ def layerwise_cmd(
         z = as_tensor(z)
         if z.ndim != 2:
             raise ValueError("hidden activations must be 2-D")
-        # Row 0 the target mean, row 1 + k the target moment of orders[k].
-        targets = np.vstack([np.asarray(mean, dtype=np.float64)] + list(moms))
+        # Row 0 the target mean, row 1 + k the target moment of orders[k]:
+        # float64 statistics, cast once to the activations' dtype.
+        targets = np.vstack([np.asarray(mean)] + list(moms)).astype(z.data.dtype, copy=False)
         local_mean = z.data.mean(axis=0)
         moments, powers = _moment_ladder(z.data - local_mean, orders)
         diffs = [local_mean - targets[0]] + [m - t for m, t in zip(moments, targets[1:])]
-        norms = [np.sqrt(float((u * u).sum()) + L2_EPS) for u in diffs]
+        norms = [float(np.sqrt(float((u * u).sum()) + L2_EPS)) for u in diffs]
         dist = norms[0] * weights[0]
         for norm, w in zip(norms[1:], weights[1:]):
             dist = dist + norm * w
@@ -184,4 +185,4 @@ def layerwise_cmd(
             z._accumulate(dc, owned=True)
             z._accumulate(np.broadcast_to(mean_grad, dc.shape))
 
-    return Tensor._make(np.asarray(total), tuple(parents), backward, "cmd")
+    return Tensor._make(np.asarray(total, dtype=z.data.dtype), tuple(parents), backward, "cmd")

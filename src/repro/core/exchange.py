@@ -208,12 +208,13 @@ def pooled_central_moments(
     parties' activations; the exchange must reproduce this exactly.
     It stays on ``np.power`` on purpose: it is the independent reference
     for the fused kernel behind :func:`central_moments_np`, so it must
-    not share the code it checks.
+    not share the code it checks.  Like the exchange, it computes in
+    float64 whatever the activations' dtype.
     """
     num_layers = len(client_hidden[0])
     means, moments = [], []
     for l in range(num_layers):
-        pooled = np.concatenate([np.asarray(h[l]) for h in client_hidden], axis=0)
+        pooled = np.concatenate([h[l] for h in client_hidden], axis=0, dtype=np.float64)
         mu = pooled.mean(axis=0)
         means.append(mu)
         moments.append([((pooled - mu) ** j).mean(axis=0) for j in orders])

@@ -24,13 +24,14 @@ import numpy as np
 
 
 def layer_means_np(hidden: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Per-layer feature means E(Z^l) over nodes — line 4's CalculateMean."""
+    """Per-layer feature means E(Z^l) over nodes — line 4's CalculateMean —
+    in float64 whatever the activations' dtype, like every statistic (DESIGN.md §2)."""
     out = []
     for z in hidden:
         z = np.asarray(z)
         if z.ndim != 2:
             raise ValueError(f"hidden activations must be 2-D, got {z.shape}")
-        out.append(z.mean(axis=0))
+        out.append(z.mean(axis=0, dtype=np.float64))
     return out
 
 
@@ -56,7 +57,7 @@ def _moment_ladder(
     buffer in place and no power is returned; the products and their
     reductions are the same, so the moments are bitwise equal.
     """
-    out = np.empty((len(orders), centered.shape[1]))
+    out = np.empty((len(orders), centered.shape[1]), dtype=centered.dtype)
     top = max(orders, default=0)
     powers: List[np.ndarray] = []
     buf = None if keep_powers or top < 2 else np.empty_like(centered)
@@ -79,6 +80,7 @@ def central_moments_np(
 
     ``mean`` may be the *local* mean (line 6, giving C_j) or the *global*
     mean received from the server (line 13, giving the S_j summands).
+    Computed in float64 whatever the activations' dtype.
     """
     z = np.asarray(z, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)

@@ -64,7 +64,8 @@ def make_parties(
             labels, LOADTEST_FEATURES, rng, words_per_node=4, class_signal=0.9
         )
         g = Graph(
-            x=x, adj=adj, y=labels, num_classes=LOADTEST_CLASSES, name=f"party{cid}"
+            x=x.astype(np.float32), adj=adj, y=labels, num_classes=LOADTEST_CLASSES,
+            name=f"party{cid}",
         )
         # Generous ratios: 16-node graphs need a few labels per split.
         semi_supervised_split(g, rng, train_ratio=0.25, val_ratio=0.25, test_ratio=0.25)

@@ -68,13 +68,14 @@ def _set_rng_state(gen: Optional[np.random.Generator], state: Optional[dict]) ->
 _OPERATIONAL_FIELDS = frozenset({"checkpoint_every", "checkpoint_dir", "num_workers"})
 
 
-def _config_echo(config) -> dict:
-    """JSON-comparable view of the trajectory-relevant trainer config."""
-    out = {}
-    for f in dataclasses.fields(config):
+def _config_echo(trainer) -> dict:
+    """JSON-comparable view of the trajectory-relevant trainer config,
+    with the training dtype the trainer took from its parties' features."""
+    out = {"dtype": trainer.dtype.name}
+    for f in dataclasses.fields(trainer.config):
         if f.name in _OPERATIONAL_FIELDS:
             continue
-        v = getattr(config, f.name)
+        v = getattr(trainer.config, f.name)
         if isinstance(v, tuple):
             v = list(v)
         out[f.name] = v
@@ -135,7 +136,7 @@ def save_trainer_checkpoint(trainer, path: str, next_round: int) -> str:
             "seed": trainer.seed,
             "next_round": int(next_round),
             "num_clients": len(trainer.clients),
-            "config": _config_echo(trainer.config),
+            "config": _config_echo(trainer),
             "best_val": float(getattr(trainer, "_best_val", -np.inf)),
             "rounds_since_best": int(getattr(trainer, "_rounds_since_best", 0)),
             "has_best": best_states is not None,
@@ -180,7 +181,7 @@ def load_trainer_checkpoint(trainer, path: str) -> int:
             raise ValueError(
                 f"checkpoint was saved by {meta['trainer']!r}, not {trainer.name!r}"
             )
-        echo = _config_echo(trainer.config)
+        echo = _config_echo(trainer)
         if meta["config"] != echo:
             diff = {
                 k

@@ -101,12 +101,16 @@ def fedavg(states: Sequence[StateDict], weights: Optional[Sequence[float]] = Non
 
 
 def _weighted_sum(arrays: Sequence[np.ndarray], lam: np.ndarray, key: str) -> np.ndarray:
-    """``Σ λ_i a_i`` in order, accumulated from zero (plain FedAvg)."""
+    """``Σ λ_i a_i`` in order, accumulated from zero (plain FedAvg).
+
+    The sum has the uploads' dtype: λ is cast to it, so a float64
+    weight vector does not promote float32 weights.
+    """
     acc = np.zeros_like(arrays[0])
     # One product buffer per key, reused across the clients: λ_i·W_i
     # is formed in place rather than allocated once per client.
     term = np.empty_like(acc)
-    for lam_i, a in zip(lam, arrays):
+    for lam_i, a in zip(lam.astype(acc.dtype, copy=False), arrays):
         if a.shape != acc.shape:
             raise ValueError(f"shape mismatch for {key}")
         acc += np.multiply(a, lam_i, out=term)
@@ -120,8 +124,10 @@ def _fold_rows(
     lam: np.ndarray,
     key: str,
 ) -> np.ndarray:
-    """:func:`fedavg`'s row fold of one parameter; party ``i`` holds rows ``held[i]``."""
-    cover = np.zeros(len(base))
+    """:func:`fedavg`'s row fold of one parameter, in ``base``'s dtype;
+    party ``i`` holds rows ``held[i]``."""
+    lam = lam.astype(base.dtype, copy=False)
+    cover = np.zeros(len(base), dtype=base.dtype)
     for lam_i, r in zip(lam, held):
         cover[r] += lam_i
     acc = base * (1.0 - cover).reshape((-1,) + (1,) * (base.ndim - 1))

@@ -197,19 +197,23 @@ class FederatedTrainer:
         # the global state that download came from (:meth:`_in_sync`).
         self._downloaded: Dict[int, Tuple[int, StateDict]] = {}
         self._model_graph = parts[0]
+        # The run trains in its features' dtype (float32 from
+        # load_dataset); uploaded statistics stay float64 (DESIGN.md §2).
+        self.dtype = parts[0].x.dtype
+        if any(g.x.dtype != self.dtype for g in parts):
+            raise ValueError("every party's features must have one dtype")
         self.clients: List[Client] = []
+        cfg = self.config
         for cid, g in enumerate(parts):
             # Same seed for every client: all parties start from one
             # global model, as phase 1 of §3 requires.
-            model = self.build_model(g, np.random.default_rng(seed))
+            model = self.build_model(g, np.random.default_rng(seed)).astype(self.dtype)
             if cid == 0:
                 # The server's one global model, full-size before any
                 # party keeps only its rows: rows that no party holds
                 # live only here.  Both engines read and replace it.
                 self.global_state: StateDict = model.state_dict()
-            self.clients.append(
-                Client(cid, g, model, lr=self.config.lr, weight_decay=self.config.weight_decay)
-            )
+            self.clients.append(Client(cid, g, model, cfg.lr, cfg.weight_decay))
         if self.sanitizer is not None:
             # Declare every party's raw tensors to the privacy check: an
             # upload aliasing these buffers, or copying a row of the
@@ -228,7 +232,7 @@ class FederatedTrainer:
                     named.append((f"client{c.cid}.part.x", part.x))
                 self.sanitizer.register_private_arrays(named)
                 self.sanitizer.protocol.declare_uplinks(
-                    c.cid, {KIND_WEIGHTS: self.parameter_schema(c)}
+                    c.cid, {KIND_WEIGHTS: self.parameter_schema(c)}, dtype=self.dtype
                 )
         self._sync_initial_state()
         # Built after the W₀ download and before any resume(), which
@@ -421,6 +425,7 @@ class FederatedTrainer:
         This is the model ``--save-model`` exports.
         """
         model = self.build_model(self._model_graph, np.random.default_rng(self.seed))
+        model.astype(self.dtype)
         best = self._best_global
         model.load_state_dict(self.global_state if best is None else best)
         return model

@@ -66,7 +66,7 @@ class GATConv(Module):
 
         # Numerically-stable per-destination softmax: subtract the
         # segment max (a constant w.r.t. the graph — safe to detach).
-        seg_max = np.full((n, 1), -np.inf)
+        seg_max = np.full((n, 1), -np.inf, dtype=e.data.dtype)
         np.maximum.at(seg_max, dst, e.data)
         ex = (e - Tensor(seg_max[dst])).exp()  # (m, 1)
         denom = scatter_add(ex, dst, n)  # (n, 1)

@@ -40,9 +40,12 @@ def newton_schulz_orthogonalize(w: np.ndarray, iterations: int = 8) -> np.ndarra
     quadratically to the orthogonal polar factor when ‖YᵀY − I‖₂ < 1;
     we pre-scale by the spectral-norm estimate to guarantee entry into
     the convergence region.  Pure NumPy, O(d³) per iteration on d×d —
-    negligible next to the graph propagation for d_h = 64.
+    negligible next to the graph propagation for d_h = 64.  A floating
+    ``w`` keeps its dtype; anything else is taken as float64.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w)
+    if w.dtype.kind != "f":
+        w = w.astype(np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"expected a square matrix, got {w.shape}")
     if iterations < 1:

@@ -95,22 +95,23 @@ def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale
         acc.size // max(n_rows, 1),
         indptr,
         np.arange(n_held, dtype=np.int64),
-        np.full(n_held, float(scale)),
-        np.ascontiguousarray(values).reshape(-1),
+        np.full(n_held, scale, dtype=acc.dtype),
+        np.ascontiguousarray(values, dtype=acc.dtype).reshape(-1),
         acc.reshape(-1),
     )
 
 
 class CSRMatrix:
-    """An immutable float64 CSR matrix with a cached reverse (transpose).
+    """An immutable float32 or float64 CSR matrix with a cached reverse (transpose).
 
     Parameters
     ----------
     data, indices, indptr, shape:
-        Standard CSR arrays.  ``data`` must already be float64 — the
-        substrate never casts silently (a cast would detach the arrays
-        from the scipy matrix the caller built, and non-float64
-        adjacencies are a construction bug upstream).
+        Standard CSR arrays.  ``data`` must already be float32 or
+        float64 — the substrate never casts silently (a cast would
+        detach the arrays from the scipy matrix the caller built); a
+        dataset casts its features once, with :meth:`astype`.  The
+        reverse has the same dtype.
 
     Notes
     -----
@@ -132,9 +133,9 @@ class CSRMatrix:
         shape: tuple,
     ) -> None:
         data = np.asarray(data)
-        if data.dtype != np.float64:
+        if data.dtype not in (np.float32, np.float64):
             raise ValueError(
-                f"CSRMatrix requires float64 values, got {data.dtype}; "
+                f"CSRMatrix requires float32 or float64 values, got {data.dtype}; "
                 "cast the sparse matrix once at construction time"
             )
         self.data = data
@@ -159,10 +160,6 @@ class CSRMatrix:
         if not sp.issparse(m):
             raise TypeError(f"expected a scipy.sparse matrix, got {type(m).__name__}")
         csr = m.tocsr()
-        if csr.dtype != np.float64:
-            raise ValueError(
-                f"CSRMatrix requires a float64 matrix, got dtype {csr.dtype}"
-            )
         out = cls(csr.data, csr.indices, csr.indptr, csr.shape)
         out._scipy = csr
         if build_reverse:
@@ -234,6 +231,15 @@ class CSRMatrix:
         if isinstance(other, np.ndarray):
             return self.matmul(other)
         return NotImplemented  # defer to Tensor.__rmatmul__ (fused spmm)
+
+    def astype(self, dtype) -> "CSRMatrix":
+        """This matrix with its values in ``dtype``: ``self`` when they are.
+
+        The copy shares the index arrays; its reverse is built when needed.
+        """
+        if self.dtype == dtype:
+            return self
+        return CSRMatrix(self.data.astype(dtype), self.indices, self.indptr, self.shape)
 
     def compact_columns(self, cols: np.ndarray) -> "CSRMatrix":
         """This matrix restricted to the sorted columns ``cols``, renumbered 0..len-1.

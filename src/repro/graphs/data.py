@@ -15,7 +15,7 @@ gradient) is built by the first forward that needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -33,23 +33,25 @@ def _meter_csr_cache(op: str, hit: bool) -> None:
 
 
 def _feature_csr(x) -> CSRMatrix:
-    """Features as a float64 :class:`CSRMatrix` with sorted, unique columns.
+    """Features as a :class:`CSRMatrix` with sorted, unique columns.
 
     A ``CSRMatrix`` is kept as is.  Dense or scipy input is converted
-    once; explicit zeros are dropped, so the entries match what
+    once, keeping float32 or float64 values and casting any other dtype
+    to float64; explicit zeros are dropped, so the entries match what
     ``scipy.sparse.csr_matrix(dense)`` stores.  The reverse is not built.
     """
     if isinstance(x, CSRMatrix):
         return x
+    x = x if sp.issparse(x) else np.asarray(x)
+    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
     if sp.issparse(x):
-        m = sp.csr_matrix(x, dtype=np.float64, copy=True)
+        m = sp.csr_matrix(x, dtype=dtype, copy=True)
         m.sum_duplicates()
         m.eliminate_zeros()
     else:
-        dense = np.asarray(x, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {dense.shape}")
-        m = sp.csr_matrix(dense)
+        if x.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {x.shape}")
+        m = sp.csr_matrix(x.astype(dtype, copy=False))
     return CSRMatrix.from_scipy(m, build_reverse=False)
 
 
@@ -60,10 +62,13 @@ class Graph:
     Attributes
     ----------
     x:
-        ``(n, f)`` float64 feature matrix, a
+        ``(n, f)`` feature matrix, a
         :class:`~repro.graphs.csr.CSRMatrix`.  The constructor also
         accepts a dense array or a scipy sparse matrix and converts it
-        once.
+        once.  Its dtype is the training dtype of every run on the graph:
+        float32 from :func:`~repro.graphs.datasets.load_dataset`, as the
+        paper's PyTorch trains.  The cached operators ``s_op`` and
+        ``mean_op`` take ``x``'s dtype.
     adj:
         ``(n, n)`` symmetric CSR adjacency with zero diagonal.
     y:
@@ -160,7 +165,7 @@ class Graph:
         """
         _meter_csr_cache("s_op", hit=self._s_op is not None)
         if self._s_op is None:
-            self._s_op = CSRMatrix.from_scipy(self.s_norm)
+            self._s_op = CSRMatrix.from_scipy(self.s_norm.astype(self.x.dtype, copy=False))
         return self._s_op
 
     @property
@@ -168,8 +173,18 @@ class Graph:
         """Cached :class:`~repro.graphs.csr.CSRMatrix` of the mean aggregator."""
         _meter_csr_cache("mean_op", hit=self._mean_op is not None)
         if self._mean_op is None:
-            self._mean_op = CSRMatrix.from_scipy(self.mean_adj)
+            self._mean_op = CSRMatrix.from_scipy(self.mean_adj.astype(self.x.dtype, copy=False))
         return self._mean_op
+
+    def astype(self, dtype) -> "Graph":
+        """This graph with its features in ``dtype``: ``self`` when they are.
+
+        The copy shares everything else, the cached ``s_norm`` included;
+        its ``s_op`` and ``mean_op`` are built in ``dtype`` when needed.
+        """
+        if self.x.dtype == dtype:
+            return self
+        return replace(self, x=self.x.astype(dtype), _s_op=None, _mean_op=None)
 
     @property
     def edge_index(self) -> tuple:

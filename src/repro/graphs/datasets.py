@@ -106,12 +106,16 @@ def load_dataset(
     train_ratio: float = 0.01,
     val_ratio: float = 0.20,
     test_ratio: float = 0.20,
+    dtype=np.float32,
 ) -> Graph:
     """Load (generate) a dataset by name with the paper's 1%/20%/20% split.
 
     Parameters mirror Table 2's caption.  ``seed`` controls both topology
     and split so that repeated runs with different seeds (the paper's
     5 repetitions) vary everything a fresh download + split would.
+    The features are generated in float64 and returned in ``dtype``,
+    the dtype every run on the graph trains in: float32, as the paper's
+    PyTorch trains, or float64.
     """
     key = name.lower()
     if key not in DATASET_STATS:
@@ -125,4 +129,4 @@ def load_dataset(
         semi_supervised_split(
             g, rng, train_ratio=train_ratio, val_ratio=val_ratio, test_ratio=test_ratio
         )
-    return g
+    return g.astype(dtype)

@@ -45,7 +45,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: Optional[np.ndarray]
     # Gather the label column with a one-hot multiply: getitem supports row
     # indexing only, and the multiply stays fully vectorized.
     n, c = sel.shape
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, c), dtype=logp.data.dtype)
     onehot[np.arange(n), labels] = 1.0
     nll = -(logp * Tensor(onehot)).sum() / float(n)
     return nll
@@ -61,7 +61,7 @@ def nll_loss(logp: Tensor, labels: np.ndarray, mask: Optional[np.ndarray] = None
         labels = labels[idx]
     sel = _select_rows(logp, mask)
     n, c = sel.shape
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, c), dtype=sel.data.dtype)
     onehot[np.arange(n), labels] = 1.0
     return -(sel * Tensor(onehot)).sum() / float(n)
 
@@ -87,7 +87,7 @@ def orthogonality_loss(weights: Sequence[Tensor]) -> Tensor:
         w = as_tensor(w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"orthogonality penalty requires square weights, got {w.shape}")
-        eye = Tensor(np.eye(w.shape[0]))
+        eye = Tensor(np.eye(w.shape[0], dtype=w.data.dtype))
         term = frobenius_norm(w @ w.T - eye)
         total = term if total is None else total + term
     return total

@@ -90,6 +90,16 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns ``self``.
+
+        A run casts its freshly initialised model once, before any
+        optimizer is built over it, so Adam's moments follow.
+        """
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        return self
+
     # -- state dict ---------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameter values keyed by dotted name."""

@@ -10,11 +10,12 @@ by every optimizer on the same thread, so a step allocates nothing
 weight-sized.  It walks each parameter in row blocks of about
 :data:`BLOCK_ELEMENTS` entries and runs the whole update on one block
 before the next: the block's weights, gradient, two moments and the two
-scratch buffers (six arrays of 256 KB) stay in L2 across the dozen-odd
-elementwise passes, where one pass per ufunc over the whole Coauthor-CS
-input weight (6805×64, 3.5 MB per array) would stream every array from
-memory each time.  The update is elementwise, so blocking changes no
-bit of the result.
+scratch buffers (six arrays of 128 KB in float32, 256 KB in float64)
+stay in L2 across the dozen-odd elementwise passes, where one pass per
+ufunc over the whole Coauthor-CS input weight (6805×64, 1.7 MB per
+float32 array) would stream every array from memory each time.  The
+moments and the scratch take the parameter's dtype.  The update is
+elementwise, so blocking changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-#: Entries per row block of :meth:`Adam.step` (256 KB of float64): six
-#: such arrays fit a 1–2 MB L2 with room to spare.
+#: Entries per row block of :meth:`Adam.step` (128 KB of float32, 256 KB
+#: of float64): six such arrays fit a 1–2 MB L2 with room to spare.
 BLOCK_ELEMENTS = 32768
 
 #: Per-thread ``(block shape, dtype) -> (a, b)`` scratch for

@@ -31,8 +31,9 @@ shape/index ops    ``0``                       ``0``
 Bytes moved are the operand + result footprints: forward reads every
 parent and writes the output; backward reads the output gradient and
 writes one gradient per grad-requiring parent.  ``spmm`` charges
-``12·nnz`` for the sparse operand (8-byte value + 4-byte column index
-per stored entry) in both directions.
+``nnz`` stored entries of the sparse operand at their own value and
+column-index sizes (12 bytes each for float64 values and int32
+indices, 8 for float32) in both directions.
 
 Attribution: each recorded cost lands in tag-keyed registry counters
 ``cost.flops`` / ``cost.bytes`` with the dimensions the profiler reports
@@ -58,7 +59,6 @@ from typing import Callable, Optional, Tuple
 from repro.autograd import signatures as _sig
 from repro.autograd.signatures import (  # re-exported: the shared source of truth
     EXPLICIT_OPS,
-    SPARSE_ENTRY_BYTES,
     matmul_flops,
     spmm_flops,
     spmm_bytes,
@@ -164,13 +164,13 @@ class CostCollector:
         moved = _sig.backward_bytes(node.data, grad_datas)
         self.record(op, "bwd", flops, moved)
 
-    def spmm_op(self, direction: str, nnz: int, dense, out) -> None:
-        """Exact SpMM cost (called from the ``spmm`` op site, fwd and bwd)."""
+    def spmm_op(self, direction: str, s, dense, out) -> None:
+        """Exact SpMM cost of ``s @ dense`` (called from the ``spmm`` op site, fwd and bwd)."""
         self.record(
             "spmm",
             direction,
-            spmm_flops(int(nnz), int(dense.shape[1])),
-            spmm_bytes(int(nnz), int(dense.nbytes), int(out.nbytes)),
+            spmm_flops(s.nnz, int(dense.shape[1])),
+            spmm_bytes(s, int(dense.nbytes), int(out.nbytes)),
         )
 
 

@@ -93,6 +93,15 @@ class TestAutogradSanitizer:
         with pytest.raises(DtypeDriftError, match="float32"):
             san.after_op(bad, (), "cast", track=False)
 
+    def test_dtype_drift_is_judged_against_the_operands(self):
+        san = AutogradSanitizer()
+        f32 = Tensor(np.ones(3, dtype=np.float32))
+        san.after_op(Tensor(np.ones(3, dtype=np.float32)), (f32,), "mul", track=False)
+        with pytest.raises(DtypeDriftError, match="float64 from operands of dtype float32"):
+            san.after_op(Tensor(np.ones(3)), (f32,), "mul", track=False)
+        with pytest.raises(DtypeDriftError, match="operands of dtype float32, float64"):
+            san.after_op(Tensor(np.ones(3)), (f32, Tensor(np.ones(3))), "add", track=False)
+
     def test_no_guard_recorded_when_untracked(self, session):
         from repro.autograd import no_grad
 
@@ -458,7 +467,8 @@ def registered_trainer():
 
     Every party's private tensors are registered, its hidden activations
     included, and its uplink schemas declared; ``parts`` are the
-    caller's full-width party graphs.
+    caller's full-width party graphs.  It trains in float32 and uploads
+    float64 statistics, as every run does.
     """
     parts = small_parts()
     cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
@@ -470,8 +480,8 @@ def registered_trainer():
 
 
 def honest_means(trainer, cid=0):
-    """Client ``cid``'s layer means, as its means upload carries them."""
-    return [h.mean(axis=0) for h in trainer.clients[cid].eval_forward()[1]]
+    """Client ``cid``'s layer means, as its means upload carries them (float64)."""
+    return [h.mean(axis=0, dtype=np.float64) for h in trainer.clients[cid].eval_forward()[1]]
 
 
 #: Uploads of raw party data, each with the pattern naming the tensor in
@@ -505,19 +515,27 @@ LEAKS = {
 #: Tensors derived per node, each uploaded in place of the first layer
 #: mean: a projection, a shift, a column slice, a label cast (n_i is not
 #: a layer width here), one-hot labels, and a node's hidden activations,
-#: whole, as a row view and as a row copy.
+#: whole, as a row view, as a row copy and as a row copy widened to the
+#: statistics' float64.  The features are widened too, so each twin is
+#: judged on its shape, alias or rows, not on its dtype.
 DERIVED = {
     "x_dense @ w": (
         lambda g, h: g.x.toarray() @ np.ones((g.num_features, 16)), r"`means\[0\]` is shape"
     ),
-    "x_dense + 1": (lambda g, h: g.x.toarray() + 1, r"`means\[0\]` is shape"),
-    "x_dense[:, :5]": (lambda g, h: g.x.toarray()[:, :5], r"`means\[0\]` is shape"),
+    "x_dense + 1": (lambda g, h: g.x.toarray().astype(float) + 1, r"`means\[0\]` is shape"),
+    "x_dense[:, :5]": (
+        lambda g, h: g.x.toarray().astype(float)[:, :5], r"`means\[0\]` is shape"
+    ),
     "y.astype(float)": (lambda g, h: g.y.astype(float), r"`means\[0\]` is shape"),
     "one-hot y": (lambda g, h: np.eye(g.num_classes)[g.y], r"`means\[0\]` is shape"),
     "hidden[0]": (lambda g, h: h[0], r"aliases private party tensor `client0\.hidden\[0\]`"),
     "hidden[0][0]": (lambda g, h: h[0][0], r"aliases private party tensor `client0\.hidden\[0\]`"),
     "hidden[0][0].copy()": (
         lambda g, h: h[0][0].copy(), r"copies rows of private party tensor `client0\.hidden\[0\]`"
+    ),
+    "hidden[0][0].astype(float64)": (
+        lambda g, h: h[0][0].astype(np.float64),
+        r"copies rows of private party tensor `client0\.hidden\[0\]`",
     ),
 }
 
@@ -607,6 +625,34 @@ class TestPrivacyTwins:
         monkeypatch.setattr(trainer.comm, "send_to_server", leaky)
         with pytest.raises(PrivacyEscapeError, match=r"client0\.hidden\[0\]`"):
             trainer.run()
+
+
+class TestUplinkDtypes:
+    """A float32 run uploads float32 weights and float64 statistics, nothing else."""
+
+    @pytest.fixture(scope="class")
+    def trainer(self):
+        cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
+        trainer = FedOMDTrainer(small_parts(), cfg, seed=0)
+        trainer.begin_round(0)
+        trainer.comm.end_round()
+        return trainer
+
+    def test_float32_weights_and_float64_statistics_pass(self, trainer):
+        comm = trainer.comm
+        comm.send_to_server(0, {"means": honest_means(trainer), "n": 3.0}, kind="means")
+        comm.send_to_server(0, trainer.clients[0].get_state(), kind="weights")
+        comm.end_round()
+
+    def test_float64_weights_refused(self, trainer):
+        state = {k: v.astype(np.float64) for k, v in trainer.clients[0].get_state().items()}
+        with pytest.raises(PrivacyEscapeError, match="dtype float64.*declared arrays are float32"):
+            trainer.comm.send_to_server(0, state, kind="weights")
+
+    def test_float32_statistics_refused(self, trainer):
+        means = [m.astype(np.float32) for m in honest_means(trainer)]
+        with pytest.raises(PrivacyEscapeError, match="dtype float32.*declared arrays are float64"):
+            trainer.comm.send_to_server(0, {"means": means, "n": 3.0}, kind="means")
 
 
 class TestSecureExchangeSanitized:

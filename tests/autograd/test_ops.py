@@ -189,10 +189,12 @@ class TestMatmul:
         with pytest.raises(ValueError, match="2-D"):
             spmm(s, Tensor(np.ones(3), requires_grad=True))
 
-    def test_spmm_rejects_non_float64_sparse(self):
-        s = sp.identity(3, format="csr", dtype=np.float32)
-        with pytest.raises(ValueError, match="float64"):
-            spmm(CSRMatrix.from_scipy(s), rand_t(3, 2))
+    def test_spmm_keeps_float32(self):
+        s = CSRMatrix.from_scipy(sp.identity(3, format="csr", dtype=np.float32))
+        x = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        out = spmm(s, x)
+        out.sum().backward()
+        assert out.data.dtype == x.grad.dtype == np.float32
 
     def test_spmm_csr_container_gradcheck(self):
         s = CSRMatrix.from_scipy(

@@ -47,6 +47,47 @@ class TestConstruction:
         assert len(Tensor([[1.0], [2.0], [3.0]])) == 3
 
 
+class TestDtypePolicy:
+    """A floating array keeps its dtype through ops and gradients."""
+
+    def f32(self, *shape, seed=0):
+        data = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+        return Tensor(data, requires_grad=True)
+
+    def test_float32_array_is_kept(self):
+        assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.float32(2.0)).data.dtype == np.float32
+
+    def test_python_numbers_keep_the_tensor_operand_dtype(self):
+        from repro.autograd import frobenius_norm
+
+        x = self.f32(4, 3)
+        for out in (2.0 * x, x + 1, 1.0 - x, x / 3.0, 2 / (x * x + 1.0), x.mean(axis=0),
+                    frobenius_norm(x), x * (2.0 / frobenius_norm(x))):
+            assert out.data.dtype == np.float32, out._op
+
+    def test_gradients_take_the_tensor_dtype(self):
+        from repro.autograd import dropout, relu
+
+        x = self.f32(5, 4)
+        w = Tensor(np.ones((4, 2)), requires_grad=True)  # float64
+        loss = (relu(dropout(x, 0.5, rng=np.random.default_rng(0))) * 3.0).sum()
+        loss.backward()
+        assert loss.data.dtype == x.grad.dtype == np.float32
+        (Tensor(x.data.astype(np.float64)) @ w).sum().backward()
+        assert w.grad.dtype == np.float64
+
+    def test_dropout_mask_is_the_float64_draw_cast(self):
+        from repro.autograd import dropout
+
+        x = self.f32(6, 5)
+        out32 = dropout(x, 0.3, rng=np.random.default_rng(3))
+        out64 = dropout(Tensor(x.data.astype(np.float64), requires_grad=True), 0.3,
+                        rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(out32.data == 0, out64.data == 0)
+        assert out32.data.dtype == np.float32
+
+
 class TestBackwardMechanics:
     def test_scalar_backward_default_grad(self):
         x = Tensor(2.0, requires_grad=True)

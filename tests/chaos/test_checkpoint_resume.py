@@ -162,6 +162,21 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match="lr"):
             load_trainer_checkpoint(other, path)
 
+    def test_dtype_mismatch_raises(self, parts, tmp_path):
+        parts64 = [p.astype(np.float64) for p in parts]
+        path = self.save_one(parts64, tmp_path)
+        float32 = FederatedTrainer(parts, make_config(), seed=0)
+        with pytest.raises(ValueError, match=r"config mismatch on \['dtype'\]"):
+            load_trainer_checkpoint(float32, path)
+
+    def test_float32_checkpoint_holds_float32_state(self, parts, tmp_path):
+        path = self.save_one(parts, tmp_path)
+        fresh = FederatedTrainer(parts, make_config(), seed=0)
+        load_trainer_checkpoint(fresh, path)
+        for c in fresh.clients:
+            assert {v.dtype for v in c.get_state().values()} == {np.dtype(np.float32)}
+            assert {m.dtype for m in c.optimizer._m + c.optimizer._v} == {np.dtype(np.float32)}
+
     def test_operational_fields_may_differ(self, parts, tmp_path):
         path = self.save_one(parts, tmp_path)
         other = FederatedTrainer(parts, make_config(num_workers=2), seed=0)

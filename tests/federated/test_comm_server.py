@@ -5,7 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro.federated import CommStats, Communicator, fedavg, payload_bytes, uniform_fedavg
-from repro.federated.server import weighted_mean_statistics
+from repro.federated.server import (
+    PartialState,
+    _weighted_sum,
+    take_rows,
+    weighted_mean_statistics,
+)
 from repro.graphs.csr import CSRMatrix
 
 
@@ -338,6 +343,60 @@ class TestFedAvg:
             tracemalloc.stop()
         # The output and one product buffer per key; no per-client copy.
         assert peak <= 2 * per_state + 4096
+
+
+class TestFoldsKeepTheStateDtype:
+    """Float32 uploads fold to float32: the float64 λ does not promote them."""
+
+    @staticmethod
+    def _states(m=3, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            {"w": rng.standard_normal((6, 4)).astype(np.float32),
+             "b": rng.standard_normal(4).astype(np.float32)}
+            for _ in range(m)
+        ]
+
+    def test_plain_fedavg(self):
+        for weights in (None, np.array([3.0, 1.0, 4.0]), [3, 1, 4]):
+            out = fedavg(self._states(), weights)
+            assert {v.dtype for v in out.values()} == {np.dtype(np.float32)}
+
+    def test_weighted_sum(self):
+        arrays = [s["w"] for s in self._states()]
+        lam = np.array([0.5, 0.25, 0.25])  # float64
+        out = _weighted_sum(arrays, lam, "w")
+        assert out.dtype == np.float32
+        ref = np.zeros_like(arrays[0])
+        for lam_i, a in zip(lam.astype(np.float32), arrays):
+            ref += a * lam_i
+        np.testing.assert_array_equal(out, ref)
+
+    def test_partial_row_fold(self):
+        base = self._states(1, seed=1)[0]
+        rows = [np.array([0, 2, 3]), np.array([1, 2, 5])]
+        states = [
+            PartialState({"w": s["w"][r], "b": s["b"]}, {"w": r}, base)
+            for s, r in zip(self._states(2), rows)
+        ]
+        out = fedavg(states, np.array([2.0, 1.0]))
+        assert out["w"].dtype == out["b"].dtype == np.float32
+        np.testing.assert_array_equal(out["w"][4], base["w"][4])  # held by no party
+
+    def test_trainer_global_state_stays_float32(self):
+        from repro.core import FedOMDConfig, FedOMDTrainer
+        from repro.graphs import load_dataset, louvain_partition
+
+        g = load_dataset("cora", seed=0, scale=0.12)
+        parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
+        trainer = FedOMDTrainer(parts, FedOMDConfig(max_rounds=2, hidden=16), seed=0)
+        trainer.run()
+        assert {v.dtype for v in trainer.global_state.values()} == {np.dtype(np.float32)}
+        # W₀ and two rounds' downloads, each a float32 copy of the party's rows.
+        per_round = sum(
+            v.nbytes for c in trainer.clients for v in take_rows(trainer.global_state, c.rows).values()
+        )
+        assert trainer.comm.stats.kind("weights")["downlink_bytes"] == 3 * per_round
 
 
 class TestWeightedMeanStatistics:

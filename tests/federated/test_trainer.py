@@ -78,6 +78,14 @@ class TestTrainerLoop:
             for k, v in c.get_state().items():
                 np.testing.assert_array_equal(v, w0[k])
 
+    def test_trains_in_the_parties_dtype(self, parts):
+        tr = FederatedTrainer(parts, TrainerConfig(max_rounds=1, patience=1), seed=0)
+        assert tr.dtype == np.float32
+        assert {v.dtype for v in tr.global_state.values()} == {np.dtype(np.float32)}
+        mixed = [parts[0].astype(np.float64)] + list(parts[1:])
+        with pytest.raises(ValueError, match="one dtype"):
+            FederatedTrainer(mixed, TrainerConfig(max_rounds=1, patience=1), seed=0)
+
     def test_runs_and_records(self, parts):
         cfg = TrainerConfig(max_rounds=5, patience=10, hidden=16)
         tr = FederatedTrainer(parts, cfg, seed=0)

@@ -63,9 +63,19 @@ class TestConstruction:
         with pytest.raises(TypeError):
             CSRMatrix.from_scipy(np.eye(3))
 
-    def test_rejects_non_float64(self):
-        with pytest.raises(ValueError, match="float64"):
-            CSRMatrix.from_scipy(sp.identity(3, format="csr", dtype=np.float32))
+    def test_rejects_non_training_dtypes(self):
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ValueError, match="float32 or float64"):
+                CSRMatrix.from_scipy(sp.identity(3, format="csr", dtype=dtype))
+
+    def test_astype_shares_structure(self):
+        c = CSRMatrix.from_scipy(_random_csr())
+        assert c.astype(np.float64) is c
+        f = c.astype(np.float32)
+        assert f.indices is c.indices and f.indptr is c.indptr
+        assert f.dtype == np.float32 and f.rev.dtype == np.float32 and f.rev.rev is f
+        np.testing.assert_array_equal(f.toarray(), c.toarray().astype(np.float32))
+        np.testing.assert_array_equal(f.rev.toarray(), f.toarray().T)
 
     def test_to_scipy_roundtrip_is_cached_view(self):
         c = CSRMatrix.from_scipy(_random_csr())

@@ -66,8 +66,11 @@ class TestFormulas:
         assert cmd_flops(4, 5, 3, backward=True) == 120 + 30 + 60
 
     def test_spmm_bytes(self):
-        # 12 bytes per stored entry + dense + output footprints.
-        assert spmm_bytes(10, 96, 64) == 12 * 10 + 96 + 64
+        # 12 bytes per float64 entry with int32 indices + dense + output footprints.
+        s = CSRMatrix.from_scipy(sp.random(5, 4, density=0.5, random_state=0, format="csr"))
+        assert s.indices.itemsize == 4
+        assert spmm_bytes(s, 96, 64) == 12 * s.nnz + 96 + 64
+        assert spmm_bytes(s.astype(np.float32), 96, 64) == 8 * s.nnz + 96 + 64
 
 
 class TestMatmul:
@@ -122,6 +125,19 @@ class TestSpmm:
         spmm(operator, x).backward(np.ones((3, 4)))
         tags = dict(op="spmm", dir="bwd", **UNATTRIBUTED)
         assert flops_of(registry, **tags) == 40
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prices_the_operands_real_bytes(self, collected, operator, dtype):
+        registry, _, _ = collected
+        s = operator.astype(dtype)
+        x = Tensor(np.ones((3, 4), dtype=dtype), requires_grad=True)
+        out = spmm(s, x)
+        out.backward(np.ones((3, 4), dtype=dtype))
+        entries = s.data.nbytes + s.indices.nbytes
+        for direction, sparse in (("fwd", s), ("bwd", s.rev)):
+            assert sparse.data.nbytes + sparse.indices.nbytes == entries
+            tags = dict(op="spmm", dir=direction, **UNATTRIBUTED)
+            assert bytes_of(registry, **tags) == entries + x.data.nbytes + out.data.nbytes
 
     def test_not_double_counted_by_generic_hook(self, collected, operator):
         """spmm is EXPLICIT: the shape hook must not add a second record."""
