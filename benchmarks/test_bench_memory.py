@@ -13,15 +13,18 @@ checkpoint saved after every round, so the checkpoint write's
 transient arrays count too.  The fourth and fifth train the FedGCN
 baseline at M=10 and M=50: its GCN reads the same sparse features, but
 each party keeps every input-weight row, which fits the budget at M=50
-only in float32 (about 460 MB; 705 MB in float64).
+only in float32 (about 420 MB; 705 MB in float64).
 The child is a separate process so the measurement covers exactly one
 load, partition and training run, and nothing the test session did
 before.
 
 Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6), training in
-float32: 183 MB at M=10, 202 MB at M=50, 220 MB at M=50 with
-checkpoints, and 169 and 456 MB for FedGCN at M=10 and M=50.  In
-float64 the legs read 278, 321, 359, 252 and 705 MB.  Before the
+float32: 169 MB at M=10, 169 MB at M=50, 187 MB at M=50 with
+checkpoints, and 169 and 419 MB for FedGCN at M=10 and M=50.  Before
+the input weights' gradients came from one small pool and OrthoGCN's
+recorded input layer kept only its output and mask, they read 185,
+201, 219, 169 and 455 MB.  In float64 the legs read 278, 321, 359,
+252 and 705 MB (before the pool).  Before the
 best-validation round was kept as the best global model instead of a
 copy of every party's weights, the first three legs read 304, 366
 and 488 MB; before a checkpoint wrote Adam's live moment

@@ -7,7 +7,7 @@ gradient, and the VJP is a single transposed sparse product
 
 The sparse operand is always a :class:`~repro.graphs.csr.CSRMatrix`: the
 container carries a pre-transposed reverse-CSR built once per graph, and
-both products run scipy's compiled CSR kernel on its cached scipy view.
+both products run scipy's CSR kernel, a leaf's first gradient into a pool.
 A raw ``scipy.sparse`` matrix is rejected; wrap it once with
 ``CSRMatrix.from_scipy``.
 
@@ -98,13 +98,27 @@ def spmm(s, x) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            dx = rev.matmul(grad)
-            cc = _cost._collector
-            if cc is not None:
-                cc.spmm_op("bwd", rev, grad, dx)
-            x._accumulate(dx, owned=True)
+            accumulate_rev_product(x, rev, grad)
 
     return Tensor._make(out_data, (x,), backward, "spmm")
+
+
+def rev_product(rev, grad: np.ndarray, out=None) -> np.ndarray:
+    """``rev @ grad``, priced as ``spmm``'s backward."""
+    dx = rev.matmul(grad, out=out)
+    cc = _cost._collector
+    if cc is not None:
+        cc.spmm_op("bwd", rev, grad, dx)
+    return dx
+
+
+def accumulate_rev_product(x: Tensor, rev, grad: np.ndarray) -> None:
+    """Add ``rev @ grad`` to ``x``'s gradient; a leaf's first one of its
+    dtype is written straight into a pooled buffer."""
+    if x.grad is None and x._backward is None and np.result_type(rev.data, grad) == x.data.dtype:
+        rev_product(rev, grad, out=x._pooled_grad())
+    else:
+        x._accumulate(rev_product(rev, grad), owned=True)
 
 
 def transpose(a) -> Tensor:

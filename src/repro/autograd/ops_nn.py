@@ -113,8 +113,9 @@ def dropout(a, p: float, rng: Optional[np.random.Generator] = None, training: bo
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     gen = rng if rng is not None else np.random.default_rng()
-    # The draw stays float64, so the RNG stream is the same in every dtype.
-    keep = ((gen.random(a.shape) >= p) / (1.0 - p)).astype(a.data.dtype, copy=False)
+    # Draws stay float64 (one RNG stream in every dtype); bitwise ((u>=p)/(1-p)).astype.
+    dtype = a.data.dtype
+    keep = np.multiply(gen.random(a.shape) >= p, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
     out_data = a.data * keep
 
     def backward(grad: np.ndarray) -> None:

@@ -15,8 +15,8 @@ kind** (which closed-form FLOP/byte formula applies).  Its readers are
 
 The formulas are pure arithmetic over ``.shape`` / ``.size`` /
 ``.nbytes``, so this module never imports numpy.  Every module that
-builds a ``Tensor._make`` node (each ``ops_*`` module and
-``repro.core.cmd``) closes the loop at import time with :func:`expect`,
+builds a ``Tensor._make`` node (each ``ops_*`` module, ``repro.core.cmd``
+and ``repro.gnn.models``) closes the loop at import time with :func:`expect`,
 which fails fast if an op it constructs was never declared.
 """
 
@@ -154,8 +154,9 @@ declare("scatter_add", "elementwise")
 declare("concat", "zero")
 declare("stack", "zero")
 
-# repro.core.cmd
+# repro.core.cmd, and repro.gnn.models' OrthoGCN input layer (its products price as spmm)
 declare("cmd", "cmd")
+declare("gcn_relu", "elementwise")
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class GradPool:
+    """Free-list of leaf-gradient buffers, sized to the largest request so far
+    so parties of any input width share them.  One comes back once its gradient
+    is consumed (``Tensor.zero_grad``, which ``Adam.step`` calls)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: list = []  # guarded-by(_lock)
+        self._bytes = 0  # guarded-by(_lock)
+
+    def take(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """An uninitialised array viewing a pooled buffer (its ``base``)."""
+        need = int(np.prod(shape)) * dtype.itemsize
+        with self._lock:
+            self._bytes = size = max(self._bytes, need)
+            fits = [b for b in self._free if b.nbytes >= need]  # smaller ones are dropped
+            self._free = fits[:-1]
+        buf = fits[-1] if fits else np.empty(size, np.uint8)
+        return buf[:need].view(dtype).reshape(shape)
+
+    def give(self, buf: np.ndarray) -> None:
+        with self._lock:
+            self._free.append(buf)
+
+
+#: The process-wide pool of leaf gradients.
+grad_pool = GradPool()
+
+
 class Tensor:
     """A NumPy-backed value participating in reverse-mode AD.
 
@@ -101,7 +130,8 @@ class Tensor:
         Whether gradients should be accumulated into ``self.grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_guard")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_guard",
+                 "_grad_buf")
 
     def __init__(
         self,
@@ -123,6 +153,7 @@ class Tensor:
         # Sanitizer version-counter snapshot of the parents (see
         # repro.analysis.sanitize); None whenever sanitizers are off.
         self._guard = None
+        self._grad_buf = None  # the grad_pool buffer under ``grad``, if pooled
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -191,7 +222,16 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Drop the gradient; a pooled one hands its buffer back."""
+        if self._grad_buf is not None:
+            grad_pool.give(self._grad_buf)
+        self.grad = self._grad_buf = None
+
+    def _pooled_grad(self) -> np.ndarray:
+        """A pooled, uninitialised first gradient for the caller to fill."""
+        self.grad = grad_pool.take(self.data.shape, self.data.dtype)
+        self._grad_buf = self.grad.base
+        return self.grad
 
     # ------------------------------------------------------------------
     # backward

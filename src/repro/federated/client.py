@@ -50,11 +50,11 @@ class Client:
     its bump raises instead of serving stale logits.
 
     A model with an ``input_layer`` (OrthoGCN's ``relu(S̃ (X W) + b)``,
-    the same in train and eval mode) has that layer recorded with its
-    autograd graph by the eval forward, and the first training forward
+    the same in train and eval mode) has that layer recorded as one
+    autograd op by the eval forward, and the first training forward
     of the same version (:meth:`train_forward`) starts from it instead
     of recomputing it: once per version, since the backward fills the
-    recorded nodes' gradients.  Under the sanitizer, taking it re-checks
+    recorded node's gradient.  Under the sanitizer, taking it re-checks
     the parameters' content like a cache hit does.
 
     A model that declares ``feature_rows`` (OrthoGCN's ``conv_in.weight``)

@@ -26,13 +26,17 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, dropout, matmul, relu, spmm
+from repro.autograd import Tensor, dropout, is_grad_enabled, matmul, no_grad, relu, spmm
+from repro.autograd import signatures as _signatures
+from repro.autograd.ops_matmul import accumulate_rev_product, rev_product
 from repro.graphs.data import Graph
 from repro.nn import Linear
 from repro.nn.module import Module
 from repro.gnn.gcn_conv import GCNConv
 from repro.gnn.ortho import OrthoConv
 from repro.gnn.sage_conv import SAGEConv
+
+_signatures.expect("gcn_relu")
 
 
 class MLP(Module):
@@ -286,12 +290,25 @@ class OrthoGCN(Module):
         self._rng = gen
 
     def input_layer(self, graph: Graph) -> Tensor:
-        """The first hidden layer ``relu(S̃ (X W) + b)``.
+        """The first hidden layer ``relu(S̃ (X W) + b)``, recorded as one op.
 
-        No dropout precedes it, so it is the same in train and eval
-        mode and draws nothing from the model's RNG.
+        No dropout precedes it, so it is the same in train and eval mode
+        and draws no random numbers.  The op keeps its output and relu mask
+        only; the backward replays the chain's products, bitwise.
         """
-        return relu(self.conv_in(graph.s_op, graph.x))
+        s, x, w, b = graph.s_op, graph.x, self.conv_in.weight, self.conv_in.bias
+        with no_grad():
+            out = self.conv_in(s, x).data
+        mask = out > 0
+        np.multiply(out, mask, out=out)
+        s_rev, x_rev = (s.rev, x.rev) if is_grad_enabled() else (None, None)
+
+        def backward(grad: np.ndarray) -> None:
+            g = grad * mask
+            b._accumulate(g.sum(axis=0), owned=True)
+            accumulate_rev_product(w, x_rev, rev_product(s_rev, g))
+
+        return Tensor._make(out, (w, b), backward, "gcn_relu")
 
     def forward_with_hidden(
         self, graph: Graph, first: Optional[Tensor] = None

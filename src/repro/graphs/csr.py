@@ -14,10 +14,11 @@ conversion and reinterpreted as the CSR of Sᵀ — bitwise identical to
 the ``S.T.tocsr()`` the old code computed per call, so swapping the
 substrate in cannot move the golden training digests.
 
-Both products run scipy's compiled CSR kernel on the container's cached
-scipy view; :func:`repro.autograd.spmm` consumes the container as a
-fused autograd op and accepts no other sparse operand, and
-:func:`repro.autograd.matmul` hands a container on its left to it.
+Every product is one direct call of ``csr_matvecs``, the kernel scipy's
+``S @ x`` runs, into a caller's buffer if it hands one in;
+:func:`repro.autograd.spmm` consumes the container as a fused autograd
+op and accepts no other sparse operand, and :func:`repro.autograd.matmul`
+hands a container on its left to it.
 
 This module also owns the transpose-conversion counter: every reverse
 (Sᵀ) CSR materialization reports here, which is how the regression
@@ -89,16 +90,10 @@ def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     indptr[np.asarray(rows) + 1] = 1
     np.cumsum(indptr, out=indptr)
-    _sparsetools.csr_matvecs(
-        n_rows,
-        n_held,
-        acc.size // max(n_rows, 1),
-        indptr,
-        np.arange(n_held, dtype=np.int64),
-        np.full(n_held, scale, dtype=acc.dtype),
-        np.ascontiguousarray(values, dtype=acc.dtype).reshape(-1),
-        acc.reshape(-1),
-    )
+    a = CSRMatrix(np.full(n_held, scale, acc.dtype), np.arange(n_held), indptr, (n_rows, n_held))
+    width = acc.size // max(n_rows, 1)
+    x = np.asarray(values, acc.dtype).reshape(n_held, width)
+    a.matmul(x, acc.reshape(n_rows, width), add=True)
 
 
 class CSRMatrix:
@@ -219,13 +214,23 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # products
     # ------------------------------------------------------------------
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """Dense product ``S @ x`` (scipy's compiled CSR kernel)."""
-        return self.to_scipy() @ x
-
-    def rev_matmul(self, grad: np.ndarray) -> np.ndarray:
-        """``Sᵀ @ grad`` via the cached reverse-CSR (the backward product)."""
-        return self.rev.matmul(grad)
+    def matmul(self, x: np.ndarray, out=None, add: bool = False) -> np.ndarray:
+        """``S @ x`` for a 2-D ``x``, bitwise scipy's (one call of its kernel); a
+        given ``out`` (C-contiguous, the product's dtype and shape) is
+        overwritten with it, or has it added with ``add``."""
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply {self.shape} by {x.shape}")
+        dtype, shape = np.result_type(self.data, x), (self.shape[0], x.shape[1])
+        if out is None:
+            out = np.zeros(shape, dtype)
+        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+        elif not add:
+            out.fill(0)
+        x = np.ascontiguousarray(x, dtype=dtype).reshape(-1)
+        data, y = self.data.astype(dtype, copy=False), out.reshape(-1)
+        _sparsetools.csr_matvecs(*self.shape, shape[1], self.indptr, self.indices, data, x, y)
+        return out
 
     def __matmul__(self, other):
         if isinstance(other, np.ndarray):

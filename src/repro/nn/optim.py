@@ -121,6 +121,8 @@ class Adam:
                     bc1,
                     bc2,
                 )
+            if p._grad_buf is not None:  # consumed: back to the pool; others stay to zero_grad
+                p.zero_grad()
 
     def _update(self, w, g, m, v, a, b, bc1: float, bc2: float) -> None:
         """The update on one block; ``a`` and ``b`` are its scratch."""

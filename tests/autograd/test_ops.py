@@ -341,6 +341,17 @@ class TestNNOps:
         out.sum().backward()
         np.testing.assert_allclose(x.grad, out.data)  # mask * 1/(1-p)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.6])
+    def test_dropout_mask_is_the_two_pass_mask_bytewise(self, p, dtype):
+        # The mask is formed in one pass; it must stay the bytes of
+        # ((u >= p) / (1 - p)).astype(dtype) on the same float64 draws.
+        ones = Tensor(np.ones((437, 64), dtype), requires_grad=True)
+        got = dropout(ones, p, rng=np.random.default_rng(11)).data
+        u = np.random.default_rng(11).random((437, 64))
+        want = ((u >= p) / (1.0 - p)).astype(dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestShapeOps:
     def test_reshape(self):

@@ -29,9 +29,9 @@ def test_forward_product_is_bitwise(x, cols):
 
 def test_reverse_product_is_the_active_rows_bitwise(x, cols):
     g = np.random.default_rng(1).standard_normal((x.shape[0], 16))
-    full = x.rev_matmul(g)
+    full = x.rev.matmul(g)
     xc = x.compact_columns(cols)
-    np.testing.assert_array_equal(xc.rev_matmul(g), full[cols])
+    np.testing.assert_array_equal(xc.rev.matmul(g), full[cols])
     inactive = np.setdiff1d(np.arange(x.shape[1]), cols)
     assert not full[inactive].any()  # exactly 0, not merely small
 

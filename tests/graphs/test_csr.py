@@ -127,7 +127,7 @@ class TestReverse:
         x = np.random.default_rng(0).standard_normal((m.shape[1], 4))
         g = np.random.default_rng(1).standard_normal((m.shape[0], 4))
         assert np.array_equal(c.matmul(x), m @ x)
-        assert np.array_equal(c.rev_matmul(g), m.T.tocsr() @ g)
+        assert np.array_equal(c.rev.matmul(g), m.T.tocsr() @ g)
 
 
 class TestTransposeCacheRegression:
@@ -227,3 +227,67 @@ class TestAddScaledRows:
             add_scaled_rows(acc, np.array([0, 2]), np.zeros((3, 3)), 0.5)
         with pytest.raises(ValueError, match="C-contiguous"):
             add_scaled_rows(acc.T, np.array([0]), np.zeros((1, 4)), 0.5)
+
+
+class TestKernel:
+    """``CSRMatrix.matmul`` calls scipy's ``csr_matvecs`` directly; it
+    must stay byte-equal to ``to_scipy() @ x``, the product it replaced."""
+
+    @staticmethod
+    def operands(dtype, seed=0):
+        m = sp.random(40, 30, density=0.15, random_state=seed, format="csr", dtype=dtype)
+        m = sp.csr_matrix(sp.diags((np.arange(40) % 5 != 0).astype(dtype)) @ m)
+        m.eliminate_zeros()  # every fifth row empty
+        x = np.random.default_rng(seed).standard_normal((30, 7)).astype(dtype)
+        return CSRMatrix.from_scipy(m), x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal_to_scipy(self, dtype):
+        c, x = self.operands(dtype)
+        assert np.diff(c.indptr).min() == 0
+        for arg in (x, np.asfortranarray(x), x[:, ::2], x[:, 1:].astype(np.float64)):
+            want = c.to_scipy() @ arg
+            got = c.matmul(arg)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_is_overwritten(self, dtype):
+        c, x = self.operands(dtype, seed=1)
+        out = np.full((40, 7), np.nan, dtype)
+        assert c.matmul(x, out=out) is out
+        assert out.tobytes() == (c.to_scipy() @ x).tobytes()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            c.matmul(x, out=np.empty((7, 40), dtype).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            c.matmul(x, out=np.empty((40, 7), np.float16))
+        with pytest.raises(ValueError, match="cannot multiply"):
+            c.matmul(x[:-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reverse_rows_with_offset_indptr(self, dtype):
+        # A compacted reverse keeps rows `cols` of the full reverse and
+        # shares its arrays, so its indptr starts wherever row cols[0] did.
+        c, _ = self.operands(dtype, seed=2)
+        rev, cols = c.rev, np.arange(5, 30)
+        sub = CSRMatrix(rev.data, rev.indices, np.append(rev.indptr[cols], rev.indptr[-1]),
+                        (len(cols), 40))
+        assert sub.indptr[0] > 0
+        g = np.random.default_rng(3).standard_normal((40, 5)).astype(dtype)
+        want = (c.to_scipy().T.tocsr() @ g)[cols]
+        assert sub.matmul(g, out=np.ones((len(cols), 5), dtype)).tobytes() == want.tobytes()
+        assert sub.matmul(g).tobytes() == want.tobytes()
+
+    def test_scipy_still_runs_the_same_kernel(self, monkeypatch):
+        # If scipy's `S @ x` stops calling `_sparsetools.csr_matvecs`, the
+        # byte equality above is no longer a statement about scipy's product.
+        from scipy.sparse import _sparsetools
+
+        calls = []
+        real = _sparsetools.csr_matvecs
+        monkeypatch.setattr(
+            _sparsetools, "csr_matvecs", lambda *a: calls.append(len(a)) or real(*a)
+        )
+        c, x = self.operands(np.float32)
+        c.to_scipy() @ x
+        c.matmul(x)
+        assert calls == [8, 8]
