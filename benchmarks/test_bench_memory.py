@@ -16,11 +16,14 @@ each party keeps every input-weight row, which fits the budget at M=50
 only in float32 (about 420 MB; 705 MB in float64).
 The child is a separate process so the measurement covers exactly one
 load, partition and training run, and nothing the test session did
-before.
+before.  The three FedOMD legs also fail if the child imported
+``scipy.sparse`` (about 14 MB): a run needs only its compiled kernel.
 
 Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6), training in
-float32: 169 MB at M=10, 169 MB at M=50, 187 MB at M=50 with
-checkpoints, and 169 and 419 MB for FedGCN at M=10 and M=50.  Before
+float32: 151 MB at M=10, 153 MB at M=50, 170 MB at M=50 with
+checkpoints, and 151 and 407 MB for FedGCN at M=10 and M=50.  While
+a run imported ``scipy.sparse`` they read 169, 169, 187, 168 and 414
+MB.  Before
 the input weights' gradients came from one small pool and OrthoGCN's
 recorded input layer kept only its output and mask, they read 185,
 201, 219, 169 and 455 MB.  In float64 the legs read 278, 321, 359,
@@ -70,7 +73,7 @@ def child(parties: int, trainer: str = "fedomd", checkpoint_dir: Optional[str] =
         f", checkpoint_every=1, checkpoint_dir={checkpoint_dir!r}" if checkpoint_dir else ""
     )
     return f"""
-import json, resource
+import json, resource, sys
 import numpy as np
 {TRAINERS[trainer]}
 from repro.graphs import load_dataset, louvain_partition
@@ -85,6 +88,7 @@ print(json.dumps({{
     "rounds": len(history),
     "x_mb": sum(p.x.nbytes for p in parts) / 1e6,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "scipy_sparse": "scipy.sparse" in sys.modules,
 }}))
 """
 
@@ -110,17 +114,23 @@ def assert_within_budget(result: dict, what: str) -> None:
     )
 
 
+def assert_fedomd_within_budget(result: dict, what: str) -> None:
+    """A FedOMD leg also must not import ``scipy.sparse`` (about 14 MB)."""
+    assert_within_budget(result, what)
+    assert not result["scipy_sparse"], f"{what} imported scipy.sparse"
+
+
 @pytest.mark.parametrize("parties", [10, 50])
 def test_full_size_coauthor_cs_fits_memory_budget(parties):
     result = measure(parties)
-    assert_within_budget(result, f"full-size {DATASET}, M={parties}, {ROUNDS} rounds")
+    assert_fedomd_within_budget(result, f"full-size {DATASET}, M={parties}, {ROUNDS} rounds")
 
 
 def test_full_size_coauthor_cs_checkpointing_fits_memory_budget(tmp_path):
     parties = CHECKPOINT_PARTIES
     result = measure(parties, checkpoint_dir=str(tmp_path))
     assert os.path.exists(os.path.join(tmp_path, "trainer.ckpt.npz"))
-    assert_within_budget(
+    assert_fedomd_within_budget(
         result, f"full-size {DATASET}, M={parties}, {ROUNDS} rounds, a checkpoint each round"
     )
 

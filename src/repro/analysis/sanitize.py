@@ -79,7 +79,6 @@ from collections import Counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd.tensor import (
     _DEFAULT_DTYPE,
@@ -88,6 +87,7 @@ from repro.autograd.tensor import (
     set_tensor_sanitizer,
 )
 from repro.federated.comm import CommStats
+from repro.graphs.csr import is_scipy_sparse
 
 
 class SanitizerError(RuntimeError):
@@ -288,7 +288,7 @@ def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
     """
     if isinstance(payload, np.ndarray):
         yield payload
-    elif sp.issparse(payload) or getattr(payload, "is_kernel_operator", False):
+    elif getattr(payload, "is_kernel_operator", False) or is_scipy_sparse(payload):
         for m in (payload, getattr(payload, "_rev", None)):
             for attr in _SPARSE_BUFFERS:
                 buf = getattr(m, attr, None)
@@ -523,8 +523,8 @@ class ProtocolMonitor:
         rows; a dense 2-D array registers each non-constant row's exact
         bytes.
         """
-        if sp.issparse(arr) or getattr(arr, "is_kernel_operator", False):
-            m = arr.tocsr() if sp.issparse(arr) else arr
+        if getattr(arr, "is_kernel_operator", False) or is_scipy_sparse(arr):
+            m = arr if getattr(arr, "is_kernel_operator", False) else arr.tocsr()
             buf, width, keys = m.data, m.shape[1], []
             for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
                 cols = m.indices[lo:hi][m.data[lo:hi] != 0]

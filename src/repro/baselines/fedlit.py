@@ -32,12 +32,11 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd import Tensor, no_grad, relu
 from repro.federated.comm import KIND_CENTROIDS
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
-from repro.graphs.csr import CSRMatrix
+from repro.graphs.csr import CSRMatrix, symmetric_adjacency, upper_triangle
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import normalized_adjacency
 from repro.gnn import GCNConv
@@ -138,8 +137,7 @@ class FedLITTrainer(FederatedTrainer):
 
     def _edge_embeddings(self, graph: Graph, h: Optional[np.ndarray]) -> tuple:
         """(edge array (m,2), embedding matrix) for clustering."""
-        coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
-        edges = np.stack([coo.row, coo.col], axis=1)
+        edges = np.stack(upper_triangle(graph.adj), axis=1)
         if h is not None:
             eu, ev = h[edges[:, 0]], h[edges[:, 1]]
         else:
@@ -154,8 +152,7 @@ class FedLITTrainer(FederatedTrainer):
     def _cluster_edges(self, graph: Graph, h: Optional[np.ndarray]) -> List[CSRMatrix]:
         """Split the adjacency into per-type normalized adjacencies."""
         n = graph.num_nodes
-        coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
-        if coo.nnz == 0:
+        if not upper_triangle(graph.adj)[0].size:
             # Degenerate party: every type gets the (empty) adjacency.
             s = graph.s_op
             self._centroids.append(np.zeros((self.num_types, 2 * (h.shape[1] if h is not None else graph.num_features))))
@@ -166,12 +163,8 @@ class FedLITTrainer(FederatedTrainer):
         adjs = []
         for t in range(self.num_types):
             mask = assign == t if t < centroids.shape[0] else np.zeros(len(edges), bool)
-            rows, cols = edges[mask, 0], edges[mask, 1]
-            a = sp.coo_matrix(
-                (np.ones(mask.sum()), (rows, cols)), shape=(n, n)
-            )
-            a = (a + a.T).tocsr()
-            adjs.append(CSRMatrix.from_scipy(normalized_adjacency(a).astype(graph.x.dtype)))
+            adjs.append(normalized_adjacency(symmetric_adjacency(*edges[mask].T, n), graph.x.dtype))
+            adjs[-1]._build_reverse()
         return adjs
 
     def begin_round(self, round_idx: int) -> None:

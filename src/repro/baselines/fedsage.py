@@ -42,12 +42,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd import Tensor, concat, dropout, matmul, no_grad, relu, spmm
 from repro.federated.server import fedavg
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
-from repro.graphs.csr import CSRMatrix
+from repro.graphs.csr import CSRMatrix, symmetric_adjacency, upper_triangle
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import row_normalized_adjacency
 from repro.nn import Adam, Linear, mse_loss
@@ -84,21 +83,15 @@ def hide_edges(graph: Graph, frac: float, rng: np.random.Generator):
     """
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must be in (0, 1)")
-    coo = sp.coo_matrix(sp.triu(graph.adj, k=1))
-    m = coo.nnz
-    if m == 0:
+    row, col = upper_triangle(graph.adj)
+    if len(row) == 0:
         raise ValueError("graph has no edges to hide")
-    hide = rng.random(m) < frac
-    keep_r, keep_c = coo.row[~hide], coo.col[~hide]
-    vis = sp.coo_matrix((np.ones(len(keep_r)), (keep_r, keep_c)), shape=graph.adj.shape)
-    vis = (vis + vis.T).tocsr()
-
-    hr, hc = coo.row[hide], coo.col[hide]
-    hid = sp.coo_matrix((np.ones(len(hr)), (hr, hc)), shape=graph.adj.shape)
-    hid = (hid + hid.T).tocsr()
-    hidden_count = np.asarray(hid.sum(axis=1)).ravel()
+    hide = rng.random(len(row)) < frac
+    vis = symmetric_adjacency(row[~hide], col[~hide], graph.num_nodes)
+    hid = symmetric_adjacency(row[hide], col[hide], graph.num_nodes)
+    hidden_count = hid.row_sums()
     # Each node's hidden-neighbour feature sum, one sparse product.
-    hidden_feat_sum = (hid @ graph.x.to_scipy()).toarray()
+    hidden_feat_sum = (hid.to_scipy() @ graph.x.to_scipy()).toarray()
     denom = np.maximum(hidden_count, 1.0)[:, None]
     hidden_feat_mean = hidden_feat_sum / denom
 
@@ -150,10 +143,8 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
     hosts = np.repeat(np.arange(n), counts)
     new_ids = np.arange(n, n + total_new)
 
-    adj = sp.lil_matrix((n + total_new, n + total_new))
-    adj[:n, :n] = graph.adj
-    adj[hosts, new_ids] = 1.0
-    adj[new_ids, hosts] = 1.0
+    row, col = upper_triangle(graph.adj)
+    adj = symmetric_adjacency(np.append(row, hosts), np.append(col, new_ids), n + total_new)
 
     def pad(mask):
         if mask is None:
@@ -162,10 +153,11 @@ def mend_graph(graph: Graph, missing_deg: np.ndarray, gen_feats: np.ndarray, max
         out[:n] = mask
         return out
 
-    empty = sp.csr_matrix((total_new, graph.num_features), dtype=graph.x.dtype)
+    x = graph.x
+    indptr = np.append(x.indptr, np.full(total_new, x.indptr[-1], x.indptr.dtype))
     return MendedGraph(
-        x=sp.vstack([graph.x.to_scipy(), empty], format="csr"),
-        adj=adj.tocsr(),
+        x=CSRMatrix(x.data, x.indices, indptr, (n + total_new, graph.num_features)),
+        adj=adj,
         y=np.concatenate([graph.y, np.zeros(total_new, dtype=int)]),
         num_classes=graph.num_classes,
         train_mask=pad(graph.train_mask),
@@ -230,15 +222,15 @@ class FedSagePlusTrainer(FederatedTrainer):
             opts.append(Adam(gen.parameters(), lr=0.01))
             try:
                 visible, h_count, h_feat = hide_edges(g, self.hide_frac, self._gen_rng)
-                mean_adj = row_normalized_adjacency(visible.adj)
+                mean_op = row_normalized_adjacency(visible.adj, dtype)
             except ValueError:
                 h_count, h_feat = np.zeros(g.num_nodes), np.zeros(g.x.shape)
-                mean_adj = row_normalized_adjacency(g.adj)
+                mean_op = row_normalized_adjacency(g.adj, dtype)
             # One CSR container per party for the whole generator
             # pre-training: the reverse-CSR for backward is built here,
             # once, instead of per epoch inside spmm.  The visible graph
             # keeps every node's features, so g's sparse features serve it.
-            mean_op = CSRMatrix.from_scipy(mean_adj.astype(dtype))
+            mean_op._build_reverse()
             data.append((g.x, mean_op, h_count.astype(dtype), h_feat.astype(dtype)))
 
         for epoch in range(self.gen_epochs):
@@ -261,9 +253,7 @@ class FedSagePlusTrainer(FederatedTrainer):
         for g, gen in zip(parts, gens):
             gen.eval()
             # Forward-only (no_grad) single use: skip the reverse build.
-            full_mean_adj = CSRMatrix.from_scipy(
-                row_normalized_adjacency(g.adj).astype(g.x.dtype), build_reverse=False
-            )
+            full_mean_adj = row_normalized_adjacency(g.adj, g.x.dtype)
             with no_grad():
                 deg_pred, feat_pred = gen(full_mean_adj, g.x)
             mended.append(

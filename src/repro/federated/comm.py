@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.graphs.csr import is_scipy_sparse
 from repro.obs import get_registry
 
 # Well-known payload kinds (callers may also pass their own): model
@@ -79,7 +79,7 @@ def payload_bytes(payload: Any) -> int:
         return 0
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if sp.issparse(payload):
+    if is_scipy_sparse(payload):
         if payload.format in ("csr", "csc", "bsr"):
             return int(
                 payload.data.nbytes + payload.indices.nbytes + payload.indptr.nbytes

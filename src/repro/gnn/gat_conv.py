@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.autograd import Tensor, leaky_relu, matmul, scatter_add
 from repro.nn import init as init_mod
@@ -47,10 +46,12 @@ class GATConv(Module):
         self.bias = Parameter(init_mod.zeros(out_features))
 
     @staticmethod
-    def edge_index(adj: sp.spmatrix) -> tuple:
-        """(src, dst) arrays including self loops — cacheable per graph."""
+    def edge_index(adj) -> tuple:
+        """(src, dst) arrays including self loops of a scipy matrix or CSRMatrix."""
+        import scipy.sparse as sp
+
         n = adj.shape[0]
-        coo = sp.coo_matrix(adj)
+        coo = sp.coo_matrix(adj.to_scipy() if hasattr(adj, "to_scipy") else adj)
         src = np.concatenate([coo.row, np.arange(n)])
         dst = np.concatenate([coo.col, np.arange(n)])
         return src.astype(np.int64), dst.astype(np.int64)

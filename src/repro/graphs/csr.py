@@ -1,24 +1,27 @@
-"""First-class CSR container for the propagation hot path.
+"""First-class CSR container: the one sparse matrix a FedOMD run builds.
 
 Historically every layer's ``spmm`` backward rebuilt ``S.T.tocsr()`` —
 the closure variable meant to cache the transpose was fresh on every
 forward call, so each training step paid one full O(nnz) sparse
 conversion per layer.  :class:`CSRMatrix` fixes that at the root: the
 container is built **once per party graph** (cached on
-:class:`~repro.graphs.data.Graph` alongside ``s_norm`` / ``mean_adj``)
-and carries the normalized adjacency *and its pre-transposed
-reverse-CSR* for backward, the HGL-proto ``SPMVFunction`` design.
+:class:`~repro.graphs.data.Graph` as ``s_op`` / ``mean_op``) and
+carries the normalized adjacency *and its pre-transposed reverse-CSR*
+for backward, the HGL-proto ``SPMVFunction`` design.  A graph's
+adjacency and features are containers too, built in NumPy, byte for byte
+(int32 indices included) what ``scipy.sparse`` builds for the same matrix.
 
-Numerical contract: the reverse arrays are produced by one CSR→CSC
-conversion and reinterpreted as the CSR of Sᵀ — bitwise identical to
-the ``S.T.tocsr()`` the old code computed per call, so swapping the
-substrate in cannot move the golden training digests.
+Numerical contract: the reverse is a stable sort of the entries by
+column, so within each of its rows the entries keep their row order —
+value for value what scipy's CSR→CSC conversion (and ``S.T.tocsr()``)
+produces, so the substrate cannot move the golden training digests.
 
 Every product is one direct call of ``csr_matvecs``, the kernel scipy's
 ``S @ x`` runs, into a caller's buffer if it hands one in;
 :func:`repro.autograd.spmm` consumes the container as a fused autograd
 op and accepts no other sparse operand, and :func:`repro.autograd.matmul`
-hands a container on its left to it.
+hands a container on its left to it.  The kernel is loaded alone
+(:func:`_load_sparsetools`): ``import scipy.sparse`` costs ~14 MB of RSS (scipy 1.17).
 
 This module also owns the transpose-conversion counter: every reverse
 (Sᵀ) CSR materialization reports here, which is how the regression
@@ -28,11 +31,13 @@ of trusting a comment.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools  # scipy's compiled CSR kernels, imported here only
 
 from repro.obs.metrics import Counter, get_registry
 
@@ -71,6 +76,86 @@ def reset_transpose_conversion_count() -> int:
     return prev
 
 
+def _load_sparsetools():
+    """scipy's compiled CSR kernels without ``scipy/sparse/__init__``: the loaded module,
+    else its extension file, registered so a later ``import scipy.sparse`` binds it."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+    ext = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(folder, ext).find_spec(name)
+    if spec is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled _sparsetools in {folder}")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+def is_scipy_sparse(m) -> bool:
+    """Whether ``m`` is a scipy sparse matrix, without importing ``scipy.sparse``."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(m)
+
+
+def expand_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix (scipy's ``expandptr``)."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+def upper_triangle(m) -> tuple:
+    """``sp.triu(m, 1)``'s COO stream of a CSRMatrix or scipy matrix, in storage order."""
+    m = m if isinstance(m, CSRMatrix) else m.tocsr()
+    rows = expand_rows(m.indptr)
+    up = m.indices > rows
+    return rows[up], m.indices[up]
+
+
+def symmetric_adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> "CSRMatrix":
+    """scipy's ``(A + Aᵀ > 0)`` in float64 for the pairs ``A[rows, cols]``, no self pairs."""
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    keys = unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    return from_coo(keys // n, keys % n, np.ones(len(keys)), (n, n))
+
+
+def unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of non-negative ``keys`` by one sort, not numpy 2.4's slower hashing."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def from_coo(rows, cols, data, shape) -> "CSRMatrix":
+    """The CSR of row-sorted entries; int32 indices unless the size needs int64."""
+    idx = np.int32 if max(len(rows), *shape) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSRMatrix(data, cols.astype(idx), indptr, shape)
+
+
+def as_csr(m) -> "CSRMatrix":
+    """``m`` as a :class:`CSRMatrix`: kept if it is one, else converted once to
+    sorted, unique columns without explicit zeros (what scipy's ``csr_matrix``
+    stores), in float32 or float64 (any other dtype becomes float64)."""
+    if isinstance(m, CSRMatrix):
+        return m
+    m = m if is_scipy_sparse(m) else np.asarray(m)
+    dtype = m.dtype if m.dtype in (np.float32, np.float64) else np.float64
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    if is_scipy_sparse(m):
+        m = m.tocsr().astype(dtype, copy=True)
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        return CSRMatrix(m.data, m.indices, m.indptr, m.shape)
+    rows, cols = np.nonzero(m)
+    return from_coo(rows, cols, m[rows, cols].astype(dtype), m.shape)
+
+
 def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale: float) -> None:
     """``acc[rows] += values * scale`` in one compiled pass.
 
@@ -87,10 +172,8 @@ def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale
     n_rows, n_held = acc.shape[0], len(rows)
     if values.shape != (n_held,) + acc.shape[1:]:
         raise ValueError(f"values {values.shape} do not match {n_held} rows of {acc.shape}")
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    indptr[np.asarray(rows) + 1] = 1
-    np.cumsum(indptr, out=indptr)
-    a = CSRMatrix(np.full(n_held, scale, acc.dtype), np.arange(n_held), indptr, (n_rows, n_held))
+    a = from_coo(np.asarray(rows), np.arange(n_held), np.full(n_held, scale, acc.dtype),
+                 (n_rows, n_held))
     width = acc.size // max(n_rows, 1)
     x = np.asarray(values, acc.dtype).reshape(n_held, width)
     a.matmul(x, acc.reshape(n_rows, width), add=True)
@@ -137,14 +220,14 @@ class CSRMatrix:
         self.indices = np.asarray(indices)
         self.indptr = np.asarray(indptr)
         self.shape = (int(shape[0]), int(shape[1]))
-        self._scipy: sp.csr_matrix = None
+        self._scipy = None
         self._rev: "CSRMatrix" = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_scipy(cls, m: sp.spmatrix, build_reverse: bool = True) -> "CSRMatrix":
+    def from_scipy(cls, m, build_reverse: bool = True) -> "CSRMatrix":
         """Wrap a scipy sparse matrix (no value copy for CSR input).
 
         ``build_reverse`` (default) materializes the reverse-CSR eagerly
@@ -152,7 +235,7 @@ class CSRMatrix:
         conversion happens at a deterministic point instead of inside
         the first backward pass of a (possibly multi-threaded) round.
         """
-        if not sp.issparse(m):
+        if not is_scipy_sparse(m):
             raise TypeError(f"expected a scipy.sparse matrix, got {type(m).__name__}")
         csr = m.tocsr()
         out = cls(csr.data, csr.indices, csr.indptr, csr.shape)
@@ -164,13 +247,16 @@ class CSRMatrix:
     def _build_reverse(self) -> "CSRMatrix":
         """Materialize Sᵀ in CSR form (exactly once; metered).
 
-        One CSR→CSC conversion; the CSC arrays of S *are* the CSR arrays
-        of Sᵀ, value-for-value what ``S.T.tocsr()`` would produce.  The
-        reverse's reverse is this container — round trips are free.
+        A stable sort of the entries by column: the arrays scipy's CSR→CSC
+        conversion builds, value-for-value what ``S.T.tocsr()`` would
+        produce.  The reverse's reverse is this container — round trips
+        are free.
         """
-        csc = self.to_scipy().tocsc()
+        # Unique keys (column, position) give the stable order without a stable sort.
+        order = np.argsort(self.indices.astype(np.int64) * self.nnz + np.arange(self.nnz))
         _count_transpose_conversion()
-        rev = CSRMatrix(csc.data, csc.indices, csc.indptr, (self.shape[1], self.shape[0]))
+        rev = from_coo(self.indices[order], expand_rows(self.indptr)[order], self.data[order],
+                       (self.shape[1], self.shape[0]))
         rev._rev = self
         self._rev = rev
         return rev
@@ -268,18 +354,44 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     # interop
     # ------------------------------------------------------------------
-    def to_scipy(self) -> sp.csr_matrix:
-        """Cached ``scipy.sparse.csr_matrix`` view sharing these arrays."""
+    def to_scipy(self):
+        """Cached ``scipy.sparse.csr_matrix`` view sharing these arrays
+        (for baselines and tests: it imports ``scipy.sparse``)."""
         if self._scipy is None:
-            self._scipy = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape
-            )
+            import scipy.sparse as sp
+
+            self._scipy = sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
         return self._scipy
 
     def toarray(self) -> np.ndarray:
         """Dense copy, for tests and small inspection only: no model or
         trainer densifies a graph's features."""
         return self.to_scipy().toarray()
+
+    def copy(self) -> "CSRMatrix":
+        """A copy of the arrays; the reverse is built when needed."""
+        return CSRMatrix(self.data.copy(), self.indices.copy(), self.indptr.copy(), self.shape)
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, added as scipy's ``m.sum(axis=1)`` adds it."""
+        out, rows = np.zeros(self.shape[0], self.dtype), np.flatnonzero(np.diff(self.indptr))
+        if rows.size:
+            out[rows] = np.add.reduceat(self.data, self.indptr[rows])
+        return out
+
+    def take(self, rows: np.ndarray, cols=None) -> "CSRMatrix":
+        """Rows ``rows``, then distinct columns ``cols``: scipy's ``m[rows][:, cols]``."""
+        counts = np.diff(self.indptr)[rows]
+        row_of = np.repeat(np.arange(len(rows)), counts)
+        starts = self.indptr[rows] - np.cumsum(counts) + counts
+        pos = np.arange(len(row_of)) + np.repeat(starts, counts)
+        data, indices, width = self.data[pos], self.indices[pos], self.shape[1]
+        if cols is not None:
+            new = np.full(width, -1, self.indices.dtype)
+            new[cols] = np.arange(len(cols))
+            keep = new[indices] >= 0
+            data, indices, row_of, width = data[keep], new[indices[keep]], row_of[keep], len(cols)
+        return from_coo(row_of, indices, data, (len(rows), width))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rev = "cached" if self._rev is not None else "unbuilt"

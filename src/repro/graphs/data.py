@@ -2,9 +2,9 @@
 
 One immutable-ish record per (sub)graph: features ``x``, CSR adjacency
 ``adj`` (symmetric, no self loops), integer labels ``y``, and optional
-boolean train/val/test masks.  The normalized propagation matrix
-``s_norm`` (the paper's S̃) is computed lazily and cached, since every
-GCN forward needs it and it never changes.
+boolean train/val/test masks.  The normalized propagation operator
+``s_op`` (the paper's S̃, in ``x``'s dtype) is built lazily and cached,
+since every GCN forward needs it and it never changes.
 
 The bag-of-words features are 0.4–1.4% dense on the Table-2 twins, so
 ``x`` is stored once, as a :class:`~repro.graphs.csr.CSRMatrix`, and
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graphs.csr import CSRMatrix
+from repro.graphs.csr import CSRMatrix, as_csr, expand_rows
+from repro.graphs.laplacian import normalized_adjacency, row_normalized_adjacency
 from repro.obs.metrics import get_registry as _get_metrics
 
 
@@ -30,29 +30,6 @@ def _meter_csr_cache(op: str, hit: bool) -> None:
     reg = _get_metrics()
     if reg.enabled:
         reg.counter("kernel.csr_cache", op=op, result="hit" if hit else "miss").inc()
-
-
-def _feature_csr(x) -> CSRMatrix:
-    """Features as a :class:`CSRMatrix` with sorted, unique columns.
-
-    A ``CSRMatrix`` is kept as is.  Dense or scipy input is converted
-    once, keeping float32 or float64 values and casting any other dtype
-    to float64; explicit zeros are dropped, so the entries match what
-    ``scipy.sparse.csr_matrix(dense)`` stores.  The reverse is not built.
-    """
-    if isinstance(x, CSRMatrix):
-        return x
-    x = x if sp.issparse(x) else np.asarray(x)
-    dtype = x.dtype if x.dtype in (np.float32, np.float64) else np.float64
-    if sp.issparse(x):
-        m = sp.csr_matrix(x, dtype=dtype, copy=True)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-    else:
-        if x.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {x.shape}")
-        m = sp.csr_matrix(x.astype(dtype, copy=False))
-    return CSRMatrix.from_scipy(m, build_reverse=False)
 
 
 @dataclass
@@ -70,7 +47,7 @@ class Graph:
         paper's PyTorch trains.  The cached operators ``s_op`` and
         ``mean_op`` take ``x``'s dtype.
     adj:
-        ``(n, n)`` symmetric CSR adjacency with zero diagonal.
+        ``(n, n)`` symmetric CSR adjacency with zero diagonal, converted once like ``x``.
     y:
         ``(n,)`` integer labels.
     train_mask / val_mask / test_mask:
@@ -82,23 +59,21 @@ class Graph:
     """
 
     x: CSRMatrix
-    adj: sp.csr_matrix
+    adj: CSRMatrix
     y: np.ndarray
     num_classes: int
     train_mask: Optional[np.ndarray] = None
     val_mask: Optional[np.ndarray] = None
     test_mask: Optional[np.ndarray] = None
     name: str = "graph"
-    _s_norm: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
-    _mean_adj: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _edge_index: Optional[tuple] = field(default=None, repr=False, compare=False)
     _s_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
     _mean_op: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.x = _feature_csr(self.x)
+        self.x = as_csr(self.x)
         self.y = np.asarray(self.y, dtype=np.int64)
-        self.adj = sp.csr_matrix(self.adj)
+        self.adj = as_csr(self.adj)
         n = self.x.shape[0]
         if self.adj.shape != (n, n):
             raise ValueError(f"adjacency shape {self.adj.shape} does not match {n} nodes")
@@ -130,57 +105,41 @@ class Graph:
         """Undirected edge count (each edge stored twice in CSR)."""
         return int(self.adj.nnz // 2)
 
-    @property
-    def s_norm(self) -> sp.csr_matrix:
-        """Cached S̃ = D^{-1/2}(A+I)D^{-1/2} (Eq. 7/9's propagation matrix)."""
-        if self._s_norm is None:
-            from repro.graphs.laplacian import normalized_adjacency
-
-            self._s_norm = normalized_adjacency(self.adj)
-        return self._s_norm
-
-    @property
-    def mean_adj(self) -> sp.csr_matrix:
-        """Cached row-normalized (A+I) — GraphSAGE's mean aggregator.
-
-        Cached *on the graph* (like :attr:`s_norm`) rather than in a
-        model-side ``id(graph)``-keyed dict: ids are reused after
-        garbage collection, so such a dict can silently serve another
-        graph's operator — and it keeps every graph it ever saw alive in
-        the cache owner.
-        """
-        if self._mean_adj is None:
-            from repro.graphs.laplacian import row_normalized_adjacency
-
-            self._mean_adj = row_normalized_adjacency(self.adj)
-        return self._mean_adj
+    def _operator(self, name: str, build) -> CSRMatrix:
+        """Cached operator ``name``: ``build(adj, x.dtype)`` with its reverse."""
+        op = getattr(self, name)
+        _meter_csr_cache(name[1:], hit=op is not None)
+        if op is None:
+            op = build(self.adj, self.x.dtype)
+            op._build_reverse()
+            setattr(self, name, op)
+        return op
 
     @property
     def s_op(self) -> CSRMatrix:
-        """Cached :class:`~repro.graphs.csr.CSRMatrix` of S̃ (the fused-kernel operator).
+        """Cached S̃ = D^{-1/2}(A+I)D^{-1/2} (Eq. 7/9's propagation matrix).
 
-        Built once per graph with its pre-transposed reverse-CSR, so no
-        forward or backward pass ever pays a sparse conversion again —
-        this is the operand GCN/Ortho layers propagate through.
+        Built once per graph, so no forward or backward pass ever pays a
+        sparse conversion again — this is the operand GCN/Ortho layers
+        propagate through, and the only copy of S̃ the graph holds.
         """
-        _meter_csr_cache("s_op", hit=self._s_op is not None)
-        if self._s_op is None:
-            self._s_op = CSRMatrix.from_scipy(self.s_norm.astype(self.x.dtype, copy=False))
-        return self._s_op
+        return self._operator("_s_op", normalized_adjacency)
 
     @property
     def mean_op(self) -> CSRMatrix:
-        """Cached :class:`~repro.graphs.csr.CSRMatrix` of the mean aggregator."""
-        _meter_csr_cache("mean_op", hit=self._mean_op is not None)
-        if self._mean_op is None:
-            self._mean_op = CSRMatrix.from_scipy(self.mean_adj.astype(self.x.dtype, copy=False))
-        return self._mean_op
+        """Cached row-normalized (A+I) — GraphSAGE's mean aggregator.
+
+        Cached on the graph, not in a model-side ``id(graph)``-keyed dict:
+        ids are reused after garbage collection, so such a dict can serve
+        another graph's operator, and it keeps every graph it saw alive.
+        """
+        return self._operator("_mean_op", row_normalized_adjacency)
 
     def astype(self, dtype) -> "Graph":
         """This graph with its features in ``dtype``: ``self`` when they are.
 
-        The copy shares everything else, the cached ``s_norm`` included;
-        its ``s_op`` and ``mean_op`` are built in ``dtype`` when needed.
+        The copy shares everything else; its ``s_op`` and ``mean_op`` are
+        built in ``dtype`` when needed.
         """
         if self.x.dtype == dtype:
             return self
@@ -190,16 +149,15 @@ class Graph:
     def edge_index(self) -> tuple:
         """Cached ``(src, dst)`` int64 arrays with self loops (GAT's edges)."""
         if self._edge_index is None:
-            n = self.num_nodes
-            coo = sp.coo_matrix(self.adj)
-            src = np.concatenate([coo.row, np.arange(n)]).astype(np.int64)
-            dst = np.concatenate([coo.col, np.arange(n)]).astype(np.int64)
+            loops = np.arange(self.num_nodes)
+            src = np.concatenate([expand_rows(self.adj.indptr), loops]).astype(np.int64)
+            dst = np.concatenate([self.adj.indices, loops]).astype(np.int64)
             self._edge_index = (src, dst)
         return self._edge_index
 
     def degrees(self) -> np.ndarray:
         """Node degrees (without self loops)."""
-        return np.asarray(self.adj.sum(axis=1)).ravel()
+        return self.adj.row_sums()
 
     def label_counts(self) -> np.ndarray:
         """Histogram of labels over all ``num_classes`` classes."""
@@ -213,12 +171,14 @@ class Graph:
         former ``(A != Aᵀ).nnz`` comparison which emitted scipy's
         ``SparseEfficiencyWarning`` and densified intermediate results
         for some formats.  ``atol`` admits float round-off in weighted
-        adjacencies; the default demands exact symmetry.
+        adjacencies; the default demands exact symmetry.  A check for
+        tests and loaders, it imports ``scipy.sparse``.
         """
-        diff = (self.adj - self.adj.T).tocsr()
+        a = self.adj.to_scipy()
+        diff = (a - a.T).tocsr()
         if diff.nnz and float(np.abs(diff.data).max()) > atol:
             raise ValueError("adjacency must be symmetric")
-        if np.any(self.adj.diagonal() != 0):
+        if np.any(a.diagonal() != 0):
             raise ValueError("adjacency must have an empty diagonal")
         if not np.all(np.isfinite(self.x.data)):
             raise ValueError("features contain non-finite values")
@@ -226,7 +186,7 @@ class Graph:
     def copy(self) -> "Graph":
         """Deep copy (masks included, cache dropped)."""
         return Graph(
-            x=self.x.to_scipy(),  # the constructor copies scipy input
+            x=self.x.copy(),
             adj=self.adj.copy(),
             y=self.y.copy(),
             num_classes=self.num_classes,

@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.graphs.csr import CSRMatrix
+from repro.graphs.csr import CSRMatrix, from_coo, unique
 
 
 def class_conditional_features(
@@ -89,19 +88,19 @@ def class_conditional_features(
         rows.append(np.repeat(idx, k))
         cols.append(words.ravel())
 
-    # COO → CSR sums a word drawn twice into one entry with sorted
-    # columns; the entries are then reset to the word's value.
     r = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     w = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    x = sp.csr_matrix((np.ones(len(r)), (r, w)), shape=(n, num_features))
-    x.sum_duplicates()
-    if row_normalize:
-        # A row of k ones sums to exactly k, so each entry is 1.0 / k.
-        k = np.diff(x.indptr)
-        x.data = np.repeat(1.0 / np.maximum(k, 1).astype(np.float64), k)
-    else:
-        x.data[:] = 1.0
-    return CSRMatrix.from_scipy(x, build_reverse=False)
+    return bag_of_words(r, w, (n, num_features), row_normalize)
+
+
+def bag_of_words(rows: np.ndarray, words: np.ndarray, shape: tuple, row_normalize: bool):
+    """The CSR of the drawn ``(node, word)`` pairs: a word drawn twice is
+    one entry, columns sorted, values 1 or (row-normalized) ``1.0/k``."""
+    keys = unique(rows * shape[1] + words)
+    k = np.bincount(keys // shape[1], minlength=shape[0])
+    # A row of k ones sums to exactly k, so each entry is 1.0 / k.
+    data = np.repeat(1.0 / np.maximum(k, 1), k) if row_normalize else np.ones(len(keys))
+    return from_coo(keys // shape[1], keys % shape[1], data, shape)
 
 
 def feature_sparsity(x: CSRMatrix) -> float:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.graphs.csr import unique, upper_triangle
 from repro.graphs.data import Graph
 
 
@@ -73,10 +73,11 @@ def subgraph(graph: Graph, nodes: np.ndarray, name: Optional[str] = None) -> Gra
     nodes = np.asarray(nodes)
     if len(nodes) == 0:
         raise ValueError("cannot build an empty subgraph")
-    sub_adj = graph.adj[nodes][:, nodes].tocsr()
+    if len(unique(nodes)) != len(nodes):
+        raise ValueError("subgraph nodes must be distinct")
     return Graph(
-        x=graph.x.to_scipy()[nodes],
-        adj=sub_adj,
+        x=graph.x.take(nodes),
+        adj=graph.adj.take(nodes, nodes),
         y=graph.y[nodes].copy(),
         num_classes=graph.num_classes,
         train_mask=None if graph.train_mask is None else graph.train_mask[nodes].copy(),
@@ -225,10 +226,9 @@ def _one_level(
     return partition, inner, node2com, improvement
 
 
-def louvain_communities(
-    adj: sp.spmatrix, resolution: float = 1.0, seed: int = 0
-) -> List[Set[int]]:
-    """Louvain communities of the unweighted graph ``sp.triu(adj, 1)``.
+def louvain_communities(adj, resolution: float = 1.0, seed: int = 0) -> List[Set[int]]:
+    """Louvain communities of the unweighted graph ``sp.triu(adj, 1)``, for
+    a CSRMatrix or scipy ``adj`` read as stored (duplicates included).
 
     Equal, set iteration order included, to networkx 3.6.1's
     ``louvain_communities`` on that graph with the same ``resolution``
@@ -248,13 +248,12 @@ def louvain_communities(
             gc.enable()
 
 
-def _louvain(adj: sp.spmatrix, resolution: float, seed: int) -> List[Set[int]]:
+def _louvain(adj, resolution: float, seed: int) -> List[Set[int]]:
     n = adj.shape[0]
-    coo = sp.triu(adj, k=1, format="coo")
+    row, col = upper_triangle(adj)
     # The graph G grown from triu's stream, then the weighted copy that
     # networkx's louvain_partitions rebuilds from G.edges.
-    ones = np.ones(coo.nnz, dtype=np.int64)
-    src, dst, _ = _edges(_adjacency(coo.row, coo.col, ones, n))
+    src, dst, _ = _edges(_adjacency(row, col, np.ones(len(row), dtype=np.int64), n))
     if len(src) == 0:
         return [{u} for u in range(n)]
     level = _adjacency(src, dst, np.ones(len(src), dtype=np.int64), n)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
+
+from repro.graphs.csr import CSRMatrix, symmetric_adjacency, upper_triangle
 
 
 def _power_law_weights(n: int, exponent: float, rng: np.random.Generator) -> np.ndarray:
@@ -33,7 +34,7 @@ def dc_sbm(
     p_out: float,
     rng: np.random.Generator,
     degree_exponent: Optional[float] = 2.5,
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[CSRMatrix, np.ndarray]:
     """Sample a degree-corrected SBM.
 
     Parameters
@@ -101,18 +102,12 @@ def dc_sbm(
         rows = np.empty(0, dtype=int)
         cols = np.empty(0, dtype=int)
 
-    data = np.ones(len(rows))
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    adj = adj + adj.T
-    adj = (adj > 0).astype(np.float64).tocsr()  # collapse multi-edges
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    return adj, labels
+    return symmetric_adjacency(rows, cols, n), labels
 
 
-def edge_homophily(adj: sp.spmatrix, labels: np.ndarray) -> float:
+def edge_homophily(adj: CSRMatrix, labels: np.ndarray) -> float:
     """Fraction of edges joining same-label endpoints."""
-    coo = sp.coo_matrix(sp.triu(adj, k=1))
-    if coo.nnz == 0:
+    rows, cols = upper_triangle(adj)
+    if len(rows) == 0:
         return float("nan")
-    return float((labels[coo.row] == labels[coo.col]).mean())
+    return float((labels[rows] == labels[cols]).mean())

@@ -10,7 +10,6 @@ from repro.autograd import Tensor, no_grad, relu
 from repro.gnn import GCN, MLP, SAGE, SGC, OrthoGCN
 from repro.gnn.models import GAT
 from repro.graphs import load_dataset
-from repro.graphs.csr import CSRMatrix
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import row_normalized_adjacency
 from repro.nn import Adam, accuracy, cross_entropy
@@ -184,9 +183,9 @@ class TestOperatorCacheIdentity:
 
     def test_mean_adj_cached_on_graph(self):
         g = _toy_graph(RING_EDGES)
-        assert g.mean_adj is g.mean_adj  # computed once
+        assert g.mean_op is g.mean_op  # computed once
         np.testing.assert_allclose(
-            g.mean_adj.toarray(), row_normalized_adjacency(g.adj).toarray()
+            g.mean_op.toarray(), row_normalized_adjacency(g.adj).toarray()
         )
 
     def test_edge_index_cached_on_graph(self):
@@ -201,9 +200,9 @@ class TestOperatorCacheIdentity:
 
     def test_copy_drops_operator_caches(self):
         g = _toy_graph(RING_EDGES)
-        g.mean_adj, g.edge_index  # populate
+        g.mean_op, g.edge_index  # populate
         c = g.copy()
-        assert c._mean_adj is None and c._edge_index is None
+        assert c._mean_op is None and c._edge_index is None
 
     def test_sequential_graphs_at_same_address_do_not_alias(self):
         # Force the id-reuse scenario: drop a ring graph, allocate star
@@ -228,12 +227,12 @@ class TestOperatorCacheIdentity:
             star = _toy_graph(STAR_EDGES)
         with no_grad():
             got = model(star).data
-            m = CSRMatrix.from_scipy(row_normalized_adjacency(star.adj))
+            m = row_normalized_adjacency(star.adj)
             h = relu(model.conv1(m, Tensor(star.x.toarray())))
             want = model.conv2(m, h).data
         np.testing.assert_allclose(got, want)
         np.testing.assert_allclose(
-            star.mean_adj.toarray(), row_normalized_adjacency(star.adj).toarray()
+            star.mean_op.toarray(), row_normalized_adjacency(star.adj).toarray()
         )
 
     def test_gat_uses_graph_edges(self):

@@ -9,6 +9,10 @@ an entire multi-round training run.
 """
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +295,40 @@ class TestKernel:
         c.to_scipy() @ x
         c.matmul(x)
         assert calls == [8, 8]
+
+    def test_kernel_loaded_before_scipy_sparse_is_scipys(self):
+        # The kernel is loaded without `scipy.sparse`; a later import of
+        # the package must bind the same module, so `S @ x` and
+        # `CSRMatrix.matmul` still run one function, byte for byte.
+        code = """
+import sys
+import numpy as np
+from repro.graphs import csr
+assert "scipy.sparse" not in sys.modules
+import scipy.sparse as sp
+from scipy.sparse import _compressed, _sparsetools
+assert _sparsetools is csr._sparsetools is _compressed._sparsetools
+calls = []
+real = _sparsetools.csr_matvecs
+_sparsetools.csr_matvecs = lambda *a: calls.append(len(a)) or real(*a)
+m = sp.random(40, 30, density=0.15, random_state=0, format="csr", dtype=np.float32)
+x = np.random.default_rng(0).standard_normal((30, 7)).astype(np.float32)
+assert (m @ x).tobytes() == csr.CSRMatrix.from_scipy(m).matmul(x).tobytes()
+assert calls == [8, 8], calls
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr[-2000:]
+
+    def test_missing_kernel_names_the_scipy_version(self, monkeypatch, tmp_path):
+        import importlib.util
+        from importlib.metadata import version
+
+        from repro.graphs import csr
+
+        spec = importlib.util.find_spec("scipy")
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(spec, "submodule_search_locations", [str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=f"scipy {version('scipy')} has no compiled"):
+            csr._load_sparsetools()

@@ -1,5 +1,6 @@
 """Tests for the Graph container and normalized propagation operators."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -110,16 +111,20 @@ class TestGraphContainer:
     def test_s_op_cached_container(self):
         g = tiny_graph()
         assert g.s_op is g.s_op
-        np.testing.assert_array_equal(g.s_op.toarray(), g.s_norm.toarray())
+        np.testing.assert_array_equal(g.s_op.toarray(), normalized_adjacency(g.adj).toarray())
 
     def test_mean_op_cached_container(self):
         g = tiny_graph()
         assert g.mean_op is g.mean_op
-        np.testing.assert_array_equal(g.mean_op.toarray(), g.mean_adj.toarray())
+        np.testing.assert_array_equal(
+            g.mean_op.toarray(), row_normalized_adjacency(g.adj).toarray()
+        )
 
     def test_degrees(self):
         g = tiny_graph()
-        np.testing.assert_array_equal(g.degrees(), np.asarray(g.adj.sum(axis=1)).ravel())
+        np.testing.assert_array_equal(
+            g.degrees(), np.asarray(g.adj.to_scipy().sum(axis=1)).ravel()
+        )
 
     def test_label_counts_full_length(self):
         g = tiny_graph(num_classes=5)
@@ -135,9 +140,13 @@ class TestGraphContainer:
         assert g.x.data[0] != 99.0
         assert not g.train_mask[0]
 
-    def test_s_norm_cached(self):
-        g = tiny_graph()
-        assert g.s_norm is g.s_norm
+    def test_one_copy_of_each_operator(self):
+        # S̃ and the mean aggregator are held once, in x's dtype, beside
+        # the adjacency: no float64 copy of either is cached.
+        g = tiny_graph().astype(np.float32)
+        assert g.s_op.dtype == g.mean_op.dtype == np.float32
+        cached = [f.name for f in dataclasses.fields(g) if f.name.startswith("_")]
+        assert cached == ["_edge_index", "_s_op", "_mean_op"]
 
     def test_summary_mentions_counts(self):
         s = tiny_graph().summary()
@@ -148,7 +157,7 @@ class TestLaplacian:
     def test_self_loops_added(self):
         adj = sp.csr_matrix((4, 4))
         out = add_self_loops(adj)
-        np.testing.assert_array_equal(out.diagonal(), np.ones(4))
+        np.testing.assert_array_equal(out.toarray().diagonal(), np.ones(4))
 
     def test_normalized_rows_path_graph(self):
         # Path graph 0-1-2: hand-computed S̃.
@@ -160,7 +169,7 @@ class TestLaplacian:
 
     def test_normalized_symmetric(self):
         g = tiny_graph(10, seed=3)
-        s = normalized_adjacency(g.adj)
+        s = normalized_adjacency(g.adj).to_scipy()
         assert abs(s - s.T).sum() < 1e-12
 
     def test_isolated_nodes_handled(self):
@@ -170,19 +179,19 @@ class TestLaplacian:
 
     def test_spectral_radius_bound_dominates_true_radius(self):
         g = tiny_graph(20, seed=5)
-        true_radius = np.abs(np.linalg.eigvalsh(g.s_norm.toarray())).max()
-        assert spectral_radius_bound(g.s_norm) >= true_radius - 1e-12
+        true_radius = np.abs(np.linalg.eigvalsh(g.s_op.toarray())).max()
+        assert spectral_radius_bound(g.s_op) >= true_radius - 1e-12
 
     def test_eigenvalues_bounded(self):
         g = tiny_graph(15, seed=7)
-        vals = np.linalg.eigvalsh(g.s_norm.toarray())
+        vals = np.linalg.eigvalsh(g.s_op.toarray())
         assert vals.max() <= 1.0 + 1e-9
         assert vals.min() >= -1.0 - 1e-9
 
     def test_row_normalized_rows_sum_to_one(self):
         g = tiny_graph(12, seed=9)
         r = row_normalized_adjacency(g.adj)
-        np.testing.assert_allclose(np.asarray(r.sum(axis=1)).ravel(), np.ones(12))
+        np.testing.assert_allclose(np.asarray(r.to_scipy().sum(axis=1)).ravel(), np.ones(12))
 
     def test_constant_vector_fixed_point_regular_graph(self):
         # On a k-regular graph S̃·1 = 1 exactly.
@@ -192,4 +201,4 @@ class TestLaplacian:
         adj = nx.to_scipy_sparse_array(ring, format="csr").astype(float)
         s = normalized_adjacency(sp.csr_matrix(adj))
         ones = np.ones(8)
-        np.testing.assert_allclose(s @ ones, ones, atol=1e-12)
+        np.testing.assert_allclose(s.to_scipy() @ ones, ones, atol=1e-12)

@@ -36,6 +36,7 @@ TWINS = [
 def _nx_communities(adj, resolution, seed):
     """The reference: networkx Louvain on the unweighted upper triangle."""
     nx = pytest.importorskip("networkx")
+    adj = adj.to_scipy() if hasattr(adj, "to_scipy") else adj
     coo = sp.coo_matrix(sp.triu(adj, k=1))
     g = nx.Graph()
     g.add_nodes_from(range(adj.shape[0]))
@@ -72,13 +73,13 @@ class TestOracle:
 
     def test_isolated_nodes(self):
         g = load_dataset("cora", seed=1, scale=0.1)
-        adj = sp.block_diag([g.adj, sp.csr_matrix((7, 7))], format="csr")
+        adj = sp.block_diag([g.adj.to_scipy(), sp.csr_matrix((7, 7))], format="csr")
         for seed in (0, 5):
             _assert_same(adj, 1.0, seed)
 
     def test_self_loops_and_duplicate_entries(self):
         g = load_dataset("citeseer", seed=2, scale=0.1)
-        coo = g.adj.tocoo()
+        coo = g.adj.to_scipy().tocoo()
         n = g.num_nodes
         diag = np.arange(0, n, 3)
         row = np.concatenate([coo.row, coo.row[:200], diag])
@@ -94,7 +95,7 @@ class TestOracle:
 
     def test_unsorted_csr_indices(self):
         g = load_dataset("photo", seed=0, scale=0.04)
-        adj = g.adj.copy()
+        adj = g.adj.to_scipy().copy()
         rng = np.random.default_rng(0)
         for r in range(adj.shape[0]):
             lo, hi = adj.indptr[r], adj.indptr[r + 1]
