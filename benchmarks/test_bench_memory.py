@@ -16,8 +16,11 @@ each party keeps every input-weight row, which fits the budget at M=50
 only in float32 (about 420 MB; 705 MB in float64).
 The child is a separate process so the measurement covers exactly one
 load, partition and training run, and nothing the test session did
-before.  The three FedOMD legs also fail if the child imported
-``scipy.sparse`` (about 14 MB): a run needs only its compiled kernel.
+before.  It also reports the wall seconds of its set-up phases
+(``load_s``, ``partition_s``, ``trainer_s``: the trainer's construction),
+which are printed, not gated.  The three FedOMD legs also fail if the
+child imported ``scipy.sparse`` (about 14 MB): a run needs only its
+compiled kernel.
 
 Measured on a 2-vCPU Xeon KVM guest (numpy 2.4.6), training in
 float32: 151 MB at M=10, 153 MB at M=50, 170 MB at M=50 with
@@ -73,19 +76,25 @@ def child(parties: int, trainer: str = "fedomd", checkpoint_dir: Optional[str] =
         f", checkpoint_every=1, checkpoint_dir={checkpoint_dir!r}" if checkpoint_dir else ""
     )
     return f"""
-import json, resource, sys
+import json, resource, sys, time
 import numpy as np
 {TRAINERS[trainer]}
 from repro.graphs import load_dataset, louvain_partition
 
+t0 = time.perf_counter()
 graph = load_dataset({DATASET!r}, seed=0, scale=1.0)
+t1 = time.perf_counter()
 parts = louvain_partition(graph, {parties}, np.random.default_rng(0)).parts
+t2 = time.perf_counter()
 del graph
-history = Trainer(
-    parts, Config(max_rounds={ROUNDS}, patience={ROUNDS + 1}{checkpoint}), seed=0
-).run()
+trainer = Trainer(parts, Config(max_rounds={ROUNDS}, patience={ROUNDS + 1}{checkpoint}), seed=0)
+t3 = time.perf_counter()
+history = trainer.run()
 print(json.dumps({{
     "rounds": len(history),
+    "load_s": round(t1 - t0, 3),
+    "partition_s": round(t2 - t1, 3),
+    "trainer_s": round(t3 - t2, 3),
     "x_mb": sum(p.x.nbytes for p in parts) / 1e6,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "scipy_sparse": "scipy.sparse" in sys.modules,

@@ -31,8 +31,8 @@ class LocGCNTrainer(FederatedTrainer):
 
     def _sync_initial_state(self) -> None:
         # Parties are fully isolated — not even a common initialization
-        # (each local model was already built from the same seed, but a
-        # real isolated deployment would not communicate at all, so we
+        # (each local model already is a copy of the one seeded build, but
+        # a real isolated deployment would not communicate at all, so we
         # skip the broadcast to keep the traffic meter honest at zero).
         pass
 

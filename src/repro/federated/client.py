@@ -10,6 +10,7 @@ import numpy as np
 from repro.autograd import Tensor, no_grad
 from repro.autograd.tensor import get_tensor_sanitizer
 from repro.federated.executor import step_stream
+from repro.graphs.csr import unique
 from repro.graphs.data import Graph
 from repro.nn import Adam, accuracy, cross_entropy
 from repro.nn.module import Module
@@ -97,7 +98,7 @@ class Client:
             # The copy shares the caller's propagation operator (built here
             # if it was not), so trainers that reuse one partition build it
             # once, as they did when every client held the caller's graph.
-            cols = np.unique(graph.x.indices)
+            cols = unique(graph.x.indices)
             graph = dataclasses.replace(graph, x=graph.x.compact_columns(cols), _s_op=graph.s_op)
             param = dict(model.named_parameters())[name]
             param.data = param.data[cols]

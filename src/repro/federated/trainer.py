@@ -27,6 +27,7 @@ train and aggregate steps.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -200,19 +201,22 @@ class FederatedTrainer:
         # The run trains in its features' dtype (float32 from
         # load_dataset); uploaded statistics stay float64 (DESIGN.md §2).
         self.dtype = parts[0].x.dtype
-        if any(g.x.dtype != self.dtype for g in parts):
-            raise ValueError("every party's features must have one dtype")
+        shape = (parts[0].num_features, parts[0].num_classes)
+        if any(g.x.dtype != self.dtype or (g.num_features, g.num_classes) != shape for g in parts):
+            raise ValueError("every party's features must have one dtype, width and class count")
+        # One model from the shared seed: all parties start from one global
+        # model (phase 1 of §3).  Its values are the server's global model,
+        # full-size: rows that no party holds live only here.  Each party
+        # gets a copy, its dropout generator's state included; the copies
+        # share the input weight, which a Client cuts to the party's rows.
+        initial = self.build_model(parts[0], np.random.default_rng(seed)).astype(self.dtype)
+        self.global_state: StateDict = initial.state_dict()
+        name = getattr(initial, "feature_rows", None)
+        shared = [dict(initial.named_parameters())[name].data] if name else []
         self.clients: List[Client] = []
         cfg = self.config
         for cid, g in enumerate(parts):
-            # Same seed for every client: all parties start from one
-            # global model, as phase 1 of §3 requires.
-            model = self.build_model(g, np.random.default_rng(seed)).astype(self.dtype)
-            if cid == 0:
-                # The server's one global model, full-size before any
-                # party keeps only its rows: rows that no party holds
-                # live only here.  Both engines read and replace it.
-                self.global_state: StateDict = model.state_dict()
+            model = copy.deepcopy(initial, {id(a): a for a in shared})
             self.clients.append(Client(cid, g, model, cfg.lr, cfg.weight_decay))
         if self.sanitizer is not None:
             # Declare every party's raw tensors to the privacy check: an

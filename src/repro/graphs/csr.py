@@ -124,9 +124,12 @@ def symmetric_adjacency(rows: np.ndarray, cols: np.ndarray, n: int) -> "CSRMatri
 
 
 def unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique`` of non-negative ``keys`` by one sort, not numpy 2.4's slower hashing."""
+    """``np.unique`` of integer ``keys`` by one sort, not numpy 2.4's slower hashing
+    (whose first call also imports ``numpy.ma``)."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def from_coo(rows, cols, data, shape) -> "CSRMatrix":
@@ -343,7 +346,9 @@ class CSRMatrix:
         ``indices``: the other rows of Xᵀ are empty, so ``X_cᵀ @ G`` is
         exactly ``(Xᵀ @ G)[cols]``.
         """
-        indices = np.searchsorted(cols, self.indices).astype(self.indices.dtype)
+        remap = np.empty(self.shape[1], self.indices.dtype)
+        remap[cols] = np.arange(len(cols))
+        indices = remap[self.indices]
         out = CSRMatrix(self.data, indices, self.indptr, (self.shape[0], len(cols)))
         rev = self.rev
         rev_indptr = np.append(rev.indptr[cols], rev.indptr[-1])

@@ -14,10 +14,19 @@ the unweighted graph ``G`` built from ``sp.triu(adj, 1)``'s COO stream:
 the same sets, in the same list order, each iterating in the same order
 (the split path's ``rng.permutation`` sees that order).  Per-level
 adjacency building, community-graph aggregation and modularity are
-NumPy; the local-moving sweep and the set bookkeeping are Python, kept
-operation for operation with networkx's, because set iteration order
-depends on the exact history of inserts and removals.  networkx is not
-imported; the test suite compares against it.
+NumPy; the local-moving sweep and the set bookkeeping are Python, with
+networkx's moves and set operations in networkx's order, because set
+iteration order depends on the exact history of inserts and removals.
+The sweep skips a visit that would leave node ``u`` where it is, which
+changes nothing (``Stot`` is restored, no set is touched).  It knows one
+would when ``u`` stayed at its last visit and since then no candidate
+community of that visit (its neighbours', its own included) lost a node
+and its own gained none: no neighbour moved, ``u``'s own gain is bitwise
+the same, and every other candidate's gain can only have fallen, a gain
+being monotone in ``Stot`` under IEEE rounding at a resolution >= 0 (a
+negative one skips nothing).  Neighbour weights are counted as integers,
+which equal networkx's float sums.  networkx is not imported; the test
+suite compares against it.
 
 A ``random_partition`` alternative (uniform node assignment) is provided
 for the "Louvain effect vs federation effect" extension ablation.
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import _count_elements  # Counter's C counting loop
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
@@ -112,11 +122,14 @@ def _adjacency(src: np.ndarray, dst: np.ndarray, wt: np.ndarray, n: int) -> _Lev
     keep = np.ones(2 * t, dtype=bool)
     keep[1::2] = src != dst  # a self-loop is one entry
     key = ev_src[keep] * n + ev_dst[keep]
-    keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    weight = np.bincount(inv, weights=np.repeat(wt, 2)[keep], minlength=len(keys))
+    # A stable sort groups repeats with the first event of each in front.
+    order = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[order], prepend=-1))
+    keys, first = key[order[start]], order[start]
+    weight = np.add.reduceat(np.repeat(wt, 2)[keep][order], start)
     rows = keys // n
-    order = np.lexsort((first, rows))
-    return rows[order], (keys % n)[order], weight[order].astype(np.int64)
+    order = np.argsort(rows * len(key) + first)
+    return rows[order], (keys % n)[order], weight[order]
 
 
 def _edges(level: _Level) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,15 +185,23 @@ def _one_level(
     rows, nbr, wt = level
     n = len(degrees)
     other = nbr != rows
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows[other], minlength=n)))).tolist()
-    # Float weights: ``d[c] = w`` is networkx's ``0.0 + w``, exactly.
-    pairs = list(zip(nbr[other].tolist(), wt[other].astype(float).tolist()))
-    nbrs = [pairs[ptr[u] : ptr[u + 1]] for u in range(n)]
+    # Each neighbour repeated by its integer weight: the count sums exactly
+    # what networkx's float sums add, in first-appearance order.
+    reps = np.repeat(nbr[other], wt[other]).tolist()
+    ptr = np.cumsum(np.bincount(rows[other], wt[other], minlength=n).astype(np.int64)).tolist()
+    nbrs = [reps[lo:hi] for lo, hi in zip([0] + ptr, ptr)]
     deg = degrees.tolist()
     stot = list(deg)
     node2com = list(range(n))
+    com_of = node2com.__getitem__
     inner = [{u} for u in range(n)]
     two_m2 = 2 * m**2
+    # Move clock; per community the clocks of its last gain and loss of a
+    # node; per node the clock (-1: none) and candidates of its last stay.
+    clock = 0
+    gained, lost = [0] * n, [0] * n
+    lost_at = lost.__getitem__
+    stay_at, stay_cands = [-1] * n, [None] * n
     rand_nodes = list(range(n))
     rand.shuffle(rand_nodes)
     nb_moves = 1
@@ -188,21 +209,19 @@ def _one_level(
     while nb_moves > 0:
         nb_moves = 0
         for u in rand_nodes:
+            t = stay_at[u]
+            if t >= 0 and gained[node2com[u]] <= t and max(map(lost_at, stay_cands[u])) <= t:
+                continue
             best_mod = 0
-            best_com = node2com[u]
+            best_com = old = node2com[u]
             weights2com = {}
-            for v, w in nbrs[u]:
-                c = node2com[v]
-                if c in weights2com:
-                    weights2com[c] += w
-                else:
-                    weights2com[c] = w
+            _count_elements(weights2com, map(com_of, nbrs[u]))
             degree = deg[u]
             stot[best_com] -= degree
-            # The own community joins the candidates last, at weight 0.0,
+            # The own community joins the candidates last, at weight 0,
             # when no neighbour is in it (networkx's defaultdict lookup).
             remove_cost = (
-                -weights2com.setdefault(best_com, 0.0) / m
+                -weights2com.setdefault(best_com, 0) / m
                 + resolution * (stot[best_com] * degree) / two_m2
             )
             for c, w in weights2com.items():
@@ -211,7 +230,6 @@ def _one_level(
                     best_mod = gain
                     best_com = c
             stot[best_com] += degree
-            old = node2com[u]
             if best_com != old:
                 com = members[u]
                 partition[old].difference_update(com)
@@ -221,6 +239,11 @@ def _one_level(
                 improvement = True
                 nb_moves += 1
                 node2com[u] = best_com
+                clock += 1
+                lost[old] = gained[best_com] = clock
+                stay_at[u] = -1
+            elif resolution >= 0:
+                stay_at[u], stay_cands[u] = clock, list(weights2com)
     partition = list(filter(len, partition))
     inner = list(filter(len, inner))
     return partition, inner, node2com, improvement
@@ -235,8 +258,8 @@ def louvain_communities(adj, resolution: float = 1.0, seed: int = 0) -> List[Set
     and integer ``seed`` (see the module docstring).
 
     The cyclic garbage collector is paused for the call and then put
-    back as it was: the sweep allocates tens of thousands of tuples and
-    sets but builds no reference cycle, so a collection inside it (a
+    back as it was: the sweep allocates tens of thousands of dicts, lists
+    and sets but builds no reference cycle, so a collection inside it (a
     generation-2 pass took about 18 ms) frees nothing.
     """
     was_enabled = gc.isenabled()
@@ -250,10 +273,13 @@ def louvain_communities(adj, resolution: float = 1.0, seed: int = 0) -> List[Set
 
 def _louvain(adj, resolution: float, seed: int) -> List[Set[int]]:
     n = adj.shape[0]
-    row, col = upper_triangle(adj)
+    src, dst = upper_triangle(adj)
     # The graph G grown from triu's stream, then the weighted copy that
-    # networkx's louvain_partitions rebuilds from G.edges.
-    src, dst, _ = _edges(_adjacency(row, col, np.ones(len(row), dtype=np.int64), n))
+    # networkx's louvain_partitions rebuilds from G.edges.  A stream of
+    # distinct pairs in row-major order (a canonical CSR's) is G.edges.
+    key = src.astype(np.int64) * n + dst
+    if np.any(key[1:] <= key[:-1]):
+        src, dst, _ = _edges(_adjacency(src, dst, np.ones(len(src), dtype=np.int64), n))
     if len(src) == 0:
         return [{u} for u in range(n)]
     level = _adjacency(src, dst, np.ones(len(src), dtype=np.int64), n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.csr import unique
 from repro.graphs.data import Graph
 
 
@@ -35,7 +36,7 @@ def semi_supervised_split(
     val = np.zeros(n, dtype=bool)
     test = np.zeros(n, dtype=bool)
 
-    for c in np.unique(graph.y):
+    for c in unique(graph.y):
         idx = np.flatnonzero(graph.y == c)
         idx = rng.permutation(idx)
         n_c = len(idx)

@@ -6,7 +6,9 @@
 round calls one compiled function of it, ``csr_matvecs``, which
 :mod:`repro.graphs.csr` loads on its own.  A fresh process imports
 what fedbench's run imports, trains three FedOMD rounds on the Cora
-twin, and must not have loaded the package.
+twin, and must not have loaded the package.  Nor ``numpy.ma`` (about
+1.2 MB and 10 ms), which numpy 2.4's hashing ``np.unique`` imports on
+its first call: the run's uniques are :func:`repro.graphs.csr.unique`.
 """
 
 import os
@@ -30,6 +32,7 @@ history = FedOMDTrainer(parts, FedOMDConfig(max_rounds=3, patience=10, hidden=16
 assert len(history) == 3
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
 assert loaded == ["scipy.sparse._sparsetools"], loaded
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
 """
 
 

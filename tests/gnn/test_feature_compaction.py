@@ -47,6 +47,12 @@ def test_weight_gradient_through_spmm_is_the_active_rows(x, cols):
     np.testing.assert_array_equal(grads[1], grads[0][cols])
 
 
+def test_indices_are_the_ranks_of_the_columns(x, cols):
+    xc = x.compact_columns(cols)
+    assert x.indices.dtype == xc.indices.dtype == np.int32
+    assert xc.indices.tobytes() == np.searchsorted(cols, x.indices).astype(np.int32).tobytes()
+
+
 def test_compaction_shares_the_value_arrays(x, cols):
     xc = x.compact_columns(cols)
     assert xc.data is x.data and xc.indptr is x.indptr

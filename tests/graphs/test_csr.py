@@ -23,6 +23,7 @@ from repro.graphs.csr import (
     add_scaled_rows,
     reset_transpose_conversion_count,
     transpose_conversion_count,
+    unique,
 )
 from repro.nn import Adam, cross_entropy
 
@@ -231,6 +232,18 @@ class TestAddScaledRows:
             add_scaled_rows(acc, np.array([0, 2]), np.zeros((3, 3)), 0.5)
         with pytest.raises(ValueError, match="C-contiguous"):
             add_scaled_rows(acc.T, np.array([0]), np.zeros((1, 4)), 0.5)
+
+
+class TestUnique:
+    """``unique`` is ``np.unique`` for integer arrays, by one sort."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("size", [0, 1, 2, 50])
+    def test_equals_np_unique(self, dtype, size):
+        keys = np.random.default_rng(size).integers(-5, 9, size=size).astype(dtype)
+        got = unique(keys)
+        assert got.dtype == keys.dtype
+        assert got.tobytes() == np.unique(keys).tobytes()
 
 
 class TestKernel:

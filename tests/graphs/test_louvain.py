@@ -51,6 +51,27 @@ def _assert_same(adj, resolution, seed):
     assert [list(c) for c in ours] == [list(c) for c in ref]
 
 
+def _cycle(n=120):
+    u = np.arange(n)
+    a = sp.coo_matrix((np.ones(n), (u, (u + 1) % n)), shape=(n, n))
+    return sp.csr_matrix(a + a.T)
+
+
+def _grid(side=14):
+    path = sp.diags([np.ones(side - 1)], [1], shape=(side, side))
+    path = path + path.T
+    eye = sp.identity(side)
+    return sp.csr_matrix(sp.kron(path, eye) + sp.kron(eye, path))
+
+
+def _cliques(count=12, size=6):
+    block = np.ones((size, size)) - np.eye(size)
+    return sp.csr_matrix(sp.block_diag([block] * count))
+
+
+REGULAR = {"cycle": _cycle, "grid": _grid, "cliques": _cliques}
+
+
 @pytest.fixture(scope="module", params=TWINS, ids=[t[0] for t in TWINS])
 def twin(request):
     name, scale = request.param
@@ -62,6 +83,28 @@ class TestOracle:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_twins_match_networkx(self, twin, resolution, seed):
         _assert_same(twin.adj, resolution, seed)
+
+    # fedbench's two workloads, at their scales.
+    @pytest.mark.parametrize("name,scale", [("cora", 1.0), ("coauthor-cs", 0.25)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fedbench_scale_twins_match_networkx(self, name, scale, seed):
+        _assert_same(load_dataset(name, seed=seed, scale=scale).adj, 1.0, seed)
+
+    # Regular graphs: many candidates tie on their gain, so the sweep's
+    # tie order (the first best candidate in neighbour order) decides.
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 20.0])
+    @pytest.mark.parametrize("graph", ["cycle", "grid", "cliques"])
+    def test_tie_heavy_regular_graphs_match_networkx(self, graph, resolution):
+        adj = REGULAR[graph]()
+        for seed in (0, 3):
+            _assert_same(adj, resolution, seed)
+
+    # At resolution 0 a gain does not depend on Stot; below 0 it rises
+    # with Stot, so the sweep skips no visit there (with skips, the -0.5
+    # case parts from networkx).
+    @pytest.mark.parametrize("resolution", [0.0, -0.5])
+    def test_non_positive_resolution_matches_networkx(self, resolution):
+        _assert_same(load_dataset("cora", seed=0, scale=0.3).adj, resolution, 0)
 
     def test_edgeless_graph(self):
         adj = sp.csr_matrix((6, 6))
