@@ -87,7 +87,7 @@ from repro.autograd.tensor import (
     set_tensor_sanitizer,
 )
 from repro.federated.comm import CommStats
-from repro.graphs.csr import is_scipy_sparse
+from repro.graphs.csr import expand_rows, is_scipy_sparse
 
 
 class SanitizerError(RuntimeError):
@@ -278,22 +278,23 @@ def transition_allowed(prev: int, nxt: int) -> bool:
 _SPARSE_BUFFERS = ("data", "indices", "indptr", "row", "col")
 
 
+def _is_sparse(m: Any) -> bool:
+    """A ``CSRMatrix`` (recognised structurally by ``is_kernel_operator``) or scipy matrix."""
+    return getattr(m, "is_kernel_operator", False) or is_scipy_sparse(m)
+
+
 def _iter_arrays(payload: Any) -> Iterator[np.ndarray]:
     """Every ndarray inside a (possibly nested) payload structure.
 
-    Sparse matrices count as their buffers: a ``scipy.sparse`` matrix
-    yields its ``data``/index arrays, and a ``CSRMatrix`` (recognised
-    structurally by ``is_kernel_operator``) also yields its cached
-    reverse, whose own reverse is the original container.
+    Sparse matrices count as their buffers, their ``data``/index arrays.
     """
     if isinstance(payload, np.ndarray):
         yield payload
-    elif getattr(payload, "is_kernel_operator", False) or is_scipy_sparse(payload):
-        for m in (payload, getattr(payload, "_rev", None)):
-            for attr in _SPARSE_BUFFERS:
-                buf = getattr(m, attr, None)
-                if isinstance(buf, np.ndarray):
-                    yield buf
+    elif _is_sparse(payload):
+        for attr in _SPARSE_BUFFERS:
+            buf = getattr(payload, attr, None)
+            if isinstance(buf, np.ndarray):
+                yield buf
     elif isinstance(payload, dict):
         for v in payload.values():
             yield from _iter_arrays(v)
@@ -309,6 +310,20 @@ def _support_key(cols: np.ndarray) -> bytes:
     statistic as a copy.
     """
     return np.sort(cols).astype(np.int64).tobytes()
+
+
+def _sparse_row_keys(m: Any, columns: bool = False) -> Tuple[int, List[bytes]]:
+    """Row width and support keys of a CSR matrix's rows, or with ``columns``
+    of its transpose's rows (its columns, gathered here); empty and full
+    rows are skipped, and so are explicit zeros."""
+    live = m.data != 0
+    outer, inner = expand_rows(m.indptr)[live], m.indices[live]
+    count, width = m.shape
+    if columns:
+        outer, inner, count, width = inner, outer, width, count
+    ends = np.cumsum(np.bincount(outer, minlength=count))[:-1]
+    supports = np.split(inner[np.argsort(outer, kind="stable")], ends)
+    return width, [_support_key(s) for s in supports if 0 < s.size < width]
 
 
 def _dense_row_keys(arr: np.ndarray) -> List[bytes]:
@@ -513,23 +528,20 @@ class ProtocolMonitor:
         #: of delivered arrays no transfer the other way has answered yet.
         self._sent: Dict[Tuple[str, Optional[int]], List[tuple]] = {}
 
-    def register_private_array(self, name: str, arr: Any) -> None:
+    def register_private_array(self, name: str, arr: Any, columns: bool = False) -> None:
         """Declare ``arr`` as raw party data that must never be uploaded.
 
         Registering a name again replaces what it registered before.
         Every array is registered for the alias pass.  A sparse matrix
         (``CSRMatrix`` or scipy) registers its values buffer there and
         each row's support for the row pass, skipping empty and full
-        rows; a dense 2-D array registers each non-constant row's exact
-        bytes.
+        rows, or with ``columns`` each column's support, so that a copy
+        of its transpose is caught; a dense 2-D array registers each
+        non-constant row's exact bytes.
         """
-        if getattr(arr, "is_kernel_operator", False) or is_scipy_sparse(arr):
+        if _is_sparse(arr):
             m = arr if getattr(arr, "is_kernel_operator", False) else arr.tocsr()
-            buf, width, keys = m.data, m.shape[1], []
-            for lo, hi in zip(m.indptr[:-1], m.indptr[1:]):
-                cols = m.indices[lo:hi][m.data[lo:hi] != 0]
-                if 0 < cols.size < width:
-                    keys.append(_support_key(cols))
+            buf, (width, keys) = m.data, _sparse_row_keys(m, columns)
         else:
             buf = np.asarray(arr)
             width, keys = (buf.shape[1], _dense_row_keys(buf)) if buf.ndim == 2 else (0, [])

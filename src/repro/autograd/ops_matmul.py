@@ -6,13 +6,13 @@ gradient, and the VJP is a single transposed sparse product
 (``Sᵀ @ grad``) — O(nnz·d), never densified.
 
 The sparse operand is always a :class:`~repro.graphs.csr.CSRMatrix`: the
-container carries a pre-transposed reverse-CSR built once per graph, and
-both products run scipy's CSR kernel, a leaf's first gradient into a pool.
-A raw ``scipy.sparse`` matrix is rejected; wrap it once with
-``CSRMatrix.from_scipy``.
+forward product runs scipy's CSR kernel on its arrays, and the backward
+runs scipy's CSC kernel on the same arrays (they are ``Sᵀ``'s CSC
+arrays), a leaf's first gradient into a pool.  A raw ``scipy.sparse``
+matrix is rejected; wrap it once with ``CSRMatrix.from_scipy``.
 
-Sparse operands are constants; mutating one after it has been used in
-``spmm`` invalidates the cached reverse and is unsupported.
+Sparse operands are constants; mutating one between a forward and its
+backward is unsupported.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
+from repro.autograd.tensor import Tensor, as_tensor
 from repro.autograd import signatures as _signatures
 from repro.obs import cost as _cost
 
@@ -63,8 +63,8 @@ def spmm(s, x) -> Tensor:
 
     ``S`` — a :class:`~repro.graphs.csr.CSRMatrix` — is treated as a
     constant (the graph's normalized adjacency); the gradient w.r.t.
-    ``X`` is ``Sᵀ @ G`` through the pre-transposed reverse-CSR, never a
-    fresh conversion per step.
+    ``X`` is ``Sᵀ @ G``, read from ``S``'s own arrays by
+    :meth:`~repro.graphs.csr.CSRMatrix.rmatmul`: no transpose is built.
 
     Operands are validated up front: a shape mismatch raises a clear
     ``ValueError`` instead of dying inside scipy internals.  The
@@ -91,34 +91,30 @@ def spmm(s, x) -> Tensor:
     cc = _cost._collector
     if cc is not None:
         cc.spmm_op("fwd", s, x.data, out_data)
-    # The pre-transposed reverse-CSR, built at most once per container.
-    # A container made without it (a graph's features) gets it here, in
-    # the forward that will need it, never inside a backward pass.
-    rev = s.rev if x.requires_grad and is_grad_enabled() else None
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            accumulate_rev_product(x, rev, grad)
+            accumulate_transposed_product(x, s, grad)
 
     return Tensor._make(out_data, (x,), backward, "spmm")
 
 
-def rev_product(rev, grad: np.ndarray, out=None) -> np.ndarray:
-    """``rev @ grad``, priced as ``spmm``'s backward."""
-    dx = rev.matmul(grad, out=out)
+def transposed_product(s, grad: np.ndarray, out=None) -> np.ndarray:
+    """``Sᵀ @ grad``, priced as ``spmm``'s backward: the same entries as the forward."""
+    dx = s.rmatmul(grad, out=out)
     cc = _cost._collector
     if cc is not None:
-        cc.spmm_op("bwd", rev, grad, dx)
+        cc.spmm_op("bwd", s, grad, dx)
     return dx
 
 
-def accumulate_rev_product(x: Tensor, rev, grad: np.ndarray) -> None:
-    """Add ``rev @ grad`` to ``x``'s gradient; a leaf's first one of its
+def accumulate_transposed_product(x: Tensor, s, grad: np.ndarray) -> None:
+    """Add ``Sᵀ @ grad`` to ``x``'s gradient; a leaf's first one of its
     dtype is written straight into a pooled buffer."""
-    if x.grad is None and x._backward is None and np.result_type(rev.data, grad) == x.data.dtype:
-        rev_product(rev, grad, out=x._pooled_grad())
+    if x.grad is None and x._backward is None and np.result_type(s.data, grad) == x.data.dtype:
+        transposed_product(s, grad, out=x._pooled_grad())
     else:
-        x._accumulate(rev_product(rev, grad), owned=True)
+        x._accumulate(transposed_product(s, grad), owned=True)
 
 
 def transpose(a) -> Tensor:

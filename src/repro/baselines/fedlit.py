@@ -164,7 +164,6 @@ class FedLITTrainer(FederatedTrainer):
         for t in range(self.num_types):
             mask = assign == t if t < centroids.shape[0] else np.zeros(len(edges), bool)
             adjs.append(normalized_adjacency(symmetric_adjacency(*edges[mask].T, n), graph.x.dtype))
-            adjs[-1]._build_reverse()
         return adjs
 
     def begin_round(self, round_idx: int) -> None:

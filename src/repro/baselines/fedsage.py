@@ -227,10 +227,8 @@ class FedSagePlusTrainer(FederatedTrainer):
                 h_count, h_feat = np.zeros(g.num_nodes), np.zeros(g.x.shape)
                 mean_op = row_normalized_adjacency(g.adj, dtype)
             # One CSR container per party for the whole generator
-            # pre-training: the reverse-CSR for backward is built here,
-            # once, instead of per epoch inside spmm.  The visible graph
-            # keeps every node's features, so g's sparse features serve it.
-            mean_op._build_reverse()
+            # pre-training.  The visible graph keeps every node's
+            # features, so g's sparse features serve it.
             data.append((g.x, mean_op, h_count.astype(dtype), h_feat.astype(dtype)))
 
         for epoch in range(self.gen_epochs):
@@ -252,7 +250,6 @@ class FedSagePlusTrainer(FederatedTrainer):
         mended = []
         for g, gen in zip(parts, gens):
             gen.eval()
-            # Forward-only (no_grad) single use: skip the reverse build.
             full_mean_adj = row_normalized_adjacency(g.adj, g.x.dtype)
             with no_grad():
                 deg_pred, feat_pred = gen(full_mean_adj, g.x)

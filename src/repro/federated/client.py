@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.autograd import Tensor, no_grad
 from repro.autograd.tensor import get_tensor_sanitizer
-from repro.federated.executor import step_stream
 from repro.graphs.csr import unique
 from repro.graphs.data import Graph
 from repro.nn import Adam, accuracy, cross_entropy
@@ -133,15 +132,7 @@ class Client:
         how FedAvg handles unlabeled parties).  With ``nan_guard``, a
         non-finite loss skips the update instead of poisoning the next
         FedAvg round with NaN weights.
-
-        Inside a serial executor map that streams steps
-        (:func:`~repro.federated.executor.step_stream`), the optimizer
-        step is deferred to the stream and lands before the map returns;
-        this client's next step waits for it first.
         """
-        stream = step_stream()
-        if stream is not None:
-            stream.join(self)
         if not self.has_train_nodes():
             return float("nan")
         self.model.train()
@@ -151,10 +142,7 @@ class Client:
         if nan_guard and not np.isfinite(value):
             return value
         loss.backward()
-        if stream is not None:
-            stream.submit(self, self.optimizer.step)
-        else:
-            self.optimizer.step()
+        self.optimizer.step()
         self.version += 1
         return value
 

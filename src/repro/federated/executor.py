@@ -33,28 +33,21 @@ identical models and :class:`~repro.federated.history.TrainingHistory`
 metrics — asserted by ``tests/federated/test_executor.py`` and the
 ``benchmarks/test_bench_parallel.py`` speedup bench.
 
-The executor also owns the process's other threads:
+A serial run starts no thread: each task, its optimizer step included,
+runs on the calling thread.  With workers, a client's step runs on the
+worker that ran its backward pass, beside other clients' backward
+passes; a step touches only its own client's parameters, gradients and
+moments, and Adam's scratch is per thread, so it is bitwise the serial
+step.
 
-* **The BLAS cap.** :meth:`ClientExecutor.one_blas_thread` holds numpy's
-  bundled OpenBLAS at one thread (``FederatedTrainer.run`` wraps its
-  rounds in it) and restores the previous count on exit.  The round's
-  GEMMs are 64 columns wide: a second BLAS thread gains nothing on them
-  and spin-waits, and with client workers it oversubscribes the CPUs.
-  The count is read and set through the library's exported
-  ``scipy_openblas_{get,set}_num_threads64_``; under any other BLAS
-  build nothing is capped.
-* **The step stream.**  Inside the cap a serial executor may defer each
-  task's optimizer step to one FIFO thread: ``Client.train_step``
-  submits ``optimizer.step`` to :func:`step_stream` and returns, so
-  client i's Adam update overlaps client i+1's forward and backward.
-  A client's next step joins its own pending one first, and
-  :meth:`ClientExecutor.map` joins every pending step before it returns
-  (re-raising the first error), so nothing outside a map ever sees a
-  pending step.  Steps are deferred only when the executor is serial,
-  the process may run on at least two CPUs (:func:`available_cpus`) and
-  the BLAS cap is in force; otherwise they run inline.  A step touches
-  only its own client's parameters, gradients and moments, and Adam's
-  scratch is per thread, so a deferred step is bitwise the inline one.
+The executor also owns the BLAS cap: :meth:`ClientExecutor.one_blas_thread`
+holds numpy's bundled OpenBLAS at one thread (``FederatedTrainer.run``
+wraps its rounds in it) and restores the previous count on exit.  The
+round's GEMMs are 64 columns wide: a second BLAS thread gains nothing on
+them and spin-waits, and with client workers it oversubscribes the CPUs.
+The count is read and set through the library's exported
+``scipy_openblas_{get,set}_num_threads64_``; under any other BLAS build
+nothing is capped.
 """
 
 from __future__ import annotations
@@ -64,9 +57,8 @@ import ctypes
 import functools
 import glob
 import os
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -120,53 +112,6 @@ def openblas_threads_api() -> Optional[Tuple[Callable[[], int], Callable[[int], 
     return None
 
 
-class StepStream:
-    """Deferred optimizer steps, run in submission order on one thread.
-
-    Each owner (a client) has at most one pending step: :meth:`submit`
-    joins the owner's previous step first, and :meth:`join` waits for it.
-    """
-
-    def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fl-step")
-        self._pending: Dict[object, Future] = {}
-
-    def submit(self, owner: object, step: Callable[[], None]) -> None:
-        self.join(owner)
-        self._pending[owner] = self._pool.submit(step)
-
-    def join(self, owner: object) -> None:
-        """Wait for ``owner``'s pending step; re-raise its error."""
-        future = self._pending.pop(owner, None)
-        if future is not None:
-            future.result()
-
-    def join_all(self) -> None:
-        """Wait for every pending step; re-raise the first error, if any."""
-        pending, self._pending = list(self._pending.values()), {}
-        errors = [f.exception() for f in pending]
-        first = next((e for e in errors if e is not None), None)
-        if first is not None:
-            raise first
-
-    def close(self) -> None:
-        try:
-            self.join_all()
-        finally:
-            self._pool.shutdown(wait=True)
-
-
-# The step stream of the serial map running on this thread, if any.
-# Thread-local, like autograd's grad mode: ``Client.train_step`` keeps
-# its signature and learns from here whether it runs inside such a map.
-_active = threading.local()
-
-
-def step_stream() -> Optional[StepStream]:
-    """Where ``Client.train_step`` defers its optimizer step (``None``: inline)."""
-    return getattr(_active, "stream", None)
-
-
 class ClientExecutor:
     """Ordered map over clients, threaded when ``num_workers > 1``.
 
@@ -180,8 +125,6 @@ class ClientExecutor:
     def __init__(self, num_workers: int = 1) -> None:
         self.num_workers = resolve_workers(num_workers)
         self._pool: Optional[ThreadPoolExecutor] = None
-        # The deferred-step stream, open only inside one_blas_thread().
-        self._stream: Optional[StepStream] = None
 
     @property
     def parallel(self) -> bool:
@@ -189,11 +132,8 @@ class ClientExecutor:
 
     @contextlib.contextmanager
     def one_blas_thread(self) -> Iterator[None]:
-        """Hold OpenBLAS at one thread; open the step stream when it pays.
-
-        Restores the previous thread count and closes the stream (no
-        thread outlives the block) on exit, also on an exception.
-        Without the OpenBLAS symbols nothing is capped or deferred.
+        """Hold OpenBLAS at one thread; restore the previous count on exit,
+        also on an exception.  Without the OpenBLAS symbols nothing is capped.
         """
         api = openblas_threads_api()
         if api is None:
@@ -202,17 +142,10 @@ class ClientExecutor:
         get, set_ = api
         previous = get()
         set_(1)
-        if not self.parallel and available_cpus() >= 2:
-            self._stream = StepStream()
         try:
             yield
         finally:
-            stream, self._stream = self._stream, None
-            try:
-                if stream is not None:
-                    stream.close()
-            finally:
-                set_(previous)
+            set_(previous)
 
     def map(
         self,
@@ -238,38 +171,13 @@ class ClientExecutor:
         if span is not None and (tracer.enabled or registry.enabled):
             fn = self._instrument(fn, span, attrs, tracer, registry)
         if not self.parallel or len(items) <= 1:
-            if self._stream is not None:
-                return self._streamed_map(fn, items)
-            return self._serial_map(fn, items)
+            return [fn(item) for item in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.num_workers, thread_name_prefix="fl-client"
             )
         futures = [self._pool.submit(fn, item) for item in items]
         return [f.result() for f in futures]
-
-    def _serial_map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        return [fn(item) for item in items]
-
-    def _streamed_map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Serial map whose tasks may defer optimizer steps to the stream.
-
-        Every step a task deferred has landed when this returns; a task's
-        error wins over a step's, which is re-raised otherwise.
-        """
-        stream = self._stream
-        outer = step_stream()
-        _active.stream = stream
-        try:
-            results = self._serial_map(fn, items)
-        except BaseException:
-            with contextlib.suppress(Exception):
-                stream.join_all()
-            raise
-        finally:
-            _active.stream = outer
-        stream.join_all()
-        return results
 
     def _instrument(
         self,

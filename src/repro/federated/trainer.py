@@ -228,13 +228,16 @@ class FederatedTrainer:
             for c, part in zip(self.clients, parts):
                 named = [
                     (f"client{c.cid}.graph.x", c.graph.x),
-                    (f"client{c.cid}.graph.x.rev", c.graph.x.rev),
                     (f"client{c.cid}.graph.y", c.graph.y),
                     (f"client{c.cid}.graph.adj", c.graph.adj),
                 ]
                 if part.x is not c.graph.x:
                     named.append((f"client{c.cid}.part.x", part.x))
                 self.sanitizer.register_private_arrays(named)
+                # The rows of Xᵀ: its columns' supports.
+                self.sanitizer.protocol.register_private_array(
+                    f"client{c.cid}.graph.x.T", c.graph.x, columns=True
+                )
                 self.sanitizer.protocol.declare_uplinks(
                     c.cid, {KIND_WEIGHTS: self.parameter_schema(c)}, dtype=self.dtype
                 )

@@ -33,8 +33,7 @@ class GCNConv(Module):
     * a constant :class:`~repro.graphs.csr.CSRMatrix` (``graph.x``, the
       sparse bag-of-words features every first layer takes).  The layer
       computes ``S̃ (Z W)`` with two sparse products, O(nnz_z·d_out +
-      nnz·d_out), and the weight gradient Zᵀ·G comes from the cached
-      reverse CSR.
+      nnz·d_out), and the weight gradient Zᵀ·G reads Z's own CSR arrays.
     """
 
     def __init__(

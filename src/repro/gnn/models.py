@@ -14,10 +14,9 @@ so each can pick its propagation operator: GCN/Ortho use ``graph.s_op``
 (the row-normalized mean aggregator).  Every model's first layer takes
 the sparse bag-of-words features ``graph.x``, a CSR container itself,
 and multiplies it through ``spmm``: no model densifies the features.
-Every container is built once per graph and carries a pre-transposed
-reverse-CSR (the features' reverse is built by the first forward that
-needs it), so propagation never pays a sparse conversion — forward or
-backward — after the first touch.
+Every container is built once per graph, and a backward pass reads the
+forward container's arrays, so propagation never pays a sparse
+conversion — forward or backward — after the first touch.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, dropout, is_grad_enabled, matmul, no_grad, relu, spmm
+from repro.autograd import Tensor, dropout, matmul, no_grad, relu, spmm
 from repro.autograd import signatures as _signatures
-from repro.autograd.ops_matmul import accumulate_rev_product, rev_product
+from repro.autograd.ops_matmul import accumulate_transposed_product, transposed_product
 from repro.graphs.data import Graph
 from repro.nn import Linear
 from repro.nn.module import Module
@@ -301,12 +300,11 @@ class OrthoGCN(Module):
             out = self.conv_in(s, x).data
         mask = out > 0
         np.multiply(out, mask, out=out)
-        s_rev, x_rev = (s.rev, x.rev) if is_grad_enabled() else (None, None)
 
         def backward(grad: np.ndarray) -> None:
             g = grad * mask
             b._accumulate(g.sum(axis=0), owned=True)
-            accumulate_rev_product(w, x_rev, rev_product(s_rev, g))
+            accumulate_transposed_product(w, x, transposed_product(s, g))
 
         return Tensor._make(out, (w, b), backward, "gcn_relu")
 

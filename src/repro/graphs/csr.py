@@ -5,28 +5,25 @@ the closure variable meant to cache the transpose was fresh on every
 forward call, so each training step paid one full O(nnz) sparse
 conversion per layer.  :class:`CSRMatrix` fixes that at the root: the
 container is built **once per party graph** (cached on
-:class:`~repro.graphs.data.Graph` as ``s_op`` / ``mean_op``) and
-carries the normalized adjacency *and its pre-transposed reverse-CSR*
-for backward, the HGL-proto ``SPMVFunction`` design.  A graph's
-adjacency and features are containers too, built in NumPy, byte for byte
-(int32 indices included) what ``scipy.sparse`` builds for the same matrix.
+:class:`~repro.graphs.data.Graph` as ``s_op`` / ``mean_op``), and no
+transpose is ever built: the CSR arrays of ``S`` are the CSC arrays of
+``Sᵀ``, so :meth:`CSRMatrix.rmatmul` runs ``Sᵀ @ G`` through scipy's
+``csc_matvecs`` on the matrix's own arrays.  A graph's adjacency and
+features are containers too, built in NumPy, byte for byte (int32
+indices included) what ``scipy.sparse`` builds for the same matrix.
 
-Numerical contract: the reverse is a stable sort of the entries by
-column, so within each of its rows the entries keep their row order —
-value for value what scipy's CSR→CSC conversion (and ``S.T.tocsr()``)
-produces, so the substrate cannot move the golden training digests.
+Numerical contract: ``csc_matvecs`` adds into each output row of
+``Sᵀ @ G`` in ascending row order of ``S``, which is the order the
+entries of ``S.T.tocsr()`` hold, so the product is byte for byte the one
+``csr_matvecs`` computes on the transposed copy, and the substrate cannot
+move the golden training digests.
 
-Every product is one direct call of ``csr_matvecs``, the kernel scipy's
-``S @ x`` runs, into a caller's buffer if it hands one in;
-:func:`repro.autograd.spmm` consumes the container as a fused autograd
-op and accepts no other sparse operand, and :func:`repro.autograd.matmul`
-hands a container on its left to it.  The kernel is loaded alone
-(:func:`_load_sparsetools`): ``import scipy.sparse`` costs ~14 MB of RSS (scipy 1.17).
-
-This module also owns the transpose-conversion counter: every reverse
-(Sᵀ) CSR materialization reports here, which is how the regression
-suite asserts the "build the transpose once per graph" contract instead
-of trusting a comment.
+Every product is one direct call of a scipy kernel, into a caller's
+buffer if it hands one in; :func:`repro.autograd.spmm` consumes the
+container as a fused autograd op and accepts no other sparse operand,
+and :func:`repro.autograd.matmul` hands a container on its left to it.
+The kernels are loaded alone (:func:`_load_sparsetools`): ``import
+scipy.sparse`` costs ~14 MB of RSS (scipy 1.17).
 """
 
 from __future__ import annotations
@@ -35,45 +32,8 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import threading
 
 import numpy as np
-
-from repro.obs.metrics import Counter, get_registry
-
-# The transpose-conversion meter is a real (always-on, lock-guarded)
-# metrics Counter rather than a bare int: when a telemetry session is
-# live the count also mirrors into its registry, so the JSONL trace
-# carries it alongside the csr-cache metrics.  Resets never touch the
-# monotonic instrument — they move the subtraction base.
-_transpose_conversions = Counter("kernel.transpose_conversions")
-_lock = threading.Lock()
-_reset_base = 0  # guarded-by(_lock)
-
-
-def _count_transpose_conversion() -> None:
-    """Record one materialized Sᵀ CSR."""
-    _transpose_conversions.inc()
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter("kernel.transpose_conversions").inc()
-
-
-def transpose_conversion_count() -> int:
-    """Reverse-CSR conversions built process-wide since the last reset."""
-    total = int(_transpose_conversions.value)
-    with _lock:
-        return total - _reset_base
-
-
-def reset_transpose_conversion_count() -> int:
-    """Rebase the conversion counter; returns the count since last reset."""
-    global _reset_base
-    total = int(_transpose_conversions.value)
-    with _lock:
-        prev = total - _reset_base
-        _reset_base = total
-    return prev
 
 
 def _load_sparsetools():
@@ -183,7 +143,7 @@ def add_scaled_rows(acc: np.ndarray, rows: np.ndarray, values: np.ndarray, scale
 
 
 class CSRMatrix:
-    """An immutable float32 or float64 CSR matrix with a cached reverse (transpose).
+    """An immutable float32 or float64 CSR matrix.
 
     Parameters
     ----------
@@ -191,8 +151,7 @@ class CSRMatrix:
         Standard CSR arrays.  ``data`` must already be float32 or
         float64 — the substrate never casts silently (a cast would
         detach the arrays from the scipy matrix the caller built); a
-        dataset casts its features once, with :meth:`astype`.  The
-        reverse has the same dtype.
+        dataset casts its features once, with :meth:`astype`.
 
     Notes
     -----
@@ -204,7 +163,7 @@ class CSRMatrix:
 
     is_kernel_operator = True
 
-    __slots__ = ("data", "indices", "indptr", "shape", "_scipy", "_rev")
+    __slots__ = ("data", "indices", "indptr", "shape", "_scipy")
 
     def __init__(
         self,
@@ -224,61 +183,23 @@ class CSRMatrix:
         self.indptr = np.asarray(indptr)
         self.shape = (int(shape[0]), int(shape[1]))
         self._scipy = None
-        self._rev: "CSRMatrix" = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_scipy(cls, m, build_reverse: bool = True) -> "CSRMatrix":
-        """Wrap a scipy sparse matrix (no value copy for CSR input).
-
-        ``build_reverse`` (default) materializes the reverse-CSR eagerly
-        — the container is built once per graph, so the single O(nnz)
-        conversion happens at a deterministic point instead of inside
-        the first backward pass of a (possibly multi-threaded) round.
-        """
+    def from_scipy(cls, m) -> "CSRMatrix":
+        """Wrap a scipy sparse matrix (no value copy for CSR input)."""
         if not is_scipy_sparse(m):
             raise TypeError(f"expected a scipy.sparse matrix, got {type(m).__name__}")
         csr = m.tocsr()
         out = cls(csr.data, csr.indices, csr.indptr, csr.shape)
         out._scipy = csr
-        if build_reverse:
-            out._build_reverse()
         return out
-
-    def _build_reverse(self) -> "CSRMatrix":
-        """Materialize Sᵀ in CSR form (exactly once; metered).
-
-        A stable sort of the entries by column: the arrays scipy's CSR→CSC
-        conversion builds, value-for-value what ``S.T.tocsr()`` would
-        produce.  The reverse's reverse is this container — round trips
-        are free.
-        """
-        # Unique keys (column, position) give the stable order without a stable sort.
-        order = np.argsort(self.indices.astype(np.int64) * self.nnz + np.arange(self.nnz))
-        _count_transpose_conversion()
-        rev = from_coo(self.indices[order], expand_rows(self.indptr)[order], self.data[order],
-                       (self.shape[1], self.shape[0]))
-        rev._rev = self
-        self._rev = rev
-        return rev
 
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
-    @property
-    def rev(self) -> "CSRMatrix":
-        """The pre-transposed reverse-CSR (Sᵀ), built at most once."""
-        if self._rev is None:
-            self._build_reverse()
-        return self._rev
-
-    @property
-    def T(self) -> "CSRMatrix":
-        """Alias of :attr:`rev` for matrix-API symmetry."""
-        return self.rev
-
     @property
     def nnz(self) -> int:
         return int(self.data.size)
@@ -293,12 +214,8 @@ class CSRMatrix:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the CSR arrays, plus the reverse's once it is built."""
-        total = 0
-        for m in (self, self._rev):
-            if m is not None:
-                total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        return total
+        """Bytes held by the CSR arrays."""
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
     # ------------------------------------------------------------------
     # products
@@ -307,18 +224,28 @@ class CSRMatrix:
         """``S @ x`` for a 2-D ``x``, bitwise scipy's (one call of its kernel); a
         given ``out`` (C-contiguous, the product's dtype and shape) is
         overwritten with it, or has it added with ``add``."""
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ValueError(f"cannot multiply {self.shape} by {x.shape}")
-        dtype, shape = np.result_type(self.data, x), (self.shape[0], x.shape[1])
+        return self._product(_sparsetools.csr_matvecs, self.shape, x, out, add)
+
+    def rmatmul(self, g: np.ndarray, out=None) -> np.ndarray:
+        """``Sᵀ @ g`` for a 2-D ``g``, bitwise ``S.T.tocsr() @ g``; ``out`` as in
+        :meth:`matmul`.  scipy's CSC kernel reads this matrix's own arrays,
+        which are the CSC arrays of ``Sᵀ``: no transpose is built."""
+        return self._product(_sparsetools.csc_matvecs, self.shape[::-1], g, out, False)
+
+    def _product(self, kernel, shape: tuple, x: np.ndarray, out, add: bool) -> np.ndarray:
+        """``kernel`` (a ``*_matvecs``) on these arrays as a ``shape`` matrix, times ``x``."""
+        if x.ndim != 2 or x.shape[0] != shape[1]:
+            raise ValueError(f"cannot multiply {shape} by {x.shape}")
+        dtype, out_shape = np.result_type(self.data, x), (shape[0], x.shape[1])
         if out is None:
-            out = np.zeros(shape, dtype)
-        elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+            out = np.zeros(out_shape, dtype)
+        elif out.shape != out_shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {dtype} array of shape {out_shape}")
         elif not add:
             out.fill(0)
         x = np.ascontiguousarray(x, dtype=dtype).reshape(-1)
         data, y = self.data.astype(dtype, copy=False), out.reshape(-1)
-        _sparsetools.csr_matvecs(*self.shape, shape[1], self.indptr, self.indices, data, x, y)
+        kernel(*shape, out_shape[1], self.indptr, self.indices, data, x, y)
         return out
 
     def __matmul__(self, other):
@@ -329,7 +256,7 @@ class CSRMatrix:
     def astype(self, dtype) -> "CSRMatrix":
         """This matrix with its values in ``dtype``: ``self`` when they are.
 
-        The copy shares the index arrays; its reverse is built when needed.
+        The copy shares the index arrays.
         """
         if self.dtype == dtype:
             return self
@@ -340,21 +267,14 @@ class CSRMatrix:
 
         ``cols`` must hold every stored column.  Each row keeps its
         entries in the same order, so ``X_c @ W[cols]`` adds the same
-        products in the same order as ``X @ W``.  ``data`` and ``indptr``
-        are shared.  The reverse is the rows ``cols`` of this matrix's
-        reverse (built here if it was not) and shares its ``data`` and
-        ``indices``: the other rows of Xᵀ are empty, so ``X_cᵀ @ G`` is
-        exactly ``(Xᵀ @ G)[cols]``.
+        products in the same order as ``X @ W``, and ``X_cᵀ @ G`` adds into its
+        row ``i`` what ``Xᵀ @ G`` adds into row ``cols[i]``, in the same order:
+        the other rows of ``Xᵀ @ G`` are 0, so it is exactly ``(Xᵀ @ G)[cols]``.
+        ``data`` and ``indptr`` are shared.
         """
         remap = np.empty(self.shape[1], self.indices.dtype)
         remap[cols] = np.arange(len(cols))
-        indices = remap[self.indices]
-        out = CSRMatrix(self.data, indices, self.indptr, (self.shape[0], len(cols)))
-        rev = self.rev
-        rev_indptr = np.append(rev.indptr[cols], rev.indptr[-1])
-        out._rev = CSRMatrix(rev.data, rev.indices, rev_indptr, (len(cols), self.shape[0]))
-        out._rev._rev = out
-        return out
+        return CSRMatrix(self.data, remap[self.indices], self.indptr, (self.shape[0], len(cols)))
 
     # ------------------------------------------------------------------
     # interop
@@ -374,7 +294,7 @@ class CSRMatrix:
         return self.to_scipy().toarray()
 
     def copy(self) -> "CSRMatrix":
-        """A copy of the arrays; the reverse is built when needed."""
+        """A copy of the arrays."""
         return CSRMatrix(self.data.copy(), self.indices.copy(), self.indptr.copy(), self.shape)
 
     def row_sums(self) -> np.ndarray:
@@ -399,5 +319,4 @@ class CSRMatrix:
         return from_coo(row_of, indices, data, (len(rows), width))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        rev = "cached" if self._rev is not None else "unbuilt"
-        return f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, rev={rev})"
+        return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -9,8 +9,8 @@ since every GCN forward needs it and it never changes.
 The bag-of-words features are 0.4–1.4% dense on the Table-2 twins, so
 ``x`` is stored once, as a :class:`~repro.graphs.csr.CSRMatrix`, and
 never densified: it is the operator every model's first layer
-multiplies through ``spmm``, and its reverse (Xᵀ, for the weight
-gradient) is built by the first forward that needs it.
+multiplies through ``spmm``, and the weight gradient ``Xᵀ·G`` reads the
+same arrays (:meth:`~repro.graphs.csr.CSRMatrix.rmatmul`).
 """
 
 from __future__ import annotations
@@ -106,12 +106,11 @@ class Graph:
         return int(self.adj.nnz // 2)
 
     def _operator(self, name: str, build) -> CSRMatrix:
-        """Cached operator ``name``: ``build(adj, x.dtype)`` with its reverse."""
+        """Cached operator ``name``: ``build(adj, x.dtype)``."""
         op = getattr(self, name)
         _meter_csr_cache(name[1:], hit=op is not None)
         if op is None:
             op = build(self.adj, self.x.dtype)
-            op._build_reverse()
             setattr(self, name, op)
         return op
 

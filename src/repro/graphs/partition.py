@@ -24,9 +24,11 @@ community of that visit (its neighbours', its own included) lost a node
 and its own gained none: no neighbour moved, ``u``'s own gain is bitwise
 the same, and every other candidate's gain can only have fallen, a gain
 being monotone in ``Stot`` under IEEE rounding at a resolution >= 0 (a
-negative one skips nothing).  Neighbour weights are counted as integers,
-which equal networkx's float sums.  networkx is not imported; the test
-suite compares against it.
+negative one skips nothing).  A visit it cannot skip reuses the last
+stay's neighbour weights when no neighbour of ``u`` has moved since:
+each move stamps its node's neighbours with the move clock.  Neighbour
+weights are counted as integers, which equal networkx's float sums.
+networkx is not imported; the test suite compares against it.
 
 A ``random_partition`` alternative (uniform node assignment) is provided
 for the "Louvain effect vs federation effect" extension ablation.
@@ -197,11 +199,12 @@ def _one_level(
     inner = [{u} for u in range(n)]
     two_m2 = 2 * m**2
     # Move clock; per community the clocks of its last gain and loss of a
-    # node; per node the clock (-1: none) and candidates of its last stay.
+    # node; per node the clock of its neighbours' last move, and the clock
+    # (-1: none), candidates and their neighbour weights of its last stay.
     clock = 0
-    gained, lost = [0] * n, [0] * n
+    gained, lost, near = [0] * n, [0] * n, [0] * n
     lost_at = lost.__getitem__
-    stay_at, stay_cands = [-1] * n, [None] * n
+    stay_at, stay_cands, stay_weights = [-1] * n, [None] * n, [None] * n
     rand_nodes = list(range(n))
     rand.shuffle(rand_nodes)
     nb_moves = 1
@@ -210,21 +213,26 @@ def _one_level(
         nb_moves = 0
         for u in rand_nodes:
             t = stay_at[u]
-            if t >= 0 and gained[node2com[u]] <= t and max(map(lost_at, stay_cands[u])) <= t:
-                continue
-            best_mod = 0
             best_com = old = node2com[u]
-            weights2com = {}
-            _count_elements(weights2com, map(com_of, nbrs[u]))
+            if t >= 0:
+                cands = stay_cands[u]
+                if gained[old] <= t and max(map(lost_at, cands)) <= t:
+                    continue
+            if near[u] > t:
+                weights2com = {}
+                _count_elements(weights2com, map(com_of, nbrs[u]))
+                # The own community joins the candidates last, at weight 0,
+                # when no neighbour is in it (networkx's defaultdict lookup).
+                own = weights2com.setdefault(old, 0)
+                cands = None
+            else:  # no neighbour moved since the stay: its weights hold
+                weights = stay_weights[u]
+                own = weights[cands.index(old)]
+            best_mod = 0
             degree = deg[u]
-            stot[best_com] -= degree
-            # The own community joins the candidates last, at weight 0,
-            # when no neighbour is in it (networkx's defaultdict lookup).
-            remove_cost = (
-                -weights2com.setdefault(best_com, 0) / m
-                + resolution * (stot[best_com] * degree) / two_m2
-            )
-            for c, w in weights2com.items():
+            stot[old] -= degree
+            remove_cost = -own / m + resolution * (stot[old] * degree) / two_m2
+            for c, w in weights2com.items() if cands is None else zip(cands, weights):
                 gain = remove_cost + w / m - resolution * (stot[c] * degree) / two_m2
                 if gain > best_mod:
                     best_mod = gain
@@ -241,9 +249,13 @@ def _one_level(
                 node2com[u] = best_com
                 clock += 1
                 lost[old] = gained[best_com] = clock
+                for v in nbrs[u]:
+                    near[v] = clock
                 stay_at[u] = -1
             elif resolution >= 0:
-                stay_at[u], stay_cands[u] = clock, list(weights2com)
+                if cands is None:
+                    cands, weights = list(weights2com), list(weights2com.values())
+                stay_at[u], stay_cands[u], stay_weights[u] = clock, cands, weights
     partition = list(filter(len, partition))
     inner = list(filter(len, inner))
     return partition, inner, node2com, improvement

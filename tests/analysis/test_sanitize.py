@@ -445,15 +445,19 @@ class TestRuntimePrivacyEscape:
             trainer.run()
 
     def test_reverse_operator_upload_caught(self):
-        # The cached reverse (Xᵀ) is its own buffer set; the walker finds
-        # the forward container through it.
+        # X's CSR arrays are the CSC arrays of Xᵀ: a hand-built Xᵀ
+        # container over them shares X's values buffer.
+        import scipy.sparse as sp
+
         from repro.analysis.sanitize import PrivacyEscapeError, ProtocolMonitor
 
         g = small_parts()[0]
         monitor = ProtocolMonitor()
         monitor.register_private_array("graph.x", g.x.data)
+        x_t = sp.csc_matrix((g.x.data, g.x.indices, g.x.indptr), shape=g.x.shape[::-1])
+        np.testing.assert_array_equal(x_t.toarray(), g.x.toarray().T)
         with pytest.raises(PrivacyEscapeError, match="graph.x"):
-            monitor.on_event("up", "means", {"leak": g.x.rev})
+            monitor.on_event("up", "means", {"leak": x_t})
 
     def test_statistics_only_run_stays_clean(self):
         cfg = FedOMDConfig(max_rounds=1, patience=50, hidden=16, sanitize=True)
@@ -497,7 +501,7 @@ LEAKS = {
     "(x_dense>0).astype(float)": (
         lambda g: (g.x.toarray() > 0).astype(float), r"graph\.x`"
     ),
-    "x_dense.T": (lambda g: g.x.toarray().T, r"graph\.x\.rev`"),
+    "x_dense.T": (lambda g: g.x.toarray().T, r"graph\.x\.T`"),
     "deepcopy(x)": (lambda g: copy.deepcopy(g.x), r"dtype int"),
     "adj.toarray()": (lambda g: g.adj.toarray(), r"graph\.adj`"),
     "s_op.toarray()": (lambda g: g.s_op.toarray(), r"graph\.s_op`"),

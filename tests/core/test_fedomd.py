@@ -223,11 +223,10 @@ class TestPartialParticipation:
 
 class TestFeatureMemory:
     def test_training_never_builds_dense_features(self):
-        # FedOMD reads only the CSR features: each party's features (with
-        # Xᵀ) stay far below n·f float64s.
+        # FedOMD reads only the CSR features: each party's features stay
+        # far below n·f float64s.
         g = load_dataset("cora", seed=0, scale=0.2)
         fresh = louvain_partition(g, 3, np.random.default_rng(0)).parts
         FedOMDTrainer(fresh, FedOMDConfig(**QUICK), seed=0).run()
         for p in fresh:
-            assert p.x._rev is not None  # built by the first training forward
             assert p.x.nbytes < p.num_nodes * p.num_features * 8 / 20

@@ -1,11 +1,12 @@
 """The pool of leaf gradients (``repro.autograd.tensor.grad_pool``) in a run.
 
 A leaf's first gradient ``Xᵀ·G`` is written into a pooled buffer, and
-``Adam.step`` hands the buffer back once it has consumed it.  A deferred
-step runs on the ``fl-step`` thread while the next client's backward
-runs, so a buffer must not be handed out again before its step lands:
-reusing it under the step would train a different history.  Each test
-installs a fresh, watched pool.
+``Adam.step`` hands the buffer back once it has consumed it.  With client
+workers one client's step runs on one thread while another client's
+backward runs on the other, so a buffer must not be handed out again
+before its step lands: reusing it under the step would train a different
+history.  A serial run steps inline, so the pool lends few buffers.
+Each test installs a fresh, watched pool.
 """
 
 import inspect
@@ -18,10 +19,10 @@ import pytest
 
 from repro.autograd import tensor as tensor_mod
 from repro.core import FedOMDConfig, FedOMDTrainer
-from repro.federated import executor as executor_mod
 from repro.graphs import load_dataset, louvain_partition
+from repro.nn import Adam
 
-from tests.federated.test_deferred_step import assert_bitwise_equal, force_deferral
+from tests.federated.test_deferred_step import assert_bitwise_equal
 
 ROUNDS = 3
 
@@ -38,7 +39,7 @@ class WatchedPool(tensor_mod.GradPool):
     def __init__(self):
         super().__init__()
         self.watch = threading.Lock()
-        self.pending = []  # buffers of submitted steps that have not landed
+        self.pending = []  # buffers of started steps that have not landed
         self.lent = self.most_lent = 0
         self.reused_while_pending = 0
         self.taken_while_steps_pending = 0
@@ -67,22 +68,17 @@ def watch_pool(m):
 
 
 def hold_steps_back(m, pool, delay=0.004):
-    """Every deferred step waits ``delay`` s on the ``fl-step`` thread
-    first, so later clients' backwards run while it is pending."""
-    submit = executor_mod.StepStream.submit  # force_deferral's logging submit
+    """Every step waits ``delay`` s first, holding its gradients' buffers, so
+    another client's backward runs while it is pending."""
+    step = Adam.step
 
-    def slow_submit(stream, owner, step):
+    def slow_step(opt):
         with pool.watch:
-            held = [p._grad_buf for p in owner.model.parameters()]
-            pool.pending += [b for b in held if b is not None]
+            pool.pending += [p._grad_buf for p in opt.params if p._grad_buf is not None]
+        time.sleep(delay)
+        step(opt)
 
-        def slow():
-            time.sleep(delay)
-            step()
-
-        submit(stream, owner, slow)
-
-    m.setattr(executor_mod.StepStream, "submit", slow_submit)
+    m.setattr(Adam, "step", slow_step)
 
 
 def fedomd(parts, **overrides):
@@ -90,30 +86,28 @@ def fedomd(parts, **overrides):
     return FedOMDTrainer(parts, FedOMDConfig(**dict(cfg, **overrides)), seed=0)
 
 
-def run(monkeypatch, parts, defer, hold=False, **overrides):
+def run(monkeypatch, parts, hold=False, **overrides):
     with monkeypatch.context() as m:
-        submitted = force_deferral(m, defer)
         pool = watch_pool(m)
         if hold:
             hold_steps_back(m, pool)
         trainer = fedomd(parts, **overrides)
         trainer.run()
-    assert bool(submitted) == defer
     assert pool.lent == 0 and not pool.pending  # every buffer came back
     return trainer, pool
 
 
 def test_held_back_steps_never_share_a_buffer_with_a_backward(parts, monkeypatch):
-    deferred, pool = run(monkeypatch, parts, defer=True, hold=True)
-    inline, _ = run(monkeypatch, parts, defer=False)
+    parallel, pool = run(monkeypatch, parts, hold=True, num_workers=2)
+    serial, _ = run(monkeypatch, parts)
     assert pool.taken_while_steps_pending > 0  # the race was really there
     assert pool.reused_while_pending == 0
     assert pool.most_lent >= 2
-    assert_bitwise_equal(deferred, inline)
+    assert_bitwise_equal(parallel, serial)
 
 
 def test_inline_steps_reuse_one_buffer(parts, monkeypatch):
-    trainer, pool = run(monkeypatch, parts, defer=False)
+    trainer, pool = run(monkeypatch, parts)
     assert pool.most_lent == 1
     assert len(pool._free) == 1
     # One buffer serves every party: it fits the widest input weight.
@@ -121,9 +115,22 @@ def test_inline_steps_reuse_one_buffer(parts, monkeypatch):
     assert pool._free[0].nbytes == widest
 
 
+def test_serial_cs_shaped_run_lends_at_most_two_buffers(monkeypatch):
+    # fedbench's cs-m10 shape: the Coauthor-CS twin at scale 0.25, 10
+    # Louvain parties, the paper's FedOMD defaults.  Steps that queued
+    # up behind a second thread once held up to 6 buffers here.
+    g = load_dataset("coauthor-cs", seed=0, scale=0.25)
+    cs_parts = louvain_partition(g, 10, np.random.default_rng(0)).parts
+    with monkeypatch.context() as m:
+        pool = watch_pool(m)
+        FedOMDTrainer(cs_parts, FedOMDConfig(max_rounds=2, patience=50), seed=0).run()
+    assert pool.lent == 0
+    assert 1 <= pool.most_lent <= 2
+
+
 def test_parallel_clients_take_one_buffer_per_step_in_flight(parts, monkeypatch):
-    parallel, pool = run(monkeypatch, parts, defer=False, num_workers=2)
-    serial, _ = run(monkeypatch, parts, defer=False)
+    parallel, pool = run(monkeypatch, parts, num_workers=2)
+    serial, _ = run(monkeypatch, parts)
     assert 1 <= pool.most_lent <= 2
     assert_bitwise_equal(parallel, serial)
 
@@ -133,7 +140,7 @@ def test_pooled_gradient_bytes_stay_within_two_input_weights(parts, monkeypatch)
     alloc_line = first + next(i for i, line in enumerate(take_src) if "np.empty(" in line)
     tracemalloc.start()
     try:
-        trainer, _ = run(monkeypatch, parts, defer=True)
+        trainer, _ = run(monkeypatch, parts)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -29,9 +29,9 @@ def test_forward_product_is_bitwise(x, cols):
 
 def test_reverse_product_is_the_active_rows_bitwise(x, cols):
     g = np.random.default_rng(1).standard_normal((x.shape[0], 16))
-    full = x.rev.matmul(g)
+    full = x.rmatmul(g)
     xc = x.compact_columns(cols)
-    np.testing.assert_array_equal(xc.rev.matmul(g), full[cols])
+    np.testing.assert_array_equal(xc.rmatmul(g), full[cols])
     inactive = np.setdiff1d(np.arange(x.shape[1]), cols)
     assert not full[inactive].any()  # exactly 0, not merely small
 
@@ -56,5 +56,3 @@ def test_indices_are_the_ranks_of_the_columns(x, cols):
 def test_compaction_shares_the_value_arrays(x, cols):
     xc = x.compact_columns(cols)
     assert xc.data is x.data and xc.indptr is x.indptr
-    assert xc.rev.data is x.rev.data and xc.rev.indices is x.rev.indices
-    assert xc.rev.rev is xc

@@ -1,11 +1,12 @@
-"""CSRMatrix container: construction, reverse caching, conversion metering.
+"""CSRMatrix container: construction, the transposed product, build counts.
 
 The headline regression here is the spmm transpose-cache bug: the old
 ``spmm`` claimed to cache ``S.T.tocsr()`` for backward but the closure
 variable was fresh on every forward call, so every training step paid a
-full O(nnz) sparse conversion per layer.  These tests pin the fixed
-contract — *exactly one* transpose conversion per graph operator across
-an entire multi-round training run.
+full O(nnz) sparse conversion per layer.  These tests pin the contract
+that replaced it: each graph operator is built once across an entire
+multi-round training run, and no transpose is ever built — ``Sᵀ @ G``
+reads ``S``'s own arrays.
 """
 
 import copy
@@ -19,12 +20,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.graphs import CSRMatrix, Graph
-from repro.graphs.csr import (
-    add_scaled_rows,
-    reset_transpose_conversion_count,
-    transpose_conversion_count,
-    unique,
-)
+from repro.graphs import csr as csr_mod
+from repro.graphs.csr import add_scaled_rows, unique
 from repro.nn import Adam, cross_entropy
 
 
@@ -78,9 +75,8 @@ class TestConstruction:
         assert c.astype(np.float64) is c
         f = c.astype(np.float32)
         assert f.indices is c.indices and f.indptr is c.indptr
-        assert f.dtype == np.float32 and f.rev.dtype == np.float32 and f.rev.rev is f
+        assert f.dtype == np.float32
         np.testing.assert_array_equal(f.toarray(), c.toarray().astype(np.float32))
-        np.testing.assert_array_equal(f.rev.toarray(), f.toarray().T)
 
     def test_to_scipy_roundtrip_is_cached_view(self):
         c = CSRMatrix.from_scipy(_random_csr())
@@ -93,38 +89,58 @@ class TestConstruction:
         np.testing.assert_array_equal(c2.toarray(), c.toarray())
 
 
+def spy_kernel(monkeypatch, name):
+    """Record the arguments of every call of scipy's kernel ``name``."""
+    calls = []
+    real = getattr(csr_mod._sparsetools, name)
+    monkeypatch.setattr(csr_mod._sparsetools, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestReverse:
+    """``rmatmul``, the reverse (transposed) product ``Sᵀ @ G``."""
+
     def test_rev_is_bitwise_transpose(self):
-        m = _random_csr(seed=3)
-        c = CSRMatrix.from_scipy(m)
-        ref = m.T.tocsr()
-        assert np.array_equal(c.rev.data, ref.data)
-        assert np.array_equal(c.rev.indices, ref.indices)
-        assert np.array_equal(c.rev.indptr, ref.indptr)
+        for dtype in (np.float32, np.float64):
+            m = _random_csr(seed=3).astype(dtype)
+            c = CSRMatrix.from_scipy(m)
+            g = np.random.default_rng(3).standard_normal((m.shape[0], 6)).astype(dtype)
+            got = c.rmatmul(g)
+            for want in (m.T.tocsr() @ g, m.T @ g):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_rev_of_rev_is_original(self):
+    def test_rev_of_rev_is_original(self, monkeypatch):
+        # The reverse product reads the matrix's own arrays: they are Sᵀ's
+        # CSC arrays, so nothing is copied or converted.
         c = CSRMatrix.from_scipy(_random_csr())
-        assert c.rev.rev is c
+        calls = spy_kernel(monkeypatch, "csc_matvecs")
+        out = np.ones((30, 2))
+        assert c.rmatmul(np.ones((30, 2)), out=out) is out
+        (args,) = calls
+        assert args[:3] == (30, 30, 2)
+        assert args[3] is c.indptr and args[4] is c.indices and args[5] is c.data
+        assert args[7].base is out
 
-    def test_eager_reverse_counts_one_conversion(self):
-        m = _random_csr()
-        reset_transpose_conversion_count()
-        c = CSRMatrix.from_scipy(m)
-        assert transpose_conversion_count() == 1
-        # Repeated access never converts again.
-        for _ in range(5):
-            _ = c.rev
-            _ = c.T
-        assert transpose_conversion_count() == 1
+    def test_holds_no_reverse(self):
+        c = CSRMatrix.from_scipy(_random_csr())
+        assert CSRMatrix.__slots__ == ("data", "indices", "indptr", "shape", "_scipy")
+        for name in ("rev", "T", "_rev", "_build_reverse"):
+            assert not hasattr(c, name)
+        assert c.nbytes == c.data.nbytes + c.indices.nbytes + c.indptr.nbytes
 
-    def test_lazy_reverse_skipped_for_forward_only(self):
-        m = _random_csr()
-        reset_transpose_conversion_count()
-        c = CSRMatrix.from_scipy(m, build_reverse=False)
-        c.matmul(np.ones((m.shape[1], 2)))
-        assert transpose_conversion_count() == 0
-        _ = c.rev
-        assert transpose_conversion_count() == 1
+    def test_lazy_reverse_skipped_for_forward_only(self, monkeypatch):
+        # Only a backward pass runs the reverse product, once per spmm.
+        from repro.autograd import Tensor, no_grad, spmm
+
+        c = CSRMatrix.from_scipy(_random_csr())
+        calls = spy_kernel(monkeypatch, "csc_matvecs")
+        x = Tensor(np.ones((30, 2)), requires_grad=True)
+        with no_grad():
+            spmm(c, x)
+        out = spmm(c, x)
+        assert calls == []
+        out.backward(np.ones((30, 2)))
+        assert len(calls) == 1
 
     def test_matmul_and_rev_matmul_match_scipy(self):
         m = _random_csr(seed=5)
@@ -132,21 +148,32 @@ class TestReverse:
         x = np.random.default_rng(0).standard_normal((m.shape[1], 4))
         g = np.random.default_rng(1).standard_normal((m.shape[0], 4))
         assert np.array_equal(c.matmul(x), m @ x)
-        assert np.array_equal(c.rev.matmul(g), m.T.tocsr() @ g)
+        assert np.array_equal(c.rmatmul(g), m.T.tocsr() @ g)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            c.rmatmul(g[:-1])
 
 
 class TestTransposeCacheRegression:
-    """Exactly one transpose conversion per operator across a multi-round run.
+    """Each operator is built once across a multi-round run, by the first
+    forward that needs it; no step after it and no backward pass builds a
+    sparse matrix (a transpose included)."""
 
-    Every model's first layer multiplies the sparse features ``graph.x``,
-    so a graph's features add one reverse (Xᵀ, for the weight gradient)
-    to its propagation operators' reverses.
-    """
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        self.built = 0
+        real = CSRMatrix.__init__
+
+        def init(m, *args):
+            self.built += 1
+            real(m, *args)
+
+        monkeypatch.setattr(CSRMatrix, "__init__", init)
 
     def _train(self, model_name, graph, steps=6):
-        from repro.gnn import GCN, SAGE
+        """The sparse matrices each step's forward and backward built."""
+        from repro.gnn import GCN, SAGE, OrthoGCN
 
-        cls = {"gcn": GCN, "sage": SAGE}[model_name]
+        cls = {"gcn": GCN, "sage": SAGE, "ortho": OrthoGCN}[model_name]
         model = cls(
             graph.num_features,
             graph.num_classes,
@@ -154,58 +181,49 @@ class TestTransposeCacheRegression:
             rng=np.random.default_rng(0),
         )
         opt = Adam(model.parameters(), lr=0.01)
+        counts = []
         for _ in range(steps):
             opt.zero_grad()
-            cross_entropy(model(graph), graph.y, graph.train_mask).backward()
+            start = self.built
+            loss = cross_entropy(model(graph), graph.y, graph.train_mask)
+            forward = self.built - start
+            loss.backward()
             opt.step()
+            counts.append((forward, self.built - start - forward))
+        return counts
 
     def test_gcn_multi_round_converts_once(self):
         graph = _small_graph()
-        reset_transpose_conversion_count()
-        self._train("gcn", graph)
-        # One conversion each for graph.s_op's and graph.x's reverse-CSR
-        # — not one per layer per forward call as the pre-substrate spmm paid.
-        assert transpose_conversion_count() == 2
+        counts = self._train("gcn", graph)
+        # graph.s_op, by the first forward; not once per layer per call
+        # as the pre-substrate spmm paid.
+        assert counts[0][0] > 0 and graph._s_op is not None
+        assert counts[0][1] == 0 and set(counts[1:]) == {(0, 0)}
 
     def test_sage_multi_round_converts_once(self):
         graph = _small_graph(seed=1)
-        reset_transpose_conversion_count()
-        self._train("sage", graph)
-        # graph.mean_op's reverse and graph.x's.
-        assert transpose_conversion_count() == 2
+        counts = self._train("sage", graph)
+        assert counts[0][0] > 0 and graph._mean_op is not None
+        assert counts[0][1] == 0 and set(counts[1:]) == {(0, 0)}
 
     def test_two_operators_convert_twice(self):
+        # s_op and mean_op once each: the first step of each model.
         graph = _small_graph(seed=2)
-        reset_transpose_conversion_count()
-        self._train("gcn", graph)
-        self._train("sage", graph)
-        # s_op and mean_op once each; the second model reuses x's reverse.
-        assert transpose_conversion_count() == 3
+        for name in ("gcn", "sage"):
+            counts = self._train(name, graph)
+            assert counts[0][0] > 0 and counts[0][1] == 0 and set(counts[1:]) == {(0, 0)}
+        assert self._train("gcn", graph, steps=2) == [(0, 0), (0, 0)]
 
     def test_fresh_graphs_convert_independently(self):
-        reset_transpose_conversion_count()
         for seed in range(3):
-            self._train("gcn", _small_graph(seed=seed), steps=2)
-        assert transpose_conversion_count() == 6
+            counts = self._train("gcn", _small_graph(seed=seed), steps=2)
+            assert counts[0][0] > 0 and counts[1] == (0, 0)
 
-    def test_orthogcn_builds_both_reverses_once(self):
-        # OrthoGCN propagates through graph.s_op and projects graph.x:
-        # two reverse CSRs, both built by the first forward, none in backward.
-        from repro.gnn import OrthoGCN
-
-        graph = _small_graph(seed=3)
-        model = OrthoGCN(
-            graph.num_features, graph.num_classes, hidden=8, rng=np.random.default_rng(0)
-        )
-        opt = Adam(model.parameters(), lr=0.01)
-        reset_transpose_conversion_count()
-        for _ in range(6):
-            opt.zero_grad()
-            loss = cross_entropy(model(graph), graph.y, graph.train_mask)
-            assert transpose_conversion_count() == 2
-            loss.backward()
-            assert transpose_conversion_count() == 2
-            opt.step()
+    def test_orthogcn_builds_its_operator_once(self):
+        # OrthoGCN propagates through graph.s_op and projects graph.x; its
+        # input layer's backward reads both containers' own arrays.
+        counts = self._train("ortho", _small_graph(seed=3))
+        assert counts[0][0] > 0 and counts[0][1] == 0 and set(counts[1:]) == {(0, 0)}
 
 
 class TestAddScaledRows:
@@ -282,32 +300,35 @@ class TestKernel:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_reverse_rows_with_offset_indptr(self, dtype):
-        # A compacted reverse keeps rows `cols` of the full reverse and
-        # shares its arrays, so its indptr starts wherever row cols[0] did.
-        c, _ = self.operands(dtype, seed=2)
-        rev, cols = c.rev, np.arange(5, 30)
-        sub = CSRMatrix(rev.data, rev.indices, np.append(rev.indptr[cols], rev.indptr[-1]),
-                        (len(cols), 40))
+        # Rows 5.. of a matrix, sharing its arrays: the indptr starts
+        # wherever row 5 did.  Both products read only the entries it spans.
+        c, x = self.operands(dtype, seed=2)
+        sub = CSRMatrix(c.data, c.indices, c.indptr[5:], (35, 30))
         assert sub.indptr[0] > 0
-        g = np.random.default_rng(3).standard_normal((40, 5)).astype(dtype)
-        want = (c.to_scipy().T.tocsr() @ g)[cols]
-        assert sub.matmul(g, out=np.ones((len(cols), 5), dtype)).tobytes() == want.tobytes()
-        assert sub.matmul(g).tobytes() == want.tobytes()
+        want = c.to_scipy()[5:]
+        assert sub.matmul(x, out=np.ones((35, 7), dtype)).tobytes() == (want @ x).tobytes()
+        g = np.random.default_rng(3).standard_normal((35, 5)).astype(dtype)
+        want = want.T.tocsr() @ g
+        assert sub.rmatmul(g, out=np.ones((30, 5), dtype)).tobytes() == want.tobytes()
+        assert sub.rmatmul(g).tobytes() == want.tobytes()
 
     def test_scipy_still_runs_the_same_kernel(self, monkeypatch):
-        # If scipy's `S @ x` stops calling `_sparsetools.csr_matvecs`, the
-        # byte equality above is no longer a statement about scipy's product.
+        # If scipy's `S @ x` stops calling `_sparsetools.csr_matvecs`, or its
+        # `S.T @ g` `csc_matvecs`, the byte equality above is no longer a
+        # statement about scipy's product.
         from scipy.sparse import _sparsetools
 
-        calls = []
-        real = _sparsetools.csr_matvecs
-        monkeypatch.setattr(
-            _sparsetools, "csr_matvecs", lambda *a: calls.append(len(a)) or real(*a)
-        )
+        assert _sparsetools is csr_mod._sparsetools
         c, x = self.operands(np.float32)
+        calls = spy_kernel(monkeypatch, "csr_matvecs")
         c.to_scipy() @ x
         c.matmul(x)
-        assert calls == [8, 8]
+        assert [len(a) for a in calls] == [8, 8]
+        calls = spy_kernel(monkeypatch, "csc_matvecs")
+        g = np.ones((40, 3), np.float32)
+        c.to_scipy().T @ g
+        c.rmatmul(g)
+        assert [len(a) for a in calls] == [8, 8]
 
     def test_kernel_loaded_before_scipy_sparse_is_scipys(self):
         # The kernel is loaded without `scipy.sparse`; a later import of

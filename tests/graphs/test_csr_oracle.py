@@ -1,10 +1,13 @@
 """The NumPy graph builders against scipy, byte for byte.
 
-A run builds its adjacency, features, propagation operators, their
-reverses and every party's arrays in NumPy, without ``scipy.sparse``.
-Each array must be what the ``scipy.sparse`` code they replaced built:
-the same ``data``, ``indices`` and ``indptr``, dtypes included, so the
-training digests cannot move.  scipy is the oracle here and only here.
+A run builds its adjacency, features, propagation operators and every
+party's arrays in NumPy, without ``scipy.sparse``.  Each array must be
+what the ``scipy.sparse`` code they replaced built: the same ``data``,
+``indices`` and ``indptr``, dtypes included, so the training digests
+cannot move.  Each transposed product ``Sᵀ @ G``, read from the forward
+arrays, must be byte for byte the product through the transposed copy
+``S.T.tocsr()`` that backward passes once used.  scipy is the oracle here
+and only here.
 The twin's raw draws (the sampled node pairs and words) are recorded as
 the generator assembles them, and the oracle assembles the same draws
 with scipy.
@@ -79,16 +82,31 @@ def assert_same(ours, want, what):
         assert a.tobytes() == b.tobytes(), f"{what}.{name} differs"
 
 
+def assert_transposed_products(ours, want, what):
+    """``ours.rmatmul(g)`` is scipy's ``want.T.tocsr() @ g``, for a float32 and a float64 ``g``."""
+    for dtype in (np.float32, np.float64):
+        g = np.random.default_rng(0).standard_normal((want.shape[0], 5)).astype(dtype)
+        ref = want.T.tocsr() @ g
+        got = ours.rmatmul(g)
+        assert got.dtype == ref.dtype, what
+        assert got.tobytes() == ref.tobytes(), f"{what}ᵀ @ g ({np.dtype(dtype).name}) differs"
+
+
 def assert_operator(ours, want, what):
-    """An operator and its reverse against scipy's CSR and CSC arrays."""
+    """An operator's arrays and its transposed products against scipy's."""
     assert_same(ours, want, what)
-    csc = want.tocsc()
-    assert_same(ours.rev, sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=want.shape[::-1]),
-                f"{what}.rev")
+    assert_transposed_products(ours, want, what)
+
+
+def assert_features(ours, want, what):
+    """Features as an operator, and compacted to their active columns."""
+    assert_operator(ours, want, what)
+    cols = np.unique(ours.indices)
+    assert_transposed_products(ours.compact_columns(cols), want[:, cols], f"{what} compacted")
 
 
 def assert_graph_operators(g, adj, what):
-    """S̃ and D⁻¹Â in float64 and in the graph's dtype, with reverses."""
+    """S̃ and D⁻¹Â in float64 and in the graph's dtype, with transposed products."""
     s, mean = old_s_norm(adj), old_mean_adj(adj)
     assert_operator(normalized_adjacency(g.adj), s, f"{what} S̃ float64")
     assert_operator(row_normalized_adjacency(g.adj), mean, f"{what} D⁻¹Â float64")
@@ -114,8 +132,7 @@ class TestTwins:
     def test_adjacency_and_features(self, twin):
         g, adj, x = twin
         assert_same(g.adj, adj, "adj")
-        assert_same(g.x, x, "x")
-        assert_operator(g.x, x, "x")
+        assert_features(g.x, x, "x")
 
     def test_operators(self, twin):
         g, adj, _ = twin
@@ -133,22 +150,24 @@ class TestTwins:
         for i, (part, nodes) in enumerate(zip(pr.parts, pr.node_maps)):
             sub = adj[nodes][:, nodes].tocsr()
             assert_same(part.adj, sub, f"party {i} adj")
-            assert_operator(part.x, old_party_features(x, nodes), f"party {i} x")
+            assert_features(part.x, old_party_features(x, nodes), f"party {i} x")
             assert_graph_operators(part, sub, f"party {i}")
 
 
 def test_isolated_nodes_and_empty_rows():
-    # Nodes 0, 3 and 6 have no edges and rows 2 and 6 no features; a
-    # duplicated, unsorted scipy input is summed and sorted on the way in.
+    # Nodes 0, 3 and 6 have no edges, rows 2 and 6 no features and
+    # column 4 no node; a duplicated, unsorted scipy input is summed and
+    # sorted on the way in.
     rng = np.random.default_rng(0)
     x = (rng.random((7, 5)) < 0.5) * rng.standard_normal((7, 5))
     x[[2, 6]] = 0.0
+    x[:, 4] = 0.0
     rows, cols = np.array([1, 2, 4, 5, 1, 2, 5]), np.array([2, 1, 5, 4, 2, 1, 4])
     adj = sp.csr_matrix((np.ones(7), (rows, cols)), shape=(7, 7))
     g = Graph(x=x, adj=sp.coo_matrix((np.ones(7), (rows, cols)), shape=(7, 7)),
               y=np.zeros(7, dtype=int), num_classes=1)
     assert_same(g.adj, adj, "adj")
-    assert_operator(g.x, sp.csr_matrix(x), "x")
+    assert_features(g.x, sp.csr_matrix(x), "x")
     assert_graph_operators(g, adj, "graph")
     nodes = np.array([0, 2, 3, 6])
     sub = g.adj.take(nodes, nodes)

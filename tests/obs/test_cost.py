@@ -134,7 +134,7 @@ class TestSpmm:
         out = spmm(s, x)
         out.backward(np.ones((3, 4), dtype=dtype))
         entries = s.data.nbytes + s.indices.nbytes
-        for direction, sparse in (("fwd", s), ("bwd", s.rev)):
+        for direction, sparse in (("fwd", s), ("bwd", s)):
             assert sparse.data.nbytes + sparse.indices.nbytes == entries
             tags = dict(op="spmm", dir=direction, **UNATTRIBUTED)
             assert bytes_of(registry, **tags) == entries + x.data.nbytes + out.data.nbytes
